@@ -29,7 +29,6 @@ from .maps import (
     orbit,
     orbits_disjoint_prefix,
     triangular_map,
-    validate,
 )
 from .degrees import (
     DegreeMatrix,
@@ -110,7 +109,6 @@ __all__ = [
     "spectral_radius_maxroot",
     "triangular_map",
     "u_minus_fu_witness",
-    "validate",
     "verify_dominant_value",
     "verify_stability",
     "vp",

@@ -1,8 +1,10 @@
 """Command-line entry points.
 
-    arithdyn run     --config cfg.json [--seed S] [--out-dir DIR]
-    arithdyn density --points pts.csv --degree D [--out-dir DIR]
-    arithdyn degrees --map map.json --nmax N [--out-dir DIR]
+    arithdyn [--seed S] [--out-dir DIR] run --config cfg.json
+    arithdyn [--out-dir DIR] density --points pts.csv --degree D
+    arithdyn [--out-dir DIR] degrees --map map.json --nmax N
+
+The global options --seed and --out-dir come before the subcommand.
 
 Exit codes: 0 all assertions pass, 2 an assertion failed, 3 a resource cap
 was hit, 4 the configuration is invalid.

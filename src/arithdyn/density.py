@@ -123,8 +123,11 @@ def kernel_vector(matrix: Sequence[Sequence[Fraction]]) -> list | None:
     """One exact nonzero kernel vector of the column space, or None."""
     if not matrix:
         return None
-    n_cols = len(matrix[0])
-    rank, rref, pivots = rational_rref(matrix)
+    return _kernel_from_rref(len(matrix[0]), *rational_rref(matrix))
+
+
+def _kernel_from_rref(n_cols: int, rank: int, rref: list, pivots: list) -> list | None:
+    """Kernel vector of a matrix from its rational_rref result, or None."""
     if rank == n_cols:
         return None
     free_col = next(c for c in range(n_cols) if c not in pivots)
@@ -184,9 +187,9 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     if rank == m:
         verdict = "no_common_hypersurface"
     else:
-        kernel = kernel_vector(rows)
-        rref_rank, _, _ = rational_rref(rows)
+        rref_rank, rref, pivots = rational_rref(rows)
         assert rref_rank == rank, "elimination routes disagree on rank"
+        kernel = _kernel_from_rref(m, rref_rank, rref, pivots)
         verdict = "inconclusive" if len(pts) < m else "vanishing_polynomial"
     return DensityReport(
         degree_bound=degree_bound,

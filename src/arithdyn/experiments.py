@@ -32,6 +32,7 @@ from . import padic
 from .density import density_check, density_report_csv
 from .maps import (
     DEFAULT_CAPS,
+    Orbit,
     ResourceCaps,
     TriangularMap,
     as_point,
@@ -42,7 +43,6 @@ from .maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
 )
-from .qpoly import ResourceLimitError
 
 SCHEMA_VERSION = 1
 
@@ -216,13 +216,6 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
 
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
     samples = padic.sample_U(sector, cfg.samples, cfg.seed)
-    _write(
-        out_dir,
-        "sector.csv",
-        padic.sector_report_csv(f, sector, samples, n_max=min(cfg.n_max, 4)),
-        files,
-    )
-
     stability = padic.verify_stability(f, sector, samples)
     checks.append(
         Check(
@@ -235,9 +228,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={"prime": sector.prime, "C": sector.C, "samples": len(samples)},
         )
     )
-    dominant_ok = all(
-        padic.verify_dominant_value(f, sector, p).all_ok for p in samples
-    )
+    dominant = [padic.verify_dominant_value(f, sector, p) for p in samples]
     checks.append(
         Check(
             name="dominant_monomial_valuation",
@@ -245,30 +236,32 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
                 "v(x_i of f(P)) = d_ii*v(x_i) + sum_l e_il*v(x_l) exactly "
                 "for every sample and component"
             ),
-            passed=dominant_ok,
+            passed=all(r.all_ok for r in dominant),
             details={},
         )
     )
 
+    # One capped orbit per sample feeds every check and report below; only
+    # its height rows and its disjointness prefix outlive the loop.
+    prefix = 5
     d11 = diag[0]
     log_p = math.log(sector.prime)
     khat_ok = True
     floor_ok = True
     seqs = []
-    for idx, point in enumerate(samples):
-        seq = hts.height_sequence(f, point, cfg.n_max, delta=delta, caps=caps)
+    prefixes = []
+    for point in samples:
+        orb = orbit(f, point, max(cfg.n_max, prefix), caps)
+        head = Orbit(map=f, start=orb.start, points=orb.points[: cfg.n_max + 1])
+        seq = hts.height_sequence_of_orbit(head, delta)
         seqs.append(seq)
-        if idx == 0:
-            _write(out_dir, "heights_sample0.csv", seq.to_csv(), files)
-        e1 = -padic.vp(point[0], sector.prime)
-        current = point
-        for n in range(1, cfg.n_max + 1):
-            current = f.apply(current)
-            if -padic.vp(current[0], sector.prime) < d11**n * e1:
-                floor_ok = False
-        for row in seq.rows:
-            if row.khat < e1 * log_p - KHAT_FLOAT_MARGIN:
-                khat_ok = False
+        prefixes.append(Orbit(map=f, start=orb.start, points=orb.points[: prefix + 1]))
+        e = [-padic.vp(q[0], sector.prime) for q in head.points]  # -v_p(x_1 of f^n P)
+        floor_ok = floor_ok and all(e[n] >= d11**n * e[0] for n in range(len(e)))
+        khat_ok = khat_ok and all(row.khat >= e[0] * log_p - KHAT_FLOAT_MARGIN for row in seq.rows)
+    sector_csv = padic.sector_report_csv(sector, prefixes, stability, dominant, min(cfg.n_max, 4))
+    _write(out_dir, "sector.csv", sector_csv, files)
+    _write(out_dir, "heights_sample0.csv", seqs[0].to_csv(), files)
     checks.append(
         Check(
             name="height_growth_floor",
@@ -303,12 +296,10 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
         )
     )
 
-    prefix = 5
-    orbits = [orbit(f, p, prefix, caps) for p in samples]
     disjoint = all(
-        orbits_disjoint_prefix(orbits[i], orbits[j])
-        for i in range(len(orbits))
-        for j in range(i + 1, len(orbits))
+        orbits_disjoint_prefix(prefixes[i], prefixes[j])
+        for i in range(len(prefixes))
+        for j in range(i + 1, len(prefixes))
     )
     checks.append(
         Check(
@@ -318,7 +309,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={"prefix": prefix},
         )
     )
-    signatures = [padic.valuation_signature(p, sector) for p in samples]
+    signatures = [r.signature_before for r in stability.results]
     checks.append(
         Check(
             name="distinct_valuation_signatures",
@@ -346,7 +337,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             },
         )
     )
-    _write(out_dir, "orbit_sample0.csv", orbit_to_csv(orbits[0]), files)
+    _write(out_dir, "orbit_sample0.csv", orbit_to_csv(prefixes[0]), files)
 
     extra = {
         "map": map_to_json_dict(f),
@@ -374,7 +365,8 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
         # Default start: x1 = 1, x2 a unit over p so that |x2|_p > 1.
         sample = padic.sample_U(sector, 1, cfg.seed)[0]
         point = as_point([1, sample[-1]])
-    growth = padic.case_n2_growth(f, sector, point, cfg.n_max)
+    orb = orbit(f, point, cfg.n_max, caps)
+    growth = padic.case_n2_growth(sector, orb)
     _write(
         out_dir,
         "growth.csv",
@@ -394,7 +386,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
         )
     )
 
-    seq = hts.height_sequence(f, point, cfg.n_max, delta=delta, caps=caps)
+    seq = hts.height_sequence_of_orbit(orb, delta)
     _write(out_dir, "heights.csv", seq.to_csv(), files)
     checks.append(_alpha_upper_check([seq], delta))
 

@@ -114,10 +114,15 @@ class HeightSequence:
         return "\n".join(lines) + "\n"
 
 
+def _root(h: float, n: int) -> float | None:
+    """max(h, 1)^(1/n), None at n = 0."""
+    return math.exp(math.log(max(h, 1.0)) / n) if n >= 1 else None
+
+
 def _height_row(n: int, point, delta: float) -> HeightRow:
     height = affine_height(point)
     h_plus = max(height.log, 1.0)
-    root = math.exp(math.log(h_plus) / n) if n >= 1 else None
+    root = _root(h_plus, n)
     khat = h_plus / delta**n
     return HeightRow(
         n=n, height_arg=height.max_abs, h=height.log, h_plus=h_plus, root=root, khat=khat
@@ -220,7 +225,6 @@ def product_height_additivity(
         ha = affine_height(qa)
         hb = affine_height(qb)
         h_sum = ha.log + hb.log
-        root = math.exp(math.log(max(h_sum, 1.0)) / n) if n >= 1 else None
         rows.append(
             ProductHeightRow(
                 n=n,
@@ -228,14 +232,13 @@ def product_height_additivity(
                 arg_b=hb.max_abs,
                 arg_sum=ha.max_abs * hb.max_abs,
                 h_sum=h_sum,
-                root=root,
+                root=_root(h_sum, n),
             )
         )
 
-    seq_a = height_sequence_of_orbit(orb_a, dynamical_degree_exact(f_a))
-    seq_b = height_sequence_of_orbit(orb_b, dynamical_degree_exact(f_b))
-    alpha_a = seq_a.roots()[-1]
-    alpha_b = seq_b.roots()[-1]
+    last = rows[-1]
+    alpha_a = _root(math.log(last.arg_a), last.n)
+    alpha_b = _root(math.log(last.arg_b), last.n)
     return ProductHeightReport(
         rows=rows,
         alpha_a=alpha_a,

@@ -123,11 +123,6 @@ class TriangularMap:
         return TriangularMap(composed)
 
 
-def validate(components: Sequence[Polynomial]) -> TriangularMap:
-    """Build a TriangularMap, raising NotTriangularError / NotDominantError."""
-    return TriangularMap(components)
-
-
 def triangular_map(texts: Sequence[str]) -> TriangularMap:
     """Convenience constructor from component text, e.g. ['x1^3+x2', 'x2^2+1']."""
     n = len(texts)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .degrees import degree_matrix
-from .maps import AffinePoint, TriangularMap, as_point
+from .maps import AffinePoint, Orbit, TriangularMap, as_point
 from .qpoly import Monomial
 
 INFINITY = math.inf
@@ -37,14 +37,6 @@ class NotPrimeError(ValueError):
 
 class NotInSectorError(ValueError):
     pass
-
-
-class DominantMonomialError(AssertionError):
-    """The lex-max monomial of f_i does not carry x_i-exponent d_{i,i}.
-
-    Flags a map outside the regime where the dominant-monomial valuation
-    identities apply; reported rather than guessed around.
-    """
 
 
 def is_prime(n: int) -> bool:
@@ -235,18 +227,14 @@ def valuation_signature(point: Sequence[Fraction], cfg: SectorConfig) -> tuple:
 
 
 def dominant_monomial(f: TriangularMap, i: int) -> Monomial:
-    """Lexicographically maximal monomial of f_i; its x_i-exponent must be d_{i,i}."""
+    """Lexicographically maximal monomial of f_i; its x_i-exponent is d_{i,i}.
+
+    A validated f_i involves no variable before x_i, so the lex order compares
+    x_i-exponents first and the maximum carries the diagonal degree.
+    """
     if not 1 <= i <= f.dimension:
         raise IndexError(f"component index {i} out of range 1..{f.dimension}")
-    comp = f.components[i - 1]
-    mono = max(comp.terms)
-    d_ii = comp.degree_in_var(i)
-    if mono[i - 1] != d_ii:
-        raise DominantMonomialError(
-            f"lex-max monomial of component {i} has x{i}-exponent {mono[i - 1]}, "
-            f"expected the diagonal degree {d_ii}"
-        )
-    return mono
+    return max(f.components[i - 1].terms)
 
 
 @dataclass(frozen=True)
@@ -386,30 +374,27 @@ class GrowthReport:
         return all(r.equal and r.in_halfplane for r in self.rows)
 
 
-def case_n2_growth(
-    f: TriangularMap, cfg: SectorConfig, point: Sequence[Fraction], n_max: int
-) -> GrowthReport:
-    """Exact second-coordinate valuation growth for N = 2, d_{1,1} <= d_{2,2}.
+def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> GrowthReport:
+    """Exact second-coordinate valuation growth for N = 2, d_{1,1} <= d_{2,2},
+    read along the orbit ``orb`` for n = 1..len(orb)-1.
 
     On the half-plane |x_2|_p > 1 the last coordinate's valuation multiplies
     by exactly d_{2,2} each step, with no tolerance.
     """
+    f = orb.map
     if f.dimension != 2:
         raise ValueError("this construction is specific to N = 2")
     diag = degree_matrix(f).diagonal()
     if diag[0] > diag[1]:
         raise ValueError("needs d_{1,1} <= d_{2,2}; use the sector construction otherwise")
-    point = as_point(point)
     p = cfg.prime
-    v0 = vp(point[1], p)
+    v0 = vp(orb.start[1], p)
     if not (v0 < 0):
         raise NotInSectorError("second coordinate must satisfy |x_2|_p > 1")
     d22 = diag[1]
     rows = []
-    current = point
-    for n in range(1, n_max + 1):
-        current = f.apply(current)
-        v = vp(current[1], p)
+    for n in range(1, len(orb)):
+        v = vp(orb.points[n][1], p)
         expected = d22**n * v0
         rows.append(
             GrowthRow(
@@ -420,25 +405,28 @@ def case_n2_growth(
 
 
 def sector_report_csv(
-    f: TriangularMap, cfg: SectorConfig, samples: Sequence, n_max: int
+    cfg: SectorConfig,
+    orbits: Sequence[Orbit],
+    stability: StabilityReport,
+    dominant: Sequence,
+    n_max: int,
 ) -> str:
-    """Per-point CSV: valuation signatures along the orbit plus stability flags."""
+    """Per-point CSV: valuation signatures along each orbit plus stability flags.
+
+    ``orbits[k]`` reaches at least f^{n_max} of sample k; ``stability`` and
+    ``dominant`` are the sample's verify_stability and verify_dominant_value
+    reports, in the same order.
+    """
     header = ["point_id"]
     header += [f"e{i}" for i in range(1, cfg.dimension + 1)]
     for n in range(1, n_max + 1):
         header += [f"neg_v_x{i}_n{n}" for i in range(1, cfg.dimension + 1)]
     header += ["stable_ok", "dominant_ok"]
     lines = [",".join(header)]
-    for pid, point in enumerate(samples):
-        point = as_point(point)
+    for pid, (orb, stable, dom) in enumerate(zip(orbits, stability.results, dominant)):
         row = [str(pid)]
-        row += [str(e) for e in valuation_signature(point, cfg)]
-        stability = verify_stability(f, cfg, [point]).results[0]
-        dominant = verify_dominant_value(f, cfg, point)
-        current = point
-        for _ in range(n_max):
-            current = f.apply(current)
-            row += [str(e) for e in valuation_signature(current, cfg)]
-        row += [str(stability.ok).lower(), str(dominant.all_ok).lower()]
+        for point in orb.points[: n_max + 1]:
+            row += [str(e) for e in valuation_signature(point, cfg)]
+        row += [str(stable.ok).lower(), str(dom.all_ok).lower()]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

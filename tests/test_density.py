@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn import density
 from arithdyn.density import (
     DuplicatePointsError,
     bareiss_rank,
@@ -119,6 +120,24 @@ def test_degree_bound_validated():
 def test_kernel_vector_none_for_full_rank():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert kernel_vector(rows) is None
+
+
+def test_deficient_rank_runs_rational_rref_once(monkeypatch):
+    calls = []
+    rref = density.rational_rref
+
+    def counting_rref(matrix):
+        calls.append(matrix)
+        return rref(matrix)
+
+    monkeypatch.setattr(density, "rational_rref", counting_rref)
+    # seven points on the parabola x2 = x1^2: rank 5 of 6 monomials
+    report = density_check([[t, t * t] for t in range(7)], 2)
+    assert len(calls) == 1
+    assert (report.rank, report.verdict) == (5, "vanishing_polynomial")
+    kernel = dict(zip(report.monomials, report.kernel))
+    assert kernel[(2, 0)] == -kernel[(0, 1)] != 0
+    assert all(c == 0 for m, c in kernel.items() if m not in ((2, 0), (0, 1)))
 
 
 def test_orbit_points_fill_degree_two_space():

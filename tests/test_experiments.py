@@ -12,7 +12,8 @@ from arithdyn.experiments import (
     iterate_consistency,
     run_experiment,
 )
-from arithdyn.maps import map_to_json_dict, triangular_map
+from arithdyn.maps import ResourceCaps, TriangularMap, map_to_json_dict, triangular_map
+from arithdyn.qpoly import ResourceLimitError
 
 E1_DOC = {"dimension": 2, "components": ["x1^3+x2", "x2^2+1"]}
 SECOND_DOC = {"dimension": 2, "components": ["x1*x2+1", "x2^2"]}
@@ -102,6 +103,35 @@ def test_second_case_pipeline(tmp_path):
     assert checks["alpha_upper_proxy"]["passed"]
     assert result.summary["delta_exact"] == 2
     assert result.exit_code == EXIT_OK
+
+
+@pytest.mark.parametrize("n_max,samples,seed", [(6, 12, 0), (4, 3, 5)])
+def test_first_case_walks_each_orbit_once(tmp_path, monkeypatch, n_max, samples, seed):
+    # one orbit of max(n_max, 5) steps per sample, plus the single image step
+    # of each of the stability and dominant-value checks
+    calls = []
+    apply = TriangularMap.apply
+
+    def counting_apply(self, point):
+        calls.append(point)
+        return apply(self, point)
+
+    monkeypatch.setattr(TriangularMap, "apply", counting_apply)
+    run_experiment(first_case_cfg(n_max=n_max, samples=samples, seed=seed), tmp_path)
+    assert len(calls) == samples * (max(n_max, 5) + 2)
+
+
+def test_first_case_orbit_cap_raises(tmp_path):
+    with pytest.raises(ResourceLimitError):
+        run_experiment(first_case_cfg(), tmp_path, ResourceCaps(max_coeff_bits=20000))
+
+
+def test_second_case_orbit_cap_raises(tmp_path):
+    cfg = ExperimentConfig(
+        map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8
+    )
+    with pytest.raises(ResourceLimitError):
+        run_experiment(cfg, tmp_path, ResourceCaps(max_coeff_bits=100))
 
 
 def test_second_case_rejects_wrong_shape(tmp_path):

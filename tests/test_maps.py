@@ -9,6 +9,7 @@ from arithdyn.maps import (
     NotDominantError,
     NotTriangularError,
     ResourceCaps,
+    TriangularMap,
     as_point,
     iterate_symbolic,
     map_from_json,
@@ -18,13 +19,12 @@ from arithdyn.maps import (
     orbits_disjoint_prefix,
     points_from_csv,
     triangular_map,
-    validate,
 )
 from arithdyn.qpoly import ResourceLimitError, parse_polynomial
 
 
 def test_validate_accepts_triangular_dominant():
-    f = validate([parse_polynomial("x1^3+x2", 2), parse_polynomial("x2^2+1", 2)])
+    f = TriangularMap([parse_polynomial("x1^3+x2", 2), parse_polynomial("x2^2+1", 2)])
     assert f.dimension == 2
 
 

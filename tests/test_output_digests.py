@@ -1,0 +1,89 @@
+"""Byte-identity guard: every output file of five fixed configs.
+
+The digests were recorded from the code before orbits were shared between
+the checks of a pipeline; refactors of the pipelines must leave every byte
+of every report unchanged.  A change that alters an output on purpose must
+re-record the affected digests here and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from arithdyn.experiments import ExperimentConfig, run_experiment
+
+E1_DOC = {"dimension": 2, "components": ["x1^3+x2", "x2^2+1"]}
+SECOND_DOC = {"dimension": 2, "components": ["x1*x2+1", "x2^2"]}
+
+DEGREES_E1 = "93a34f7f94bc893fd385a39f2ae182990c6da9e3c380caa05ee80ea45955ed04"
+
+CASES = {
+    "first_case_n6_seed0": (
+        dict(map=E1_DOC, mode="first_case", n_max=6, samples=12, seed=0),
+        {
+            "degrees.csv": DEGREES_E1,
+            "density.csv": "638ed0dbc0c3ec8300dcd41a63d7840d615588c0b0e48a276199fab54dca1f4b",
+            "heights_sample0.csv": "d902f3d54547a2175309321ee2f756540674d7f3ebf4a224c2f5f5ece5f1fdc3",
+            "orbit_sample0.csv": "5e40f3c09ec301c58527dd3a70ec732485c30d90de7f6bf33e0323b17c0585dd",
+            "sector.csv": "5d5f54f1ab574a5b3ce7b7f9c168c841ccfeb8cd3f8a08abe62424ff4a901741",
+            "summary.json": "b94d288aaedf7a6fa6cefa6cb9050f205f3caac06a4a2c0deb4d456c4b0821d2",
+        },
+    ),
+    # n_max below the 5-step disjointness prefix: the orbit still reaches n = 5
+    "first_case_n4_seed5": (
+        dict(map=E1_DOC, mode="first_case", n_max=4, samples=3, seed=5),
+        {
+            "degrees.csv": DEGREES_E1,
+            "density.csv": "8373c3efb8ef194054b031a3c82a4828cd4981e06f9128bc95969852dd00a034",
+            "heights_sample0.csv": "46c3a88fa5d9200121565662f11d2161c9f126bf3d2628e7b1512745fac05f9f",
+            "orbit_sample0.csv": "7f97c7b3773725c5dda7da462c494fa3a15ad105b02b37ea51fede2864440c4a",
+            "sector.csv": "4951103f805c673ff0b51459e38ef37ac27c46a28d7278935297bb124ba503e8",
+            "summary.json": "80569042d5d7cdf06fbd8262cf58db28b9bfd41f921e29fa2430862a91f090c9",
+        },
+    ),
+    "second_case_n2": (
+        dict(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8),
+        {
+            "degrees.csv": "d37cca7826a9611197aa1862e7485012a4d0ea6328598ecaaeca868d9d9ee239",
+            "growth.csv": "6041955092934fdd6abff135acab0c6a02a2dd35c0c9c7502fba0167813481d5",
+            "heights.csv": "50c69dc6aa1e82a0fda887766f27788c6a275f33cfa554ccb249c7040d5a6862",
+            "summary.json": "7f41b05a930d3908935c43b14ba7f7786c66fab016090b71634a3f3f35609b4b",
+        },
+    ),
+    "product": (
+        dict(
+            map={"dimension": 1, "components": ["x1^2"]},
+            map_b={"dimension": 1, "components": ["x1^3"]},
+            mode="product",
+            point=["2", "2"],
+            n_max=8,
+        ),
+        {
+            "product_heights.csv": "21b2a52e5b9533d313b2a1b62bf747635788b76b03d100ce650f05afdb1b1532",
+            "summary.json": "d990a08ce28006c7393065fbcb4313478e43e6a0e6b3751626e1669c0fffd4ac",
+        },
+    ),
+    "iterate_check": (
+        dict(
+            map=E1_DOC,
+            mode="iterate_check",
+            point=["1/256", "1/2"],
+            iterate_power=2,
+            n_max=3,
+        ),
+        {
+            "summary.json": "ecf3a8a260c25bbb70a8582e4329e841cdd41a2bb7ee2e73512ede60a3d29b32",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_files_byte_identical(name, tmp_path):
+    config, expected = CASES[name]
+    run_experiment(ExperimentConfig(**config), tmp_path)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert written == expected

@@ -270,7 +270,7 @@ def test_witness_requires_decreasing_diagonal():
 def test_case_n2_growth_examples():
     f = triangular_map(["x1*x2+1", "x2^2"])
     cfg = sector_config(f, prime=2)
-    report = case_n2_growth(f, cfg, [1, Fraction(1, 2)], 5)
+    report = case_n2_growth(cfg, orbit(f, [1, Fraction(1, 2)], 5))
     assert [r.valuation for r in report.rows] == [-2, -4, -8, -16, -32]
     assert report.all_ok
 
@@ -278,7 +278,7 @@ def test_case_n2_growth_examples():
 def test_case_n2_growth_cubing():
     f = triangular_map(["x1+x2^3", "x2^3"])
     cfg = sector_config(f, prime=2)
-    report = case_n2_growth(f, cfg, [0, Fraction(1, 2)], 4)
+    report = case_n2_growth(cfg, orbit(f, [0, Fraction(1, 2)], 4))
     assert [r.valuation for r in report.rows] == [-3, -9, -27, -81]
     assert report.all_ok
 
@@ -287,4 +287,4 @@ def test_case_n2_growth_precondition():
     f = triangular_map(["x1*x2+1", "x2^2"])
     cfg = sector_config(f, prime=2)
     with pytest.raises(NotInSectorError):
-        case_n2_growth(f, cfg, [1, 3], 3)  # x2 integral at p=2
+        case_n2_growth(cfg, orbit(f, [1, 3], 3))  # x2 integral at p=2
