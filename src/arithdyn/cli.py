@@ -7,7 +7,9 @@
 The global options --seed and --out-dir come before the subcommand.
 
 Exit codes: 0 all assertions pass, 2 an assertion failed, 3 a resource cap
-was hit, 4 the configuration is invalid.
+was hit, 4 the configuration is invalid.  A cap hit anywhere raises
+ResourceLimitError, and main() alone turns it into exit 3; no command
+reports a partial result.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ def _cmd_degrees(args) -> int:
     print(f"exact dynamical degree: {dynamical_degree_exact(f)}")
     for n, d, r in est.values:
         print(f"n={n}: deg={d} root={r:.6f}")
-    if est.truncated:
-        print("sequence truncated by the resource cap", file=sys.stderr)
-        return EXIT_RESOURCE
     return EXIT_OK
 
 

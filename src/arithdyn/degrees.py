@@ -15,15 +15,9 @@ induced projective map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-from .maps import (
-    DEFAULT_CAPS,
-    ResourceCaps,
-    TriangularMap,
-    iterate_symbolic,
-)
+from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap
 from .qpoly import Polynomial, ResourceLimitError
 
 
@@ -171,11 +165,9 @@ def check_composition_bounds(
 
 @dataclass
 class DegreeSequenceEstimate:
-    """Rows (n, deg(f^n), deg(f^n)^(1/n)); truncated marks a resource overrun."""
+    """Rows (n, deg(f^n), deg(f^n)^(1/n)) for n = 1..n_max."""
 
     values: list  # list[tuple[int, int, float]]
-    limit_claim: float | None = None
-    truncated: bool = False
 
     def to_csv(self) -> str:
         lines = ["n,deg_fn,root"]
@@ -189,25 +181,23 @@ def dynamical_degree_sequence(
 ) -> DegreeSequenceEstimate:
     """deg(f^n) for n = 1..n_max via symbolic iteration, with n-th roots.
 
-    On a resource overrun the prefix computed so far is returned with
-    ``truncated=True`` instead of raising.
+    A resource overrun raises ResourceLimitError whose ``last_safe_n`` is the
+    last n whose degree was computed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = []
     current = f
-    truncated = False
     for n in range(1, n_max + 1):
         if n > 1:
             try:
                 current = f.compose(current, caps)
-            except ResourceLimitError:
-                truncated = True
-                break
+            except ResourceLimitError as err:
+                err.metadata.setdefault("last_safe_n", n - 1)
+                raise
         d = map_degree(current)
         values.append((n, d, nth_root(d, n)))
-    limit = values[-1][2] if values else None
-    return DegreeSequenceEstimate(values=values, limit_claim=limit, truncated=truncated)
+    return DegreeSequenceEstimate(values=values)
 
 
 def nth_root(value: int, n: int) -> float:

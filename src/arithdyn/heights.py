@@ -27,7 +27,6 @@ from typing import Sequence
 
 from .degrees import dynamical_degree_exact, product_map
 from .maps import DEFAULT_CAPS, Orbit, ResourceCaps, TriangularMap, as_point, orbit
-from .qpoly import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class HeightSequence:
     start: tuple
     delta: float
     rows: list
-    truncated: bool = False
 
     def roots(self, min_n: int = 1) -> list:
         return [row.root for row in self.rows if row.n >= min_n and row.root is not None]
@@ -139,23 +137,12 @@ def height_sequence(
     """Height rows along the exact orbit of ``start`` for n = 0..n_max.
 
     ``delta`` defaults to the exact dynamical degree of f; callers may
-    override it for experiments.  Orbit resource overruns surface the rows
-    computed so far with ``truncated=True``.
+    override it for experiments.  An orbit resource overrun raises
+    ResourceLimitError carrying the last safe n.
     """
     if delta is None:
         delta = dynamical_degree_exact(f)
-    truncated = False
-    try:
-        orb = orbit(f, start, n_max, caps)
-        points = orb.points
-    except ResourceLimitError as err:
-        truncated = True
-        last_safe = err.metadata.get("last_safe_n", 0)
-        points = orbit(f, start, last_safe, caps).points
-    rows = [_height_row(n, p, delta) for n, p in enumerate(points)]
-    return HeightSequence(
-        map=f, start=as_point(start), delta=delta, rows=rows, truncated=truncated
-    )
+    return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
 
 
 def height_sequence_of_orbit(orb: Orbit, delta: float) -> HeightSequence:

@@ -145,7 +145,7 @@ def iterate_symbolic(
         try:
             result = f.compose(result, caps)
         except ResourceLimitError as err:
-            err.metadata.setdefault("completed_iterations", step + 1)
+            err.metadata.setdefault("last_safe_n", step + 1)
             raise
     return result
 
@@ -263,6 +263,8 @@ def points_from_csv(text: str) -> list[AffinePoint]:
             cells = cells[1:]
         if len(cells) % 2:
             raise ValueError(f"odd number of num/den cells in row {ln!r}")
+        if any(int(den) == 0 for den in cells[1::2]):
+            raise ValueError(f"zero denominator in row {ln!r}")
         coords = [
             Fraction(int(cells[k]), int(cells[k + 1])) for k in range(0, len(cells), 2)
         ]

@@ -261,16 +261,16 @@ class StabilityReport:
         return all(r.ok for r in self.results)
 
 
-def verify_stability(
-    f: TriangularMap, cfg: SectorConfig, samples: Sequence
-) -> StabilityReport:
-    """Check f(P) stays in the sector and its first coordinate is p-adically largest."""
+def verify_stability(cfg: SectorConfig, orbits: Sequence[Orbit]) -> StabilityReport:
+    """Check f(P) stays in the sector and its first coordinate is p-adically largest.
+
+    Each sample's orbit has at least one step: P = points[0], f(P) = points[1].
+    """
     results = []
-    for point in samples:
-        point = as_point(point)
+    for orb in orbits:
+        point, image = orb.points[0], orb.points[1]
         if not in_U(point, cfg):
             raise NotInSectorError(f"sample {point} is not in the sector")
-        image = f.apply(point)
         sig_after = valuation_signature(image, cfg)
         results.append(
             PointStability(
@@ -303,15 +303,16 @@ class DominantValueReport:
         return all(r.equal for r in self.rows)
 
 
-def verify_dominant_value(
-    f: TriangularMap, cfg: SectorConfig, point: Sequence[Fraction]
-) -> DominantValueReport:
+def verify_dominant_value(cfg: SectorConfig, orb: Orbit) -> DominantValueReport:
     """Exact valuation identity: the image coordinate's valuation equals the
-    dominant monomial evaluated in valuation form."""
-    point = as_point(point)
+    dominant monomial evaluated in valuation form.
+
+    ``orb`` has at least one step: P = points[0], f(P) = points[1], f = orb.map.
+    """
+    f = orb.map
+    point, image = orb.points[0], orb.points[1]
     if not in_U(point, cfg):
         raise NotInSectorError(f"point {point} is not in the sector")
-    image = f.apply(point)
     p = cfg.prime
     vals = [vp(c, p) for c in point]
     rows = []

@@ -44,7 +44,10 @@ def rational(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value).strip())
+    try:
+        return Fraction(str(value).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 class Polynomial:
@@ -103,14 +106,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in mono) for mono in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.dimension, Fraction(0))
 
     def coefficients(self) -> list[Fraction]:
         return list(self.terms.values())
@@ -358,6 +353,8 @@ def parse_polynomial(text: str, dimension: int | None = None) -> Polynomial:
             if i < n and tokens[i] == "/":
                 if i + 1 >= n or not tokens[i + 1].isdigit():
                     raise ValueError("expected integer denominator after '/'")
+                if int(tokens[i + 1]) == 0:
+                    raise ValueError(f"zero denominator in {num}/{tokens[i + 1]}")
                 coeff = Fraction(num, int(tokens[i + 1]))
                 i += 2
             else:

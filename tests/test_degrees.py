@@ -80,13 +80,14 @@ def test_degree_sequence_convergence_from_above():
     assert abs(seq.values[-1][2] - 2.0) <= 0.35
 
 
-def test_degree_sequence_truncation_flag():
+def test_degree_sequence_cap_raises():
     from arithdyn.maps import ResourceCaps
+    from arithdyn.qpoly import ResourceLimitError
 
     f = triangular_map(["x1^3+x2^2+x2+1", "x2^3+x2^2+x2+1"])
-    seq = dynamical_degree_sequence(f, 6, ResourceCaps(max_terms=30))
-    assert seq.truncated
-    assert seq.values  # the prefix computed so far is kept
+    with pytest.raises(ResourceLimitError) as err:
+        dynamical_degree_sequence(f, 6, ResourceCaps(max_terms=30))
+    assert err.value.metadata["last_safe_n"] == 2
 
 
 def test_spectral_radius_triangular_exact_path():

@@ -7,6 +7,7 @@ from arithdyn.experiments import (
     EXIT_ASSERTION_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RESOURCE,
     ConfigError,
     ExperimentConfig,
     iterate_consistency,
@@ -107,8 +108,8 @@ def test_second_case_pipeline(tmp_path):
 
 @pytest.mark.parametrize("n_max,samples,seed", [(6, 12, 0), (4, 3, 5)])
 def test_first_case_walks_each_orbit_once(tmp_path, monkeypatch, n_max, samples, seed):
-    # one orbit of max(n_max, 5) steps per sample, plus the single image step
-    # of each of the stability and dominant-value checks
+    # one orbit of max(n_max, 5) steps per sample; the stability and
+    # dominant-value checks read f(P) from it
     calls = []
     apply = TriangularMap.apply
 
@@ -118,12 +119,21 @@ def test_first_case_walks_each_orbit_once(tmp_path, monkeypatch, n_max, samples,
 
     monkeypatch.setattr(TriangularMap, "apply", counting_apply)
     run_experiment(first_case_cfg(n_max=n_max, samples=samples, seed=seed), tmp_path)
-    assert len(calls) == samples * (max(n_max, 5) + 2)
+    assert len(calls) == samples * max(n_max, 5)
 
 
 def test_first_case_orbit_cap_raises(tmp_path):
     with pytest.raises(ResourceLimitError):
         run_experiment(first_case_cfg(), tmp_path, ResourceCaps(max_coeff_bits=20000))
+
+
+def test_first_case_degree_cap_raises(tmp_path):
+    # deg(f^3) needs more than 30 terms: the degree stage raises instead of
+    # passing its check on the first two rows
+    with pytest.raises(ResourceLimitError) as err:
+        run_experiment(first_case_cfg(), tmp_path, ResourceCaps(max_terms=30))
+    assert err.value.metadata["last_safe_n"] == 2
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_second_case_orbit_cap_raises(tmp_path):
@@ -249,6 +259,52 @@ def test_cli_degrees(tmp_path, capsys):
     assert code == EXIT_OK
     assert "exact dynamical degree: 3" in out
     assert (tmp_path / "out" / "degrees.csv").exists()
+
+
+def test_cli_degrees_cap_hit_exits_resource(tmp_path, capsys, monkeypatch):
+    # a cap hit prints the error and writes no partial degrees.csv
+    import arithdyn.cli as cli
+    from arithdyn.degrees import dynamical_degree_sequence
+
+    def capped(f, n_max):
+        return dynamical_degree_sequence(f, n_max, ResourceCaps(max_terms=30))
+
+    monkeypatch.setattr(cli, "dynamical_degree_sequence", capped)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(E1_DOC))
+    code = main(
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "4"]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert "'last_safe_n': 2" in captured.err
+    assert "n=1" not in captured.out
+    assert not (tmp_path / "out" / "degrees.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"map": E1_DOC, "n_max": "8"},
+        {"map": E1_DOC, "samples": "x"},
+        {"map": {"dimension": 2, "components": ["x1^3+x2", "x2^2+1/0"]}},
+        {"map": SECOND_DOC, "mode": "second_case_n2", "point": ["1", "1/0"]},
+    ],
+    ids=["n_max_string", "samples_string", "component_zero_denominator", "point_zero_denominator"],
+)
+def test_cli_run_bad_input_exits_config(tmp_path, capsys, doc):
+    cfg = write_cfg(tmp_path, doc)
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_density_zero_denominator_exits_config(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("n,x1_num,x1_den,x2_num,x2_den\n0,1,1,2,1\n1,3,0,1,1\n")
+    code = main(["--out-dir", str(tmp_path / "out"), "density", "--points", str(pts), "--degree", "1"])
+    assert code == EXIT_CONFIG
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_cli_density(tmp_path, capsys):

@@ -14,7 +14,9 @@ from arithdyn.heights import (
     product_height_additivity,
     weil_height,
 )
-from arithdyn.maps import as_point, iterate_symbolic, orbit, triangular_map
+import arithdyn.heights as heights_module
+from arithdyn.maps import ResourceCaps, as_point, iterate_symbolic, orbit, triangular_map
+from arithdyn.qpoly import ResourceLimitError
 
 E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 
@@ -104,6 +106,22 @@ def test_alpha_bounds_requires_enough_rows():
     seq = height_sequence(triangular_map(["x1^2"]), [2], 3)
     with pytest.raises(ValueError):
         alpha_bounds(seq, 5)
+
+
+def test_height_sequence_cap_raises_after_one_orbit(monkeypatch):
+    calls = []
+
+    def counting_orbit(f, start, n_max, caps):
+        calls.append(n_max)
+        return orbit(f, start, n_max, caps)
+
+    monkeypatch.setattr(heights_module, "orbit", counting_orbit)
+    with pytest.raises(ResourceLimitError) as err:
+        height_sequence(
+            E1, (Fraction(1, 256), Fraction(1, 2)), 8, caps=ResourceCaps(max_coeff_bits=2000)
+        )
+    assert err.value.metadata["last_safe_n"] == 4
+    assert calls == [8]
 
 
 def test_iterate_height_rows_match_exactly():

@@ -144,7 +144,7 @@ def test_samples_with_distinct_signatures_have_disjoint_orbits():
 def test_stability_hand_checked_point():
     cfg = sector_config(E1)
     point = as_point([Fraction(1, 256), Fraction(1, 2)])
-    report = verify_stability(E1, cfg, [point])
+    report = verify_stability(cfg, [orbit(E1, point, 1)])
     r = report.results[0]
     assert r.signature_after == (24, 2)
     assert r.image_in_U  # 24 > 7*2 > 0
@@ -155,12 +155,12 @@ def test_stability_hand_checked_point():
 def test_stability_rejects_outside_point():
     cfg = sector_config(E1)
     with pytest.raises(NotInSectorError):
-        verify_stability(E1, cfg, [as_point([1, 1])])
+        verify_stability(cfg, [orbit(E1, [1, 1], 1)])
 
 
 def test_stability_batch_of_20():
     cfg = sector_config(E1)
-    report = verify_stability(E1, cfg, sample_U(cfg, 20, seed=5))
+    report = verify_stability(cfg, [orbit(E1, p, 1) for p in sample_U(cfg, 20, seed=5)])
     assert report.all_ok
 
 
@@ -203,7 +203,7 @@ def test_dominant_monomial_index_range():
 
 def test_dominant_value_hand_checked():
     cfg = sector_config(E1)
-    report = verify_dominant_value(E1, cfg, [Fraction(1, 256), Fraction(1, 2)])
+    report = verify_dominant_value(cfg, orbit(E1, [Fraction(1, 256), Fraction(1, 2)], 1))
     assert [(r.lhs, r.rhs) for r in report.rows] == [(-24, -24), (-2, -2)]
     assert report.all_ok
 
@@ -211,14 +211,14 @@ def test_dominant_value_hand_checked():
 def test_dominant_value_single_monomial_map():
     f = triangular_map(["x1^4"])
     cfg = sector_config(f)
-    report = verify_dominant_value(f, cfg, [Fraction(1, 2)])
+    report = verify_dominant_value(cfg, orbit(f, [Fraction(1, 2)], 1))
     assert report.rows[0].lhs == report.rows[0].rhs == -4
 
 
 def test_dominant_value_batch():
     cfg = sector_config(E1)
     for point in sample_U(cfg, 20, seed=2):
-        assert verify_dominant_value(E1, cfg, point).all_ok
+        assert verify_dominant_value(cfg, orbit(E1, point, 1)).all_ok
 
 
 def test_growth_floor_feeds_height_bound():
