@@ -7,9 +7,10 @@
 The global options --seed and --out-dir come before the subcommand.
 
 Exit codes: 0 all assertions pass, 2 an assertion failed, 3 a resource cap
-was hit, 4 the configuration is invalid.  A cap hit anywhere raises
-ResourceLimitError, and main() alone turns it into exit 3; no command
-reports a partial result.
+was hit, 4 the configuration, an input file or the command line is invalid
+(a usage error from argparse exits 4, not argparse's 2; --help exits 0).
+A cap hit anywhere raises ResourceLimitError, and main() alone turns it
+into exit 3; no command reports a partial result.
 """
 
 from __future__ import annotations
@@ -102,7 +103,12 @@ def _cmd_degrees(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        if not exit_.code:  # --help
+            raise
+        return EXIT_CONFIG
     try:
         if args.command == "run":
             return _cmd_run(args)

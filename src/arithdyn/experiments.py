@@ -90,11 +90,17 @@ class ExperimentConfig:
             raise ConfigError("samples must be >= 1")
         if self.density_degree < 1:
             raise ConfigError("density_degree must be >= 1")
+        if self.degree_sequence_depth < 1:
+            raise ConfigError("degree_sequence_depth must be >= 1")
+        if self.iterate_power < 1:
+            raise ConfigError("iterate_power must be >= 1")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or "map" not in doc:
+            raise ConfigError("config must be a JSON object with a 'map' key")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:

@@ -217,8 +217,13 @@ def map_to_json_dict(f: TriangularMap) -> dict:
 
 
 def map_from_json_dict(doc: dict) -> TriangularMap:
+    texts = doc.get("components") if isinstance(doc, dict) else None
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError(
+            "map description must be a JSON object with a 'components' list of strings"
+        )
     dimension = int(doc["dimension"])
-    components = [parse_polynomial(text, dimension) for text in doc["components"]]
+    components = [parse_polynomial(text, dimension) for text in texts]
     if len(components) != dimension:
         raise DimensionMismatchError(
             f"{len(components)} components for dimension {dimension}"

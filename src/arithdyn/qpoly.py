@@ -15,6 +15,7 @@ The parser is whitespace-insensitive and round-trips bit-exactly with
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
@@ -86,6 +87,19 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, dimension: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap ``terms`` without validation; for ring-operation results only.
+
+        ``terms`` must already be canonical: tuple keys of length
+        ``dimension`` with nonnegative entries, and no zero Fraction value.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dimension", dimension)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
+    @classmethod
     def zero(cls, dimension: int) -> "Polynomial":
         return cls(dimension, {})
 
@@ -129,13 +143,13 @@ class Polynomial:
         self._check_dimension(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Polynomial(self.dimension, out)
+            out[mono] = out.get(mono, 0) + coeff
+        return Polynomial._trusted(self.dimension, {m: c for m, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dimension, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.dimension, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,12 +170,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.dimension, out)
+        return Polynomial._trusted(self.dimension, _product_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -294,6 +303,50 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.to_text()!r})"
+
+
+def _product_terms(
+    a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]
+) -> dict[Monomial, Fraction]:
+    """Canonical term map of the product of two term maps.
+
+    Packed-monomial integer kernel (S. C. Johnson, "Sparse polynomial
+    arithmetic", 1974; Monagan & Pearce, ISSAC 2009).  Each operand is scaled
+    to integer numerators over its denominator lcm, and each exponent tuple is
+    packed into one int (Kronecker map).  Variable i gets a field of
+    ``(deg_i(a) + deg_i(b)).bit_length()`` bits, so adding two packed keys
+    never carries from one field into the next, and a variable absent from
+    both operands gets no bits.  Zero sums are dropped so that the result is
+    canonical.
+    """
+    if not a or not b:
+        return {}
+    widths = [(da + db).bit_length() for da, db in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    shifts = [sum(widths[:i]) for i in range(len(widths))]
+    fields = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
+
+    def packed(terms):
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        items = [
+            (sum(e << s for e, s in zip(mono, shifts)), c.numerator * (den // c.denominator))
+            for mono, c in terms.items()
+        ]
+        return items, den
+
+    a_items, a_den = packed(a)
+    b_items, b_den = packed(b)
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a_items:
+        for kb, cb in b_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    den = a_den * b_den
+    return {
+        tuple((k >> s) & mask for s, mask in fields): Fraction(c, den)
+        for k, c in out.items()
+        if c
+    }
 
 
 def _check_budget(p: Polynomial, max_terms: int | None, stage: str) -> None:

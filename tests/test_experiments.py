@@ -340,3 +340,60 @@ def test_cli_seed_override(tmp_path, capsys):
     s1 = json.loads((tmp_path / "o1" / "summary.json").read_text())
     s2 = json.loads((tmp_path / "o2" / "summary.json").read_text())
     assert s1["seed"] == 0 and s2["seed"] == 5
+
+
+# -- malformed JSON and usage errors exit 4 ------------------------------------
+
+
+@pytest.mark.parametrize("text", ["{}", "5", "[1]", '{"mode": "first_case"}'])
+def test_cli_run_non_object_config_exits_config(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "'map' key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        "5",
+        '{"dimension": 2}',
+        '{"dimension": 2, "components": "x1"}',
+        '{"dimension": 1, "components": [5]}',
+    ],
+)
+def test_cli_degrees_non_object_map_exits_config(tmp_path, capsys, text):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(text)
+    code = main(
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "2"]
+    )
+    assert code == EXIT_CONFIG
+    assert "'components' list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field_name", ["degree_sequence_depth", "iterate_power", "density_degree"])
+def test_config_error_names_the_bad_field(tmp_path, capsys, field_name):
+    with pytest.raises(ConfigError, match=field_name):
+        ExperimentConfig(map=E1_DOC, **{field_name: 0})
+    cfg = write_cfg(tmp_path, {"map": E1_DOC, field_name: 0})
+    assert main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{field_name} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["degrees", "--nmax", "x", "--map", "m.json"], ["run"], ["frobnicate"]],
+    ids=["no_subcommand", "nmax_not_int", "missing_config", "unknown_subcommand"],
+)
+def test_cli_usage_error_exits_config(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert "usage: arithdyn" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: arithdyn" in capsys.readouterr().out
