@@ -41,12 +41,9 @@ from .degrees import (
     spectral_radius_maxroot,
 )
 from .heights import (
-    ProjectivePoint,
     alpha_bounds,
-    embed_affine,
     height_sequence,
     product_height_additivity,
-    weil_height,
 )
 from .padic import (
     SectorConfig,
@@ -75,7 +72,6 @@ __all__ = [
     "NotTriangularError",
     "Orbit",
     "Polynomial",
-    "ProjectivePoint",
     "ResourceCaps",
     "ResourceLimitError",
     "SectorConfig",
@@ -90,7 +86,6 @@ __all__ = [
     "dominant_monomial",
     "dynamical_degree_exact",
     "dynamical_degree_sequence",
-    "embed_affine",
     "find_unit_prime",
     "height_sequence",
     "in_U",
@@ -112,5 +107,4 @@ __all__ = [
     "verify_dominant_value",
     "verify_stability",
     "vp",
-    "weil_height",
 ]

@@ -177,9 +177,7 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     # Clear denominators per row: row scaling does not change the rank.
     int_rows = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in row))
         int_rows.append([int(x * lcm) for x in row])
     rank = bareiss_rank(int_rows)
 

@@ -80,8 +80,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "int | None") and value is not None and type(value) is not int:
+            if value is None and f.type == "int | None":
+                continue
+            if f.type in ("int", "int | None") and type(value) is not int:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if self.point is not None and type(self.point) is not list:
+            raise ConfigError(f"point must be a list of rationals, got {self.point!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.n_max < 1:
@@ -131,13 +135,6 @@ class ExperimentResult:
     exit_code: int
 
 
-def _parse_map(doc: dict) -> TriangularMap:
-    try:
-        return map_from_json_dict(doc)
-    except (KeyError, TypeError) as err:
-        raise ConfigError(f"bad map description: {err}") from err
-
-
 def _write(out_dir: Path, name: str, text: str, files: list) -> None:
     path = out_dir / name
     path.write_text(text, encoding="utf-8")
@@ -167,7 +164,7 @@ def run_experiment(
 ) -> ExperimentResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    f = _parse_map(cfg.map)
+    f = map_from_json_dict(cfg.map)
     if cfg.mode == "first_case":
         return _run_first_case(cfg, f, out_dir, caps)
     if cfg.mode == "second_case_n2":
@@ -415,7 +412,7 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -
     files: list = []
     if cfg.map_b is None:
         raise ConfigError("product mode needs map_b")
-    g = _parse_map(cfg.map_b)
+    g = map_from_json_dict(cfg.map_b)
     expected, report = deg.product_dynamical_degree(f, g)
     checks.append(
         Check(

@@ -1,9 +1,18 @@
 """Weil heights over the rationals and arithmetic-degree estimation.
 
-The height of a projective point with coprime integer coordinates is the
-natural log of the maximum absolute coordinate.  Heights are reported as
-64-bit floats of logs of exact integers; every equality assertion is made on
-the exact integer arguments, floats are presentation only.
+The height of an affine point (x1, ..., xN) with reduced coordinates
+x_i = num_i / den_i is read from the point itself.  With L the lcm of the
+den_i, it is the natural log of
+
+    max(L, max_i |num_i| * (L // den_i)),
+
+the maximum absolute coordinate of [L : L*x1 : ... : L*xN].  Those integers
+are already coprime, so no gcd pass is needed: for any prime q dividing L,
+some i has v_q(den_i) = v_q(L), and num_i is prime to q because x_i is
+reduced, so q does not divide L*x_i.  The first coordinate L is positive, so
+no sign normalisation is needed either.  Heights are reported as 64-bit
+floats of logs of exact integers; every equality assertion is made on the
+exact integer arguments, floats are presentation only.
 
 The height sequence of an orbit carries, per row,
 
@@ -30,41 +39,6 @@ from .maps import DEFAULT_CAPS, Orbit, ResourceCaps, TriangularMap, as_point, or
 
 
 @dataclass(frozen=True)
-class ProjectivePoint:
-    """Integer homogeneous coordinates in canonical form.
-
-    Invariants: not all zero, gcd of all coordinates 1, first nonzero
-    coordinate positive.
-    """
-
-    coordinates: tuple  # tuple[int, ...]
-
-    def __post_init__(self):
-        coords = tuple(int(c) for c in self.coordinates)
-        if not coords or all(c == 0 for c in coords):
-            raise ValueError("projective point needs a nonzero coordinate")
-        g = 0
-        for c in coords:
-            g = math.gcd(g, c)
-        if g != 1:
-            coords = tuple(c // g for c in coords)
-        first = next(c for c in coords if c != 0)
-        if first < 0:
-            coords = tuple(-c for c in coords)
-        object.__setattr__(self, "coordinates", coords)
-
-
-def embed_affine(point: Sequence[Fraction]) -> ProjectivePoint:
-    """Clear denominators: (x1, ..., xN) -> [L : L*x1 : ... : L*xN]."""
-    point = as_point(point)
-    lcm = 1
-    for c in point:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    coords = [lcm] + [int(c * lcm) for c in point]
-    return ProjectivePoint(tuple(coords))
-
-
-@dataclass(frozen=True)
 class Height:
     """log max|coordinate| with the exact integer argument preserved."""
 
@@ -72,19 +46,18 @@ class Height:
     log: float
 
 
-def weil_height(q: ProjectivePoint) -> Height:
-    m = max(abs(c) for c in q.coordinates)
-    return Height(max_abs=m, log=math.log(m))
-
-
 def affine_height(point: Sequence[Fraction]) -> Height:
-    return weil_height(embed_affine(point))
+    """Height of an affine point; the argument is proved coprime above."""
+    point = as_point(point)
+    lcm = math.lcm(*(c.denominator for c in point))
+    m = max([lcm, *(abs(c.numerator) * (lcm // c.denominator) for c in point)])
+    return Height(max_abs=m, log=math.log(m))
 
 
 @dataclass(frozen=True)
 class HeightRow:
     n: int
-    height_arg: int  # exact max abs coordinate of the canonical embedding
+    height_arg: int  # exact height argument of f^n(P)
     h: float
     h_plus: float
     root: float | None  # (h+)^(1/n), None at n = 0

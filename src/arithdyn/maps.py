@@ -222,13 +222,12 @@ def map_from_json_dict(doc: dict) -> TriangularMap:
         raise ValueError(
             "map description must be a JSON object with a 'components' list of strings"
         )
-    dimension = int(doc["dimension"])
-    components = [parse_polynomial(text, dimension) for text in texts]
-    if len(components) != dimension:
-        raise DimensionMismatchError(
-            f"{len(components)} components for dimension {dimension}"
-        )
-    return TriangularMap(components)
+    dimension = doc.get("dimension")
+    if type(dimension) is not int or dimension < 1:
+        raise ValueError(f"map 'dimension' must be an integer >= 1, got {dimension!r}")
+    if len(texts) != dimension:
+        raise DimensionMismatchError(f"{len(texts)} components for dimension {dimension}")
+    return TriangularMap([parse_polynomial(text, dimension) for text in texts])
 
 
 def map_to_json(f: TriangularMap) -> str:

@@ -373,6 +373,32 @@ def test_cli_degrees_non_object_map_exits_config(tmp_path, capsys, text):
     assert "'components' list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dimension", ["[1]", '"2"', "0", "true"])
+def test_cli_degrees_bad_dimension_exits_config(tmp_path, capsys, dimension):
+    map_path = tmp_path / "map.json"
+    map_path.write_text('{"dimension": %s, "components": ["x1"]}' % dimension)
+    code = main(
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "1"]
+    )
+    assert code == EXIT_CONFIG
+    assert "'dimension' must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"map": E1_DOC, "mode": "iterate_check"},
+        {"map": SECOND_DOC, "mode": "second_case_n2"},
+        {"map": {"dimension": 1, "components": ["x1^2"]}, "map_b": {"dimension": 1, "components": ["x1^3"]}, "mode": "product"},
+    ],
+    ids=["iterate_check", "second_case_n2", "product"],
+)
+def test_cli_run_non_list_point_exits_config(tmp_path, capsys, doc):
+    cfg = write_cfg(tmp_path, {**doc, "point": 5, "n_max": 2})
+    assert main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "point must be a list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field_name", ["degree_sequence_depth", "iterate_power", "density_degree"])
 def test_config_error_names_the_bad_field(tmp_path, capsys, field_name):
     with pytest.raises(ConfigError, match=field_name):

@@ -20,7 +20,7 @@ from arithdyn.maps import (
     points_from_csv,
     triangular_map,
 )
-from arithdyn.qpoly import ResourceLimitError, parse_polynomial
+from arithdyn.qpoly import DimensionMismatchError, ResourceLimitError, parse_polynomial
 
 
 def test_validate_accepts_triangular_dominant():
@@ -166,6 +166,19 @@ def test_map_json_round_trip():
     doc = json.loads(map_to_json(f))
     assert doc["dimension"] == 2
     assert map_from_json(map_to_json(f)) == f
+
+
+def test_map_json_component_count_checked_before_parsing(monkeypatch):
+    # each parse allocates an exponent list of the declared dimension, so a
+    # huge "dimension" must be rejected before any component is parsed
+    import arithdyn.maps as maps_module
+
+    def no_parse(text, dimension):
+        raise AssertionError(f"parsed {text!r} at dimension {dimension}")
+
+    monkeypatch.setattr(maps_module, "parse_polynomial", no_parse)
+    with pytest.raises(DimensionMismatchError, match="1 components for dimension"):
+        map_from_json('{"dimension": 1000000000000, "components": ["x1"]}')
 
 
 def test_orbit_csv_round_trip():
