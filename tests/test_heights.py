@@ -18,13 +18,25 @@ from arithdyn.qpoly import ResourceLimitError
 E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 
 
-def test_affine_height_forced_values():
+def test_embed_affine_examples():
     # [1 : 2], [2 : 3 : 1] and [1 : 0 : 0 : 0]
     assert affine_height([2]).max_abs == 2
-    assert affine_height([2]).log == math.log(2)
     assert affine_height([Fraction(3, 2), Fraction(1, 2)]).max_abs == 3
-    assert affine_height([Fraction(3, 2), Fraction(1, 2)]).log == math.log(3)
     assert affine_height([0, 0, 0]).max_abs == 1
+
+
+def test_projective_canonical_form():
+    # the height is read from the coprime representative with positive first
+    # coordinate: [4 : 6] = [2 : 3] and [-1 : 2] = [1 : -2]
+    assert affine_height([Fraction(6, 4)]).max_abs == 3
+    assert _gcd_height_arg([Fraction(6, 4)], Fraction(2)) == 3
+    assert affine_height([-2]).max_abs == 2
+    assert _gcd_height_arg([-2], Fraction(-1)) == 2
+
+
+def test_weil_height_forced_values():
+    assert affine_height([2]).log == math.log(2)
+    assert affine_height([Fraction(3, 2), Fraction(1, 2)]).log == math.log(3)
     assert affine_height([0, 0, 0]).log == 0.0
 
 
