@@ -10,7 +10,8 @@ Exit codes: 0 all assertions pass, 2 an assertion failed, 3 a resource cap
 was hit, 4 the configuration, an input file or the command line is invalid
 (a usage error from argparse exits 4, not argparse's 2; --help exits 0).
 A cap hit anywhere raises ResourceLimitError, and main() alone turns it
-into exit 3; no command reports a partial result.
+into exit 3; no command reports a partial result.  Python's own limit on the
+digits of an int <-> str conversion is a resource cap too, and exits 3.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ def main(argv=None) -> int:
         print(f"resource cap exceeded: {err} {err.metadata}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError, OSError) as err:
+        if isinstance(err, ValueError) and "integer string conversion" in str(err):
+            # Python's cap on the digits of an int <-> str conversion
+            # (sys.get_int_max_str_digits): the value is valid but too large.
+            print(f"resource cap exceeded: {err}", file=sys.stderr)
+            return EXIT_RESOURCE
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -100,9 +100,6 @@ class DegreeMatrix:
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(e) for e in row) for row in self.entries) + "\n"
-
 
 def degree_matrix(f: TriangularMap) -> DegreeMatrix:
     """Exact degree matrix: entry (i,j) = deg_{x_i} f_j."""

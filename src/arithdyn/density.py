@@ -5,12 +5,13 @@ is the strongest finitely checkable consequence of density.  It holds iff
 the (points x monomials) evaluation matrix has full column rank M, where M
 counts the monomials of total degree <= d.
 
-Rank is computed by fraction-free (Bareiss) elimination on denominator-
-cleared integer rows, with pivots chosen to avoid bit-length growth
-(smallest nonzero magnitude, lowest row index on ties) so the result is
-deterministic.  A kernel witness, when one exists, comes from an exact
-reduced row echelon form over the rationals; the two routes cross-check
-each other's rank.
+One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
+Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) on denominator-cleared
+integer rows gives both the exact rank and, when the rank falls short, a
+kernel witness.  Pivots are chosen to limit bit-length growth (smallest
+nonzero magnitude, lowest row index on ties), so every run is deterministic;
+the reduced row echelon form, and hence the witness, does not depend on that
+choice.
 """
 
 from __future__ import annotations
@@ -54,16 +55,30 @@ def evaluate_monomial(mono: Monomial, point) -> Fraction:
     return value
 
 
-def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    rows = [list(row) for row in matrix]
+def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
+    """(rank, rows, pivots) of a rational matrix by fraction-free Gauss-Jordan.
+
+    Each row is first cleared of denominators (scaled by the lcm of its
+    entries' denominators), which leaves the reduced row echelon form
+    unchanged.  Every step then eliminates above and below the pivot with
+    Bareiss's exact division by the previous pivot, so all entries stay
+    integers (minors of the scaled input).  Row i of the reduced row echelon
+    form is ``rows[i] / rows[i][pivots[i]]``; rows from ``rank`` on are zero.
+    """
+    rows = []
+    for row in matrix:
+        lcm = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
     if not rows:
-        return 0
+        return 0, [], []
     n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
+    pivots = []
     prev_pivot = 1
-    col = 0
-    while rank < n_rows and col < n_cols:
+    for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
+        # Smallest nonzero magnitude, lowest row index on ties.
         pivot_row = None
         for r in range(rank, n_rows):
             if rows[r][col] != 0 and (
@@ -71,70 +86,32 @@ def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
             ):
                 pivot_row = r
         if pivot_row is None:
-            col += 1
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = rows[r][col]
-            for c in range(col, n_cols):
-                # Bareiss step: exact integer division by the previous pivot.
-                rows[r][c] = (pivot * rows[r][c] - factor * rows[rank][c]) // prev_pivot
-        prev_pivot = pivot
-        rank += 1
-        col += 1
-    return rank
-
-
-def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
-    """(rank, rref rows, pivot column indices) over exact rationals."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0, [], []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col] != 0 and (
-                pivot_row is None
-                or abs(rows[r][col].numerator * rows[r][col].denominator)
-                < abs(rows[pivot_row][col].numerator * rows[pivot_row][col].denominator)
-            ):
-                pivot_row = r
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        top = rows[rank]
+        pivot = top[col]
         for r in range(n_rows):
-            if r != rank and rows[r][col] != 0:
+            if r != rank:
                 factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [(pivot * a - factor * b) // prev_pivot for a, b in zip(rows[r], top)]
         pivots.append(col)
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank, rows, pivots
+        prev_pivot = pivot
+    return len(pivots), rows, pivots
 
 
-def kernel_vector(matrix: Sequence[Sequence[Fraction]]) -> list | None:
-    """One exact nonzero kernel vector of the column space, or None."""
-    if not matrix:
-        return None
-    return _kernel_from_rref(len(matrix[0]), *rational_rref(matrix))
+def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer (or rational) matrix."""
+    return rational_rref(matrix)[0]
 
 
-def _kernel_from_rref(n_cols: int, rank: int, rref: list, pivots: list) -> list | None:
-    """Kernel vector of a matrix from its rational_rref result, or None."""
-    if rank == n_cols:
-        return None
+def _kernel_from_rref(n_cols: int, rows: list, pivots: list) -> list:
+    """The kernel vector that is 1 at the first free column and 0 at the
+    other free columns, read from a rank-deficient rational_rref result."""
     free_col = next(c for c in range(n_cols) if c not in pivots)
     vec = [Fraction(0)] * n_cols
     vec[free_col] = Fraction(1)
-    for row_idx, pivot_col in enumerate(pivots):
-        vec[pivot_col] = -rref[row_idx][free_col]
+    for row, pivot_col in zip(rows, pivots):
+        vec[pivot_col] = Fraction(-row[free_col], row[pivot_col])
     return vec
 
 
@@ -172,22 +149,14 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     monos = monomials_up_to_degree(dimension, degree_bound)
     m = len(monos)
 
-    rows = [[evaluate_monomial(mono, p) for mono in monos] for p in pts]
-
-    # Clear denominators per row: row scaling does not change the rank.
-    int_rows = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        int_rows.append([int(x * lcm) for x in row])
-    rank = bareiss_rank(int_rows)
-
+    rank, rref, pivots = rational_rref(
+        [[evaluate_monomial(mono, p) for mono in monos] for p in pts]
+    )
     kernel = None
     if rank == m:
         verdict = "no_common_hypersurface"
     else:
-        rref_rank, rref, pivots = rational_rref(rows)
-        assert rref_rank == rank, "elimination routes disagree on rank"
-        kernel = _kernel_from_rref(m, rref_rank, rref, pivots)
+        kernel = _kernel_from_rref(m, rref, pivots)
         verdict = "inconclusive" if len(pts) < m else "vanishing_polynomial"
     return DensityReport(
         degree_bound=degree_bound,

@@ -40,13 +40,18 @@ class ResourceLimitError(RuntimeError):
 
 
 def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or string like ``-3/2`` to an exact Fraction."""
+    """Coerce an int, Fraction, or string like ``-3/2`` to an exact Fraction.
+
+    Anything else, a ``bool`` or a ``float`` included, raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
+    if not isinstance(value, str):
+        raise ValueError(f"not an int, Fraction or rational string: {value!r}")
     try:
-        return Fraction(str(value).strip())
+        return Fraction(value.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
 

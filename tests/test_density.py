@@ -2,8 +2,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arithdyn import density
 from arithdyn.density import (
@@ -11,7 +9,6 @@ from arithdyn.density import (
     bareiss_rank,
     density_check,
     evaluate_monomial,
-    kernel_vector,
     monomials_up_to_degree,
     rational_rref,
 )
@@ -43,27 +40,6 @@ def test_bareiss_rank_hand_cases():
     assert bareiss_rank([[0, 0], [0, 0]]) == 0
     # 3x3 with one dependent row
     assert bareiss_rank([[1, 2, 3], [4, 5, 6], [5, 7, 9]]) == 2
-
-
-def test_rational_rref_agrees_with_bareiss():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(1, 3), Fraction(2, 3)]]
-    rank, _, _ = rational_rref(rows)
-    assert rank == bareiss_rank([[3, 6], [1, 2]]) == 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_rank_cross_check(rows):
-    rank = bareiss_rank(rows)
-    frac_rows = [[Fraction(x) for x in row] for row in rows]
-    assert rational_rref(frac_rows)[0] == rank
-    assert rank <= min(len(rows), 3)
 
 
 def test_three_generic_points_degree_two_rank_three():
@@ -118,26 +94,35 @@ def test_degree_bound_validated():
 
 
 def test_kernel_vector_none_for_full_rank():
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert kernel_vector(rows) is None
+    # monomials 1, x1, x2 on three affinely independent points: full rank
+    report = density_check([[0, 0], [1, 0], [0, 1]], 1)
+    assert (report.rank, report.verdict) == (3, "no_common_hypersurface")
+    assert report.kernel is None
 
 
 def test_deficient_rank_runs_rational_rref_once(monkeypatch):
-    calls = []
+    # one elimination per matrix gives both the rank and the kernel
+    rref_calls, bareiss_calls = [], []
     rref = density.rational_rref
 
     def counting_rref(matrix):
-        calls.append(matrix)
+        rref_calls.append(matrix)
         return rref(matrix)
 
     monkeypatch.setattr(density, "rational_rref", counting_rref)
+    monkeypatch.setattr(density, "bareiss_rank", lambda matrix: bareiss_calls.append(matrix))
     # seven points on the parabola x2 = x1^2: rank 5 of 6 monomials
     report = density_check([[t, t * t] for t in range(7)], 2)
-    assert len(calls) == 1
+    assert (len(rref_calls), len(bareiss_calls)) == (1, 0)
     assert (report.rank, report.verdict) == (5, "vanishing_polynomial")
     kernel = dict(zip(report.monomials, report.kernel))
     assert kernel[(2, 0)] == -kernel[(0, 1)] != 0
     assert all(c == 0 for m, c in kernel.items() if m not in ((2, 0), (0, 1)))
+    # the full-rank 3x3 grid: rank 6 of 6 monomials, no kernel
+    rref_calls.clear()
+    report = density_check([[a, b] for a, b in itertools.product(range(3), range(3))], 2)
+    assert (len(rref_calls), len(bareiss_calls)) == (1, 0)
+    assert (report.rank, report.kernel) == (6, None)
 
 
 def test_orbit_points_fill_degree_two_space():

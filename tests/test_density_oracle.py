@@ -1,0 +1,118 @@
+"""Differential oracle: the density elimination and ``vp`` against sympy.
+
+``rational_rref`` is the one exact elimination behind the density proxy, so
+its rank, pivot columns and reduced row echelon form are compared with
+``sympy.Matrix.rref`` and ``rank`` on random small rational matrices: wide,
+tall and square, with zero rows and zero columns, and rank-deficient by
+construction (rows drawn from the span of a smaller basis).  Below full
+column rank, the kernel witness must be a nonzero multiple of a
+``nullspace()`` vector and 1 at the first free column.  ``vp`` is compared
+with ``sympy.multiplicity`` on numerators and denominators.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from arithdyn.density import _kernel_from_rref, bareiss_rank, rational_rref
+from arithdyn.padic import vp
+
+sympy = pytest.importorskip("sympy")
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9])),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    n_rows = draw(st.integers(1, 7))
+    n_cols = draw(st.integers(1, 7))
+    basis_size = draw(st.integers(0, n_rows))
+    basis = [draw(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols)) for _ in range(basis_size)]
+    rows = []
+    for _ in range(n_rows):
+        coeffs = draw(st.lists(ENTRIES, min_size=basis_size, max_size=basis_size))
+        rows.append(
+            [sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(n_cols)]
+        )
+    for j in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+# Integer matrices of three columns and up to four rows.
+INTEGER_MATRICES = st.lists(
+    st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=1, max_size=4
+)
+
+MATRICES = st.one_of(rational_matrices(), INTEGER_MATRICES)
+
+
+def to_sympy(matrix):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix])
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES)
+@example([[Fraction(1), Fraction(2)], [Fraction(1, 3), Fraction(2, 3)]])
+@example([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+@example([[0, 0, 0]])
+def test_rref_matches_sympy(matrix):
+    rank, rows, pivots = rational_rref(matrix)
+    want_rref, want_pivots = to_sympy(matrix).rref()
+    assert rank == to_sympy(matrix).rank() == len(want_pivots)
+    assert bareiss_rank(matrix) == rank
+    assert tuple(pivots) == want_pivots
+    assert all(type(x) is int for row in rows for x in row)
+    for i, row in enumerate(rows):
+        if i < rank:
+            reduced = [sympy.Rational(x, row[pivots[i]]) for x in row]
+        else:
+            assert not any(row)
+            reduced = [0] * len(row)
+        assert reduced == list(want_rref.row(i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES)
+@example([[Fraction(1), Fraction(2)], [Fraction(1, 3), Fraction(2, 3)]])
+def test_kernel_matches_sympy_nullspace(matrix):
+    n_cols = len(matrix[0])
+    rank, rows, pivots = rational_rref(matrix)
+    if rank == n_cols:
+        assert to_sympy(matrix).nullspace() == []
+        return
+    kernel = _kernel_from_rref(n_cols, rows, pivots)
+    first_free = min(set(range(n_cols)) - set(pivots))
+    assert kernel[first_free] == 1
+    k = sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in kernel])
+    assert to_sympy(matrix) * k == sympy.zeros(len(matrix), 1)
+    assert any(
+        v[first_free] != 0 and k == v / v[first_free] for v in to_sympy(matrix).nullspace()
+    )
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7, 97])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    PRIMES,
+    st.integers(1, 10**6),
+    st.integers(0, 60),
+    st.integers(1, 10**6),
+    st.integers(0, 60),
+    st.booleans(),
+)
+def test_vp_matches_sympy_multiplicity(p, num, num_exp, den, den_exp, negative):
+    x = Fraction(num * p**num_exp * (-1) ** negative, den * p**den_exp)
+    want = sympy.multiplicity(p, abs(x.numerator)) - sympy.multiplicity(p, x.denominator)
+    assert vp(x, p) == want
+    assert vp(x, p) == sympy.multiplicity(p, sympy.Rational(abs(x.numerator), x.denominator))
+    assert vp(x.numerator, p) == sympy.multiplicity(p, abs(x.numerator))
+    assert vp(Fraction(1, x.denominator), p) == -sympy.multiplicity(p, x.denominator)

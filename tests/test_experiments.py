@@ -399,6 +399,48 @@ def test_cli_run_non_list_point_exits_config(tmp_path, capsys, doc):
     assert "point must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "point", [[True, "1/2"], [1.0, "1/2"], ["1", 0.5]], ids=["bool", "float", "float_second"]
+)
+@pytest.mark.parametrize(
+    "doc",
+    [{"map": E1_DOC, "mode": "iterate_check"}, {"map": SECOND_DOC, "mode": "second_case_n2"}],
+    ids=["iterate_check", "second_case_n2"],
+)
+def test_cli_run_non_rational_coordinate_exits_config(tmp_path, capsys, doc, point):
+    # a coordinate is an int or a rational string; JSON true and floats are refused
+    cfg = write_cfg(tmp_path, {**doc, "point": point, "n_max": 2})
+    assert main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "not an int, Fraction or rational string" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_run_int_digit_limit_exits_resource(tmp_path, capsys):
+    # the sampled orbits outgrow Python's int -> str digit limit in orbit_sample0.csv
+    cfg = write_cfg(
+        tmp_path,
+        {"map": {"dimension": 2, "components": ["x1^5+x2", "x2^2+1"]}, "n_max": 3, "samples": 6},
+    )
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_RESOURCE
+    assert "resource cap exceeded: Exceeds the limit" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_degrees_int_digit_limit_exits_resource(tmp_path, capsys):
+    # deg f^15000 = 2^15000 has 4516 digits, over Python's default of 4300
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"dimension": 1, "components": ["x1^2"]}))
+    code = main(
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "15000"]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert "resource cap exceeded: Exceeds the limit" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "degrees.csv").exists()
+
+
 @pytest.mark.parametrize("field_name", ["degree_sequence_depth", "iterate_power", "density_degree"])
 def test_config_error_names_the_bad_field(tmp_path, capsys, field_name):
     with pytest.raises(ConfigError, match=field_name):

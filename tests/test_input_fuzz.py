@@ -135,3 +135,28 @@ def test_degrees_map_documents_end_in_documented_exit_code(doc):
 @given(config_docs)
 def test_run_config_documents_end_in_documented_exit_code(doc):
     assert _exit_code(doc, "run", "--config") in DOCUMENTED_EXIT_CODES
+
+
+# A point coordinate must be an int or a rational string: JSON true/false and
+# floats are refused at load time, whatever the mode and the position.
+point_modes = st.sampled_from(
+    [
+        {"map": {"dimension": 2, "components": ["x1*x2+1", "x2^2"]}, "mode": "second_case_n2"},
+        {"map": {"dimension": 2, "components": ["x1^3+x2", "x2^2+1"]}, "mode": "iterate_check"},
+        {
+            "map": {"dimension": 1, "components": ["x1^2"]},
+            "map_b": {"dimension": 1, "components": ["x1^3"]},
+            "mode": "product",
+        },
+    ]
+)
+non_rationals = st.one_of(
+    st.booleans(), st.floats(allow_nan=False, allow_infinity=False, min_value=-4, max_value=4)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_modes, rationals, non_rationals, st.booleans())
+def test_run_bool_or_float_coordinate_exits_config(doc, good, bad, bad_first):
+    point = [bad, good] if bad_first else [good, bad]
+    assert _exit_code({**doc, "point": point, "n_max": 2}, "run", "--config") == 4
