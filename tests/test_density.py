@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithdyn import density
 from arithdyn.density import (
@@ -40,6 +42,27 @@ def test_bareiss_rank_hand_cases():
     assert bareiss_rank([[0, 0], [0, 0]]) == 0
     # 3x3 with one dependent row
     assert bareiss_rank([[1, 2, 3], [4, 5, 6], [5, 7, 9]]) == 2
+
+
+def test_rational_rref_agrees_with_bareiss():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(1, 3), Fraction(2, 3)]]
+    rank, _, _ = rational_rref(rows)
+    assert rank == bareiss_rank([[3, 6], [1, 2]]) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_rank_cross_check(rows):
+    rank = bareiss_rank(rows)
+    frac_rows = [[Fraction(x) for x in row] for row in rows]
+    assert rational_rref(frac_rows)[0] == rank
+    assert rank <= min(len(rows), 3)
 
 
 def test_three_generic_points_degree_two_rank_three():
