@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap
-from .qpoly import Polynomial, ResourceLimitError
+from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, iterates
+from .qpoly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,7 @@ def dynamical_degree_sequence(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = []
-    current = f
-    for n in range(1, n_max + 1):
-        if n > 1:
-            try:
-                current = f.compose(current, caps)
-            except ResourceLimitError as err:
-                err.metadata.setdefault("last_safe_n", n - 1)
-                raise
+    for n, current in enumerate(iterates(f, n_max, caps), start=1):
         d = map_degree(current)
         values.append((n, d, nth_root(d, n)))
     return DegreeSequenceEstimate(values=values)

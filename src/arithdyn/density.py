@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .maps import as_point
-from .qpoly import Monomial
+from .maps import DEFAULT_CAPS, as_point
+from .qpoly import DimensionMismatchError, Monomial, ResourceLimitError
 
 
 class DuplicatePointsError(ValueError):
@@ -136,7 +136,9 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     Full column rank certifies that no nonzero polynomial of total degree
     <= d vanishes on every point; otherwise a kernel witness (the
     coefficient vector of such a polynomial) is returned.  With fewer
-    points than monomials the verdict is flagged inconclusive.
+    points than monomials the verdict is flagged inconclusive.  Points of
+    unequal length raise DimensionMismatchError, and more monomials than
+    ``DEFAULT_CAPS.max_terms`` raise ResourceLimitError before any is built.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -146,8 +148,15 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("input points must be distinct")
     dimension = len(pts[0])
+    if any(len(p) != dimension for p in pts):
+        raise DimensionMismatchError("input points differ in their number of coordinates")
+    m = math.comb(dimension + degree_bound, degree_bound)
+    if m > DEFAULT_CAPS.max_terms:  # a vanishing polynomial has m coefficients
+        raise ResourceLimitError(
+            f"{m} monomials of degree <= {degree_bound} exceed cap {DEFAULT_CAPS.max_terms}",
+            stage="density:monomials",
+        )
     monos = monomials_up_to_degree(dimension, degree_bound)
-    m = len(monos)
 
     rank, rref, pivots = rational_rref(
         [[evaluate_monomial(mono, p) for mono in monos] for p in pts]

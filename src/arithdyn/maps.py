@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .qpoly import (
     DimensionMismatchError,
@@ -134,20 +134,30 @@ def as_point(values: Sequence) -> AffinePoint:
     return tuple(rational(v) for v in values)
 
 
+def iterates(
+    f: TriangularMap, t: int, caps: ResourceCaps = DEFAULT_CAPS
+) -> Iterator[TriangularMap]:
+    """Yield f, f o f, ..., f^t; a cap hit carries the last yielded n as ``last_safe_n``."""
+    current = f
+    yield current
+    for n in range(1, t):
+        try:
+            current = f.compose(current, caps)
+        except ResourceLimitError as err:
+            err.metadata.setdefault("last_safe_n", n)
+            raise
+        yield current
+
+
 def iterate_symbolic(
     f: TriangularMap, t: int, caps: ResourceCaps = DEFAULT_CAPS
 ) -> TriangularMap:
     """The t-fold composition of f with itself as an explicit map, t >= 1."""
     if t < 1:
         raise ValueError(f"iteration count must be >= 1, got {t}")
-    result = f
-    for step in range(t - 1):
-        try:
-            result = f.compose(result, caps)
-        except ResourceLimitError as err:
-            err.metadata.setdefault("last_safe_n", step + 1)
-            raise
-    return result
+    for current in iterates(f, t, caps):
+        pass
+    return current
 
 
 @dataclass

@@ -166,10 +166,13 @@ def in_U(point: Sequence[Fraction], cfg: SectorConfig) -> bool:
 
     For N = 1 this degenerates to |x_1|_p > 1.
     """
-    point = as_point(point)
-    if len(point) != cfg.dimension:
-        raise ValueError(f"point has {len(point)} coordinates, expected {cfg.dimension}")
-    sizes = [-vp(c, cfg.prime) for c in point]  # log_p |x_i|_p
+    return _signature_in_U(valuation_signature(point, cfg), cfg)
+
+
+def _signature_in_U(sizes: Sequence, cfg: SectorConfig) -> bool:
+    """Sector membership read from a valuation signature (-v(x_i))_i."""
+    if len(sizes) != cfg.dimension:
+        raise ValueError(f"point has {len(sizes)} coordinates, expected {cfg.dimension}")
     if cfg.dimension == 1:
         return sizes[0] > 0
     for i in range(cfg.dimension - 1):
@@ -269,16 +272,17 @@ def verify_stability(cfg: SectorConfig, orbits: Sequence[Orbit]) -> StabilityRep
     results = []
     for orb in orbits:
         point, image = orb.points[0], orb.points[1]
-        if not in_U(point, cfg):
+        sig_before = valuation_signature(point, cfg)
+        if not _signature_in_U(sig_before, cfg):
             raise NotInSectorError(f"sample {point} is not in the sector")
         sig_after = valuation_signature(image, cfg)
         results.append(
             PointStability(
                 point=point,
                 image=image,
-                signature_before=valuation_signature(point, cfg),
+                signature_before=sig_before,
                 signature_after=sig_after,
-                image_in_U=in_U(image, cfg),
+                image_in_U=_signature_in_U(sig_after, cfg),
                 first_coordinate_is_max=sig_after[0] == max(sig_after),
             )
         )
@@ -311,10 +315,10 @@ def verify_dominant_value(cfg: SectorConfig, orb: Orbit) -> DominantValueReport:
     """
     f = orb.map
     point, image = orb.points[0], orb.points[1]
-    if not in_U(point, cfg):
-        raise NotInSectorError(f"point {point} is not in the sector")
     p = cfg.prime
     vals = [vp(c, p) for c in point]
+    if not _signature_in_U([-v for v in vals], cfg):
+        raise NotInSectorError(f"point {point} is not in the sector")
     rows = []
     for i in range(1, f.dimension + 1):
         mono = dominant_monomial(f, i)

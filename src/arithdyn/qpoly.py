@@ -112,15 +112,6 @@ class Polynomial:
     def constant(cls, dimension: int, value) -> "Polynomial":
         return cls(dimension, {(0,) * dimension: rational(value)})
 
-    @classmethod
-    def variable(cls, dimension: int, index: int) -> "Polynomial":
-        """The polynomial x_index, with 1-based index."""
-        if not 1 <= index <= dimension:
-            raise IndexError(f"variable index {index} out of range 1..{dimension}")
-        exps = [0] * dimension
-        exps[index - 1] = 1
-        return cls(dimension, {tuple(exps): Fraction(1)})
-
     # -- predicates and accessors -------------------------------------
 
     def is_zero(self) -> bool:
@@ -179,19 +170,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.dimension, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     # -- evaluation and substitution -----------------------------------
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
@@ -215,7 +193,11 @@ class Polynomial:
     ) -> "Polynomial":
         """Replace x_i by subs[i-1] and expand to canonical form.
 
-        ``max_terms`` bounds the term count of every intermediate product;
+        Only the powers of subs[i-1] that the terms use are built, each once
+        per call, by halving the exponent (Knuth, TAOCP vol. 2, 4.6.3): the
+        first power is subs[i-1] itself, an even power is the square of half
+        of it, and an odd power is the one below it times subs[i-1].
+        ``max_terms`` bounds the term count of every product and partial sum;
         exceeding it raises :class:`ResourceLimitError`.
         """
         if len(subs) != self.dimension:
@@ -227,27 +209,23 @@ class Polynomial:
             if s.dimension != target_dim:
                 raise DimensionMismatchError("substitution polynomials disagree in dimension")
 
-        # Per-variable power tables up to the largest needed exponent.
-        max_exp = [0] * self.dimension
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        powers: list[list[Polynomial]] = []
-        for i, m in enumerate(max_exp):
-            table = [Polynomial.constant(target_dim, 1)]
-            for _ in range(m):
-                nxt = table[-1] * subs[i]
-                _check_budget(nxt, max_terms, stage="substitute:power")
-                table.append(nxt)
-            powers.append(table)
+        powers: dict[tuple[int, int], Polynomial] = {}
+
+        def power(i: int, e: int) -> Polynomial:
+            if e == 1:
+                return subs[i]
+            if (i, e) not in powers:
+                p = power(i, e - 1) * subs[i] if e % 2 else power(i, e // 2) * power(i, e // 2)
+                _check_budget(p, max_terms, stage="substitute:power")
+                powers[i, e] = p
+            return powers[i, e]
 
         total = Polynomial.zero(target_dim)
         for mono, coeff in self.terms.items():
             term = Polynomial.constant(target_dim, coeff)
             for i, e in enumerate(mono):
                 if e:
-                    term = term * powers[i][e]
+                    term = term * power(i, e)
                     _check_budget(term, max_terms, stage="substitute:term")
             total = total + term
             _check_budget(total, max_terms, stage="substitute:sum")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -327,6 +328,30 @@ def test_cli_density_degenerate_points_fail(tmp_path, capsys):
     )
     code = main(["--out-dir", str(tmp_path / "out"), "density", "--points", str(pts), "--degree", "2"])
     assert code == EXIT_ASSERTION_FAILED
+
+
+def test_cli_density_ragged_points_exits_config(tmp_path, capsys):
+    # rows with one coordinate under a two-coordinate header used to be
+    # zipped short against the monomials and certified dense (exit 0)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1_num,x1_den,x2_num,x2_den\n1,1,2,1\n3,1\n5,1\n")
+    code = main(["--out-dir", str(tmp_path / "out"), "density", "--points", str(pts), "--degree", "1"])
+    assert code == EXIT_CONFIG
+    assert "number of coordinates" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "density.csv").exists()
+
+
+def test_cli_density_huge_degree_exits_resource(tmp_path, capsys):
+    # C(2 + 2000, 2000) = 2003001 monomials exceed the term cap: refused
+    # before any monomial is enumerated
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1_num,x1_den,x2_num,x2_den\n1,1,2,1\n3,1,1,1\n5,1,7,1\n")
+    start = time.perf_counter()
+    code = main(["--out-dir", str(tmp_path / "out"), "density", "--points", str(pts), "--degree", "2000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE
+    assert "2003001 monomials" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "density.csv").exists()
 
 
 def test_cli_seed_override(tmp_path, capsys):

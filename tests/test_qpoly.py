@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn import qpoly
+from arithdyn.degrees import dynamical_degree_sequence
+from arithdyn.maps import triangular_map
 from arithdyn.qpoly import (
     DimensionMismatchError,
     Polynomial,
@@ -99,6 +102,54 @@ def test_substitute_term_budget():
     with pytest.raises(ResourceLimitError) as err:
         p.substitute([P("x1^3+x1^2+x1+1", 1)], max_terms=5)
     assert err.value.metadata["max_terms"] == 5
+
+
+def count_products(monkeypatch):
+    """Patch qpoly's product kernel to count polynomial-by-polynomial products."""
+    calls = []
+    kernel = qpoly._product_terms
+
+    def counted(a, b):
+        calls.append(1)
+        return kernel(a, b)
+
+    monkeypatch.setattr(qpoly, "_product_terms", counted)
+    return calls
+
+
+def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
+    calls = count_products(monkeypatch)
+    assert P("x1^1000", 1).substitute([P("x1^2", 1)]) == P("x1^2000", 1)
+    # 14 powers along the halving chain of 1000, then the coefficient times x1^2000
+    assert len(calls) <= 21
+
+
+def test_degree_sequence_of_a_huge_power_is_cheap(monkeypatch):
+    calls = count_products(monkeypatch)
+    seq = dynamical_degree_sequence(triangular_map(["x1^100000"]), 2)
+    assert [d for _, d, _ in seq.values] == [100000, 10**10]
+    assert len(calls) <= 40
+
+
+def test_substitute_power_budget_stops_before_the_top_power(monkeypatch):
+    calls = count_products(monkeypatch)
+    with pytest.raises(ResourceLimitError) as err:
+        P("x1^8", 1).substitute([P("x1+1", 1)], max_terms=4)
+    # (x1+1)^2 has 3 terms; its square (x1+1)^4 has 5 and stops the chain
+    assert err.value.metadata["stage"] == "substitute:power"
+    assert err.value.metadata["term_count"] == 5
+    assert len(calls) == 2
+
+
+def test_substitute_reuses_powers_across_terms(monkeypatch):
+    s = P("x1+x2+1", 2)
+    p = P("x1^6 + x1^5 + x1^3 + x2^6", 2)
+    calls = count_products(monkeypatch)
+    got = p.substitute([s, s])
+    # x1: s^2, s^3, s^4, s^5, s^6 once each; x2 reuses nothing from x1 (its
+    # own chain s^2, s^3, s^6); then one coefficient product per term
+    assert len(calls) == 5 + 3 + 4
+    assert got == s * s * s * s * s * s * 2 + s * s * s * s * s + s * s * s
 
 
 # -- degrees -------------------------------------------------------------

@@ -6,7 +6,9 @@ lcms share factors and their product is not reduced), are multiplied with
 exponents up to 40 and compared term by term with ``sympy.Poly``.  The
 deterministic cases pin the edges of the packed-monomial kernel: exponent
 sums on a field-width boundary 2^k, variables absent from both operands,
-cancellation inside the product, and the zero polynomial.
+cancellation inside the product, and the zero polynomial.  Substitution is
+also checked with outer exponents up to 64 over binomials, so the power
+chains of ``Polynomial.substitute`` run through odd, even and gapped steps.
 """
 
 from fractions import Fraction
@@ -57,6 +59,20 @@ def sympy_substitute(p: Polynomial, subs) -> Polynomial:
     return from_sympy(sympy.Poly(expr, *GENS[:dim], domain="QQ"), dim)
 
 
+def sympy_power_sum(p: Polynomial, subs) -> Polynomial:
+    """The substitution as a sum of c * prod(subs[i]**e_i) in sympy.Poly
+    arithmetic, which is faster than expanding the substituted expression."""
+    dim = subs[0].dimension
+    polys = [to_sympy(s) for s in subs]
+    total = to_sympy(Polynomial.zero(dim))
+    for mono, c in p.terms.items():
+        term = to_sympy(Polynomial.constant(dim, c))
+        for s, e in zip(polys, mono):
+            term = term * s**e
+        total = total + term
+    return from_sympy(total, dim)
+
+
 def assert_canonical_equal(got: Polynomial, want: Polynomial):
     assert got == want
     assert hash(got) == hash(want)
@@ -90,6 +106,30 @@ substitutions = st.integers(1, 4).flatmap(
 @given(substitutions)
 def test_substitute_matches_sympy(case):
     p, subs = case
+    assert_canonical_equal(p.substitute(subs), sympy_substitute(p, subs))
+
+
+binomials = st.dictionaries(st.tuples(st.integers(0, 2)), COEFFS, min_size=2, max_size=2).map(
+    lambda t: Polynomial(1, t)
+)
+
+high_powers = st.integers(1, 2).flatmap(
+    lambda d: st.tuples(polynomials(d, 64, 4), st.lists(binomials, min_size=d, max_size=d))
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(high_powers)
+def test_substitute_high_powers_matches_sympy(case):
+    # outer exponents up to 64 walk odd, even and gapped halving chains
+    p, subs = case
+    assert_canonical_equal(p.substitute(subs), sympy_power_sum(p, subs))
+
+
+@pytest.mark.parametrize("exps", [(1, 2, 3), (64,), (63, 33, 31), (5, 7, 8, 16, 17)])
+def test_substitute_exponent_chains_match_sympy(exps):
+    p = Polynomial(1, {(e,): Fraction(e, 3) for e in exps})
+    subs = [P("1/2*x1^2 - 3", 1)]
     assert_canonical_equal(p.substitute(subs), sympy_substitute(p, subs))
 
 
