@@ -173,20 +173,63 @@ class Polynomial:
     # -- evaluation and substitution -----------------------------------
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at a point given as a sequence of N rationals."""
+        """Exact value at a point given as a sequence of N rationals.
+
+        Sparse Horner scheme taken variable by variable, x1 outermost (Knuth,
+        TAOCP vol. 2, 4.6.4).  The terms sharing their exponents of x1..x_(i-1)
+        form a polynomial in x_i whose coefficients are their values in
+        x_(i+1)..x_N; it is folded as v = v*x_i^gap + c from the highest
+        exponent down and multiplied by x_i^(lowest exponent) at the end.
+        Each power x_i^gap is built once per call.
+
+        Walking the terms in descending lexicographic order visits every such
+        group in turn, so each variable keeps one open accumulator and no
+        recursion is needed.  Every intermediate is a reduced ``Fraction``.
+        A term-by-term sum would add each large term to a running total whose
+        denominator is as large as the value's, and every addition would pay
+        a gcd of that size; in Horner form each addition adds a coefficient
+        built from the inner variables only, whose denominator stays small.
+        """
         if len(point) != self.dimension:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.dimension}"
             )
         values = [rational(v) for v in point]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, mono):
-                if e:
-                    term *= value**e
-            total += term
-        return total
+        if not self.terms:
+            return Fraction(0)
+        n = self.dimension
+        gap_powers: dict[tuple[int, int], Fraction] = {}
+
+        def times_power(v: Fraction, i: int, e: int) -> Fraction:
+            if not e:
+                return v
+            if (i, e) not in gap_powers:
+                gap_powers[i, e] = values[i] ** e
+            return v * gap_powers[i, e]
+
+        # acc[i]: the open Horner value in x_i, None before its first
+        # coefficient; low[i]: the exponent of x_i folded in last
+        acc: list[Fraction | None] = [None] * n
+        low = [0] * n
+
+        def fold(i: int, e: int, c: Fraction) -> None:
+            acc[i] = c if acc[i] is None else times_power(acc[i], i, low[i] - e) + c
+            low[i] = e
+
+        terms = sorted(self.terms.items(), reverse=True)
+        prev = terms[0][0]
+        for mono, coeff in terms:
+            # mono first differs from prev at index k, and the groups of the
+            # later variables close; nothing closes for the first term
+            k = next((j for j in range(n) if mono[j] != prev[j]), n - 1)
+            for i in range(n - 1, k, -1):
+                fold(i - 1, prev[i - 1], times_power(acc[i], i, low[i]))
+                acc[i] = None
+            fold(n - 1, mono[n - 1], coeff)
+            prev = mono
+        for i in range(n - 1, 0, -1):
+            fold(i - 1, prev[i - 1], times_power(acc[i], i, low[i]))
+        return times_power(acc[0], 0, low[0])
 
     def substitute(
         self, subs: Sequence["Polynomial"], max_terms: int | None = None

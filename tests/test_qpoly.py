@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from arithdyn import qpoly
 from arithdyn.degrees import dynamical_degree_sequence
-from arithdyn.maps import triangular_map
+from arithdyn.maps import iterate_symbolic, orbit, triangular_map
 from arithdyn.qpoly import (
     DimensionMismatchError,
     Polynomial,
@@ -74,6 +75,27 @@ def test_evaluate_reciprocal_pair():
 def test_evaluate_wrong_arity():
     with pytest.raises(DimensionMismatchError):
         P("x1+x2").evaluate([1])
+
+
+def test_evaluate_large_iterate_gcd_work(monkeypatch):
+    # Fraction arithmetic reduces through math.gcd; the bits of the smaller
+    # operand of each call measure the work without a clock.  A term-by-term
+    # sum of f^3 at f^6(P) costs 3,396,012 bits; the Horner order under 300k.
+    f = triangular_map(["x1^3+x2", "x2^2+1"])
+    points = orbit(f, (Fraction(1, 256), Fraction(1, 2)), 9).points
+    f3 = iterate_symbolic(f, 3)
+    bits = []
+    gcd = math.gcd
+
+    def counted(a, b):
+        bits.append(min(abs(a).bit_length(), abs(b).bit_length()))
+        return gcd(a, b)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    got = tuple(c.evaluate(points[6]) for c in f3.components)
+    monkeypatch.undo()
+    assert got == points[9]
+    assert sum(bits) <= 1_000_000
 
 
 # -- substitution --------------------------------------------------------

@@ -9,6 +9,11 @@ sums on a field-width boundary 2^k, variables absent from both operands,
 cancellation inside the product, and the zero polynomial.  Substitution is
 also checked with outer exponents up to 64 over binomials, so the power
 chains of ``Polynomial.substitute`` run through odd, even and gapped steps.
+Evaluation is checked against ``sympy.Poly.eval`` on sparse polynomials with
+exponent gaps up to 40, at points whose coordinates may be 0, negative, or
+share primes between numerators and denominators (2/3 beside 3/2), so the
+Horner folds and the final x_i^(lowest exponent) factors of
+``Polynomial.evaluate`` all meet cancellation.
 """
 
 from fractions import Fraction
@@ -71,6 +76,12 @@ def sympy_power_sum(p: Polynomial, subs) -> Polynomial:
             term = term * s**e
         total = total + term
     return from_sympy(total, dim)
+
+
+def sympy_evaluate(p: Polynomial, point) -> Fraction:
+    at = {g: sympy.Rational(c.numerator, c.denominator) for g, c in zip(GENS, point)}
+    value = to_sympy(p).eval(at)
+    return Fraction(int(value.p), int(value.q))
 
 
 def assert_canonical_equal(got: Polynomial, want: Polynomial):
@@ -202,3 +213,52 @@ def test_mul_by_zero_polynomial():
     assert_canonical_equal(p * zero, zero)
     assert_canonical_equal(zero * p, zero)
     assert_canonical_equal(zero * zero, zero)
+
+
+# -- evaluation -----------------------------------------------------------
+
+COORDS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(2, 3), Fraction(3, 2), Fraction(-3, 2)]),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9])),
+)
+
+evaluations = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(polynomials(d, 40, 6), st.lists(COORDS, min_size=d, max_size=d))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluations)
+def test_evaluate_matches_sympy(case):
+    p, point = case
+    got = p.evaluate(point)
+    assert type(got) is Fraction
+    assert got == sympy_evaluate(p, point)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-7, 3)])
+def test_evaluate_constant_and_zero_polynomials(dim, value):
+    p = Polynomial(dim, {(0,) * dim: value})
+    for point in ([Fraction(0)] * dim, [Fraction(2, 3), Fraction(3, 2), -1, 5][:dim]):
+        assert p.evaluate(point) == value == sympy_evaluate(p, point)
+
+
+@pytest.mark.parametrize(
+    "text, dim",
+    [
+        ("x1^40", 1),
+        ("x1^40 + x1^3", 1),
+        # every group of x1 has its lowest exponent of x2 above 0
+        ("x1^40*x2^3 + x1^40*x2 + x1^17*x2^39 + x1^17*x2^2 + x2^40", 2),
+        ("x1^9*x2^40*x3 + x1^9*x3^37 + x2*x3^40 - 3/2*x1 + 2/3", 3),
+        ("x2^5*x4^40 + x3^2 + x1^38*x4 + 1/6", 4),
+    ],
+)
+def test_evaluate_gapped_exponents_match_sympy(text, dim):
+    p = P(text, dim)
+    for point in (
+        [Fraction(2, 3), Fraction(3, 2), Fraction(-2, 9), Fraction(9, 4)][:dim],
+        [Fraction(-3, 2), Fraction(0), Fraction(2, 3), Fraction(-1)][:dim],
+    ):
+        assert p.evaluate(point) == sympy_evaluate(p, point)
