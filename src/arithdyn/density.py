@@ -5,13 +5,17 @@ is the strongest finitely checkable consequence of density.  It holds iff
 the (points x monomials) evaluation matrix has full column rank M, where M
 counts the monomials of total degree <= d.
 
-One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
-Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) on denominator-cleared
-integer rows gives both the exact rank and, when the rank falls short, a
-kernel witness.  Pivots are chosen to limit bit-length growth (smallest
-nonzero magnitude, lowest row index on ties), so every run is deterministic;
-the reduced row echelon form, and hence the witness, does not depend on that
-choice.
+The rows are cleared of denominators once.  With at least as many points
+as monomials, a rank certificate modulo the Mersenne prime 2^61 - 1 comes
+first: if the integer rows have full column rank modulo p, they have full
+column rank over Q (a maximal minor that is nonzero mod p is a nonzero
+integer), and no exact elimination runs.  Otherwise one fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
+Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) on the same integer rows
+gives both the exact rank and, when the rank falls short, a kernel witness.
+Pivots are chosen to limit bit-length growth (smallest nonzero magnitude,
+lowest row index on ties), so every run is deterministic; the reduced row
+echelon form, and hence the witness, does not depend on that choice.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ from typing import Sequence
 
 from .maps import DEFAULT_CAPS, as_point
 from .qpoly import DimensionMismatchError, Monomial, ResourceLimitError
+
+
+# The rank certificate's prime, the Mersenne prime 2^61 - 1: residues fit in
+# 61 bits, and a prime this large rarely divides every maximal minor of a
+# full-rank matrix, which is when the certificate fails and the exact
+# elimination runs instead.
+MODULUS = 2**61 - 1
 
 
 class DuplicatePointsError(ValueError):
@@ -55,6 +66,37 @@ def evaluate_monomial(mono: Monomial, point) -> Fraction:
     return value
 
 
+def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list:
+    """Each row scaled by the lcm of its entries' denominators."""
+    rows = []
+    for row in matrix:
+        lcm = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    return rows
+
+
+def _full_column_rank_mod_p(rows: list) -> bool:
+    """Whether nonempty integer rows have full column rank modulo MODULUS.
+
+    Forward elimination over GF(p), stopping at the first column without a
+    pivot.  True proves full column rank over Q; False proves nothing.
+    """
+    p = MODULUS
+    rows = [[x % p for x in row] for row in rows]
+    for col in range(len(rows[0])):
+        pivot_row = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            return False
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        top = rows[col][col:]
+        inverse = pow(top[0], -1, p)
+        for row in rows[col + 1 :]:
+            if row[col]:
+                factor = row[col] * inverse % p
+                row[col:] = [(a - factor * b) % p for a, b in zip(row[col:], top)]
+    return True
+
+
 def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     """(rank, rows, pivots) of a rational matrix by fraction-free Gauss-Jordan.
 
@@ -65,10 +107,7 @@ def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     integers (minors of the scaled input).  Row i of the reduced row echelon
     form is ``rows[i] / rows[i][pivots[i]]``; rows from ``rank`` on are zero.
     """
-    rows = []
-    for row in matrix:
-        lcm = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    rows = _integer_rows(matrix)
     if not rows:
         return 0, [], []
     n_rows, n_cols = len(rows), len(rows[0])
@@ -139,6 +178,14 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     points than monomials the verdict is flagged inconclusive.  Points of
     unequal length raise DimensionMismatchError, and more monomials than
     ``DEFAULT_CAPS.max_terms`` raise ResourceLimitError before any is built.
+
+    The rows are cleared of denominators once.  With at least m points, full
+    column rank modulo p = ``MODULUS`` settles the verdict without an exact
+    elimination.  Proof: scaling a row by a nonzero integer does not change
+    the rank; an m x m minor of the integer rows that is nonzero mod p is a
+    nonzero integer, so the rank over Q is m.  A rank below m mod p proves
+    nothing (p may divide every maximal minor), so ``rational_rref`` on the
+    same integer rows then gives the exact rank and the witness.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -158,14 +205,15 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
         )
     monos = monomials_up_to_degree(dimension, degree_bound)
 
-    rank, rref, pivots = rational_rref(
-        [[evaluate_monomial(mono, p) for mono in monos] for p in pts]
-    )
-    kernel = None
+    rows = _integer_rows([[evaluate_monomial(mono, p) for mono in monos] for p in pts])
+    if len(rows) >= m and _full_column_rank_mod_p(rows):
+        rank, kernel = m, None
+    else:
+        rank, rref, pivots = rational_rref(rows)
+        kernel = _kernel_from_rref(m, rref, pivots) if rank < m else None
     if rank == m:
         verdict = "no_common_hypersurface"
     else:
-        kernel = _kernel_from_rref(m, rref, pivots)
         verdict = "inconclusive" if len(pts) < m else "vanishing_polynomial"
     return DensityReport(
         degree_bound=degree_bound,

@@ -15,6 +15,7 @@ from arithdyn.density import (
     rational_rref,
 )
 from arithdyn.maps import orbit, triangular_map
+from arithdyn.padic import sample_U, sector_config
 
 
 def test_monomials_counts():
@@ -123,16 +124,23 @@ def test_kernel_vector_none_for_full_rank():
     assert report.kernel is None
 
 
-def test_deficient_rank_runs_rational_rref_once(monkeypatch):
-    # one elimination per matrix gives both the rank and the kernel
-    rref_calls, bareiss_calls = [], []
+def count_rref_calls(monkeypatch) -> list:
+    """Record every density.rational_rref call; the list fills as they run."""
+    calls = []
     rref = density.rational_rref
 
     def counting_rref(matrix):
-        rref_calls.append(matrix)
+        calls.append(matrix)
         return rref(matrix)
 
     monkeypatch.setattr(density, "rational_rref", counting_rref)
+    return calls
+
+
+def test_deficient_rank_runs_rational_rref_once(monkeypatch):
+    # one elimination per deficient matrix gives both the rank and the
+    # kernel; a full-rank one is settled by the mod-p certificate alone
+    rref_calls, bareiss_calls = count_rref_calls(monkeypatch), []
     monkeypatch.setattr(density, "bareiss_rank", lambda matrix: bareiss_calls.append(matrix))
     # seven points on the parabola x2 = x1^2: rank 5 of 6 monomials
     report = density_check([[t, t * t] for t in range(7)], 2)
@@ -144,8 +152,33 @@ def test_deficient_rank_runs_rational_rref_once(monkeypatch):
     # the full-rank 3x3 grid: rank 6 of 6 monomials, no kernel
     rref_calls.clear()
     report = density_check([[a, b] for a, b in itertools.product(range(3), range(3))], 2)
-    assert (len(rref_calls), len(bareiss_calls)) == (1, 0)
+    assert (len(rref_calls), len(bareiss_calls)) == (0, 0)
     assert (report.rank, report.kernel) == (6, None)
+
+
+def test_singular_mod_p_falls_back_to_exact_rank(monkeypatch):
+    # 1, x1, x2 at (0, 0), (p, 0), (0, 1): the matrix has determinant p, so
+    # it is singular mod p and the certificate proves nothing, but its rank
+    # over Q is 3
+    rref_calls = count_rref_calls(monkeypatch)
+    report = density_check([[0, 0], [density.MODULUS, 0], [0, 1]], 1)
+    assert (report.rank, report.verdict, report.kernel) == (3, "no_common_hypersurface", None)
+    assert len(rref_calls) == 1
+
+
+def test_benchmark_sets_run_exact_elimination_only_when_deficient(monkeypatch):
+    # 120 sector points of E1 at degree 6: full rank 28, certified mod p
+    # with no exact elimination; 80 points on x2 = x1^3 + x1 + 1: rank 18,
+    # one elimination for the rank and the witness
+    rref_calls = count_rref_calls(monkeypatch)
+    e1 = triangular_map(["x1^3+x2", "x2^2+1"])
+    report = density_check(sample_U(sector_config(e1), 120, 9), 6)
+    assert (report.rank, report.verdict) == (28, "no_common_hypersurface")
+    assert len(rref_calls) == 0
+    curve = [(x, x**3 + x + 1) for x in (Fraction(k, 7) for k in range(-40, 40))]
+    report = density_check(curve, 6)
+    assert (report.rank, report.verdict) == (18, "vanishing_polynomial")
+    assert len(rref_calls) == 1
 
 
 def test_orbit_points_fill_degree_two_space():

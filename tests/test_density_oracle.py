@@ -1,4 +1,4 @@
-"""Differential oracle: the density elimination and ``vp`` against sympy.
+"""Differential oracle: the density proxy, its elimination and ``vp`` against sympy.
 
 ``rational_rref`` is the one exact elimination behind the density proxy, so
 its rank, pivot columns and reduced row echelon form are compared with
@@ -6,7 +6,10 @@ its rank, pivot columns and reduced row echelon form are compared with
 tall and square, with zero rows and zero columns, and rank-deficient by
 construction (rows drawn from the span of a smaller basis).  Below full
 column rank, the kernel witness must be a nonzero multiple of a
-``nullspace()`` vector and 1 at the first free column.  ``vp`` is compared
+``nullspace()`` vector and 1 at the first free column.  ``density_check``
+is compared with the rank and ``nullspace()`` of its evaluation matrix on
+random point sets, with coordinates that are multiples of the certificate's
+prime so that the rank modulo that prime can fall short.  ``vp`` is compared
 with ``sympy.multiplicity`` on numerators and denominators.
 """
 
@@ -16,7 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithdyn.density import _kernel_from_rref, bareiss_rank, rational_rref
+from arithdyn.density import (
+    MODULUS,
+    _kernel_from_rref,
+    bareiss_rank,
+    density_check,
+    evaluate_monomial,
+    monomials_up_to_degree,
+    rational_rref,
+)
 from arithdyn.padic import vp
 
 sympy = pytest.importorskip("sympy")
@@ -95,6 +106,54 @@ def test_kernel_matches_sympy_nullspace(matrix):
     assert any(
         v[first_free] != 0 and k == v / v[first_free] for v in to_sympy(matrix).nullspace()
     )
+
+
+# Multiples of the prime collide modulo it, so the certificate fails on
+# some full-rank sets and the exact elimination must still find the rank.
+COORDINATES = st.one_of(
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
+    st.builds(lambda k, d: Fraction(k * MODULUS, d), st.integers(-2, 2), st.sampled_from([1, 2])),
+)
+
+
+@st.composite
+def point_sets(draw):
+    dimension = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 3))
+    m = len(monomials_up_to_degree(dimension, degree))
+    count = max(1, m + draw(st.integers(-3, 3)))
+    # Points on the hyperplane x_N = a*x_1 + b fall short of full rank at
+    # every degree, however many there are.
+    line = draw(st.none() | st.tuples(COORDINATES, COORDINATES)) if dimension > 1 else None
+    free = dimension - (line is not None)
+    points = draw(
+        st.lists(st.tuples(*[COORDINATES] * free), min_size=count, max_size=count, unique=True)
+    )
+    if line is not None:
+        a, b = line
+        points = [(*p, a * p[0] + b) for p in points]
+    return points, degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets())
+@example(([(0, 0), (MODULUS, 0), (0, 1)], 1))
+@example(([(Fraction(0),), (Fraction(MODULUS),), (Fraction(1),)], 2))
+def test_density_check_matches_sympy(case):
+    points, degree = case
+    report = density_check(points, degree)
+    m = report.monomial_count
+    matrix = to_sympy([[evaluate_monomial(mono, p) for mono in report.monomials] for p in points])
+    # Matrix.rank() did not finish within 100 s on entries of ~190 bits;
+    # the pivots of rref() and the nullspace give the rank exactly.
+    nullspace = matrix.nullspace()
+    assert report.rank == len(matrix.rref()[1]) == m - len(nullspace)
+    if report.rank == m:
+        assert (report.verdict, report.kernel) == ("no_common_hypersurface", None)
+        return
+    assert report.verdict == ("inconclusive" if len(points) < m else "vanishing_polynomial")
+    k = sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in report.kernel])
+    assert k in nullspace
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 97])
