@@ -5,14 +5,16 @@ is the strongest finitely checkable consequence of density.  It holds iff
 the (points x monomials) evaluation matrix has full column rank M, where M
 counts the monomials of total degree <= d.
 
-The rows are cleared of denominators once.  With at least as many points
-as monomials, a rank certificate modulo the Mersenne prime 2^61 - 1 comes
-first: if the integer rows have full column rank modulo p, they have full
-column rank over Q (a maximal minor that is nonzero mod p is a nonzero
-integer), and no exact elimination runs.  Otherwise one fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
-Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) on the same integer rows
-gives both the exact rank and, when the rank falls short, a kernel witness.
+The rows are built in integers: a point's row is its monomial values times
+L^d, for L the lcm of its coordinates' denominators, which is primitive.
+With at least as many points as monomials, a rank certificate modulo the
+Mersenne prime 2^61 - 1 comes first: if the integer rows have full column
+rank modulo p, they have full column rank over Q (a maximal minor that is
+nonzero mod p is a nonzero integer), and no exact elimination runs.
+Otherwise one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+22 (1968); Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) on the same
+integer rows gives both the exact rank and, when the rank falls short, a
+kernel witness.
 Pivots are chosen to limit bit-length growth (smallest nonzero magnitude,
 lowest row index on ties), so every run is deterministic; the reduced row
 echelon form, and hence the witness, does not depend on that choice.
@@ -72,6 +74,42 @@ def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list:
     for row in matrix:
         lcm = math.lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    return rows
+
+
+def _monomial_rows(points: Sequence, monomials: Sequence[Monomial], degree: int) -> list:
+    """The evaluation rows of ``monomials`` (every monomial of total degree
+    <= ``degree`` >= 1) at ``points``, each scaled to a primitive integer
+    vector without a gcd.
+
+    For a point with L the lcm of its denominators and a_i = x_i * L, the
+    entry of monomial m is prod a_i^(m_i) * L^(degree - |m|): L^degree times
+    the monomial's value.  The row is primitive.  The monomial 1 gives
+    L^degree, so only a prime p of L could divide every entry; p divides the
+    denominator of some x_j to the full power v_p(L), so p does not divide
+    the numerator of x_j, nor a_j, nor the entry a_j^degree of x_j^degree.
+
+    So the rows equal ``_integer_rows`` of the rational rows, which scales a
+    row by the lcm l of its entries' denominators: that row is primitive too
+    (its entry for the monomial 1 is l, and a prime p of l divides the
+    denominator of some entry to the full power v_p(l), hence not that
+    entry times l), and two primitive integer vectors that are positive
+    multiples of the same rational row, with a positive entry for the
+    monomial 1, are equal.
+    """
+    rows = []
+    for point in points:
+        lcm = math.lcm(*(x.denominator for x in point))
+        powers = [
+            [(x.numerator * (lcm // x.denominator)) ** k for k in range(degree + 1)] for x in point
+        ]
+        lcm_powers = [lcm**k for k in range(degree + 1)]
+        rows.append(
+            [
+                math.prod(p[e] for p, e in zip(powers, mono)) * lcm_powers[degree - sum(mono)]
+                for mono in monomials
+            ]
+        )
     return rows
 
 
@@ -179,7 +217,7 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     unequal length raise DimensionMismatchError, and more monomials than
     ``DEFAULT_CAPS.max_terms`` raise ResourceLimitError before any is built.
 
-    The rows are cleared of denominators once.  With at least m points, full
+    The rows are built in integers once.  With at least m points, full
     column rank modulo p = ``MODULUS`` settles the verdict without an exact
     elimination.  Proof: scaling a row by a nonzero integer does not change
     the rank; an m x m minor of the integer rows that is nonzero mod p is a
@@ -205,7 +243,7 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
         )
     monos = monomials_up_to_degree(dimension, degree_bound)
 
-    rows = _integer_rows([[evaluate_monomial(mono, p) for mono in monos] for p in pts])
+    rows = _monomial_rows(pts, monos, degree_bound)
     if len(rows) >= m and _full_column_rank_mod_p(rows):
         rank, kernel = m, None
     else:

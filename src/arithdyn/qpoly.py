@@ -11,6 +11,18 @@ The text format is a human-readable sum of terms, e.g.
 
 The parser is whitespace-insensitive and round-trips bit-exactly with
 :func:`Polynomial.to_text`.
+
+Two integer kernels carry the hot paths; both take Fractions in and give
+reduced Fractions out.  Products scale each operand to integers over one
+denominator and pack exponent tuples into ints (:func:`_product_terms`).
+Evaluation is a sparse Horner scheme over Z[1/S], where S holds the primes
+of the point's and the coefficients' denominators (:func:`_horner_integer`):
+all values share one denominator D known as a product of powers of 2, of
+small odd primes and of a coprime base of leftover cofactors, so only
+numerators are computed.  The result is reduced by dividing out each base
+element's power that the numerator holds (:func:`_reduced`), which needs no
+gcd of big integers: cancellation can only happen at the elements of that
+base.
 """
 
 from __future__ import annotations
@@ -176,19 +188,14 @@ class Polynomial:
         """Exact value at a point given as a sequence of N rationals.
 
         Sparse Horner scheme taken variable by variable, x1 outermost (Knuth,
-        TAOCP vol. 2, 4.6.4).  The terms sharing their exponents of x1..x_(i-1)
-        form a polynomial in x_i whose coefficients are their values in
-        x_(i+1)..x_N; it is folded as v = v*x_i^gap + c from the highest
-        exponent down and multiplied by x_i^(lowest exponent) at the end.
-        Each power x_i^gap is built once per call.
-
-        Walking the terms in descending lexicographic order visits every such
-        group in turn, so each variable keeps one open accumulator and no
-        recursion is needed.  Every intermediate is a reduced ``Fraction``.
-        A term-by-term sum would add each large term to a running total whose
-        denominator is as large as the value's, and every addition would pay
-        a gcd of that size; in Horner form each addition adds a coefficient
-        built from the inner variables only, whose denominator stays small.
+        TAOCP vol. 2, 4.6.4), run on integers by :func:`_horner_integer`.
+        Writing x_i = n_i / d_i, every group of terms is homogenised so that
+        all values carry the one denominator D = M * prod d_i^deg_i, where M
+        is the lcm of the coefficient denominators: only the numerator is
+        computed, and multiplying by a power of d_i is a shift for its
+        power of two.  :func:`_reduced` then cancels D against that
+        numerator over the primes D is known to be built from, so the
+        result is reduced without a gcd of big integers.
         """
         if len(point) != self.dimension:
             raise DimensionMismatchError(
@@ -197,39 +204,7 @@ class Polynomial:
         values = [rational(v) for v in point]
         if not self.terms:
             return Fraction(0)
-        n = self.dimension
-        gap_powers: dict[tuple[int, int], Fraction] = {}
-
-        def times_power(v: Fraction, i: int, e: int) -> Fraction:
-            if not e:
-                return v
-            if (i, e) not in gap_powers:
-                gap_powers[i, e] = values[i] ** e
-            return v * gap_powers[i, e]
-
-        # acc[i]: the open Horner value in x_i, None before its first
-        # coefficient; low[i]: the exponent of x_i folded in last
-        acc: list[Fraction | None] = [None] * n
-        low = [0] * n
-
-        def fold(i: int, e: int, c: Fraction) -> None:
-            acc[i] = c if acc[i] is None else times_power(acc[i], i, low[i] - e) + c
-            low[i] = e
-
-        terms = sorted(self.terms.items(), reverse=True)
-        prev = terms[0][0]
-        for mono, coeff in terms:
-            # mono first differs from prev at index k, and the groups of the
-            # later variables close; nothing closes for the first term
-            k = next((j for j in range(n) if mono[j] != prev[j]), n - 1)
-            for i in range(n - 1, k, -1):
-                fold(i - 1, prev[i - 1], times_power(acc[i], i, low[i]))
-                acc[i] = None
-            fold(n - 1, mono[n - 1], coeff)
-            prev = mono
-        for i in range(n - 1, 0, -1):
-            fold(i - 1, prev[i - 1], times_power(acc[i], i, low[i]))
-        return times_power(acc[0], 0, low[0])
+        return _horner_integer(self.terms, values)
 
     def substitute(
         self, subs: Sequence["Polynomial"], max_terms: int | None = None
@@ -373,6 +348,219 @@ def _product_terms(
         for k, c in out.items()
         if c
     }
+
+
+# Odd primes below 100.  Trial division takes them out of a denominator; what
+# is left over becomes an element of a coprime base (see _coprime_base).
+_SMALL_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97
+)
+
+
+def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fraction]) -> Fraction:
+    """The value of a nonempty term map at a point, by integer sparse Horner.
+
+    The terms are walked in descending lexicographic order, so the terms
+    sharing their exponents of x1..x_(i-1) form one group, a polynomial in
+    x_i whose coefficients are values in x_(i+1)..x_N, and each variable
+    keeps one open accumulator.  With x_i = n_i / d_i, a group whose highest
+    exponent is ``top`` is held as the integer V = sum_e C_e n_i^(e-low)
+    d_i^(top-e), where ``low`` is the exponent folded last; the next
+    coefficient C at exponent e folds as V = V n_i^(low-e) + C d_i^(top-e).
+    The group's value is V n_i^low / d_i^top, and closing it multiplies V by
+    n_i^low d_i^(deg_i - top), so every closed group in x_i shares the
+    denominator d_i^deg_i times that of its coefficients.  Coefficients
+    start as integers over M, the lcm of their denominators, so the value is
+    N / D with D = M * prod d_i^deg_i.  A power of d_i is a shift for its
+    power of two and a cached power of its odd part.
+    """
+    n = len(values)
+    nums = [v.numerator for v in values]
+    twos = [(v.denominator & -v.denominator).bit_length() - 1 for v in values]
+    odds = [v.denominator >> t for v, t in zip(values, twos)]
+    degs = [max(e) for e in zip(*terms)]
+    m = math.lcm(*(c.denominator for c in terms.values()))
+    num_powers: dict[tuple[int, int], int] = {}
+    odd_powers: dict[tuple[int, int], int] = {}
+
+    def times_num(v: int, i: int, e: int) -> int:
+        if not e:
+            return v
+        if (i, e) not in num_powers:
+            num_powers[i, e] = nums[i] ** e
+        return v * num_powers[i, e]
+
+    def times_den(v: int, i: int, e: int) -> int:
+        if not e:
+            return v
+        if (i, e) not in odd_powers:
+            odd_powers[i, e] = odds[i] ** e
+        return (v << twos[i] * e) * odd_powers[i, e]
+
+    # acc[i]: the open Horner integer in x_i, None before its first
+    # coefficient; top[i] and low[i]: the exponents folded first and last
+    acc: list[int | None] = [None] * n
+    top = [0] * n
+    low = [0] * n
+
+    def fold(i: int, e: int, c: int) -> None:
+        if acc[i] is None:
+            acc[i] = c
+            top[i] = e
+        else:
+            acc[i] = times_num(acc[i], i, low[i] - e) + times_den(c, i, top[i] - e)
+        low[i] = e
+
+    def close(i: int) -> int:
+        return times_den(times_num(acc[i], i, low[i]), i, degs[i] - top[i])
+
+    items = sorted(terms.items(), reverse=True)
+    prev = items[0][0]
+    for mono, coeff in items:
+        # mono first differs from prev at index k, and the groups of the
+        # later variables close; nothing closes for the first term
+        k = next((j for j in range(n) if mono[j] != prev[j]), n - 1)
+        for i in range(n - 1, k, -1):
+            fold(i - 1, prev[i - 1], close(i))
+            acc[i] = None
+        fold(n - 1, mono[n - 1], coeff.numerator * (m // coeff.denominator))
+        prev = mono
+    for i in range(n - 1, 0, -1):
+        fold(i - 1, prev[i - 1], close(i))
+    numerator = close(0)
+    if not numerator:
+        return Fraction(0)
+    m_twos = (m & -m).bit_length() - 1
+    twos_exponent = m_twos + sum(d * t for d, t in zip(degs, twos))
+    odd_parts = [(m >> m_twos, 1), *zip(odds, degs)]
+    return _reduced(numerator, twos_exponent, _odd_exponents(odd_parts))
+
+
+def _strip(n: int, q: int, cap: int) -> tuple[int, int]:
+    """(n / q^k, k) for k = min(v_q(n), cap), where n != 0 and q > 1.
+
+    Divides by q, q^2, q^4, ... while each divides and fits under the cap,
+    then by the same powers in reverse, so a valuation k costs O(log k)
+    divisions instead of k.  v_q(n) counts how often q itself divides n: the
+    exponent of q when n factors over a coprime base that holds q.
+    """
+    k = 0
+    powers = []
+    power = q
+    while k + (1 << len(powers)) <= cap and not n % power:
+        n //= power
+        k += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for j in range(len(powers) - 1, -1, -1):
+        if k + (1 << j) <= cap and not n % powers[j]:
+            n //= powers[j]
+            k += 1 << j
+    return n, k
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 over which each of ``numbers`` factors.
+
+    Two entries with a common factor g > 1 are replaced by g, a/g and b/g
+    until no two share one: the naive refinement that Bernstein speeds up
+    ("Factoring into coprimes in essentially linear time", J. Algorithms 54
+    (2005)).  Each replacement lowers the product of all entries, so it ends.
+    The inputs here are denominator cofactors with no prime below 100.
+    """
+    base: list[int] = []
+    todo = [c for c in numbers if c > 1]
+    while todo:
+        c = todo.pop()
+        for j, b in enumerate(base):
+            g = math.gcd(b, c)
+            if g > 1:
+                del base[j]
+                todo += [x for x in (g, b // g, c // g) if x > 1]
+                break
+        else:
+            base.append(c)
+    return base
+
+
+def _odd_exponents(parts: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Exponents of prod d^w over the small primes and a coprime base, for
+    (d, w) pairs with d odd and positive.
+
+    Each d loses its primes below 100 by trial division; the cofactors left
+    over are refined into a coprime base, and each is factored over it.
+    Big integers are never factored: a cofactor is divided only by its base.
+    """
+    exponents: dict[int, int] = {}
+
+    def add(d: int, q: int, w: int) -> int:
+        d, k = _strip(d, q, d.bit_length())
+        exponents[q] = exponents.get(q, 0) + w * k
+        return d
+
+    cofactors = []
+    for d, w in parts:
+        if w and d > 1:
+            for p in _SMALL_PRIMES:
+                if not d % p:
+                    d = add(d, p, w)
+            cofactors.append((d, w))
+    base = _coprime_base(d for d, _ in cofactors)
+    for d, w in cofactors:
+        for q in base:
+            if not d % q:
+                d = add(d, q, w)
+    return exponents
+
+
+def _reduced(numerator: int, twos: int, odd: dict[int, int]) -> Fraction:
+    """numerator / (2^twos * prod q^odd[q]) in lowest terms, for numerator != 0.
+
+    The keys of ``odd`` are the pairwise coprime small primes and cofactors
+    of :func:`_odd_exponents`.  The power 2^min(v_2(N), twos) is divided out
+    by its trailing zeros.  An odd q is divided out while it divides N; if
+    g = gcd(N mod q, q) is a proper factor of q, q^E is rewritten over the
+    coprime base of g and q/g, whose elements are handled in turn.
+    """
+    k = min((numerator & -numerator).bit_length() - 1, twos)
+    numerator >>= k
+    denominator = 1
+    work = list(odd.items())
+    while work:
+        q, e = work.pop()
+        g = math.gcd(numerator % q, q)
+        if g == 1:
+            denominator *= q**e
+        elif g == q:
+            numerator, j = _strip(numerator, q, e)
+            if j < e:
+                work.append((q, e - j))
+        else:
+            work += [(r, e * _strip(q, r, q.bit_length())[1]) for r in _coprime_base((g, q // g))]
+    return _coprime_fraction(numerator, denominator << (twos - k))
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, made without a gcd.
+
+    The operands must already be coprime with denominator > 0, the form
+    every Fraction keeps; this fills its two slots directly, as Python
+    3.12's own ``Fraction._from_coprime_ints`` does.  The public
+    constructor would run a gcd of a huge numerator against the denominator
+    only to find 1.
+
+    Its one caller, :func:`_reduced`, meets that contract.  Proof: the
+    denominator it passes is 2^E * prod q^E_q over pairwise coprime odd q.
+    It divides out 2^min(v_2(N), E), so if 2^E is left with E > 0, N is odd.
+    It keeps q^E_q only once gcd(N, q) = 1, and then gcd(N, q^E_q) = 1.
+    Later divisions of N by odd factors keep both facts.  A product of
+    powers each coprime to N is coprime to N, and a product of positive
+    integers is positive.
+    """
+    out = object.__new__(Fraction)
+    out._numerator = numerator
+    out._denominator = denominator
+    return out
 
 
 def _check_budget(p: Polynomial, max_terms: int | None, stage: str) -> None:

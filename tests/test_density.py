@@ -181,6 +181,28 @@ def test_benchmark_sets_run_exact_elimination_only_when_deficient(monkeypatch):
     assert len(rref_calls) == 1
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        sample_U(sector_config(triangular_map(["x1^3+x2", "x2^2+1"])), 120, 9),
+        [(x, x**3 + x + 1) for x in (Fraction(k, 7) for k in range(-40, 40))],
+        # entries such as x1*x2 = -7/12 and x2^2*x1 = 16/27 cancel primes
+        [
+            (Fraction(1, 2), Fraction(2, 3)),
+            (Fraction(5, 6), Fraction(-7, 10)),
+            (Fraction(3), Fraction(4, 9)),
+        ],
+    ],
+    ids=["sample_U", "curve", "cancelling"],
+)
+def test_integer_rows_match_fraction_construction(points):
+    # the integer row build equals the Fraction evaluation matrix cleared of
+    # denominators row by row
+    monos = monomials_up_to_degree(2, 6)
+    fraction_rows = [[evaluate_monomial(mono, p) for mono in monos] for p in points]
+    assert density._monomial_rows(points, monos, 6) == density._integer_rows(fraction_rows)
+
+
 def test_orbit_points_fill_degree_two_space():
     # orbit prefixes of the reference map avoid every conic once enough
     # distinct points accumulate

@@ -98,6 +98,30 @@ def test_evaluate_large_iterate_gcd_work(monkeypatch):
     assert sum(bits) <= 1_000_000
 
 
+def test_orbit_gcd_work(monkeypatch):
+    # The integer kernel cancels each orbit step's denominator by valuations
+    # at 2, so these power-of-two orbits run no gcd at all.  Fraction
+    # arithmetic took 2,136 and 262,243 bits here, and building each value
+    # with the normalising Fraction(n, d) takes 710,642 and 524,301.
+    e1 = triangular_map(["x1^3+x2", "x2^2+1"])
+    second = triangular_map(["x1*x2+1", "x2^2"])
+    start_e1 = (Fraction(15, 256), Fraction(9, 2))
+    start_second = (Fraction(1), Fraction(97, 2))
+    bits = []
+    gcd = math.gcd
+
+    def counted(a, b):
+        bits.append(min(abs(a).bit_length(), abs(b).bit_length()))
+        return gcd(a, b)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    orbit(e1, start_e1, 10)
+    last = orbit(second, start_second, 17).points[-1]
+    monkeypatch.undo()
+    assert sum(bits) <= 10_000
+    assert last[1] == Fraction(97 ** (2**17), 2 ** (2**17))
+
+
 # -- substitution --------------------------------------------------------
 
 

@@ -13,15 +13,21 @@ Evaluation is checked against ``sympy.Poly.eval`` on sparse polynomials with
 exponent gaps up to 40, at points whose coordinates may be 0, negative, or
 share primes between numerators and denominators (2/3 beside 3/2), so the
 Horner folds and the final x_i^(lowest exponent) factors of
-``Polynomial.evaluate`` all meet cancellation.
+``Polynomial.evaluate`` all meet cancellation.  The integer kernel behind
+``evaluate`` is checked on the denominators it treats apart: powers 3^k and
+5^k, composites 6, 12 and 35, the prime 2^61 - 1 above the trial-division
+bound, and the product of two such primes, with numerators that cancel them;
+every value must come back reduced with a positive denominator.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn import qpoly
 from arithdyn.maps import TriangularMap
 from arithdyn.qpoly import Polynomial, parse_polynomial
 
@@ -262,3 +268,98 @@ def test_evaluate_gapped_exponents_match_sympy(text, dim):
         [Fraction(-3, 2), Fraction(0), Fraction(2, 3), Fraction(-1)][:dim],
     ):
         assert p.evaluate(point) == sympy_evaluate(p, point)
+
+
+# -- the integer kernel's denominators -----------------------------------
+
+MERSENNE_61 = 2**61 - 1
+MERSENNE_31 = 2**31 - 1
+
+# 3^k and 5^k, composite denominators, a prime above the trial-division
+# bound, and a product of two such primes (a composite cofactor)
+KERNEL_DENOMINATORS = st.one_of(
+    st.builds(pow, st.sampled_from([3, 5]), st.integers(0, 30)),
+    st.sampled_from([1, 2, 6, 12, 35, 256, MERSENNE_61, MERSENNE_61 * MERSENNE_31]),
+)
+# numerators that share those primes, so that the value cancels them
+KERNEL_NUMERATORS = st.builds(
+    lambda k, f: k * f,
+    st.integers(-30, 30),
+    st.sampled_from([1, 3, 5, 9, 25, 7, MERSENNE_61, MERSENNE_31]),
+)
+KERNEL_COEFFS = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.sampled_from([1, 3, 5, 6, 12, 35, MERSENNE_61])
+)
+
+
+def kernel_polynomials(dim):
+    mono = st.tuples(*[st.integers(0, 5)] * dim)
+    return st.dictionaries(mono, KERNEL_COEFFS, max_size=6).map(lambda t: Polynomial(dim, t))
+
+
+kernel_cases = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        kernel_polynomials(d),
+        st.lists(
+            st.builds(Fraction, KERNEL_NUMERATORS, KERNEL_DENOMINATORS), min_size=d, max_size=d
+        ),
+    )
+)
+
+
+def assert_reduced_value(got: Fraction, want: Fraction):
+    assert type(got) is Fraction
+    assert got == want
+    assert got.denominator > 0
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases)
+def test_evaluate_kernel_denominators_match_sympy(case):
+    p, point = case
+    assert_reduced_value(p.evaluate(point), sympy_evaluate(p, point))
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        # zero results: the numerator sums to 0
+        ("x1 - x2", [Fraction(1, 3), Fraction(1, 3)]),
+        ("3*x1 - 1", [Fraction(1, 3)]),
+        ("x1^2*x2 - 1/35", [Fraction(1, 5), Fraction(5, 7)]),
+        # negative values over 3^k, 6, 12 and 35
+        ("-x1^3 - x2", [Fraction(2, 3**12), Fraction(1, 12)]),
+        ("x1*x2 - 1/5", [Fraction(-1, 6), Fraction(4, 35)]),
+        # 3 and 5 cancel from the numerator, once and thirty times
+        ("x1 + x2", [Fraction(1, 6), Fraction(1, 3)]),
+        ("x1 + x2", [Fraction(1, 3**40), Fraction(3**30 - 1, 3**40)]),
+        ("x1^2 + 1/5*x1", [Fraction(2, 5**9), Fraction(0)]),
+        ("x1*x2", [Fraction(35, 12), Fraction(12, 35)]),
+        # 2^61 - 1 as a coordinate and a coefficient denominator
+        ("x1^3 + 1/2305843009213693951", [Fraction(5, MERSENNE_61)]),
+        ("2305843009213693951*x1^2", [Fraction(1, MERSENNE_61**3)]),
+    ],
+)
+def test_evaluate_kernel_edges_match_sympy(text, point):
+    p = P(text, len(point))
+    assert_reduced_value(p.evaluate(point), sympy_evaluate(p, point))
+
+
+def test_evaluate_kernel_splits_a_composite_cofactor(monkeypatch):
+    # the denominator's cofactor P*Q holds two primes above the trial-division
+    # bound; P divides the numerator, so gcd(N, P*Q) = P is a proper factor
+    # and the base element P*Q must be split into P and Q
+    bases = []
+    coprime_base = qpoly._coprime_base
+
+    def recorded(numbers):
+        base = coprime_base(numbers)
+        bases.append(sorted(base))
+        return base
+
+    monkeypatch.setattr(qpoly, "_coprime_base", recorded)
+    p = Polynomial(1, {(1,): Fraction(MERSENNE_61)})
+    got = p.evaluate([Fraction(1, MERSENNE_61 * MERSENNE_31)])
+    assert_reduced_value(got, Fraction(1, MERSENNE_31))
+    assert sorted([MERSENNE_31, MERSENNE_61]) in bases
