@@ -17,12 +17,10 @@ reduced Fractions out.  Products scale each operand to integers over one
 denominator and pack exponent tuples into ints (:func:`_product_terms`).
 Evaluation is a sparse Horner scheme over Z[1/S], where S holds the primes
 of the point's and the coefficients' denominators (:func:`_horner_integer`):
-all values share one denominator D known as a product of powers of 2, of
-small odd primes and of a coprime base of leftover cofactors, so only
-numerators are computed.  The result is reduced by dividing out each base
-element's power that the numerator holds (:func:`_reduced`), which needs no
-gcd of big integers: cancellation can only happen at the elements of that
-base.
+all values share one denominator D = 2^E * D_odd, known in that split, so
+only numerators are computed.  The result is reduced by shifting out the
+power of two the numerator holds and by one gcd against D_odd, which is 1
+when every denominator is a power of two, as on power-of-two orbits.
 """
 
 from __future__ import annotations
@@ -193,9 +191,9 @@ class Polynomial:
         all values carry the one denominator D = M * prod d_i^deg_i, where M
         is the lcm of the coefficient denominators: only the numerator is
         computed, and multiplying by a power of d_i is a shift for its
-        power of two.  :func:`_reduced` then cancels D against that
-        numerator over the primes D is known to be built from, so the
-        result is reduced without a gcd of big integers.
+        power of two.  The power of two in D cancels by the numerator's
+        trailing zeros and the odd part by one gcd, so when every
+        denominator is a power of two no gcd runs at all.
         """
         if len(point) != self.dimension:
             raise DimensionMismatchError(
@@ -350,13 +348,6 @@ def _product_terms(
     }
 
 
-# Odd primes below 100.  Trial division takes them out of a denominator; what
-# is left over becomes an element of a coprime base (see _coprime_base).
-_SMALL_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97
-)
-
-
 def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fraction]) -> Fraction:
     """The value of a nonempty term map at a point, by integer sparse Horner.
 
@@ -373,6 +364,11 @@ def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fractio
     start as integers over M, the lcm of their denominators, so the value is
     N / D with D = M * prod d_i^deg_i.  A power of d_i is a shift for its
     power of two and a cached power of its odd part.
+
+    D is kept as 2^E * D_odd.  The value is reduced by shifting
+    2^min(v_2(N), E) out of N and dividing N and D_odd by their gcd, which
+    is skipped when D_odd = 1; see :func:`_coprime_fraction` for why the
+    result needs no further gcd.
     """
     n = len(values)
     nums = [v.numerator for v in values]
@@ -432,112 +428,14 @@ def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fractio
         return Fraction(0)
     m_twos = (m & -m).bit_length() - 1
     twos_exponent = m_twos + sum(d * t for d, t in zip(degs, twos))
-    odd_parts = [(m >> m_twos, 1), *zip(odds, degs)]
-    return _reduced(numerator, twos_exponent, _odd_exponents(odd_parts))
-
-
-def _strip(n: int, q: int, cap: int) -> tuple[int, int]:
-    """(n / q^k, k) for k = min(v_q(n), cap), where n != 0 and q > 1.
-
-    Divides by q, q^2, q^4, ... while each divides and fits under the cap,
-    then by the same powers in reverse, so a valuation k costs O(log k)
-    divisions instead of k.  v_q(n) counts how often q itself divides n: the
-    exponent of q when n factors over a coprime base that holds q.
-    """
-    k = 0
-    powers = []
-    power = q
-    while k + (1 << len(powers)) <= cap and not n % power:
-        n //= power
-        k += 1 << len(powers)
-        powers.append(power)
-        power *= power
-    for j in range(len(powers) - 1, -1, -1):
-        if k + (1 << j) <= cap and not n % powers[j]:
-            n //= powers[j]
-            k += 1 << j
-    return n, k
-
-
-def _coprime_base(numbers: Iterable[int]) -> list[int]:
-    """Pairwise coprime integers > 1 over which each of ``numbers`` factors.
-
-    Two entries with a common factor g > 1 are replaced by g, a/g and b/g
-    until no two share one: the naive refinement that Bernstein speeds up
-    ("Factoring into coprimes in essentially linear time", J. Algorithms 54
-    (2005)).  Each replacement lowers the product of all entries, so it ends.
-    The inputs here are denominator cofactors with no prime below 100.
-    """
-    base: list[int] = []
-    todo = [c for c in numbers if c > 1]
-    while todo:
-        c = todo.pop()
-        for j, b in enumerate(base):
-            g = math.gcd(b, c)
-            if g > 1:
-                del base[j]
-                todo += [x for x in (g, b // g, c // g) if x > 1]
-                break
-        else:
-            base.append(c)
-    return base
-
-
-def _odd_exponents(parts: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Exponents of prod d^w over the small primes and a coprime base, for
-    (d, w) pairs with d odd and positive.
-
-    Each d loses its primes below 100 by trial division; the cofactors left
-    over are refined into a coprime base, and each is factored over it.
-    Big integers are never factored: a cofactor is divided only by its base.
-    """
-    exponents: dict[int, int] = {}
-
-    def add(d: int, q: int, w: int) -> int:
-        d, k = _strip(d, q, d.bit_length())
-        exponents[q] = exponents.get(q, 0) + w * k
-        return d
-
-    cofactors = []
-    for d, w in parts:
-        if w and d > 1:
-            for p in _SMALL_PRIMES:
-                if not d % p:
-                    d = add(d, p, w)
-            cofactors.append((d, w))
-    base = _coprime_base(d for d, _ in cofactors)
-    for d, w in cofactors:
-        for q in base:
-            if not d % q:
-                d = add(d, q, w)
-    return exponents
-
-
-def _reduced(numerator: int, twos: int, odd: dict[int, int]) -> Fraction:
-    """numerator / (2^twos * prod q^odd[q]) in lowest terms, for numerator != 0.
-
-    The keys of ``odd`` are the pairwise coprime small primes and cofactors
-    of :func:`_odd_exponents`.  The power 2^min(v_2(N), twos) is divided out
-    by its trailing zeros.  An odd q is divided out while it divides N; if
-    g = gcd(N mod q, q) is a proper factor of q, q^E is rewritten over the
-    coprime base of g and q/g, whose elements are handled in turn.
-    """
-    k = min((numerator & -numerator).bit_length() - 1, twos)
+    k = min((numerator & -numerator).bit_length() - 1, twos_exponent)
     numerator >>= k
-    denominator = 1
-    work = list(odd.items())
-    while work:
-        q, e = work.pop()
-        g = math.gcd(numerator % q, q)
-        if g == 1:
-            denominator *= q**e
-        elif g == q:
-            numerator, j = _strip(numerator, q, e)
-            if j < e:
-                work.append((q, e - j))
-        else:
-            work += [(r, e * _strip(q, r, q.bit_length())[1]) for r in _coprime_base((g, q // g))]
-    return _coprime_fraction(numerator, denominator << (twos - k))
+    odd = (m >> m_twos) * math.prod(d**e for d, e in zip(odds, degs))
+    if odd > 1:
+        g = math.gcd(numerator, odd)
+        numerator //= g
+        odd //= g
+    return _coprime_fraction(numerator, odd << (twos_exponent - k))
 
 
 def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
@@ -549,13 +447,12 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     constructor would run a gcd of a huge numerator against the denominator
     only to find 1.
 
-    Its one caller, :func:`_reduced`, meets that contract.  Proof: the
-    denominator it passes is 2^E * prod q^E_q over pairwise coprime odd q.
-    It divides out 2^min(v_2(N), E), so if 2^E is left with E > 0, N is odd.
-    It keeps q^E_q only once gcd(N, q) = 1, and then gcd(N, q^E_q) = 1.
-    Later divisions of N by odd factors keep both facts.  A product of
-    powers each coprime to N is coprime to N, and a product of positive
-    integers is positive.
+    Its one caller, :func:`_horner_integer`, meets that contract.  Proof:
+    the value is N / (2^E * D_odd) with D_odd odd and positive.  Shifting
+    2^k out of N for k = min(v_2(N), E) leaves N odd whenever E - k > 0.
+    Dividing N and D_odd by g = gcd(N, D_odd) leaves them coprime, and g is
+    odd, so N / g is still odd when E - k > 0.  Hence N / g is coprime to
+    both 2^(E - k) and D_odd / g, so to their product, which is positive.
     """
     out = object.__new__(Fraction)
     out._numerator = numerator

@@ -14,10 +14,10 @@ exponent gaps up to 40, at points whose coordinates may be 0, negative, or
 share primes between numerators and denominators (2/3 beside 3/2), so the
 Horner folds and the final x_i^(lowest exponent) factors of
 ``Polynomial.evaluate`` all meet cancellation.  The integer kernel behind
-``evaluate`` is checked on the denominators it treats apart: powers 3^k and
-5^k, composites 6, 12 and 35, the prime 2^61 - 1 above the trial-division
-bound, and the product of two such primes, with numerators that cancel them;
-every value must come back reduced with a positive denominator.
+``evaluate`` is checked on odd denominators, which it reduces by a gcd
+rather than by shifts: powers 3^k and 5^k, composites 6, 12 and 35, the
+prime 2^61 - 1, and the product of two large primes, with numerators that
+cancel them; every value must come back reduced with a positive denominator.
 """
 
 import math
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithdyn import qpoly
 from arithdyn.maps import TriangularMap
 from arithdyn.qpoly import Polynomial, parse_polynomial
 
@@ -275,8 +274,8 @@ def test_evaluate_gapped_exponents_match_sympy(text, dim):
 MERSENNE_61 = 2**61 - 1
 MERSENNE_31 = 2**31 - 1
 
-# 3^k and 5^k, composite denominators, a prime above the trial-division
-# bound, and a product of two such primes (a composite cofactor)
+# 3^k and 5^k, composite denominators, a large prime, and a product of two
+# large primes
 KERNEL_DENOMINATORS = st.one_of(
     st.builds(pow, st.sampled_from([3, 5]), st.integers(0, 30)),
     st.sampled_from([1, 2, 6, 12, 35, 256, MERSENNE_61, MERSENNE_61 * MERSENNE_31]),
@@ -339,6 +338,8 @@ def test_evaluate_kernel_denominators_match_sympy(case):
         # 2^61 - 1 as a coordinate and a coefficient denominator
         ("x1^3 + 1/2305843009213693951", [Fraction(5, MERSENNE_61)]),
         ("2305843009213693951*x1^2", [Fraction(1, MERSENNE_61**3)]),
+        # a product of two large primes, one of which cancels
+        ("2305843009213693951*x1", [Fraction(1, MERSENNE_61 * MERSENNE_31)]),
     ],
 )
 def test_evaluate_kernel_edges_match_sympy(text, point):
@@ -346,20 +347,21 @@ def test_evaluate_kernel_edges_match_sympy(text, point):
     assert_reduced_value(p.evaluate(point), sympy_evaluate(p, point))
 
 
-def test_evaluate_kernel_splits_a_composite_cofactor(monkeypatch):
-    # the denominator's cofactor P*Q holds two primes above the trial-division
-    # bound; P divides the numerator, so gcd(N, P*Q) = P is a proper factor
-    # and the base element P*Q must be split into P and Q
-    bases = []
-    coprime_base = qpoly._coprime_base
+def test_evaluate_kernel_large_odd_power_runs_one_gcd(monkeypatch):
+    # D = 101^(2E) against N = 101^(E+1): all but one power of 101 cancels,
+    # and the odd part of D is reduced by one gcd, whatever E is
+    e = 10_000
+    p = P("x1 + x2", 2)
+    point = [Fraction(1, 101**e), Fraction(100, 101**e)]
+    calls = []
+    gcd = math.gcd
 
-    def recorded(numbers):
-        base = coprime_base(numbers)
-        bases.append(sorted(base))
-        return base
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
 
-    monkeypatch.setattr(qpoly, "_coprime_base", recorded)
-    p = Polynomial(1, {(1,): Fraction(MERSENNE_61)})
-    got = p.evaluate([Fraction(1, MERSENNE_61 * MERSENNE_31)])
-    assert_reduced_value(got, Fraction(1, MERSENNE_31))
-    assert sorted([MERSENNE_31, MERSENNE_61]) in bases
+    monkeypatch.setattr(math, "gcd", counted)
+    got = p.evaluate(point)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert_reduced_value(got, Fraction(1, 101 ** (e - 1)))
