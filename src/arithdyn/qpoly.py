@@ -12,19 +12,24 @@ The text format is a human-readable sum of terms, e.g.
 The parser is whitespace-insensitive and round-trips bit-exactly with
 :func:`Polynomial.to_text`.
 
-Two integer kernels carry the hot paths; both take Fractions in and give
+Integer kernels carry the hot paths; all take Fractions in and give
 reduced Fractions out.  Products scale each operand to integers over one
-denominator and pack exponent tuples into ints (:func:`_product_terms`).
-Evaluation is a sparse Horner scheme over Z[1/S], where S holds the primes
-of the point's and the coefficients' denominators (:func:`_horner_integer`):
-all values share one denominator D = 2^E * D_odd, known in that split, so
-only numerators are computed.  The result is reduced by shifting out the
-power of two the numerator holds and by one gcd against D_odd, which is 1
-when every denominator is a power of two, as on power-of-two orbits.
+denominator (:func:`_product_terms`).  When the exponents fill their box
+densely enough, after dividing each variable's exponents by their gcd, each
+operand is packed into one big int and the product is one big-integer
+multiply (Kronecker substitution); otherwise a loop over all term pairs
+adds exponent tuples packed into ints.  Evaluation is a sparse Horner
+scheme over Z[1/S], where S holds the primes of the point's and the
+coefficients' denominators (:func:`_horner_integer`): all values share one
+denominator D = 2^E * D_odd, known in that split, so only numerators are
+computed.  The result is reduced by shifting out the power of two the
+numerator holds and by one gcd against D_odd, which is 1 when every
+denominator is a power of two, as on power-of-two orbits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -172,7 +177,7 @@ class Polynomial:
             c = rational(other)
             if c == 0:
                 return Polynomial.zero(self.dimension)
-            return Polynomial(self.dimension, {m: k * c for m, k in self.terms.items()})
+            return Polynomial._trusted(self.dimension, {m: k * c for m, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
@@ -212,7 +217,9 @@ class Polynomial:
         Only the powers of subs[i-1] that the terms use are built, each once
         per call, by halving the exponent (Knuth, TAOCP vol. 2, 4.6.3): the
         first power is subs[i-1] itself, an even power is the square of half
-        of it, and an odd power is the one below it times subs[i-1].
+        of it, and an odd power is the one below it times subs[i-1].  A term
+        starts from its first power and is scaled only by a coefficient
+        other than 1.
         ``max_terms`` bounds the term count of every product and partial sum;
         exceeding it raises :class:`ResourceLimitError`.
         """
@@ -236,16 +243,20 @@ class Polynomial:
                 powers[i, e] = p
             return powers[i, e]
 
-        total = Polynomial.zero(target_dim)
+        total = None
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(target_dim, coeff)
+            term = None
             for i, e in enumerate(mono):
                 if e:
-                    term = term * power(i, e)
+                    term = power(i, e) if term is None else term * power(i, e)
                     _check_budget(term, max_terms, stage="substitute:term")
-            total = total + term
+            if term is None:
+                term = Polynomial.constant(target_dim, coeff)
+            elif coeff != 1:
+                term = term * coeff
+            total = term if total is None else total + term
             _check_budget(total, max_terms, stage="substitute:sum")
-        return total
+        return Polynomial.zero(target_dim) if total is None else total
 
     # -- degrees -------------------------------------------------------
 
@@ -309,42 +320,119 @@ def _product_terms(
 ) -> dict[Monomial, Fraction]:
     """Canonical term map of the product of two term maps.
 
-    Packed-monomial integer kernel (S. C. Johnson, "Sparse polynomial
-    arithmetic", 1974; Monagan & Pearce, ISSAC 2009).  Each operand is scaled
-    to integer numerators over its denominator lcm, and each exponent tuple is
-    packed into one int (Kronecker map).  Variable i gets a field of
-    ``(deg_i(a) + deg_i(b)).bit_length()`` bits, so adding two packed keys
-    never carries from one field into the next, and a variable absent from
-    both operands gets no bits.  Zero sums are dropped so that the result is
-    canonical.
+    Each operand is scaled to integer numerators A_k, B_k over its
+    denominator lcm, and the product runs on one of two integer kernels.
+
+    Dense (Kronecker substitution; Fateman 2005, Harvey, J. Symbolic Comput.
+    44 (2009)), by :func:`_kronecker_terms`.  Deflation: let g_i be the gcd
+    of the exponents of x_i over both operands, 1 for a variable absent from
+    both.  Every exponent of x_i in either operand is a multiple of g_i, so
+    x_i^e becomes the digit e / g_i of a mixed radix with base
+    r_i = deg_i(a) / g_i + deg_i(b) / g_i + 1.  A product monomial's digits
+    are the sums of its factors' digits, at most r_i - 1, so slot indices
+    add without carry and distinct monomials get distinct slots.  Iterates
+    of x_i^d + g(x_(i+1..N)) keep x_i-exponents that are multiples of d, so
+    deflation divides the box prod r_i by about d per such variable.
+    Slot width: each operand becomes one signed int sum_k A_k 2^(w idx_k),
+    and one multiply gives sum_s c_s 2^(w s), where c_s sums A_i B_j over
+    the pairs landing in slot s.  A term of a meets at most one term of b in
+    a given slot, so |c_s| <= min(|a|, |b|) max|A_k| max|B_k| =: C, and so
+    does every |A_k| and |B_k|.  With w a multiple of 8 above the bit length
+    of C, every c_s lies strictly between -2^(w-1) and 2^(w-1), so each
+    slot plus 2^(w-1) is a w-bit digit and the digits read back exactly.
+
+    Sparse (packed-monomial; S. C. Johnson, "Sparse polynomial arithmetic",
+    1974; Monagan & Pearce, ISSAC 2009): each exponent tuple is packed into
+    one int with a field of ``(deg_i(a) + deg_i(b)).bit_length()`` bits per
+    variable, so adding two packed keys never carries between fields, and
+    the loop runs over all |a| |b| term pairs.
+
+    Selection: the dense kernel costs one multiply of box-long operands of
+    w-bit slots plus one Python step per slot, the sparse kernel one Python
+    step per term pair; :func:`_kronecker_pays` weighs the two.  Zero sums
+    are dropped so that the result is canonical.
     """
     if not a or not b:
         return {}
-    widths = [(da + db).bit_length() for da, db in zip(map(max, zip(*a)), map(max, zip(*b)))]
+
+    def scaled(terms):
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        return den, [c.numerator * (den // c.denominator) for c in terms.values()]
+
+    a_den, a_nums = scaled(a)
+    b_den, b_nums = (a_den, a_nums) if a is b else scaled(b)
+    den = a_den * b_den
+    a_cols, b_cols = list(zip(*a)), list(zip(*b))
+    a_degs, b_degs = list(map(max, a_cols)), list(map(max, b_cols))
+    steps = [math.gcd(*ea, *eb) or 1 for ea, eb in zip(a_cols, b_cols)]
+    radii = [(da + db) // g + 1 for da, db, g in zip(a_degs, b_degs, steps)]
+    bound = min(len(a), len(b)) * max(map(abs, a_nums)) * max(map(abs, b_nums))
+    slot = bound.bit_length() // 8 + 1
+    if _kronecker_pays(math.prod(radii), slot, len(a) * len(b)):
+        return _kronecker_terms(a, b, a_nums, b_nums, den, steps, radii, slot)
+
+    widths = [(da + db).bit_length() for da, db in zip(a_degs, b_degs)]
     shifts = [sum(widths[:i]) for i in range(len(widths))]
     fields = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
 
-    def packed(terms):
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        items = [
-            (sum(e << s for e, s in zip(mono, shifts)), c.numerator * (den // c.denominator))
-            for mono, c in terms.items()
-        ]
-        return items, den
+    def packed(terms, nums):
+        return list(zip((sum(e << s for e, s in zip(mono, shifts)) for mono in terms), nums))
 
-    a_items, a_den = packed(a)
-    b_items, b_den = packed(b)
+    a_items, b_items = packed(a, a_nums), packed(b, b_nums)
     out: dict[int, int] = {}
     get = out.get
     for ka, ca in a_items:
         for kb, cb in b_items:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    den = a_den * b_den
     return {
         tuple((k >> s) & mask for s, mask in fields): Fraction(c, den)
         for k, c in out.items()
         if c
+    }
+
+
+def _kronecker_pays(box: int, slot_bytes: int, pairs: int) -> bool:
+    """Whether the dense kernel of :func:`_product_terms` should run.
+
+    It should when the packed product, each slot counted as at least one
+    64-bit word, is no larger than one word per term pair of the sparse
+    loop.  The word bound keeps a huge coefficient, which widens every slot,
+    off the dense path: squaring 400 terms with one 3^200000 among them
+    would pack each operand into 63 MB of mostly empty slots.  The slot floor keeps a
+    sparse box off it, since every slot costs a Python step when read back.
+    """
+    return box * max(slot_bytes, 8) <= 8 * pairs
+
+
+def _kronecker_terms(a, b, a_nums, b_nums, den, steps, radii, slot):
+    """The dense kernel of :func:`_product_terms`, with ``slot`` bytes a slot.
+
+    Slots are little-endian, the last variable's digit varying fastest.
+    Each slot holds its value plus half = 2^(8 slot - 1), which lies in
+    [1, 2^(8 slot) - 1], so the bytes of an operand or of the product plus
+    the offset sum_s half 2^(8 slot s) need no borrow between slots.
+    """
+    strides = [math.prod(radii[i + 1 :]) for i in range(len(radii))]
+    box = radii[0] * strides[0]
+    half = 1 << (8 * slot - 1)
+    empty = half.to_bytes(slot, "little")
+    offset = int.from_bytes(empty * box, "little")
+
+    def packed(terms, nums):
+        buf = bytearray(empty * box)
+        for mono, c in zip(terms, nums):
+            i = slot * sum(e // g * s for e, g, s in zip(mono, steps, strides))
+            buf[i : i + slot] = (c + half).to_bytes(slot, "little")
+        return int.from_bytes(buf, "little") - offset
+
+    pa = packed(a, a_nums)
+    raw = ((pa * pa if a is b else pa * packed(b, b_nums)) + offset).to_bytes(slot * box, "little")
+    monos = itertools.product(*(range(0, r * g, g) for r, g in zip(radii, steps)))
+    return {
+        mono: Fraction(int.from_bytes(raw[i : i + slot], "little") - half, den)
+        for mono, i in zip(monos, range(0, slot * box, slot))
+        if raw[i : i + slot] != empty
     }
 
 
