@@ -24,18 +24,13 @@ import pytest
 from corpus import CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_qpoly_oracle import COEFFS, from_sympy, to_sympy
 
 from arithdyn import qpoly
 from arithdyn.degrees import dynamical_degree_sequence
 from arithdyn.qpoly import Polynomial, parse_polynomial
 
-sympy = pytest.importorskip("sympy")
-
-GENS = sympy.symbols("x1:5")
 KERNELS = ["dense", "sparse"]
-COEFFS = st.builds(
-    Fraction, st.integers(-40, 40).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 9])
-)
 
 
 @contextmanager
@@ -61,22 +56,11 @@ def forced(kernel):
         yield dense
 
 
-def sympy_product(a: Polynomial, b: Polynomial) -> Polynomial:
-    gens = GENS[: a.dimension]
-
-    def to_sympy(p):
-        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
-        return sympy.Poly.from_dict(terms, *gens, domain="QQ")
-
-    product = (to_sympy(a) * to_sympy(b)).as_dict()
-    return Polynomial(a.dimension, {m: Fraction(int(c.p), int(c.q)) for m, c in product.items()})
-
-
 def assert_product(a: Polynomial, b: Polynomial, kernel: str) -> Polynomial:
     with forced(kernel) as dense:
         got = a * b
     assert len(dense) == (kernel == "dense")
-    assert got == sympy_product(a, b)
+    assert got == from_sympy(to_sympy(a) * to_sympy(b), a.dimension)
     for mono, c in got.terms.items():
         assert type(mono) is tuple and len(mono) == a.dimension
         assert all(type(e) is int and e >= 0 for e in mono)
