@@ -17,6 +17,7 @@ digits of an int <-> str conversion is a resource cap too, and exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ from .maps import map_from_json_dict, points_from_csv
 from .qpoly import ResourceLimitError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="arithdyn",
         description="Exact dynamical/arithmetic degree experiments for triangular polynomial maps",

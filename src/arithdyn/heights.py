@@ -10,9 +10,14 @@ the maximum absolute coordinate of [L : L*x1 : ... : L*xN].  Those integers
 are already coprime, so no gcd pass is needed: for any prime q dividing L,
 some i has v_q(den_i) = v_q(L), and num_i is prime to q because x_i is
 reduced, so q does not divide L*x_i.  The first coordinate L is positive, so
-no sign normalisation is needed either.  Heights are reported as 64-bit
-floats of logs of exact integers; every equality assertion is made on the
-exact integer arguments, floats are presentation only.
+no sign normalisation is needed either.  L is built without a big lcm: write
+den_i = 2^t_i * o_i with o_i odd; then L = 2^(max t_i) * lcm(o_i), because a
+power of two and an odd number are coprime, and L // den_i is
+(lcm(o_i) // o_i) * 2^(max t_i - t_i), a shift.  Orbit points over Z[1/2] have
+every o_i = 1, so no lcm, gcd or division ever sees their big denominators.
+Heights are reported as 64-bit floats of logs of exact integers; every
+equality assertion is made on the exact integer arguments, floats are
+presentation only.
 
 The height sequence of an orbit carries, per row,
 
@@ -47,10 +52,16 @@ class Height:
 
 
 def affine_height(point: Sequence[Fraction]) -> Height:
-    """Height of an affine point; the argument is proved coprime above."""
+    """Height of an affine point; the argument is proved coprime above.
+
+    With den_i = 2^t_i * o_i, o_i odd, L = 2^(max t_i) * lcm(o_i) is built by shifts.
+    """
     point = as_point(point)
-    lcm = math.lcm(*(c.denominator for c in point))
-    m = max([lcm, *(abs(c.numerator) * (lcm // c.denominator) for c in point)])
+    twos = [(c.denominator & -c.denominator).bit_length() - 1 for c in point]
+    odds = [c.denominator >> t for c, t in zip(point, twos)]
+    top, odd_lcm = max(twos, default=0), math.lcm(*odds)
+    m = max([odd_lcm << top, *(abs(c.numerator) * (odd_lcm // o) << (top - t)
+                               for c, o, t in zip(point, odds, twos))])
     return Height(max_abs=m, log=math.log(m))
 
 

@@ -367,6 +367,28 @@ def test_cli_seed_override(tmp_path, capsys):
     assert s1["seed"] == 0 and s2["seed"] == 5
 
 
+def test_cli_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main() reuses one parser; the options of one call must not reach the next
+    import arithdyn.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(
+        tmp_path,
+        {"map": E1_DOC, "mode": "first_case", "samples": 3, "n_max": 4, "seed": 0},
+    )
+    main(["--out-dir", str(tmp_path / "o1"), "--seed", "5", "run", "--config", str(cfg)])
+    main(["run", "--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert main(["--seed", "x", "run", "--config", str(cfg)]) == EXIT_CONFIG
+    capsys.readouterr()
+    s1 = json.loads((tmp_path / "o1" / "summary.json").read_text())
+    s2 = json.loads((tmp_path / "arithdyn-out" / "summary.json").read_text())
+    assert s1["seed"] == 5 and s2["seed"] == 0
+
+
 # -- malformed JSON and usage errors exit 4 ------------------------------------
 
 

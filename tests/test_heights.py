@@ -59,13 +59,24 @@ _prime_power_fraction = st.builds(
     st.integers(min_value=0, max_value=40),
 )
 
+# one coordinate's denominator mixes a power of two with an odd part, so the
+# shift-built lcm meets a nontrivial odd lcm; numerators reach 0 and below
+_mixed_fraction = st.builds(
+    lambda num, a, b, c: Fraction(num, 2**a * 3**b * 5**c),
+    st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6)),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=4),
+)
 
-@settings(max_examples=100, deadline=None)
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.lists(
         st.one_of(
             st.fractions(min_value=-9, max_value=9, max_denominator=7),
             _prime_power_fraction,
+            _mixed_fraction,
         ),
         min_size=1,
         max_size=4,
@@ -75,11 +86,43 @@ _prime_power_fraction = st.builds(
 @example([Fraction(-5, 8), Fraction(7, 27)], Fraction(-3, 4))
 @example([Fraction(-3, 2**40), Fraction(-1, 3**25)], Fraction(2, 3))
 @example([Fraction(-9, 4), 0, Fraction(1, 6)], Fraction(-1))
+@example([Fraction(-7, 2**60 * 3**6 * 5**4), Fraction(1, 2**3 * 5)], Fraction(5, 2))
+@example([Fraction(11, 2**60 * 15), Fraction(-13, 2**59 * 9)], Fraction(-1, 3))
+@example([Fraction(-1, 2**60 * 3)], Fraction(1))
+@example([0], Fraction(-2))
+@example([-5], Fraction(3, 4))
+@example([0, Fraction(0), -3], Fraction(1, 5))
 def test_height_invariant_under_rescaling(raw, scale):
     # the projective point [1 : x1 : ... : xN] is the same after scaling by
     # any nonzero rational, so the gcd-normalised oracle must agree with the
     # gcd-free height argument
     assert affine_height(raw).max_abs == _gcd_height_arg(raw, scale)
+
+
+def test_height_lcm_and_gcd_see_only_small_operands(monkeypatch):
+    # denominators 2^400000 and 2^300 * 3: the power of two is handled by
+    # shifts, so every lcm and gcd the height makes sees only odd parts
+    seen = []
+
+    class RecordingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def lcm(self, *args):
+            seen.extend(a.bit_length() for a in args)
+            return math.lcm(*args)
+
+        def gcd(self, *args):
+            seen.extend(a.bit_length() for a in args)
+            return math.gcd(*args)
+
+    raw = [Fraction(-(3**1000), 2**400000), Fraction(7**50, 2**300 * 3)]
+    monkeypatch.setattr(heights_module, "math", RecordingMath())
+    got = affine_height(raw)
+    monkeypatch.undo()
+    assert seen and max(seen) <= 64
+    assert got.max_abs == _gcd_height_arg(raw, Fraction(1))
+    assert got.log == math.log(got.max_abs)
 
 
 def test_height_sequence_squaring_closed_form():
