@@ -14,6 +14,7 @@ distinct starting points may be processed in parallel with no coordination.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -180,8 +181,9 @@ def orbit(
 ) -> Orbit:
     """Compute [P, f(P), ..., f^{n_max}(P)] exactly.
 
-    Raises ResourceLimitError carrying the last safe n if a coordinate's
-    bit-size exceeds caps.max_coeff_bits.
+    Before each step, :func:`step_bits_bound` bounds the bit size of the
+    coordinates it would make; if that bound exceeds caps.max_coeff_bits the
+    step is not computed, and ResourceLimitError carries the last safe n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -192,20 +194,46 @@ def orbit(
         )
     points = [point]
     for n in range(n_max):
-        point = f.apply(point)
-        bits = max(
-            c.numerator.bit_length() + c.denominator.bit_length() for c in point
-        )
+        bits = step_bits_bound(f, point)
         if bits > caps.max_coeff_bits:
             raise ResourceLimitError(
-                f"orbit coordinate reached {bits} bits at step {n + 1}, "
+                f"orbit coordinates may reach {bits} bits at step {n + 1}, "
                 f"cap is {caps.max_coeff_bits}",
                 last_safe_n=n,
                 bits=bits,
                 max_coeff_bits=caps.max_coeff_bits,
             )
+        point = f.apply(point)
         points.append(point)
     return Orbit(map=f, start=points[0], points=points)
+
+
+def step_bits_bound(f: TriangularMap, point: AffinePoint) -> int:
+    """A bound on bits(num) + bits(den) of each coordinate of f(point), known without it.
+
+    Proof, from the homogenisation of ``qpoly._horner_integer``.  Write
+    x_j = n_j / d_j in lowest terms, and for a component f_i let M be the
+    lcm of its coefficient denominators, C_a = M c_a its scaled integer
+    coefficients and deg_j its degree in x_j.  Then f_i(Q) = N / D with
+    D = M prod_j d_j^deg_j and N = sum_a C_a prod_j n_j^a_j d_j^(deg_j - a_j),
+    so |N| <= sum_a |C_a| prod_j max(|n_j|, d_j)^deg_j.  The reduced
+    numerator and denominator divide N and D (a zero value is 0/1), and
+    bits(x y) <= bits(x) + bits(y), so
+
+        bits(num) + bits(den) <= bits(sum_a |C_a|) + bits(M)
+                                 + sum_j deg_j (bits(max(|n_j|, d_j)) + bits(d_j)).
+    """
+    sizes = [
+        max(c.numerator.bit_length(), c.denominator.bit_length()) + c.denominator.bit_length()
+        for c in point
+    ]
+    bound = 0
+    for p in f.components:
+        m = math.lcm(*(c.denominator for c in p.terms.values()))
+        weight = sum(abs(c.numerator) * (m // c.denominator) for c in p.terms.values())
+        size = sum(max(e) * z for e, z in zip(zip(*p.terms), sizes))
+        bound = max(bound, weight.bit_length() + m.bit_length() + size)
+    return bound
 
 
 def orbits_disjoint_prefix(o1: Orbit, o2: Orbit) -> bool:

@@ -341,6 +341,30 @@ def test_cli_density_ragged_points_exits_config(tmp_path, capsys):
     assert not (tmp_path / "out" / "density.csv").exists()
 
 
+def test_cli_over_cap_orbit_step_exits_before_it_is_computed(tmp_path, capsys, monkeypatch):
+    # 3^(10^8) has about 1.6e8 bits against the default cap of 1e7: the step
+    # is refused from the bound, so no orbit step is ever computed
+    def refuse(self, point):
+        raise AssertionError("an orbit step ran")
+
+    monkeypatch.setattr(TriangularMap, "apply", refuse)
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "map": {"dimension": 1, "components": ["x1^100000000"]},
+            "map_b": {"dimension": 1, "components": ["x1^2"]},
+            "mode": "product",
+            "point": ["3", "2"],
+            "n_max": 1,
+        },
+    )
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "'last_safe_n': 0" in err and "'bits': 300000002" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_cli_density_huge_degree_exits_resource(tmp_path, capsys):
     # C(2 + 2000, 2000) = 2003001 monomials exceed the term cap: refused
     # before any monomial is enumerated

@@ -18,6 +18,7 @@ from arithdyn.maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
     points_from_csv,
+    step_bits_bound,
     triangular_map,
 )
 from arithdyn.qpoly import DimensionMismatchError, ResourceLimitError, parse_polynomial
@@ -104,6 +105,55 @@ def test_orbit_bit_cap_reports_last_safe_n():
     with pytest.raises(ResourceLimitError) as err:
         orbit(f, [2], 20, ResourceCaps(max_coeff_bits=100))
     assert err.value.metadata["last_safe_n"] >= 5
+
+
+def _bits(c):
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+BOUND_MAPS = [
+    ["x1^3+x2", "x2^2+1"],
+    ["x1*x2+1", "x2^2"],
+    ["-3/4*x1^2*x2 + 5/6*x1 - x2^3", "7/9*x2^2 - 1/2"],
+    ["x1^2+x3", "x2^2+x3", "x3^2"],
+    ["2*x1 - 5", "x2^4 + 1/3*x3", "x3^3 - 1/8"],
+]
+COORDS = st.builds(
+    Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)
+) | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(4, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.sampled_from(BOUND_MAPS), data=st.data())
+def test_step_bits_bound_covers_the_step(texts, data):
+    f = triangular_map(texts)
+    point = tuple(data.draw(COORDS) for _ in range(f.dimension))
+    assert max(map(_bits, f.apply(point))) <= step_bits_bound(f, point)
+
+
+def test_step_bits_bound_is_exact_on_a_pure_power():
+    # bits(sum |C_a|) + bits(M) + deg * (bits(max(3, 1)) + bits(1)) = 1 + 1 + 5 * 3
+    f = triangular_map(["x1^5"])
+    assert step_bits_bound(f, (Fraction(3),)) == 1 + 1 + 5 * (2 + 1)
+    assert _bits(f.apply((Fraction(3),))[0]) == (3**5).bit_length() + 1
+
+
+def test_orbit_refuses_an_over_cap_step_before_computing_it(monkeypatch):
+    f = triangular_map(["x1^2"])
+    calls = []
+    apply = TriangularMap.apply
+
+    def counting_apply(self, point):
+        calls.append(point)
+        return apply(self, point)
+
+    monkeypatch.setattr(TriangularMap, "apply", counting_apply)
+    with pytest.raises(ResourceLimitError) as err:
+        orbit(f, [2], 20, ResourceCaps(max_coeff_bits=100))
+    # 2^64 -> 2^128 would have 130 bits: the bound 2 + 2 * (65 + 1) refuses it
+    assert err.value.metadata["last_safe_n"] == 6
+    assert err.value.metadata["bits"] == 134
+    assert len(calls) == 6
 
 
 def test_orbits_disjoint():
