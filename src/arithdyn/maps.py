@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .qpoly import (
     DimensionMismatchError,
@@ -182,8 +182,9 @@ def orbit(
     """Compute [P, f(P), ..., f^{n_max}(P)] exactly.
 
     Before each step, :func:`step_bits_bound` bounds the bit size of the
-    coordinates it would make; if that bound exceeds caps.max_coeff_bits the
-    step is not computed, and ResourceLimitError carries the last safe n.
+    coordinates it would make, from f's terms summed once per call; if that
+    bound exceeds caps.max_coeff_bits the step is not computed, and
+    ResourceLimitError carries the last safe n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -193,8 +194,9 @@ def orbit(
             f"point has {len(point)} coordinates, expected {f.dimension}"
         )
     points = [point]
+    bound = _step_bound(f)
     for n in range(n_max):
-        bits = step_bits_bound(f, point)
+        bits = bound(point)
         if bits > caps.max_coeff_bits:
             raise ResourceLimitError(
                 f"orbit coordinates may reach {bits} bits at step {n + 1}, "
@@ -223,16 +225,22 @@ def step_bits_bound(f: TriangularMap, point: AffinePoint) -> int:
         bits(num) + bits(den) <= bits(sum_a |C_a|) + bits(M)
                                  + sum_j deg_j (bits(max(|n_j|, d_j)) + bits(d_j)).
     """
-    sizes = [
-        max(c.numerator.bit_length(), c.denominator.bit_length()) + c.denominator.bit_length()
-        for c in point
-    ]
-    bound = 0
+    return _step_bound(f)(point)
+
+
+def _step_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
+    """:func:`step_bits_bound` for f as a function of the point, f's terms summed once."""
+    terms = []
     for p in f.components:
         m = math.lcm(*(c.denominator for c in p.terms.values()))
         weight = sum(abs(c.numerator) * (m // c.denominator) for c in p.terms.values())
-        size = sum(max(e) * z for e, z in zip(zip(*p.terms), sizes))
-        bound = max(bound, weight.bit_length() + m.bit_length() + size)
+        terms.append((weight.bit_length() + m.bit_length(), [max(e) for e in zip(*p.terms)]))
+
+    def bound(point: AffinePoint) -> int:
+        dens = [c.denominator.bit_length() for c in point]
+        sizes = [max(c.numerator.bit_length(), d) + d for c, d in zip(point, dens)]
+        return max(w + sum(d * z for d, z in zip(degs, sizes)) for w, degs in terms)
+
     return bound
 
 

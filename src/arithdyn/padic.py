@@ -39,18 +39,41 @@ class NotInSectorError(ValueError):
     pass
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin on the primes 2..41.
+
+    With n - 1 = 2^s d, d odd, a prime n has a^d = 1 or a^(2^r d) = -1 mod n
+    for some r < s, for every base a it does not divide.  Every composite
+    n < ``_MILLER_RABIN_LIMIT`` fails that for one of the thirteen bases
+    (Sorenson & Webster, Math. Comp. 86 (2017)); at or above the limit no
+    base set is proved, so it raises ValueError rather than guess.
+    """
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic primality bound {_MILLER_RABIN_LIMIT}")
+    if n in _MILLER_RABIN_BASES:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 

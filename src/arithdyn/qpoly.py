@@ -18,13 +18,13 @@ denominator (:func:`_product_terms`).  When the exponents fill their box
 densely enough, after dividing each variable's exponents by their gcd, each
 operand is packed into one big int and the product is one big-integer
 multiply (Kronecker substitution); otherwise a loop over all term pairs
-adds exponent tuples packed into ints.  Evaluation is a sparse Horner
-scheme over Z[1/S], where S holds the primes of the point's and the
-coefficients' denominators (:func:`_horner_integer`): all values share one
-denominator D = 2^E * D_odd, known in that split, so only numerators are
-computed.  The result is reduced by shifting out the power of two the
-numerator holds and by one gcd against D_odd, which is 1 when every
-denominator is a power of two, as on power-of-two orbits.
+adds exponent tuples packed into ints.  Evaluation folds one variable
+level at a time, x_N first (:func:`_horner_integer`): the terms sharing
+their exponents of x_1..x_(i-1) are one homogenised Horner in x_i, so all
+values share one denominator D = 2^E * D_odd and only numerators are
+computed, as pairs (v, s) standing for v 2^s.  A power of two in a
+denominator only adds to s, never enters a product.  The result is reduced
+by shifts and one gcd against D_odd, which is 1 on power-of-two orbits.
 
 Orbit coordinates grow like delta^n, so evaluation multiplies numerators
 of 10^5 to 10^6 bits.  Every product and power there runs through
@@ -39,6 +39,7 @@ product and loses 7 % on a square, at 52,000 bits both tie, and at
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -200,15 +201,9 @@ class Polynomial:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a point given as a sequence of N rationals.
 
-        Sparse Horner scheme taken variable by variable, x1 outermost (Knuth,
-        TAOCP vol. 2, 4.6.4), run on integers by :func:`_horner_integer`.
-        Writing x_i = n_i / d_i, every group of terms is homogenised so that
-        all values carry the one denominator D = M * prod d_i^deg_i, where M
-        is the lcm of the coefficient denominators: only the numerator is
-        computed, and multiplying by a power of d_i is a shift for its
-        power of two.  The power of two in D cancels by the numerator's
-        trailing zeros and the odd part by one gcd, so when every
-        denominator is a power of two no gcd runs at all.
+        Sparse Horner (Knuth, TAOCP vol. 2, 4.6.4), one variable level at a
+        time on integer numerators over one denominator, reduced by shifts
+        and, for odd denominators, one gcd (:func:`_horner_integer`).
         """
         if len(point) != self.dimension:
             raise DimensionMismatchError(
@@ -447,97 +442,76 @@ def _kronecker_terms(a, b, a_nums, b_nums, den, steps, radii, slot):
 
 
 def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fraction]) -> Fraction:
-    """The value of a nonempty term map at a point, by integer sparse Horner.
+    """The value of a nonempty term map at a point, one variable level at a time.
 
-    The terms are walked in descending lexicographic order, so the terms
-    sharing their exponents of x1..x_(i-1) form one group, a polynomial in
-    x_i whose coefficients are values in x_(i+1)..x_N, and each variable
-    keeps one open accumulator.  With x_i = n_i / d_i, a group whose highest
-    exponent is ``top`` is held as the integer V = sum_e C_e n_i^(e-low)
-    d_i^(top-e), where ``low`` is the exponent folded last; the next
-    coefficient C at exponent e folds as V = V n_i^(low-e) + C d_i^(top-e).
-    The group's value is V n_i^low / d_i^top, and closing it multiplies V by
-    n_i^low d_i^(deg_i - top), so every closed group in x_i shares the
-    denominator d_i^deg_i times that of its coefficients.  Coefficients
-    start as integers over M, the lcm of their denominators, so the value is
-    N / D with D = M * prod d_i^deg_i.  A power of d_i is a shift for its
-    power of two and a cached power of its odd part.
+    Write x_i = n_i / d_i, d_i = 2^t_i o_i with o_i odd, deg_i for the degree
+    in x_i and M for the lcm of the coefficient denominators.  An entry is a
+    pair (v, s), s >= 0, standing for the integer v 2^s.  The pass starts
+    from {a: (M c_a, 0)} and folds x_N first, x_1 last: the entries sharing
+    their exponents of x_1..x_(i-1), holding c_e at exponents e of x_i,
+    become one entry holding sum_e c_e n_i^e d_i^(deg_i - e), by Horner over
+    descending e, v <- v n_i^(e' - e) + c_e o_i^(deg_i - e) with e' the last
+    exponent folded, closed by n_i^e'.  The factor 2^(t_i (deg_i - e)) only
+    adds to the s of c_e, and two pairs are summed over the smaller s, so
+    aligning them is a shift.  Every step is exact.  By induction from x_N
+    down, an entry at level i holds M d_i^deg_i ... d_N^deg_N times the
+    value in x_i..x_N of its terms, so the last one gives N = v 2^s over
+    D = M prod_i d_i^deg_i: the N / D of homogenising all terms at once,
+    which :func:`maps.step_bits_bound` bounds.  Levels are a loop, so the
+    depth does not grow with N.
 
-    Every product and power of numerators runs through :func:`_big_mul`
-    and :func:`_big_pow` (cached per exponent), so long operands take the
-    Toom-6 path.
-
-    D is kept as 2^E * D_odd.  The value is reduced by shifting
-    2^min(v_2(N), E) out of N and dividing N and D_odd by their gcd, which
-    is skipped when D_odd = 1; see :func:`_coprime_fraction` for why the
-    result needs no further gcd.
+    No power of two is multiplied: :func:`_big_mul` and :func:`_big_pow`
+    see only values, n_i and o_i, and each power is built once, cached by
+    (numerator or odd part, variable, exponent).  With D = 2^E D_odd, and
+    s <= E since level i adds at most t_i deg_i, the value is
+    v / (2^(E - s) D_odd), reduced by shifting 2^min(v_2(v), E - s) out of v
+    and dividing v and D_odd by their gcd, skipped when D_odd = 1; see
+    :func:`_coprime_fraction` for why no further gcd is needed.
     """
-    n = len(values)
     nums = [v.numerator for v in values]
     twos = [(v.denominator & -v.denominator).bit_length() - 1 for v in values]
     odds = [v.denominator >> t for v, t in zip(values, twos)]
     degs = [max(e) for e in zip(*terms)]
     m = math.lcm(*(c.denominator for c in terms.values()))
-    num_powers: dict[tuple[int, int], int] = {}
-    odd_powers: dict[tuple[int, int], int] = {}
 
-    def times_num(v: int, i: int, e: int) -> int:
-        if not e:
-            return v
-        if (i, e) not in num_powers:
-            num_powers[i, e] = _big_pow(nums[i], e)
-        return _big_mul(v, num_powers[i, e])
+    @functools.cache
+    def power(odd: bool, i: int, e: int) -> int:
+        return _big_pow((odds if odd else nums)[i], e)
 
-    def times_den(v: int, i: int, e: int) -> int:
-        if not e:
-            return v
-        if (i, e) not in odd_powers:
-            odd_powers[i, e] = _big_pow(odds[i], e)
-        return _big_mul(v << twos[i] * e, odd_powers[i, e])
+    def times(v: int, base: list[int], i: int, e: int) -> int:
+        return _big_mul(v, power(base is odds, i, e)) if e and v else v
 
-    # acc[i]: the open Horner integer in x_i, None before its first
-    # coefficient; top[i] and low[i]: the exponents folded first and last
-    acc: list[int | None] = [None] * n
-    top = [0] * n
-    low = [0] * n
-
-    def fold(i: int, e: int, c: int) -> None:
-        if acc[i] is None:
-            acc[i] = c
-            top[i] = e
-        else:
-            acc[i] = times_num(acc[i], i, low[i] - e) + times_den(c, i, top[i] - e)
-        low[i] = e
-
-    def close(i: int) -> int:
-        return times_den(times_num(acc[i], i, low[i]), i, degs[i] - top[i])
-
-    items = sorted(terms.items(), reverse=True)
-    prev = items[0][0]
-    for mono, coeff in items:
-        # mono first differs from prev at index k, and the groups of the
-        # later variables close; nothing closes for the first term
-        k = next((j for j in range(n) if mono[j] != prev[j]), n - 1)
-        for i in range(n - 1, k, -1):
-            fold(i - 1, prev[i - 1], close(i))
-            acc[i] = None
-        fold(n - 1, mono[n - 1], coeff.numerator * (m // coeff.denominator))
-        prev = mono
-    for i in range(n - 1, 0, -1):
-        fold(i - 1, prev[i - 1], close(i))
-    numerator = close(0)
-    if not numerator:
+    level = [(a, c.numerator * (m // c.denominator), 0) for a, c in sorted(terms.items(), reverse=True)]
+    for i in reversed(range(len(values))):
+        folded = []
+        for prefix, group in itertools.groupby(level, lambda entry: entry[0][:i]):
+            v, s, low = 0, 0, degs[i]  # v = 0 until the first term
+            for a, c, t in group:
+                v = times(v, nums, i, low - a[i])
+                c = times(c, odds, i, degs[i] - a[i])
+                t += twos[i] * (degs[i] - a[i])
+                if not v:
+                    v, s = c, t
+                elif s <= t:
+                    v += c << t - s
+                else:
+                    v, s = (v << s - t) + c, t
+                low = a[i]
+            folded.append((prefix, times(v, nums, i, low), s))
+        level = folded
+    _, v, s = level[0]
+    if not v:
         return Fraction(0)
     m_twos = (m & -m).bit_length() - 1
-    twos_exponent = m_twos + sum(d * t for d, t in zip(degs, twos))
-    k = min((numerator & -numerator).bit_length() - 1, twos_exponent)
-    numerator >>= k
+    twos_exponent = m_twos + sum(d * t for d, t in zip(degs, twos)) - s
+    k = min((v & -v).bit_length() - 1, twos_exponent)
+    v >>= k
     odd = (m >> m_twos) * math.prod(d**e for d, e in zip(odds, degs))
     if odd > 1:
-        g = math.gcd(numerator, odd)
-        numerator //= g
+        g = math.gcd(v, odd)
+        v //= g
         odd //= g
-    return _coprime_fraction(numerator, odd << (twos_exponent - k))
+    return _coprime_fraction(v, odd << (twos_exponent - k))
 
 
 _TOOM_BITS = 52_000

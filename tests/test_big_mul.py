@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from arithdyn import qpoly
 from arithdyn.density import evaluate_monomial
+from arithdyn.maps import triangular_map
 from arithdyn.qpoly import _big_mul, _big_pow, parse_polynomial
 
 CUT = qpoly._TOOM_BITS
@@ -286,5 +287,50 @@ def test_evaluate_with_small_cut_off_matches_monomial_sum(nums, dens, text):
     poly = parse_polynomial(text, 2)
     with cutoff(64):
         value = poly.evaluate(point)
+    assert value == monomial_sum(poly, point)
+    assert math.gcd(value.numerator, value.denominator) == 1 and value.denominator > 0
+
+
+def is_power_of_two(x):
+    return x > 1 and x & (x - 1) == 0
+
+
+@pytest.mark.parametrize(
+    "components, start, steps",
+    [
+        (["x1^3+x2", "x2^2+1"], ("1/256", "1/2"), 10),
+        (["x1^3+x2", "x2^2+1"], ("15/256", "9/2"), 8),
+        (["x1*x2+1", "x2^2"], ("1", "97/2"), 17),
+        (["x1*x2+1", "x2^2"], ("1", "1/2"), 10),
+    ],
+    ids=["E1_product_start", "E1_sector_start", "second_case_start", "product_b_start"],
+)
+def test_evaluate_never_multiplies_by_a_power_of_two(components, start, steps):
+    # every denominator on these orbits is a power of two: it may only move
+    # the pairs' exponents, never enter a product
+    f = triangular_map(components)
+    point = tuple(Fraction(c) for c in start)
+    for _ in range(steps):
+        with recorded_products() as calls:
+            image = f.apply(point)
+        assert not [x for call in calls for x in call if is_power_of_two(abs(x))]
+        assert image == tuple(monomial_sum(p, point) for p in f.components)
+        point = image
+    assert max(c.denominator.bit_length() for c in point) > 500
+
+
+def test_evaluate_in_1200_variables_matches_monomial_sum():
+    # one pass per variable level, no recursion: depth does not grow with N
+    n = 1200
+    rng = random.Random(15)
+    terms = {(0,) * n: Fraction(-7, 3), (1,) * n: Fraction(1)}
+    for _ in range(40):
+        mono = [0] * n
+        for i in rng.sample(range(n), 6):
+            mono[i] = rng.randint(1, 4)
+        terms[tuple(mono)] = Fraction(rng.randint(-50, 50) or 1, rng.choice([1, 2, 6, 8]))
+    poly = qpoly.Polynomial(n, terms)
+    point = [Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 4, 5])) for _ in range(n)]
+    value = poly.evaluate(point)
     assert value == monomial_sum(poly, point)
     assert math.gcd(value.numerator, value.denominator) == 1 and value.denominator > 0

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -298,6 +299,58 @@ def test_cli_run_bad_input_exits_config(tmp_path, capsys, doc):
     code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_run_second_case_default_start(tmp_path, capsys):
+    # no point: the start is (1, x2) with x2 from a seeded sector sample, so
+    # |x2|_p > 1; only the alpha_upper_proxy check fails (exit 2), as on
+    # every second_case_n2 run
+    cfg = write_cfg(tmp_path, {"map": SECOND_DOC, "mode": "second_case_n2", "seed": 3})
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_ASSERTION_FAILED
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    x1, x2 = (Fraction(c) for c in summary["point"])
+    assert x1 == 1 and x2.denominator % summary["prime"] == 0
+    assert [c["name"] for c in summary["checks"] if not c["passed"]] == ["alpha_upper_proxy"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"map": E1_DOC, "mode": "iterate_check", "iterate_power": 4, "point": ["1/256", "1/2"]},
+            "iterate_power is capped at 3",
+        ),
+        (
+            {"map": E1_DOC, "map_b": SECOND_DOC, "mode": "product", "point": ["1/256", "1/2", "1"]},
+            "N_f + N_g coordinates",
+        ),
+        ({"map": {"dimension": 1, "components": ["x0"]}}, "bad variable x0"),
+        ({"map": {"dimension": 1, "components": ["x1^"]}}, "exponent after '^'"),
+        ({"map": {"dimension": 1, "components": ["x1^x1"]}}, "exponent after '^'"),
+        ({"map": {"dimension": 1, "components": ["x1 +"]}}, "dangling sign"),
+    ],
+    ids=["iterate_power_4", "product_point_length", "x0", "x1^", "x1^x1", "x1 +"],
+)
+def test_cli_run_rejected_config_exits_config(tmp_path, capsys, doc, message):
+    cfg = write_cfg(tmp_path, doc)
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_run_with_a_61_bit_prime_ends(tmp_path, capsys):
+    # trial division would take about 7.6e8 divisions to prove 2^61 - 1
+    # prime, so the run would hang; the orbit coordinates outgrow Python's
+    # int-to-str digit limit while the reports are written, a resource cap
+    # (exit 3)
+    cfg = write_cfg(
+        tmp_path, {"map": E1_DOC, "mode": "first_case", "prime": 2**61 - 1, "samples": 2, "n_max": 3}
+    )
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_RESOURCE
+    assert "integer string conversion" in capsys.readouterr().err
 
 
 def test_cli_density_zero_denominator_exits_config(tmp_path, capsys):

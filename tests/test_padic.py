@@ -15,6 +15,7 @@ from arithdyn.padic import (
     dominant_monomial,
     find_unit_prime,
     in_U,
+    is_prime,
     minimal_signature,
     sample_U,
     sector_config,
@@ -58,6 +59,52 @@ def test_valuation_axioms(x, y, p):
 
 
 # -- prime and constant selection ---------------------------------------------
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_up_to_1e5():
+    assert [n for n in range(-3, 100_001) if is_prime(n)] == [
+        n for n in range(-3, 100_001) if trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047,  # strong pseudoprime to base 2
+        1373653,  # to bases 2, 3
+        25326001,  # to bases 2, 3, 5
+        3215031751,  # to bases 2, 3, 5, 7
+        2152302898747,  # to the primes up to 11
+        3474749660383,  # up to 13
+        341550071728321,  # up to 17
+        3825123056546413051,  # up to 23
+        318665857834031151167461,  # up to 37
+        3317044064679887385961979,  # the largest odd n the test accepts
+        (2**61 - 1) * (2**17 - 1),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+# the last: the largest prime below the bound
+@pytest.mark.parametrize("n", [2, 3, 5, 41, 43, 2**31 - 1, 1000000000039, 2**61 - 1, 3317044064679887385961813])
+def test_is_prime_accepts_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 is the least
+    # strong pseudoprime to all thirteen bases
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+    for n in (3317044064679887385961981, 2**127 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert is_prime(2**127) is False  # even numbers return before the bound
 
 
 def test_find_unit_prime_all_unit_coefficients():
