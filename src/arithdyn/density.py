@@ -60,14 +60,6 @@ def monomials_up_to_degree(dimension: int, degree: int) -> list:
     return out
 
 
-def evaluate_monomial(mono: Monomial, point) -> Fraction:
-    value = Fraction(1)
-    for coord, e in zip(point, mono):
-        if e:
-            value *= coord**e
-    return value
-
-
 def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list:
     """Each row scaled by the lcm of its entries' denominators."""
     rows = []

@@ -54,6 +54,7 @@ EXIT_CONFIG = 4
 MODES = ("first_case", "second_case_n2", "product", "iterate_check")
 
 ALPHA_UPPER_MARGIN = 0.05
+ALPHA_MIN_N = 5
 KHAT_FLOAT_MARGIN = 1e-9
 
 
@@ -192,23 +193,36 @@ def _degree_stage(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, checks
     return delta, seq
 
 
-def _alpha_upper_check(seqs: list, delta: int, n_min: int = 5) -> Check:
-    worst = None
-    for seq in seqs:
-        for row in seq.rows:
-            if row.n >= n_min and row.root is not None:
-                if worst is None or row.root > worst:
-                    worst = row.root
-    passed = worst is not None and worst <= delta + ALPHA_UPPER_MARGIN
-    return Check(
-        name="alpha_upper_proxy",
-        statement=(
-            f"max of h+(f^n P)^(1/n) over n >= {n_min} stays within "
-            f"{ALPHA_UPPER_MARGIN} above the exact dynamical degree"
-        ),
-        passed=bool(passed),
-        details={"max_root": worst, "delta_exact": delta},
+def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
+    """The height-sequence checks of a run: the canonical-height floor, one
+    per sequence, when ``floors`` are given, then the root proxy."""
+    checks = []
+    if floors is not None:
+        checks.append(
+            Check(
+                name="lower_canonical_height_positive",
+                statement="delta^(-n) * h+(f^n P) >= (-v_p x_1) * log p for all computed n",
+                passed=all(
+                    row.khat >= floor - KHAT_FLOAT_MARGIN
+                    for seq, floor in zip(seqs, floors)
+                    for row in seq.rows
+                ),
+                details={"margin": KHAT_FLOAT_MARGIN},
+            )
+        )
+    worst = max((root for seq in seqs for root in seq.roots(ALPHA_MIN_N)), default=None)
+    checks.append(
+        Check(
+            name="alpha_upper_proxy",
+            statement=(
+                f"max of h+(f^n P)^(1/n) over n >= {ALPHA_MIN_N} stays within "
+                f"{ALPHA_UPPER_MARGIN} above the exact dynamical degree"
+            ),
+            passed=worst is not None and worst <= delta + ALPHA_UPPER_MARGIN,
+            details={"max_root": worst, "delta_exact": delta},
+        )
     )
+    return checks
 
 
 def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -> ExperimentResult:
@@ -229,19 +243,18 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
     prefix = 5
     d11 = diag[0]
     log_p = math.log(sector.prime)
-    khat_ok = True
     floor_ok = True
     seqs = []
+    floors = []
     prefixes = []
     for point in samples:
         orb = orbit(f, point, max(cfg.n_max, prefix), caps)
         head = Orbit(map=f, start=orb.start, points=orb.points[: cfg.n_max + 1])
-        seq = hts.height_sequence_of_orbit(head, delta)
-        seqs.append(seq)
+        seqs.append(hts.height_sequence_of_orbit(head, delta))
         prefixes.append(Orbit(map=f, start=orb.start, points=orb.points[: prefix + 1]))
         e = [-padic.vp(q[0], sector.prime) for q in head.points]  # -v_p(x_1 of f^n P)
         floor_ok = floor_ok and all(e[n] >= d11**n * e[0] for n in range(len(e)))
-        khat_ok = khat_ok and all(row.khat >= e[0] * log_p - KHAT_FLOAT_MARGIN for row in seq.rows)
+        floors.append(e[0] * log_p)
 
     stability = padic.verify_stability(sector, prefixes)
     checks.append(
@@ -278,15 +291,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={"n_max": cfg.n_max},
         )
     )
-    checks.append(
-        Check(
-            name="lower_canonical_height_positive",
-            statement="delta^(-n) * h+(f^n P) >= (-v_p x_1) * log p for all computed n",
-            passed=khat_ok,
-            details={"margin": KHAT_FLOAT_MARGIN},
-        )
-    )
-    checks.append(_alpha_upper_check(seqs, delta))
+    checks.extend(_height_checks(seqs, delta, floors))
 
     witness = padic.u_minus_fu_witness(f, sector)
     checks.append(
@@ -396,7 +401,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
 
     seq = hts.height_sequence_of_orbit(orb, delta)
     _write(out_dir, "heights.csv", seq.to_csv(), files)
-    checks.append(_alpha_upper_check([seq], delta))
+    checks.extend(_height_checks([seq], delta))
 
     extra = {
         "map": map_to_json_dict(f),
@@ -433,7 +438,8 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -
             raise ConfigError("product point must have N_f + N_g coordinates")
         p_a, p_b = point[: f.dimension], point[f.dimension :]
         additivity = hts.product_height_additivity(f, p_a, g, p_b, cfg.n_max, caps)
-        additive_ok = additivity.projections_match
+        alpha_a = additivity.seq_a.rows[-1].root
+        alpha_b = additivity.seq_b.rows[-1].root
         checks.append(
             Check(
                 name="product_height_additivity",
@@ -441,26 +447,16 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -
                     "the product orbit projects exactly onto the factor orbits; the "
                     "summed height's exact argument is the product of the factors'"
                 ),
-                passed=additive_ok,
+                passed=additivity.projections_match,
                 details={
-                    "alpha_a": additivity.alpha_a,
-                    "alpha_b": additivity.alpha_b,
-                    "expected_limit": additivity.expected_limit,
-                    "last_root": additivity.last_root,
+                    "alpha_a": alpha_a,
+                    "alpha_b": alpha_b,
+                    "expected_limit": max(alpha_a, alpha_b),
+                    "last_root": additivity.sums()[-1][1],
                 },
             )
         )
-        _write(
-            out_dir,
-            "product_heights.csv",
-            "n,arg_a_bits,arg_b_bits,h_sum,root\n"
-            + "".join(
-                f"{r.n},{r.arg_a.bit_length()},{r.arg_b.bit_length()},{r.h_sum!r},"
-                f"{'' if r.root is None else repr(r.root)}\n"
-                for r in additivity.rows
-            ),
-            files,
-        )
+        _write(out_dir, "product_heights.csv", additivity.to_csv(), files)
 
     extra = {
         "map": map_to_json_dict(f),
@@ -488,14 +484,16 @@ def iterate_consistency(
 
     orb_fast = orbit(f_t, point, n_max, caps)
     orb_slow = orbit(f, point, n_max * t, caps)
-    rows = []
-    heights_ok = True
-    for n in range(n_max + 1):
-        # equal points have equal height arguments, so one height per row
-        arg = hts.affine_height(orb_fast.points[n]).max_abs
-        equal = orb_fast.points[n] == orb_slow.points[n * t]
-        heights_ok = heights_ok and equal
-        rows.append({"n": n, "height_arg_bits": arg.bit_length(), "equal": equal})
+    # equal points have equal height arguments, so one height per row
+    rows = [
+        {
+            "n": row.n,
+            "height_arg_bits": row.height_arg.bit_length(),
+            "equal": orb_fast.points[row.n] == orb_slow.points[row.n * t],
+        }
+        for row in hts.height_sequence_of_orbit(orb_fast, delta_t).rows
+    ]
+    heights_ok = all(row["equal"] for row in rows)
     return {
         "t": t,
         "delta": delta,

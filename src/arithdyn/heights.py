@@ -30,6 +30,10 @@ with the exact integer height argument kept alongside.  A positive floor on
 khat_n along the whole orbit certifies that the arithmetic degree at P equals
 the dynamical degree.  Finite tails are estimates: the limits themselves are
 not finitely computable, so only one-sided bounds are ever asserted.
+
+Every row is built by ``height_sequence_of_orbit``.  A product X x Y has no
+rows of its own: its row n is read from the two factors' height sequences as
+h_a + h_b, whose exact argument arg_a * arg_b is never formed.
 """
 
 from __future__ import annotations
@@ -77,9 +81,6 @@ class HeightRow:
 
 @dataclass
 class HeightSequence:
-    map: TriangularMap
-    start: tuple
-    delta: float
     rows: list
 
     def roots(self, min_n: int = 1) -> list:
@@ -101,11 +102,14 @@ def _root(h: float, n: int) -> float | None:
     return math.exp(math.log(max(h, 1.0)) / n) if n >= 1 else None
 
 
-def _height_row(n: int, point, delta: float) -> HeightRow:
+def _height_row(n: int, point, delta: int) -> HeightRow:
     height = affine_height(point)
     h_plus = max(height.log, 1.0)
     root = _root(h_plus, n)
-    khat = h_plus / delta**n
+    try:
+        khat = h_plus / delta**n
+    except OverflowError:  # delta^n is past the float range, the quotient is not
+        khat = float(Fraction(h_plus) / delta**n)
     return HeightRow(
         n=n, height_arg=height.max_abs, h=height.log, h_plus=h_plus, root=root, khat=khat
     )
@@ -115,7 +119,7 @@ def height_sequence(
     f: TriangularMap,
     start: Sequence[Fraction],
     n_max: int,
-    delta: float | None = None,
+    delta: int | None = None,
     caps: ResourceCaps = DEFAULT_CAPS,
 ) -> HeightSequence:
     """Height rows along the exact orbit of ``start`` for n = 0..n_max.
@@ -129,9 +133,8 @@ def height_sequence(
     return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
 
 
-def height_sequence_of_orbit(orb: Orbit, delta: float) -> HeightSequence:
-    rows = [_height_row(n, p, delta) for n, p in enumerate(orb.points)]
-    return HeightSequence(map=orb.map, start=orb.start, delta=delta, rows=rows)
+def height_sequence_of_orbit(orb: Orbit, delta: int) -> HeightSequence:
+    return HeightSequence(rows=[_height_row(n, p, delta) for n, p in enumerate(orb.points)])
 
 
 def alpha_bounds(seq: HeightSequence, tail: int) -> tuple:
@@ -143,24 +146,29 @@ def alpha_bounds(seq: HeightSequence, tail: int) -> tuple:
     return (min(window), max(window))
 
 
-@dataclass(frozen=True)
-class ProductHeightRow:
-    n: int
-    arg_a: int  # exact height argument of the first factor's point
-    arg_b: int
-    arg_sum: int  # arg_a * arg_b: exact argument of h_a + h_b
-    h_sum: float
-    root: float | None  # max(h_sum, 1)^(1/n)
-
-
 @dataclass
 class ProductHeightReport:
-    rows: list
-    alpha_a: float  # last a_n of the first factor alone
-    alpha_b: float
-    expected_limit: float  # max(alpha_a, alpha_b)
-    last_root: float
+    """The factors' height sequences along the projections of the product orbit."""
+
+    seq_a: HeightSequence
+    seq_b: HeightSequence
     projections_match: bool  # product orbit projects exactly onto factor orbits
+
+    def sums(self) -> list:
+        """(h_sum, root) per row n: h_sum = h_a + h_b, root = max(h_sum, 1)^(1/n)."""
+        return [
+            (ra.h + rb.h, _root(ra.h + rb.h, ra.n))
+            for ra, rb in zip(self.seq_a.rows, self.seq_b.rows)
+        ]
+
+    def to_csv(self) -> str:
+        lines = ["n,arg_a_bits,arg_b_bits,h_sum,root"]
+        for ra, rb, (h_sum, root) in zip(self.seq_a.rows, self.seq_b.rows, self.sums()):
+            lines.append(
+                f"{ra.n},{ra.height_arg.bit_length()},{rb.height_arg.bit_length()},"
+                f"{h_sum!r},{'' if root is None else repr(root)}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 def product_height_additivity(
@@ -176,45 +184,20 @@ def product_height_additivity(
     The product height (sum of the factors' coordinate heights) has exact
     integer argument arg_a * arg_b; its n-th roots tend to the max of the
     factors' estimates because for positive sequences with n-th-root limits
-    >= 1, (a_n + b_n)^(1/n) converges to the larger of the two limits.
+    >= 1, (a_n + b_n)^(1/n) converges to the larger of the two limits.  Each
+    factor's sequence is taken with that factor's own dynamical degree.
     """
     p_a = as_point(p_a)
     p_b = as_point(p_b)
-    prod = product_map(f_a, f_b)
-    orb = orbit(prod, p_a + p_b, n_max, caps)
+    orb = orbit(product_map(f_a, f_b), p_a + p_b, n_max, caps)
     orb_a = orbit(f_a, p_a, n_max, caps)
     orb_b = orbit(f_b, p_b, n_max, caps)
-
     nf = f_a.dimension
-    projections_match = all(
-        q[:nf] == qa and q[nf:] == qb
-        for q, qa, qb in zip(orb.points, orb_a.points, orb_b.points)
-    )
-
-    rows = []
-    for n, (qa, qb) in enumerate(zip(orb_a.points, orb_b.points)):
-        ha = affine_height(qa)
-        hb = affine_height(qb)
-        h_sum = ha.log + hb.log
-        rows.append(
-            ProductHeightRow(
-                n=n,
-                arg_a=ha.max_abs,
-                arg_b=hb.max_abs,
-                arg_sum=ha.max_abs * hb.max_abs,
-                h_sum=h_sum,
-                root=_root(h_sum, n),
-            )
-        )
-
-    last = rows[-1]
-    alpha_a = _root(math.log(last.arg_a), last.n)
-    alpha_b = _root(math.log(last.arg_b), last.n)
     return ProductHeightReport(
-        rows=rows,
-        alpha_a=alpha_a,
-        alpha_b=alpha_b,
-        expected_limit=max(alpha_a, alpha_b),
-        last_root=rows[-1].root,
-        projections_match=projections_match,
+        seq_a=height_sequence_of_orbit(orb_a, dynamical_degree_exact(f_a)),
+        seq_b=height_sequence_of_orbit(orb_b, dynamical_degree_exact(f_b)),
+        projections_match=all(
+            q[:nf] == qa and q[nf:] == qb
+            for q, qa, qb in zip(orb.points, orb_a.points, orb_b.points)
+        ),
     )

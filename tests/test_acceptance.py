@@ -256,10 +256,11 @@ def test_acceptance_07_product_rule():
         )
         add = product_height_additivity(fa, BASE_POINTS[ia], fb, BASE_POINTS[ib], 5)
         additivity_ok = additivity_ok and add.projections_match
-        for row in add.rows:
-            # exact integer level: the max-coordinate arguments multiply, so
-            # the logs add with no floating error in the argument itself
-            additivity_ok = additivity_ok and row.arg_sum == row.arg_a * row.arg_b
+        for ra, rb, (h_sum, _) in zip(add.seq_a.rows, add.seq_b.rows, add.sums()):
+            # the summed height is the sum of the logs of the factors' exact
+            # max-coordinate arguments, bit for bit
+            exact_sum = math.log(ra.height_arg) + math.log(rb.height_arg)
+            additivity_ok = additivity_ok and h_sum == exact_sum
     passed = degree_ok and additivity_ok and budget.ok()
     report(
         7,

@@ -8,7 +8,7 @@ must return exactly ``x ** e``.  The random cases also run with the cut-off
 patched down to a few hundred bits, so that every product recurses through
 several Toom levels.  ``evaluate`` is checked at points whose numerators and
 denominators (odd ones too, so the gcd reduction runs) are above the real
-cut-off, against a sum of ``density.evaluate_monomial`` terms.
+cut-off, against a sum of ``evaluate_monomial`` terms (``tests/oracle.py``).
 
 The guards pin the algorithm without a clock: W V = D I for the evaluation
 points, the pieces' values at those points, and the eleven sixth-length
@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithdyn import qpoly
-from arithdyn.density import evaluate_monomial
 from arithdyn.maps import triangular_map
 from arithdyn.qpoly import _big_mul, _big_pow, parse_polynomial
+from oracle import evaluate_monomial
 
 CUT = qpoly._TOOM_BITS
 

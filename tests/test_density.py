@@ -10,12 +10,12 @@ from arithdyn.density import (
     DuplicatePointsError,
     bareiss_rank,
     density_check,
-    evaluate_monomial,
     monomials_up_to_degree,
     rational_rref,
 )
 from arithdyn.maps import orbit, triangular_map
 from arithdyn.padic import sample_U, sector_config
+from oracle import evaluate_monomial
 
 
 def test_monomials_counts():

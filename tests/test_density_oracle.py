@@ -24,11 +24,11 @@ from arithdyn.density import (
     _kernel_from_rref,
     bareiss_rank,
     density_check,
-    evaluate_monomial,
     monomials_up_to_degree,
     rational_rref,
 )
 from arithdyn.padic import vp
+from oracle import evaluate_monomial
 
 sympy = pytest.importorskip("sympy")
 

@@ -12,9 +12,11 @@ from arithdyn.experiments import (
     EXIT_RESOURCE,
     ConfigError,
     ExperimentConfig,
+    _height_checks,
     iterate_consistency,
     run_experiment,
 )
+from arithdyn.heights import HeightRow, HeightSequence
 from arithdyn.maps import ResourceCaps, TriangularMap, map_to_json_dict, triangular_map
 from arithdyn.qpoly import ResourceLimitError
 
@@ -108,6 +110,40 @@ def test_second_case_pipeline(tmp_path):
     assert result.exit_code == EXIT_OK
 
 
+def _seq(*khats):
+    # rows with h+ = 3^n * khat, so a_n = (3^n * khat)^(1/n)
+    return HeightSequence(
+        rows=[
+            HeightRow(
+                n=n, height_arg=1, h=3**n * k, h_plus=3**n * k,
+                root=(3**n * k) ** (1 / n) if n else None, khat=k,
+            )
+            for n, k in enumerate(khats)
+        ]
+    )
+
+
+def test_height_checks_floor_above_one_row_fails():
+    seqs = [_seq(2.0, 2.0, 2.0), _seq(2.0, 1.5, 2.0)]
+    checks = _height_checks(seqs, 3, floors=[1.0, 1.0])
+    assert [c.name for c in checks] == ["lower_canonical_height_positive", "alpha_upper_proxy"]
+    assert checks[0].passed
+    # the floor of the second sequence sits above its row-1 khat
+    failed = _height_checks(seqs, 3, floors=[1.0, 1.6])[0]
+    assert failed.name == "lower_canonical_height_positive" and not failed.passed
+
+
+def test_height_checks_without_floors_is_the_root_proxy_alone():
+    # a_2 = 3 * 100^(1/2) is far above delta, but rows with n < 5 do not count
+    seq = _seq(1.0, 1.0, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    (check,) = _height_checks([seq], 3)
+    assert check.name == "alpha_upper_proxy" and check.passed
+    assert check.details == {"max_root": max(row.root for row in seq.rows[5:]), "delta_exact": 3}
+    # a sequence that never reaches n = 5 has no root to bound and fails
+    (short,) = _height_checks([_seq(1.0, 1.0, 1.0, 1.0, 1.0)], 3)
+    assert short.details["max_root"] is None and not short.passed
+
+
 @pytest.mark.parametrize("n_max,samples,seed", [(6, 12, 0), (4, 3, 5)])
 def test_first_case_walks_each_orbit_once(tmp_path, monkeypatch, n_max, samples, seed):
     # one orbit of max(n_max, 5) steps per sample; the stability and
@@ -166,6 +202,21 @@ def test_product_pipeline(tmp_path):
     assert checks["product_height_additivity"]["passed"]
     assert result.summary["delta_exact"] == 3
     assert result.exit_code == EXIT_OK
+
+
+def test_product_on_fixed_points_runs_past_the_float_range(tmp_path):
+    # delta^n passes 2^1024 while the heights stay 0: the factors' khat rows
+    # must not overflow
+    cfg = ExperimentConfig(
+        map={"dimension": 1, "components": ["x1^2"]},
+        map_b={"dimension": 1, "components": ["x1^3"]},
+        mode="product",
+        point=["1", "0"],
+        n_max=1100,
+    )
+    result = run_experiment(cfg, tmp_path)
+    assert result.exit_code == EXIT_OK
+    assert checks_by_name(result)["product_height_additivity"]["details"]["last_root"] == 1.0
 
 
 def test_product_needs_second_map(tmp_path):

@@ -157,6 +157,12 @@ def test_h_plus_and_khat_are_positive():
         assert row.khat > 0
 
 
+def test_khat_past_the_float_range():
+    # 2^n leaves the float range at n = 1024; khat = 2^-n stays exact
+    seq = height_sequence(triangular_map(["x1^2"]), [1], 1030)
+    assert [seq.rows[n].khat for n in (1023, 1024, 1030)] == [2.0**-1023, 2.0**-1024, 2.0**-1030]
+
+
 def test_alpha_bounds_constant_orbit():
     f = triangular_map(["x1", "x2"])
     seq = height_sequence(f, [1, 1], 8)
@@ -207,23 +213,27 @@ def test_iterate_height_rows_match_exactly():
 
 
 def test_product_height_additivity_closed_form():
-    # oracle: 2^n log 2 + 3^n log 2; the summed-root limit is 3
+    # oracle: arguments 2^(2^n) and 2^(3^n), so h_sum = (2^n + 3^n) log 2 and
+    # the summed-root limit is 3
     report = product_height_additivity(
         triangular_map(["x1^2"]), [2], triangular_map(["x1^3"]), [2], 8
     )
     assert report.projections_match
-    for row in report.rows:
-        assert row.arg_sum == row.arg_a * row.arg_b
-        expected = (2**row.n + 3**row.n) * math.log(2)
-        assert abs(row.h_sum - expected) < 1e-9
-    assert abs(report.last_root - 3.0) <= 0.25
-    assert report.expected_limit == max(report.alpha_a, report.alpha_b)
+    for ra, rb, (h_sum, _) in zip(report.seq_a.rows, report.seq_b.rows, report.sums()):
+        assert (ra.height_arg, rb.height_arg) == (2 ** 2**ra.n, 2 ** 3**rb.n)
+        assert h_sum == math.log(ra.height_arg) + math.log(rb.height_arg)
+        assert abs(h_sum - (2**ra.n + 3**ra.n) * math.log(2)) < 1e-9
+    assert abs(report.sums()[-1][1] - 3.0) <= 0.25
 
 
 def test_product_height_additivity_fixed_points():
+    # 1 and 0 are fixed by x1^2 and both have height argument 1
     f = triangular_map(["x1^2"])
     report = product_height_additivity(f, [1], f, [0], 5)
-    assert len({row.arg_sum for row in report.rows}) == 1
+    assert report.projections_match
+    args = [(ra.height_arg, rb.height_arg) for ra, rb in zip(report.seq_a.rows, report.seq_b.rows)]
+    assert args == [(1, 1)] * 6
+    assert [h_sum for h_sum, _ in report.sums()] == [0.0] * 6
 
 
 def test_product_with_trivial_factor_tracks_other_factor():
@@ -232,7 +242,11 @@ def test_product_with_trivial_factor_tracks_other_factor():
         triangular_map(["x1^2"]), [2], trivial, [5], 8
     )
     solo = height_sequence(triangular_map(["x1^2"]), [2], 8)
-    # constant factor height log 5 is swamped: the limit equals the first
+    # the first factor's rows are its own height sequence; the constant
+    # factor height log 5 is swamped, so the summed root tracks the first
     # factor's estimate
-    assert report.expected_limit == report.alpha_a
-    assert abs(report.last_root - solo.rows[-1].root) < 0.2
+    assert report.projections_match
+    assert report.seq_a.rows == solo.rows
+    assert report.seq_a.rows[-1].root >= report.seq_b.rows[-1].root
+    assert {row.height_arg for row in report.seq_b.rows} == {5}
+    assert abs(report.sums()[-1][1] - solo.rows[-1].root) < 0.2

@@ -1,4 +1,4 @@
-"""Byte-identity guard: every output file of five fixed configs, and the
+"""Byte-identity guard: every output file of six fixed configs, and the
 ``density`` subcommand's report on two point sets.
 
 The run digests were recorded from the code before orbits were shared
@@ -66,6 +66,20 @@ CASES = {
         {
             "product_heights.csv": "21b2a52e5b9533d313b2a1b62bf747635788b76b03d100ce650f05afdb1b1532",
             "summary.json": "d990a08ce28006c7393065fbcb4313478e43e6a0e6b3751626e1669c0fffd4ac",
+        },
+    ),
+    # the benchmark's 2-D product: a first-case factor and a second-case factor
+    "product_e1_second_case": (
+        dict(
+            map=E1_DOC,
+            map_b=SECOND_DOC,
+            mode="product",
+            point=["1/256", "1/2", "1", "1/2"],
+            n_max=10,
+        ),
+        {
+            "product_heights.csv": "d8d0c1360cdb1238b7288d3f7ff1a8231df38610fd8633a2a71cff105f43ccd6",
+            "summary.json": "656210012f369b19fec48f2a429ff50349e3da8a33a9a25897143a8e39f7c030",
         },
     ),
     "iterate_check": (
