@@ -87,6 +87,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.point is not None and type(self.point) is not list:
             raise ConfigError(f"point must be a list of rationals, got {self.point!r}")
+        if self.out_dir is not None and type(self.out_dir) is not str:
+            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.n_max < 1:
@@ -239,24 +241,25 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
     samples = padic.sample_U(sector, cfg.samples, cfg.seed)
 
     # One capped orbit per sample feeds every check and report below; only
-    # its height rows and its disjointness prefix outlive the loop.
+    # its height rows, its valuation signatures for n = 0..n_max and its
+    # disjointness prefix outlive the loop.
     prefix = 5
-    d11 = diag[0]
-    log_p = math.log(sector.prime)
-    floor_ok = True
     seqs = []
-    floors = []
+    tables = []
     prefixes = []
     for point in samples:
         orb = orbit(f, point, max(cfg.n_max, prefix), caps)
-        head = Orbit(map=f, start=orb.start, points=orb.points[: cfg.n_max + 1])
+        head = Orbit(map=f, points=orb.points[: cfg.n_max + 1])
         seqs.append(hts.height_sequence_of_orbit(head, delta))
-        prefixes.append(Orbit(map=f, start=orb.start, points=orb.points[: prefix + 1]))
-        e = [-padic.vp(q[0], sector.prime) for q in head.points]  # -v_p(x_1 of f^n P)
-        floor_ok = floor_ok and all(e[n] >= d11**n * e[0] for n in range(len(e)))
-        floors.append(e[0] * log_p)
+        tables.append([padic.valuation_signature(q, sector) for q in head.points])
+        prefixes.append(Orbit(map=f, points=orb.points[: prefix + 1]))
+    d11 = diag[0]
+    # e_1 = -v_p(x_1): e_1(f^n P) >= d11^n * e_1(P)
+    floor_ok = all(sigs[n][0] >= d11**n * sigs[0][0] for sigs in tables for n in range(len(sigs)))
+    log_p = math.log(sector.prime)
+    floors = [sigs[0][0] * log_p for sigs in tables]
 
-    stability = padic.verify_stability(sector, prefixes)
+    stability = padic.verify_stability(sector, tables)
     checks.append(
         Check(
             name="sector_stability",
@@ -268,7 +271,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={"prime": sector.prime, "C": sector.C, "samples": len(samples)},
         )
     )
-    dominant = [padic.verify_dominant_value(sector, orb) for orb in prefixes]
+    dominant = [padic.verify_dominant_value(sector, f, sigs) for sigs in tables]
     checks.append(
         Check(
             name="dominant_monomial_valuation",
@@ -280,7 +283,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={},
         )
     )
-    sector_csv = padic.sector_report_csv(sector, prefixes, stability, dominant, min(cfg.n_max, 4))
+    sector_csv = padic.sector_report_csv(sector, tables, stability, dominant, min(cfg.n_max, 4))
     _write(out_dir, "sector.csv", sector_csv, files)
     _write(out_dir, "heights_sample0.csv", seqs[0].to_csv(), files)
     checks.append(
@@ -322,7 +325,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={"prefix": prefix},
         )
     )
-    signatures = [r.signature_before for r in stability.results]
+    signatures = [sigs[0] for sigs in tables]
     checks.append(
         Check(
             name="distinct_valuation_signatures",

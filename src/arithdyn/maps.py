@@ -163,10 +163,9 @@ def iterate_symbolic(
 
 @dataclass
 class Orbit:
-    """Exact forward-orbit prefix: points[n] = f^n(start), points[0] = start."""
+    """Exact forward-orbit prefix: points[n] = f^n(points[0])."""
 
     map: TriangularMap
-    start: AffinePoint
     points: list = field(default_factory=list)
 
     def __len__(self):
@@ -207,7 +206,7 @@ def orbit(
             )
         point = f.apply(point)
         points.append(point)
-    return Orbit(map=f, start=points[0], points=points)
+    return Orbit(map=f, points=points)
 
 
 def step_bits_bound(f: TriangularMap, point: AffinePoint) -> int:

@@ -108,10 +108,19 @@ def _prime_power_valuation(n: int, p: int) -> int:
 
 
 def vp(x: Fraction | int, p: int):
-    """Exact p-adic valuation of a rational; +inf for zero."""
+    """Exact p-adic valuation of a rational; +inf for zero.
+
+    The one entry that tests a raw p.  A SectorConfig is the proof that its
+    prime is prime, so the sector routines value coordinates with
+    :func:`_valuation` and never re-test it.
+    """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    x = Fraction(x)
+    return _valuation(Fraction(x), p)
+
+
+def _valuation(x: Fraction, p: int):
+    """:func:`vp` for a p already proved prime."""
     if x == 0:
         return INFINITY
     return _prime_power_valuation(abs(x.numerator), p) - _prime_power_valuation(
@@ -119,15 +128,11 @@ def vp(x: Fraction | int, p: int):
     )
 
 
-def is_unit(x: Fraction | int, p: int) -> bool:
-    return vp(x, p) == 0
-
-
 def find_unit_prime(f: TriangularMap, start: int = 2) -> int:
     """Smallest prime >= start at which every coefficient of f is a unit."""
     p = next_prime(start)
     while True:
-        if all(is_unit(c, p) for comp in f.components for c in comp.coefficients()):
+        if all(_valuation(c, p) == 0 for comp in f.components for c in comp.coefficients()):
             return p
         p = next_prime(p + 1)
 
@@ -172,7 +177,7 @@ def sector_config(
             c
             for comp in f.components
             for c in comp.coefficients()
-            if not is_unit(c, prime)
+            if _valuation(c, prime) != 0
         ]
         if bad:
             raise ValueError(f"coefficient {bad[0]} is not a {prime}-adic unit")
@@ -249,7 +254,7 @@ def sample_U(cfg: SectorConfig, count: int, seed: int) -> list:
 
 
 def valuation_signature(point: Sequence[Fraction], cfg: SectorConfig) -> tuple:
-    return tuple(-vp(c, cfg.prime) for c in as_point(point))
+    return tuple(-_valuation(c, cfg.prime) for c in as_point(point))
 
 
 def dominant_monomial(f: TriangularMap, i: int) -> Monomial:
@@ -265,8 +270,6 @@ def dominant_monomial(f: TriangularMap, i: int) -> Monomial:
 
 @dataclass(frozen=True)
 class PointStability:
-    point: AffinePoint
-    image: AffinePoint
     signature_before: tuple
     signature_after: tuple
     image_in_U: bool
@@ -279,7 +282,6 @@ class PointStability:
 
 @dataclass
 class StabilityReport:
-    cfg: SectorConfig
     results: list
 
     @property
@@ -287,29 +289,25 @@ class StabilityReport:
         return all(r.ok for r in self.results)
 
 
-def verify_stability(cfg: SectorConfig, orbits: Sequence[Orbit]) -> StabilityReport:
+def verify_stability(cfg: SectorConfig, tables: Sequence[Sequence[tuple]]) -> StabilityReport:
     """Check f(P) stays in the sector and its first coordinate is p-adically largest.
 
-    Each sample's orbit has at least one step: P = points[0], f(P) = points[1].
+    ``tables[k]`` is sample k's list of valuation signatures along its orbit,
+    with at least two entries: P = f^0(P) and f(P).
     """
     results = []
-    for orb in orbits:
-        point, image = orb.points[0], orb.points[1]
-        sig_before = valuation_signature(point, cfg)
+    for sig_before, sig_after, *_ in tables:
         if not _signature_in_U(sig_before, cfg):
-            raise NotInSectorError(f"sample {point} is not in the sector")
-        sig_after = valuation_signature(image, cfg)
+            raise NotInSectorError(f"a sample with signature {sig_before} is not in the sector")
         results.append(
             PointStability(
-                point=point,
-                image=image,
                 signature_before=sig_before,
                 signature_after=sig_after,
                 image_in_U=_signature_in_U(sig_after, cfg),
                 first_coordinate_is_max=sig_after[0] == max(sig_after),
             )
         )
-    return StabilityReport(cfg=cfg, results=results)
+    return StabilityReport(results=results)
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,6 @@ class DominantValueRow:
 
 @dataclass
 class DominantValueReport:
-    point: AffinePoint
     rows: list
 
     @property
@@ -330,25 +327,25 @@ class DominantValueReport:
         return all(r.equal for r in self.rows)
 
 
-def verify_dominant_value(cfg: SectorConfig, orb: Orbit) -> DominantValueReport:
+def verify_dominant_value(
+    cfg: SectorConfig, f: TriangularMap, sigs: Sequence[tuple]
+) -> DominantValueReport:
     """Exact valuation identity: the image coordinate's valuation equals the
     dominant monomial evaluated in valuation form.
 
-    ``orb`` has at least one step: P = points[0], f(P) = points[1], f = orb.map.
+    ``sigs`` is the valuation signature list of an orbit of f with at least
+    two entries: P = f^0(P) and f(P).
     """
-    f = orb.map
-    point, image = orb.points[0], orb.points[1]
-    p = cfg.prime
-    vals = [vp(c, p) for c in point]
-    if not _signature_in_U([-v for v in vals], cfg):
-        raise NotInSectorError(f"point {point} is not in the sector")
+    if not _signature_in_U(sigs[0], cfg):
+        raise NotInSectorError(f"a point with signature {sigs[0]} is not in the sector")
+    vals = [-e for e in sigs[0]]
     rows = []
     for i in range(1, f.dimension + 1):
         mono = dominant_monomial(f, i)
-        lhs = vp(image[i - 1], p)
+        lhs = -sigs[1][i - 1]
         rhs = sum(e * v for e, v in zip(mono, vals) if e)
         rows.append(DominantValueRow(component=i, lhs=lhs, rhs=rhs, equal=lhs == rhs))
-    return DominantValueReport(point=point, rows=rows)
+    return DominantValueReport(rows=rows)
 
 
 def image_first_exponent_floor(f: TriangularMap, cfg: SectorConfig) -> int:
@@ -415,14 +412,12 @@ def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> GrowthReport:
     diag = degree_matrix(f).diagonal()
     if diag[0] > diag[1]:
         raise ValueError("needs d_{1,1} <= d_{2,2}; use the sector construction otherwise")
-    p = cfg.prime
-    v0 = vp(orb.start[1], p)
+    v0, *vals = [_valuation(q[1], cfg.prime) for q in orb.points]
     if not (v0 < 0):
         raise NotInSectorError("second coordinate must satisfy |x_2|_p > 1")
     d22 = diag[1]
     rows = []
-    for n in range(1, len(orb)):
-        v = vp(orb.points[n][1], p)
+    for n, v in enumerate(vals, start=1):
         expected = d22**n * v0
         rows.append(
             GrowthRow(
@@ -434,16 +429,16 @@ def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> GrowthReport:
 
 def sector_report_csv(
     cfg: SectorConfig,
-    orbits: Sequence[Orbit],
+    tables: Sequence[Sequence[tuple]],
     stability: StabilityReport,
     dominant: Sequence,
     n_max: int,
 ) -> str:
     """Per-point CSV: valuation signatures along each orbit plus stability flags.
 
-    ``orbits[k]`` reaches at least f^{n_max} of sample k; ``stability`` and
-    ``dominant`` are the sample's verify_stability and verify_dominant_value
-    reports, in the same order.
+    ``tables[k]`` is sample k's signature list, reaching at least f^{n_max};
+    ``stability`` and ``dominant`` are the sample's verify_stability and
+    verify_dominant_value reports, in the same order.
     """
     header = ["point_id"]
     header += [f"e{i}" for i in range(1, cfg.dimension + 1)]
@@ -451,10 +446,10 @@ def sector_report_csv(
         header += [f"neg_v_x{i}_n{n}" for i in range(1, cfg.dimension + 1)]
     header += ["stable_ok", "dominant_ok"]
     lines = [",".join(header)]
-    for pid, (orb, stable, dom) in enumerate(zip(orbits, stability.results, dominant)):
+    for pid, (sigs, stable, dom) in enumerate(zip(tables, stability.results, dominant)):
         row = [str(pid)]
-        for point in orb.points[: n_max + 1]:
-            row += [str(e) for e in valuation_signature(point, cfg)]
+        for sig in sigs[: n_max + 1]:
+            row += [str(e) for e in sig]
         row += [str(stable.ok).lower(), str(dom.all_ok).lower()]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

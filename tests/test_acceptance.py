@@ -48,6 +48,7 @@ from arithdyn.maps import iterate_symbolic, orbit, orbits_disjoint_prefix
 from arithdyn.padic import (
     sample_U,
     sector_config,
+    valuation_signature,
     verify_dominant_value,
     verify_stability,
     vp,
@@ -173,9 +174,9 @@ def test_acceptance_04_sector_stability():
     budget = Budget(5)
     cfg, samples = _sector_samples()
     assert (cfg.prime, cfg.C) == (2, 7)
-    steps = [orbit(E1, p, 1) for p in samples]
+    steps = [[valuation_signature(q, cfg) for q in orbit(E1, p, 1).points] for p in samples]
     stable = verify_stability(cfg, steps).all_ok
-    dominant = all(verify_dominant_value(cfg, o).all_ok for o in steps)
+    dominant = all(verify_dominant_value(cfg, E1, sigs).all_ok for sigs in steps)
     passed = stable and dominant and budget.ok()
     report(
         4,

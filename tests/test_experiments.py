@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arithdyn import padic
 from arithdyn.cli import main
 from arithdyn.experiments import (
     EXIT_ASSERTION_FAILED,
@@ -574,6 +575,16 @@ def test_cli_run_non_list_point_exits_config(tmp_path, capsys, doc):
     assert "point must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out_dir", [5, True, ["out"]], ids=["int", "bool", "list"])
+def test_cli_run_non_string_out_dir_exits_config(tmp_path, capsys, monkeypatch, out_dir):
+    # without --out-dir the config's out_dir names the report directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {"map": E1_DOC, "n_max": 2, "samples": 3, "out_dir": out_dir})
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "out_dir must be a path string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "point", [[True, "1/2"], [1.0, "1/2"], ["1", 0.5]], ids=["bool", "float", "float_second"]
 )
@@ -640,3 +651,25 @@ def test_cli_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: arithdyn" in capsys.readouterr().out
+
+
+# -- the sector prime is proved once per run -----------------------------------
+
+
+def test_a_run_proves_its_prime_at_most_twice(tmp_path, monkeypatch):
+    # SectorConfig proves the prime and every valuation after it trusts that
+    # proof, so the count depends on neither samples nor n_max
+    calls = []
+    is_prime = padic.is_prime
+    monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+
+    def count(cfg, name):
+        calls.clear()
+        run_experiment(cfg, tmp_path / name)
+        return len(calls)
+
+    small = count(first_case_cfg(n_max=4, samples=3), "small")
+    large = count(first_case_cfg(n_max=9, samples=12), "large")
+    assert small == large <= 2
+    second = ExperimentConfig(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8)
+    assert count(second, "second") <= 2

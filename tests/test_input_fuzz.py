@@ -35,6 +35,10 @@ json_values = st.recursive(
     max_leaves=4,
 )
 
+# Any JSON value but a string: an ``out_dir`` drawn from it never names a
+# directory, so no example writes outside its temporary directory.
+non_string_values = json_values.filter(lambda value: not isinstance(value, str))
+
 # Component text: well-formed small polynomials, plus short strings over the
 # parser's alphabet.  Exponents stay small so no example does real work.
 monomials = st.builds(
@@ -109,6 +113,7 @@ ill_typed_configs = st.fixed_dictionaries(
         "density_degree": json_scalars,
         "degree_sequence_depth": json_scalars,
         "iterate_power": json_scalars,
+        "out_dir": non_string_values,
         "bogus": json_scalars,
     },
 )

@@ -1,4 +1,4 @@
-"""Byte-identity guard: every output file of six fixed configs, and the
+"""Byte-identity guard: every output file of eight fixed configs, and the
 ``density`` subcommand's report on two point sets.
 
 The run digests were recorded from the code before orbits were shared
@@ -92,6 +92,27 @@ CASES = {
         ),
         {
             "summary.json": "ecf3a8a260c25bbb70a8582e4329e841cdd41a2bb7ee2e73512ede60a3d29b32",
+        },
+    ),
+    # an odd sector prime: valuations go through the division chain, not bits
+    "first_case_p3": (
+        dict(map=E1_DOC, mode="first_case", prime=3, n_max=6, samples=6, seed=1),
+        {
+            "degrees.csv": DEGREES_E1,
+            "density.csv": "8156e7210198000ef51e02f806c58f64fb9ff6963d7ae29db2faf9aa59403445",
+            "heights_sample0.csv": "9df91587598bbb7f20d11b55eac30929418094a0d6cc52f262a4554c6bfaf5cc",
+            "orbit_sample0.csv": "7990bbb4d45da9a2b7110181ceba3fcf5a987e0f550fd82f5f40fd8ac3b66655",
+            "sector.csv": "75236c295db0e76b234978ddd109143bb57cea74bfada3e42160f676c875f7cf",
+            "summary.json": "a50fa42df058ad47900c5574f19ad2b0f2fad8ac80854312f73317c2906fa1d3",
+        },
+    ),
+    "second_case_n2_p3": (
+        dict(map=SECOND_DOC, mode="second_case_n2", prime=3, point=["1", "2/3"], n_max=8),
+        {
+            "degrees.csv": "d37cca7826a9611197aa1862e7485012a4d0ea6328598ecaaeca868d9d9ee239",
+            "growth.csv": "6041955092934fdd6abff135acab0c6a02a2dd35c0c9c7502fba0167813481d5",
+            "heights.csv": "c626034e2f52f9cd940452371330a970fbff4f732e8225da89e0640d517e4ecf",
+            "summary.json": "06dc97afaae0d30ef5f118732a8c56cc7ae533ccb5e5b969db71184a4090fb99",
         },
     ),
 }

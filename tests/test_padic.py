@@ -29,6 +29,11 @@ from arithdyn.padic import (
 E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 
 
+def signatures(f, point, cfg):
+    """Valuation signatures of P and f(P)."""
+    return [valuation_signature(q, cfg) for q in orbit(f, point, 1).points]
+
+
 # -- valuations --------------------------------------------------------------
 
 
@@ -191,7 +196,7 @@ def test_samples_with_distinct_signatures_have_disjoint_orbits():
 def test_stability_hand_checked_point():
     cfg = sector_config(E1)
     point = as_point([Fraction(1, 256), Fraction(1, 2)])
-    report = verify_stability(cfg, [orbit(E1, point, 1)])
+    report = verify_stability(cfg, [signatures(E1, point, cfg)])
     r = report.results[0]
     assert r.signature_after == (24, 2)
     assert r.image_in_U  # 24 > 7*2 > 0
@@ -202,12 +207,12 @@ def test_stability_hand_checked_point():
 def test_stability_rejects_outside_point():
     cfg = sector_config(E1)
     with pytest.raises(NotInSectorError):
-        verify_stability(cfg, [orbit(E1, [1, 1], 1)])
+        verify_stability(cfg, [signatures(E1, [1, 1], cfg)])
 
 
 def test_stability_batch_of_20():
     cfg = sector_config(E1)
-    report = verify_stability(cfg, [orbit(E1, p, 1) for p in sample_U(cfg, 20, seed=5)])
+    report = verify_stability(cfg, [signatures(E1, p, cfg) for p in sample_U(cfg, 20, seed=5)])
     assert report.all_ok
 
 
@@ -250,7 +255,7 @@ def test_dominant_monomial_index_range():
 
 def test_dominant_value_hand_checked():
     cfg = sector_config(E1)
-    report = verify_dominant_value(cfg, orbit(E1, [Fraction(1, 256), Fraction(1, 2)], 1))
+    report = verify_dominant_value(cfg, E1, signatures(E1, [Fraction(1, 256), Fraction(1, 2)], cfg))
     assert [(r.lhs, r.rhs) for r in report.rows] == [(-24, -24), (-2, -2)]
     assert report.all_ok
 
@@ -258,14 +263,14 @@ def test_dominant_value_hand_checked():
 def test_dominant_value_single_monomial_map():
     f = triangular_map(["x1^4"])
     cfg = sector_config(f)
-    report = verify_dominant_value(cfg, orbit(f, [Fraction(1, 2)], 1))
+    report = verify_dominant_value(cfg, f, signatures(f, [Fraction(1, 2)], cfg))
     assert report.rows[0].lhs == report.rows[0].rhs == -4
 
 
 def test_dominant_value_batch():
     cfg = sector_config(E1)
     for point in sample_U(cfg, 20, seed=2):
-        assert verify_dominant_value(cfg, orbit(E1, point, 1)).all_ok
+        assert verify_dominant_value(cfg, E1, signatures(E1, point, cfg)).all_ok
 
 
 def test_growth_floor_feeds_height_bound():
