@@ -43,6 +43,7 @@ from .maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
 )
+from .qpoly import ResourceLimitError
 
 SCHEMA_VERSION = 1
 
@@ -238,6 +239,16 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
     delta, _ = _degree_stage(cfg, f, out_dir, checks, files, caps)
 
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
+    # The last sample's x_1 has denominator p^e of at least e*(bits(p) - 1) + 1
+    # bits; past the cap orbit() would refuse its first step, so refuse now,
+    # before sample_U builds the power.
+    e = padic.minimal_signature(sector)[0] + cfg.samples - 1
+    bits = e * (sector.prime.bit_length() - 1) + 1
+    if bits > caps.max_coeff_bits:
+        raise ResourceLimitError(
+            f"sample coordinates reach {bits} bits, cap is {caps.max_coeff_bits}",
+            last_safe_n=0, bits=bits, max_coeff_bits=caps.max_coeff_bits,
+        )
     samples = padic.sample_U(sector, cfg.samples, cfg.seed)
 
     # One capped orbit per sample feeds every check and report below; only
@@ -477,9 +488,6 @@ def iterate_consistency(
     caps: ResourceCaps = DEFAULT_CAPS,
 ) -> dict:
     """delta(f^t) = delta(f)^t and exact height-row equality h+((f^t)^n P) = h+(f^(tn) P)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    point = as_point(point)
     delta = deg.dynamical_degree_exact(f)
     f_t = iterate_symbolic(f, t, caps)
     delta_t = deg.dynamical_degree_exact(f_t)

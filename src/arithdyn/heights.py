@@ -32,8 +32,8 @@ the dynamical degree.  Finite tails are estimates: the limits themselves are
 not finitely computable, so only one-sided bounds are ever asserted.
 
 Every row is built by ``height_sequence_of_orbit``.  A product X x Y has no
-rows of its own: its row n is read from the two factors' height sequences as
-h_a + h_b, whose exact argument arg_a * arg_b is never formed.
+rows or orbit of its own: its row n is read from the two factors' height
+sequences as h_a + h_b, whose exact argument arg_a * arg_b is never formed.
 """
 
 from __future__ import annotations
@@ -56,10 +56,7 @@ class Height:
 
 
 def affine_height(point: Sequence[Fraction]) -> Height:
-    """Height of an affine point; the argument is proved coprime above.
-
-    With den_i = 2^t_i * o_i, o_i odd, L = 2^(max t_i) * lcm(o_i) is built by shifts.
-    """
+    """Height of an affine point; the argument and its shifts are proved above."""
     point = as_point(point)
     twos = [(c.denominator & -c.denominator).bit_length() - 1 for c in point]
     odds = [c.denominator >> t for c, t in zip(point, twos)]
@@ -185,19 +182,25 @@ def product_height_additivity(
     integer argument arg_a * arg_b; its n-th roots tend to the max of the
     factors' estimates because for positive sequences with n-th-root limits
     >= 1, (a_n + b_n)^(1/n) converges to the larger of the two limits.  Each
-    factor's sequence is taken with that factor's own dynamical degree.
+    factor's rows use its own dynamical degree, on one walk of its orbit.
+
+    ``projections_match`` is proved for every n from fg = product_map(f_a, f_b),
+    N_a = f_a.dimension: fg's first N_a components use no variable past x_(N_a)
+    and, cut to their first N_a exponents, are f_a's; the rest use none of
+    x_1..x_(N_a) and, cut to their last exponents, are f_b's.  As x^0 = 1,
+    fg(P, Q) = (f_a(P), f_b(Q)) everywhere, so by induction on n
+    fg^n(P, Q) = (f_a^n(P), f_b^n(Q)).
     """
-    p_a = as_point(p_a)
-    p_b = as_point(p_b)
-    orb = orbit(product_map(f_a, f_b), p_a + p_b, n_max, caps)
-    orb_a = orbit(f_a, p_a, n_max, caps)
-    orb_b = orbit(f_b, p_b, n_max, caps)
-    nf = f_a.dimension
+    na = f_a.dimension
+    blocks = [(comp, slice(na), slice(na, None)) for comp in f_a.components]
+    blocks += [(comp, slice(na, None), slice(na)) for comp in f_b.components]
+    lifted = product_map(f_a, f_b).components
     return ProductHeightReport(
-        seq_a=height_sequence_of_orbit(orb_a, dynamical_degree_exact(f_a)),
-        seq_b=height_sequence_of_orbit(orb_b, dynamical_degree_exact(f_b)),
-        projections_match=all(
-            q[:nf] == qa and q[nf:] == qb
-            for q, qa, qb in zip(orb.points, orb_a.points, orb_b.points)
+        seq_a=height_sequence(f_a, p_a, n_max, caps=caps),
+        seq_b=height_sequence(f_b, p_b, n_max, caps=caps),
+        projections_match=len(lifted) == len(blocks) and all(
+            not any(any(mono[other]) for mono in poly.terms)
+            and {mono[own]: c for mono, c in poly.terms.items()} == comp.terms
+            for poly, (comp, own, other) in zip(lifted, blocks)
         ),
     )

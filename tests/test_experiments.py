@@ -145,10 +145,31 @@ def test_height_checks_without_floors_is_the_root_proxy_alone():
     assert short.details["max_root"] is None and not short.passed
 
 
-@pytest.mark.parametrize("n_max,samples,seed", [(6, 12, 0), (4, 3, 5)])
-def test_first_case_walks_each_orbit_once(tmp_path, monkeypatch, n_max, samples, seed):
-    # one orbit of max(n_max, 5) steps per sample; the stability and
-    # dominant-value checks read f(P) from it
+@pytest.mark.parametrize(
+    "doc,steps",
+    [
+        # one orbit of max(n_max, 5) steps per sample; the stability and
+        # dominant-value checks read f(P) from it
+        pytest.param(dict(mode="first_case", n_max=6, samples=12, seed=0), 12 * 6, id="first_case-6-12-0"),
+        pytest.param(dict(mode="first_case", n_max=4, samples=3, seed=5), 3 * 5, id="first_case-4-3-5"),
+        pytest.param(
+            dict(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8), 8, id="second_case_n2"
+        ),
+        # one walk per factor, none of the product map
+        pytest.param(
+            dict(map_b=SECOND_DOC, mode="product", point=["1/256", "1/2", "1", "1/2"], n_max=6),
+            2 * 6,
+            id="product",
+        ),
+        # n_max steps of f^t, then t * n_max steps of f
+        pytest.param(
+            dict(mode="iterate_check", point=["1/256", "1/2"], n_max=3, iterate_power=2),
+            3 + 2 * 3,
+            id="iterate_check",
+        ),
+    ],
+)
+def test_each_mode_walks_each_orbit_once(tmp_path, monkeypatch, doc, steps):
     calls = []
     apply = TriangularMap.apply
 
@@ -157,8 +178,8 @@ def test_first_case_walks_each_orbit_once(tmp_path, monkeypatch, n_max, samples,
         return apply(self, point)
 
     monkeypatch.setattr(TriangularMap, "apply", counting_apply)
-    run_experiment(first_case_cfg(n_max=n_max, samples=samples, seed=seed), tmp_path)
-    assert len(calls) == samples * max(n_max, 5)
+    run_experiment(ExperimentConfig(**{"map": E1_DOC, **doc}), tmp_path)
+    assert len(calls) == steps
 
 
 def test_first_case_orbit_cap_raises(tmp_path):
@@ -468,6 +489,47 @@ def test_cli_over_cap_orbit_step_exits_before_it_is_computed(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert "'last_safe_n': 0" in err and "'bits': 300000002" in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_product_cap_on_the_second_factor_exits_resource(tmp_path, capsys, monkeypatch):
+    # f_a = x1^2 is walked in full first; f_b's first step, 3^(10^8), is
+    # refused from its bound, so f_b's orbit is never stepped
+    calls = []
+    apply = TriangularMap.apply
+
+    def counting_apply(self, point):
+        calls.append(self)
+        return apply(self, point)
+
+    monkeypatch.setattr(TriangularMap, "apply", counting_apply)
+    doc = {
+        "map": {"dimension": 1, "components": ["x1^2"]},
+        "map_b": {"dimension": 1, "components": ["x1^100000000"]},
+        "mode": "product",
+        "point": ["2", "3"],
+        "n_max": 3,
+    }
+    with pytest.raises(ResourceLimitError) as err:
+        run_experiment(ExperimentConfig(**doc), tmp_path / "direct")
+    assert err.value.metadata["last_safe_n"] == 0
+    assert len(calls) == 3 and {f.components[0].to_text() for f in calls} == {"x1^2"}
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(write_cfg(tmp_path, doc))])
+    assert code == EXIT_RESOURCE
+    assert "'last_safe_n': 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"c_constant": 10**12}, {"samples": 10**9}])
+def test_cli_first_case_huge_sample_exponent_exits_resource(tmp_path, capsys, overrides):
+    # the last sample's x_1 = a / 2^e with e near 10^12 (or 10^9) bits is
+    # refused before sample_U builds the power, at orbit step 1's safe n
+    cfg = write_cfg(tmp_path, {"map": E1_DOC, "mode": "first_case", "samples": 6, **overrides})
+    start = time.perf_counter()
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_RESOURCE
+    assert "'last_safe_n': 0" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["degrees.csv"]
 
 
 def test_cli_density_huge_degree_exits_resource(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -12,8 +13,21 @@ from arithdyn.heights import (
     product_height_additivity,
 )
 import arithdyn.heights as heights_module
-from arithdyn.maps import ResourceCaps, as_point, iterate_symbolic, orbit, triangular_map
-from arithdyn.qpoly import ResourceLimitError
+from arithdyn.cli import main
+from arithdyn.degrees import product_map
+from arithdyn.experiments import EXIT_ASSERTION_FAILED
+from arithdyn.maps import (
+    ResourceCaps,
+    TriangularMap,
+    as_point,
+    iterate_symbolic,
+    map_to_json_dict,
+    orbit,
+    triangular_map,
+)
+from arithdyn.qpoly import ResourceLimitError, parse_polynomial
+from corpus import BASE_POINTS, CORPUS, PRODUCT_PAIRS
+from oracle import product_orbit_projects
 
 E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 
@@ -250,3 +264,65 @@ def test_product_with_trivial_factor_tracks_other_factor():
     assert report.seq_a.rows[-1].root >= report.seq_b.rows[-1].root
     assert {row.height_arg for row in report.seq_b.rows} == {5}
     assert abs(report.sums()[-1][1] - solo.rows[-1].root) < 0.2
+
+
+SECOND = triangular_map(["x1*x2+1", "x2^2"])
+BENCH_PRODUCT_POINT = ([Fraction(1, 256), Fraction(1, 2)], [Fraction(1), Fraction(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "f_a,p_a,f_b,p_b",
+    [(CORPUS[ia], BASE_POINTS[ia], CORPUS[ib], BASE_POINTS[ib]) for ia, ib in PRODUCT_PAIRS]
+    + [(E1, BENCH_PRODUCT_POINT[0], SECOND, BENCH_PRODUCT_POINT[1])],
+    ids=[f"corpus{ia}x{ib}" for ia, ib in PRODUCT_PAIRS] + ["bench_point"],
+)
+def test_product_orbit_oracle_agrees_with_the_structural_proof(f_a, p_a, f_b, p_b):
+    # the reference three-orbit walk keeps evaluate on lifted polynomials under
+    # test; the proof from the map's components must reach the same verdict
+    assert product_orbit_projects(f_a, p_a, f_b, p_b, 5)
+    report = product_height_additivity(f_a, p_a, f_b, p_b, 5)
+    assert report.projections_match
+    assert report.seq_a.rows == height_sequence(f_a, p_a, 5).rows
+    assert report.seq_b.rows == height_sequence(f_b, p_b, 5).rows
+
+
+def _lifted_plus(index, text):
+    """product_map with ``text`` added to component ``index``."""
+
+    def mutated(f, g):
+        fg = product_map(f, g)
+        comps = list(fg.components)
+        comps[index] = comps[index] + parse_polynomial(text, fg.dimension)
+        return TriangularMap(comps)
+
+    return mutated
+
+
+PRODUCT_MUTATIONS = {
+    "leading_crosses_into_trailing_block": _lifted_plus(0, "x3"),
+    "trailing_constant_shifted": _lifted_plus(2, "1"),
+    "trailing_extra_own_block_term": _lifted_plus(3, "x4"),
+}
+
+
+@pytest.mark.parametrize("mutation", PRODUCT_MUTATIONS.values(), ids=PRODUCT_MUTATIONS)
+def test_mutated_product_map_fails_the_projection_check(mutation, monkeypatch, tmp_path):
+    monkeypatch.setattr(heights_module, "product_map", mutation)
+    report = product_height_additivity(E1, BENCH_PRODUCT_POINT[0], SECOND, BENCH_PRODUCT_POINT[1], 4)
+    assert not report.projections_match
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "map": map_to_json_dict(E1),
+                "map_b": map_to_json_dict(SECOND),
+                "mode": "product",
+                "point": ["1/256", "1/2", "1", "1/2"],
+                "n_max": 4,
+            }
+        )
+    )
+    assert main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)]) == EXIT_ASSERTION_FAILED
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    checks = {c["name"]: c["passed"] for c in summary["checks"]}
+    assert checks == {"product_degree_max_rule": True, "product_height_additivity": False}
