@@ -20,9 +20,11 @@ in the summary names the mathematical statement it instantiates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -389,9 +391,10 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
     if cfg.point is not None:
         point = as_point(cfg.point)
     else:
-        # Default start: x1 = 1, x2 a unit over p so that |x2|_p > 1.
-        sample = padic.sample_U(sector, 1, cfg.seed)[0]
-        point = as_point([1, sample[-1]])
+        # Default start: x1 = 1 and x2 = a/p, so |x2|_p > 1, with a the
+        # numerator sample_U's first sample gives x2; x1's is not used.
+        _, a = itertools.islice(padic.unit_numerators(sector.prime, cfg.seed), 2)
+        point = (Fraction(1), Fraction(a, sector.prime))
     orb = orbit(f, point, cfg.n_max, caps)
     growth = padic.case_n2_growth(sector, orb)
     _write(

@@ -299,23 +299,29 @@ def orbit_to_csv(o: Orbit) -> str:
 
 
 def points_from_csv(text: str) -> list[AffinePoint]:
-    """Parse the orbit CSV column layout back into affine points."""
+    """Parse the orbit CSV back into affine points.
+
+    The first line must be the header :func:`orbit_to_csv` writes: an
+    optional ``n`` column, then ``x{i}_num,x{i}_den`` for i = 1..N.  Every
+    row has the header's cell count, and each num/den pair reads as one
+    :func:`rational`; the ``n`` cells are not read.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         return []
-    header = lines[0].split(",")
-    has_n = header[0].strip() == "n"
+    header = [c.strip() for c in lines[0].split(",")]
+    skip = int(header[0] == "n")
+    dim = (len(header) - skip) // 2
+    if not dim or header[skip:] != [f"x{i}_{c}" for i in range(1, dim + 1) for c in ("num", "den")]:
+        raise ValueError(f"points CSV header must be [n,]x1_num,x1_den,...; got {lines[0]!r}")
     points = []
     for ln in lines[1:]:
         cells = [c.strip() for c in ln.split(",")]
-        if has_n:
-            cells = cells[1:]
-        if len(cells) % 2:
-            raise ValueError(f"odd number of num/den cells in row {ln!r}")
-        if any(int(den) == 0 for den in cells[1::2]):
-            raise ValueError(f"zero denominator in row {ln!r}")
-        coords = [
-            Fraction(int(cells[k]), int(cells[k + 1])) for k in range(0, len(cells), 2)
-        ]
-        points.append(tuple(coords))
+        if len(cells) != len(header):
+            raise ValueError(
+                f"row {ln!r} has {len(cells)} cells under a {len(header)}-cell header: "
+                "wrong number of coordinates"
+            )
+        cells = cells[skip:]
+        points.append(tuple(rational(f"{num}/{den}") for num, den in zip(cells[::2], cells[1::2])))
     return points

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .degrees import degree_matrix
 from .maps import AffinePoint, Orbit, TriangularMap, as_point
@@ -168,25 +168,19 @@ def sector_config(
     exceed N * max deg.  Defaults: the smallest unit prime and the minimal
     admissible C.
     """
-    if prime is None:
-        prime = find_unit_prime(f)
-    else:
-        if not is_prime(prime):
-            raise NotPrimeError(f"{prime} is not prime")
-        bad = [
-            c
-            for comp in f.components
-            for c in comp.coefficients()
-            if _valuation(c, prime) != 0
-        ]
+    minimal = choose_C(f)
+    cfg = SectorConfig(
+        prime=find_unit_prime(f) if prime is None else prime,
+        C=minimal if C is None else C,
+        dimension=f.dimension,
+    )
+    if prime is not None:  # SectorConfig has proved it prime
+        bad = [c for comp in f.components for c in comp.coefficients() if _valuation(c, prime)]
         if bad:
             raise ValueError(f"coefficient {bad[0]} is not a {prime}-adic unit")
-    minimal = choose_C(f)
-    if C is None:
-        C = minimal
-    elif C < minimal:
+    if cfg.C < minimal:
         raise ValueError(f"C={C} violates the bound C > N*max_deg (need >= {minimal})")
-    return SectorConfig(prime=prime, C=C, dimension=f.dimension)
+    return cfg
 
 
 def in_U(point: Sequence[Fraction], cfg: SectorConfig) -> bool:
@@ -230,27 +224,26 @@ def sample_U(cfg: SectorConfig, count: int, seed: int) -> list:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = random.Random(seed)
     base = minimal_signature(cfg)
     p = cfg.prime
-
-    def unit_numerator() -> int:
-        while True:
-            a = rng.randrange(1, 10 * p)
-            if a % p:
-                return a
-
+    numerators = unit_numerators(p, seed)
     points = []
     for k in range(count):
         exps = list(base)
         exps[0] += k
-        coords = tuple(
-            Fraction(unit_numerator(), p**e) for e in exps
-        )
-        point = coords
+        point = tuple(Fraction(next(numerators), p**e) for e in exps)
         assert in_U(point, cfg)
         points.append(point)
     return points
+
+
+def unit_numerators(p: int, seed: int) -> Iterator[int]:
+    """The seeded p-free numerators in [1, 10 p) of :func:`sample_U`, coordinate by coordinate."""
+    rng = random.Random(seed)
+    while True:
+        a = rng.randrange(1, 10 * p)
+        if a % p:
+            yield a
 
 
 def valuation_signature(point: Sequence[Fraction], cfg: SectorConfig) -> tuple:

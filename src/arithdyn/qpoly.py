@@ -9,8 +9,13 @@ The text format is a human-readable sum of terms, e.g.
 
     3/2*x1^3*x2 + x2^2 - 1
 
-The parser is whitespace-insensitive and round-trips bit-exactly with
-:func:`Polynomial.to_text`.
+A term is optional signs, then factors joined by ``*``, and every term
+after the first starts with a sign (``x1-+-x2`` is x1 + x2).  A factor is
+an integer, a/b or x_i with an optional ^e, in ASCII digits; juxtaposed
+factors such as ``2x1`` or ``3 4`` are refused.  Whitespace may separate
+tokens.  A point string (:func:`rational`) is an optional sign and an
+integer or a/b.  :func:`Polynomial.to_text` parses back to the same
+polynomial.
 
 Integer kernels carry the hot paths; all take Fractions in and give
 reduced Fractions out.  Products scale each operand to integers over one
@@ -65,21 +70,41 @@ class ResourceLimitError(RuntimeError):
         self.metadata = dict(metadata)
 
 
+# One factor of the text format, and with a sign a point string: an integer,
+# a/b or x_i^e, in ASCII digits, with whitespace allowed between the tokens.
+_FACTOR = re.compile(
+    r"\s*(?:(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?"
+    r"|x(?P<var>[0-9]+)(?:\s*(?P<hat>\^)\s*(?P<exp>[0-9]+)?)?)\s*"
+)
+
+
+def _number(num: str, den: str | None) -> Fraction:
+    """The rational num or num/den of two digit strings; a zero den raises ValueError."""
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(int(num), int(den))
+
+
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or string like ``-3/2`` to an exact Fraction.
 
-    Anything else, a ``bool`` or a ``float`` included, raises ValueError.
+    A string is an optional sign, then an integer or a/b (:data:`_FACTOR`).
+    Anything else, a ``bool``, a ``float`` or a string such as ``1.5``,
+    ``1e3`` or ``1_000`` included, raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if not isinstance(value, str):
-        raise ValueError(f"not an int, Fraction or rational string: {value!r}")
-    try:
-        return Fraction(value.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, str):
+        body = value.strip()
+        m = _FACTOR.fullmatch(body[1:] if body[:1] in ("+", "-") else body)
+        if m and m["num"]:
+            x = _number(m["num"], m["den"])
+            return -x if body[:1] == "-" else x
+    raise ValueError(f"not an int, Fraction or rational string: {value!r}")
 
 
 class Polynomial:
@@ -627,92 +652,50 @@ def _check_budget(p: Polynomial, max_terms: int | None, stage: str) -> None:
         )
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*/^]))")
-
-
 def parse_polynomial(text: str, dimension: int | None = None) -> Polynomial:
-    """Parse the text format; whitespace-insensitive, variables x1..xN.
+    """Parse the text format of the module docstring; variables x1..xN.
 
-    If ``dimension`` is None the ambient dimension is inferred from the
-    largest variable index that occurs (at least 1).
+    The text is split at its signs: each piece between two signs is empty,
+    which makes a run of signs, or one term, whose factors between ``*``
+    each match :data:`_FACTOR`.  If ``dimension`` is None the ambient
+    dimension is the largest variable index that occurs (at least 1).
     """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character at position {pos}: {text[pos:]!r}")
-            break
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    pieces = re.split(r"([+-])", text)
+    parsed: list[tuple[Fraction, dict[int, int]]] = []
+    sign = 1
+    for k in range(0, len(pieces), 2):
+        if k and pieces[k - 1] == "-":
+            sign = -sign
+        if not pieces[k].strip():
+            if k + 1 == len(pieces):
+                raise ValueError("dangling sign at end of input" if k else "empty polynomial text")
+            continue
+        coeff, exps = Fraction(sign), {}
+        for factor in pieces[k].split("*"):
+            m = _FACTOR.match(factor)
+            if m and m["hat"] and not m["exp"]:
+                raise ValueError("expected integer exponent after '^'")
+            if m is None or m.end() != len(factor):
+                raise ValueError(f"bad factor {factor.strip()!r}: expected an integer, a/b or x_i^e")
+            if m["var"] is None:
+                coeff *= _number(m["num"], m["den"])
+                continue
+            index = int(m["var"])
+            if index < 1:
+                raise ValueError(f"bad variable x{m['var']}")
+            exps[index] = exps.get(index, 0) + int(m["exp"] or 1)
+        parsed.append((coeff, exps))
+        sign = 1
 
-    max_var = 0
-    for t in tokens:
-        if t.startswith("x"):
-            max_var = max(max_var, int(t[1:]))
+    max_var = max((i for _, exps in parsed for i in exps), default=0)
     if dimension is None:
         dimension = max(max_var, 1)
     elif max_var > dimension:
         raise DimensionMismatchError(
             f"variable x{max_var} exceeds declared dimension {dimension}"
         )
-
     terms: dict[Monomial, Fraction] = {}
-    i = 0
-    n = len(tokens)
-
-    def parse_factor() -> tuple[Fraction, list[int]]:
-        nonlocal i
-        exps = [0] * dimension
-        t = tokens[i]
-        if t.isdigit():
-            num = int(t)
-            i += 1
-            if i < n and tokens[i] == "/":
-                if i + 1 >= n or not tokens[i + 1].isdigit():
-                    raise ValueError("expected integer denominator after '/'")
-                if int(tokens[i + 1]) == 0:
-                    raise ValueError(f"zero denominator in {num}/{tokens[i + 1]}")
-                coeff = Fraction(num, int(tokens[i + 1]))
-                i += 2
-            else:
-                coeff = Fraction(num)
-            return coeff, exps
-        if t.startswith("x"):
-            idx = int(t[1:])
-            if idx < 1:
-                raise ValueError(f"bad variable {t}")
-            i += 1
-            e = 1
-            if i < n and tokens[i] == "^":
-                if i + 1 >= n or not tokens[i + 1].isdigit():
-                    raise ValueError("expected integer exponent after '^'")
-                e = int(tokens[i + 1])
-                i += 2
-            exps[idx - 1] = e
-            return Fraction(1), exps
-        raise ValueError(f"unexpected token {t!r}")
-
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise ValueError("dangling sign at end of input")
-        coeff, exps = parse_factor()
-        while i < n and tokens[i] == "*":
-            i += 1
-            if i >= n:
-                raise ValueError("dangling '*' at end of input")
-            c2, e2 = parse_factor()
-            coeff *= c2
-            exps = [a + b for a, b in zip(exps, e2)]
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-
+    for coeff, exps in parsed:
+        key = tuple(exps.get(i, 0) for i in range(1, dimension + 1))
+        terms[key] = terms.get(key, 0) + coeff
     return Polynomial(dimension, terms)

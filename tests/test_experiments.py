@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -387,6 +388,21 @@ def test_cli_run_second_case_default_start(tmp_path, capsys):
     assert [c["name"] for c in summary["checks"] if not c["passed"]] == ["alpha_upper_proxy"]
 
 
+def test_second_case_default_start_builds_no_first_coordinate(tmp_path):
+    # x2 = a/p takes the draw sample_U's first sample gives x2, and no
+    # x1 = a/p^(C+1) is built only to be dropped: at C = 10**8 that one
+    # power alone would hold 12.5 MB
+    cfg = ExperimentConfig(map=SECOND_DOC, mode="second_case_n2", seed=3, c_constant=10**8, n_max=4)
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [Fraction(c) for c in result.summary["point"]] == [1, Fraction(5, 2)]
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -402,8 +418,17 @@ def test_cli_run_second_case_default_start(tmp_path, capsys):
         ({"map": {"dimension": 1, "components": ["x1^"]}}, "exponent after '^'"),
         ({"map": {"dimension": 1, "components": ["x1^x1"]}}, "exponent after '^'"),
         ({"map": {"dimension": 1, "components": ["x1 +"]}}, "dangling sign"),
+        # juxtaposed factors and non-ASCII digits used to read as a sum or as
+        # their digit value: 2x1 ran as x1 + 2 and ٣*x1 as 3*x1
+        ({"map": {"dimension": 1, "components": ["2x1"]}}, "bad factor '2x1'"),
+        ({"map": {"dimension": 2, "components": ["x1 x2", "x2^2"]}}, "bad factor 'x1 x2'"),
+        ({"map": {"dimension": 1, "components": ["3 4"]}}, "bad factor '3 4'"),
+        ({"map": {"dimension": 1, "components": ["٣*x1"]}}, "bad factor '٣'"),
     ],
-    ids=["iterate_power_4", "product_point_length", "x0", "x1^", "x1^x1", "x1 +"],
+    ids=[
+        "iterate_power_4", "product_point_length", "x0", "x1^", "x1^x1", "x1 +",
+        "2x1", "x1 x2", "3 4", "arabic_indic_3*x1",
+    ],
 )
 def test_cli_run_rejected_config_exits_config(tmp_path, capsys, doc, message):
     cfg = write_cfg(tmp_path, doc)
@@ -432,6 +457,28 @@ def test_cli_density_zero_denominator_exits_config(tmp_path, capsys):
     code = main(["--out-dir", str(tmp_path / "out"), "density", "--points", str(pts), "--degree", "1"])
     assert code == EXIT_CONFIG
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,2\n3,4\n",
+        "x1,x2\n1,2\n3,4\n",
+        "x1_num,x1_den,x2_num\n1,1,2\n",
+        "n,x2_num,x2_den\n0,1,1\n",
+        "x1_num,x1_den\n1,1,2,1\n3,1,4,1\n",
+    ],
+    ids=["headerless", "bare_names", "odd_header", "wrong_index", "extra_cells"],
+)
+def test_cli_density_without_the_orbit_csv_layout_exits_config(tmp_path, capsys, text):
+    # the first line used to be skipped unread, so a headerless file lost a
+    # point: "1,2\n3,4" gave rank 1 of 2 monomials on 1 point, exit 2
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    code = main(["--out-dir", str(tmp_path / "out"), "density", "--points", str(pts), "--degree", "1"])
+    assert code == EXIT_CONFIG
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "density.csv").exists()
 
 
 def test_cli_density(tmp_path, capsys):
@@ -735,3 +782,5 @@ def test_a_run_proves_its_prime_at_most_twice(tmp_path, monkeypatch):
     assert small == large <= 2
     second = ExperimentConfig(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8)
     assert count(second, "second") <= 2
+    # an explicit prime is proved once, by SectorConfig, before its unit check
+    assert count(first_case_cfg(n_max=4, samples=3, prime=3), "explicit") == 1

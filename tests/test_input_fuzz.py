@@ -11,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,5 +164,15 @@ non_rationals = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(point_modes, rationals, non_rationals, st.booleans())
 def test_run_bool_or_float_coordinate_exits_config(doc, good, bad, bad_first):
+    point = [bad, good] if bad_first else [good, bad]
+    assert _exit_code({**doc, "point": point, "n_max": 2}, "run", "--config") == 4
+
+
+# A point string is an integer or a/b: decimal, exponent and underscore forms
+# used to be read by Fraction(str) while a JSON float exited 4.
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "1_000"])
+@settings(max_examples=8, deadline=None)
+@given(point_modes, rationals, st.booleans())
+def test_run_decimal_point_string_exits_config(bad, doc, good, bad_first):
     point = [bad, good] if bad_first else [good, bad]
     assert _exit_code({**doc, "point": point, "n_max": 2}, "run", "--config") == 4

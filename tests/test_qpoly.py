@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,33 @@ def test_parse_whitespace_insensitive():
     assert P("  3/2 * x1 ^ 3 * x2+x2^2   -1 ") == P("3/2*x1^3*x2 + x2^2 - 1")
 
 
+def test_parse_sign_runs_and_repeated_variables():
+    assert P("x1-+-x2") == P("x1 + x2")
+    assert P("x1*x1") == P("x1^2")
+    assert P("- - 3 / 2 * x1") == P("3/2*x1")
+
+
+@pytest.mark.parametrize(
+    "text", ["2x1", "3 x1^2", "x1 x2", "3 4", "٣*x1", "x٣", "1/0*x1", "x1^2^3", "1/", "x1 - "]
+)
+def test_parse_rejects_juxtaposed_and_malformed_factors(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("-3/2", Fraction(-3, 2)), ("+3", 3), (" 1/256 ", Fraction(1, 256)), ("0", 0)]
+)
+def test_rational_reads_an_integer_or_a_over_b(text, value):
+    assert qpoly.rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", "1/0", "x1", "", "-", "--1", "٣", "1/-2"])
+def test_rational_rejects_other_strings(text):
+    with pytest.raises(ValueError):
+        qpoly.rational(text)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_polynomial("x1 + $")
@@ -305,6 +333,9 @@ def test_substitute_evaluate_compatibility(p, s1, s2, v):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polynomials())
-def test_serialize_parse_round_trip(p):
-    assert parse_polynomial(p.to_text(), p.dimension) == p
+@given(polynomials(), st.text(alphabet=" \t\n", min_size=1, max_size=2))
+def test_serialize_parse_round_trip(p, gap):
+    text = p.to_text()
+    assert parse_polynomial(text, p.dimension) == p
+    spaced = re.sub(r"x\d+|\d+|\S", lambda m: gap + m.group() + gap, text)
+    assert parse_polynomial(spaced, p.dimension) == p
