@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .experiments import (
     EXIT_RESOURCE,
     ConfigError,
     ExperimentConfig,
+    read_json,
     run_experiment,
 )
 from .maps import map_from_json_dict, points_from_csv
@@ -95,8 +95,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    doc = json.loads(args.map.read_text(encoding="utf-8"))
-    f = map_from_json_dict(doc)
+    f = map_from_json_dict(read_json(args.map))
     est = dynamical_degree_sequence(f, n_max=args.nmax)
     out = _out_dir(args)
     (out / "degrees.csv").write_text(est.to_csv(), encoding="utf-8")

@@ -10,10 +10,14 @@ component controls the valuation of the image coordinate exactly, and the
 first coordinate's valuation grows at rate d_{1,1}^n.  That growth floor
 feeds the lower canonical-height certificate.
 
-For N = 1 the chain condition is vacuous; membership is defined there as
-|x_1|_p > 1, which keeps the growth floor valid.  Valuations are computed
-directly on rational numbers (no completions are ever needed for
-rational-coordinate points).
+In signature form, s_i = -v(x_i), membership is one chain: s_N > 0 and
+s_i > C * s_{i+1} for every i < N; for N = 1 it reads |x_1|_p > 1, which
+keeps the growth floor valid.  The checks return verdicts, bools read from
+the valuation signatures a run already holds, and two conditions need no
+check of their own: a point of U has its first coordinate p-adically
+largest (C >= 1), and the exact N = 2 growth law keeps |x_2|_p > 1.
+Valuations are computed directly on rational numbers (no completions are
+ever needed for rational-coordinate points).
 """
 
 from __future__ import annotations
@@ -195,12 +199,9 @@ def _signature_in_U(sizes: Sequence, cfg: SectorConfig) -> bool:
     """Sector membership read from a valuation signature (-v(x_i))_i."""
     if len(sizes) != cfg.dimension:
         raise ValueError(f"point has {len(sizes)} coordinates, expected {cfg.dimension}")
-    if cfg.dimension == 1:
-        return sizes[0] > 0
-    for i in range(cfg.dimension - 1):
-        if not (sizes[i] > cfg.C * sizes[i + 1] > 0):
-            return False
-    return True
+    return sizes[-1] > 0 and all(
+        sizes[i] > cfg.C * sizes[i + 1] for i in range(cfg.dimension - 1)
+    )
 
 
 def minimal_signature(cfg: SectorConfig) -> tuple:
@@ -261,95 +262,51 @@ def dominant_monomial(f: TriangularMap, i: int) -> Monomial:
     return max(f.components[i - 1].terms)
 
 
-@dataclass(frozen=True)
-class PointStability:
-    signature_before: tuple
-    signature_after: tuple
-    image_in_U: bool
-    first_coordinate_is_max: bool
+def image_signature(f: TriangularMap, sig: Sequence) -> tuple:
+    """The valuation signature of f(Q) that the dominant monomials predict
+    from the signature ``sig`` of Q: -v(x_i of f(Q)) = sum_l e_il * (-v(q_l)),
+    with (e_il)_l the dominant monomial of f_i.
 
-    @property
-    def ok(self) -> bool:
-        return self.image_in_U and self.first_coordinate_is_max
-
-
-@dataclass
-class StabilityReport:
-    results: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.results)
+    A zero exponent is skipped, so it never meets an infinite entry.
+    """
+    return tuple(
+        sum(e * s for e, s in zip(dominant_monomial(f, i), sig) if e)
+        for i in range(1, f.dimension + 1)
+    )
 
 
-def verify_stability(cfg: SectorConfig, tables: Sequence[Sequence[tuple]]) -> StabilityReport:
-    """Check f(P) stays in the sector and its first coordinate is p-adically largest.
+def verify_stability(cfg: SectorConfig, tables: Sequence[Sequence[tuple]]) -> list:
+    """One verdict per sample P: f(P) lies in the sector.
 
     ``tables[k]`` is sample k's list of valuation signatures along its orbit,
-    with at least two entries: P = f^0(P) and f(P).
+    with at least two entries: P = f^0(P) and f(P).  A sample outside the
+    sector raises NotInSectorError.
+
+    f(P) in U also makes its first coordinate p-adically largest: a
+    signature in U has s_1 > C*s_2 >= s_2 > ... > s_N > 0, since C >= 1.
     """
-    results = []
+    verdicts = []
     for sig_before, sig_after, *_ in tables:
         if not _signature_in_U(sig_before, cfg):
             raise NotInSectorError(f"a sample with signature {sig_before} is not in the sector")
-        results.append(
-            PointStability(
-                signature_before=sig_before,
-                signature_after=sig_after,
-                image_in_U=_signature_in_U(sig_after, cfg),
-                first_coordinate_is_max=sig_after[0] == max(sig_after),
-            )
-        )
-    return StabilityReport(results=results)
+        verdicts.append(_signature_in_U(sig_after, cfg))
+    return verdicts
 
 
-@dataclass(frozen=True)
-class DominantValueRow:
-    component: int
-    lhs: float  # v(x_i of f(P))
-    rhs: float  # d_{i,i} v(x_i) + sum_l e_{i,l} v(x_l)
-    equal: bool
+def verify_dominant_value(f: TriangularMap, sigs: Sequence[tuple]) -> bool:
+    """Exact valuation identity: the signature of f(P) is the one the
+    dominant monomials predict from the signature of P.
 
-
-@dataclass
-class DominantValueReport:
-    rows: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.equal for r in self.rows)
-
-
-def verify_dominant_value(
-    cfg: SectorConfig, f: TriangularMap, sigs: Sequence[tuple]
-) -> DominantValueReport:
-    """Exact valuation identity: the image coordinate's valuation equals the
-    dominant monomial evaluated in valuation form.
-
-    ``sigs`` is the valuation signature list of an orbit of f with at least
-    two entries: P = f^0(P) and f(P).
+    ``sigs`` is the valuation signature list of an orbit of f from a sector
+    point P, with at least two entries: P = f^0(P) and f(P).
     """
-    if not _signature_in_U(sigs[0], cfg):
-        raise NotInSectorError(f"a point with signature {sigs[0]} is not in the sector")
-    vals = [-e for e in sigs[0]]
-    rows = []
-    for i in range(1, f.dimension + 1):
-        mono = dominant_monomial(f, i)
-        lhs = -sigs[1][i - 1]
-        rhs = sum(e * v for e, v in zip(mono, vals) if e)
-        rows.append(DominantValueRow(component=i, lhs=lhs, rhs=rhs, equal=lhs == rhs))
-    return DominantValueReport(rows=rows)
+    return image_signature(f, sigs[0]) == tuple(sigs[1])
 
 
 def image_first_exponent_floor(f: TriangularMap, cfg: SectorConfig) -> int:
-    """Minimum of -v(x_1 of f(Q)) over all sector points Q.
-
-    By the dominant-monomial identity, -v(x_1(f(Q))) = d_{1,1}*(-v q_1)
-    + sum_l e_{1,l}*(-v q_l); it is minimized at the minimal signature.
-    """
-    mono = dominant_monomial(f, 1)
-    base = minimal_signature(cfg)
-    return sum(e * m for e, m in zip(mono, base))
+    """Minimum of -v(x_1 of f(Q)) over all sector points Q: by the
+    dominant-monomial identity it is reached at the minimal signature."""
+    return image_signature(f, minimal_signature(cfg))[0]
 
 
 def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
@@ -374,30 +331,14 @@ def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
     return point
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    n: int
-    valuation: int  # v(x_2 at step n)
-    expected: int  # d_{2,2}^n * v(x_2 at step 0)
-    equal: bool
-    in_halfplane: bool  # |x_2|_p > 1 preserved
-
-
-@dataclass
-class GrowthReport:
-    rows: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.equal and r.in_halfplane for r in self.rows)
-
-
-def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> GrowthReport:
+def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> list:
     """Exact second-coordinate valuation growth for N = 2, d_{1,1} <= d_{2,2},
-    read along the orbit ``orb`` for n = 1..len(orb)-1.
+    read along the orbit ``orb``: rows (n, v, expected) for n = 1..len(orb)-1,
+    with v = v(x_2 at step n) and expected = d_{2,2}^n * v(x_2 at step 0).
 
     On the half-plane |x_2|_p > 1 the last coordinate's valuation multiplies
-    by exactly d_{2,2} each step, with no tolerance.
+    by exactly d_{2,2} each step, with no tolerance.  v == expected keeps the
+    orbit in the half-plane: v0 < 0 and d_{2,2} >= 1 make expected < 0.
     """
     f = orb.map
     if f.dimension != 2:
@@ -408,30 +349,21 @@ def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> GrowthReport:
     v0, *vals = [_valuation(q[1], cfg.prime) for q in orb.points]
     if not (v0 < 0):
         raise NotInSectorError("second coordinate must satisfy |x_2|_p > 1")
-    d22 = diag[1]
-    rows = []
-    for n, v in enumerate(vals, start=1):
-        expected = d22**n * v0
-        rows.append(
-            GrowthRow(
-                n=n, valuation=v, expected=expected, equal=v == expected, in_halfplane=v < 0
-            )
-        )
-    return GrowthReport(rows=rows)
+    return [(n, v, diag[1] ** n * v0) for n, v in enumerate(vals, start=1)]
 
 
 def sector_report_csv(
     cfg: SectorConfig,
     tables: Sequence[Sequence[tuple]],
-    stability: StabilityReport,
-    dominant: Sequence,
+    stable: Sequence[bool],
+    dominant: Sequence[bool],
     n_max: int,
 ) -> str:
     """Per-point CSV: valuation signatures along each orbit plus stability flags.
 
     ``tables[k]`` is sample k's signature list, reaching at least f^{n_max};
-    ``stability`` and ``dominant`` are the sample's verify_stability and
-    verify_dominant_value reports, in the same order.
+    ``stable`` and ``dominant`` are the samples' verify_stability and
+    verify_dominant_value verdicts, in the same order.
     """
     header = ["point_id"]
     header += [f"e{i}" for i in range(1, cfg.dimension + 1)]
@@ -439,10 +371,10 @@ def sector_report_csv(
         header += [f"neg_v_x{i}_n{n}" for i in range(1, cfg.dimension + 1)]
     header += ["stable_ok", "dominant_ok"]
     lines = [",".join(header)]
-    for pid, (sigs, stable, dom) in enumerate(zip(tables, stability.results, dominant)):
+    for pid, (sigs, stable_ok, dominant_ok) in enumerate(zip(tables, stable, dominant)):
         row = [str(pid)]
         for sig in sigs[: n_max + 1]:
             row += [str(e) for e in sig]
-        row += [str(stable.ok).lower(), str(dom.all_ok).lower()]
+        row += [str(stable_ok).lower(), str(dominant_ok).lower()]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -175,8 +175,8 @@ def test_acceptance_04_sector_stability():
     cfg, samples = _sector_samples()
     assert (cfg.prime, cfg.C) == (2, 7)
     steps = [[valuation_signature(q, cfg) for q in orbit(E1, p, 1).points] for p in samples]
-    stable = verify_stability(cfg, steps).all_ok
-    dominant = all(verify_dominant_value(cfg, E1, sigs).all_ok for sigs in steps)
+    stable = all(verify_stability(cfg, steps))
+    dominant = all(verify_dominant_value(E1, sigs) for sigs in steps)
     passed = stable and dominant and budget.ok()
     report(
         4,

@@ -438,6 +438,42 @@ def test_cli_run_rejected_config_exits_config(tmp_path, capsys, doc, message):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"map": E1_DOC, "prime": 9}, "9 is not prime"),
+        ({"map": E1_DOC, "c_constant": 3}, "violates the bound"),
+        (
+            {"map": {"dimension": 2, "components": ["x1^3+3*x2", "x2^2+1"]}, "prime": 3},
+            "not a 3-adic unit",
+        ),
+        ({"map": {"dimension": 1, "components": ["x1+1"]}}, "d11 >= 2"),
+        ({"map": SECOND_DOC, "mode": "second_case_n2", "prime": 9}, "9 is not prime"),
+        ({"map": SECOND_DOC, "mode": "second_case_n2", "c_constant": 1}, "violates the bound"),
+        (
+            {
+                "map": {"dimension": 2, "components": ["x1*x2+2", "x2^2"]},
+                "mode": "second_case_n2",
+                "prime": 2,
+            },
+            "not a 2-adic unit",
+        ),
+    ],
+    ids=[
+        "first_prime_9", "first_low_C", "first_non_unit_prime", "first_d11_1",
+        "second_prime_9", "second_low_C", "second_non_unit_prime",
+    ],
+)
+def test_cli_run_refused_sector_config_writes_nothing(tmp_path, capsys, doc, message):
+    # the sector config is built and the map's shape checked before the
+    # degree stage writes degrees.csv
+    cfg = write_cfg(tmp_path, doc)
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_cli_run_with_a_61_bit_prime_ends(tmp_path, capsys):
     # trial division would take about 7.6e8 divisions to prove 2^61 - 1
     # prime, so the run would hang; the orbit coordinates outgrow Python's
@@ -656,6 +692,20 @@ def test_cli_degrees_non_object_map_exits_config(tmp_path, capsys, text):
     )
     assert code == EXIT_CONFIG
     assert "'components' list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "{path}"], ["degrees", "--map", "{path}", "--nmax", "2"]],
+    ids=["run", "degrees"],
+)
+def test_cli_deeply_nested_json_exits_config(tmp_path, capsys, argv):
+    # the JSON parser recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = [arg.format(path=path) for arg in argv]
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == EXIT_CONFIG
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dimension", ["[1]", '"2"', "0", "true"])

@@ -10,10 +10,12 @@ from arithdyn.padic import (
     NotInSectorError,
     NotPrimeError,
     SectorConfig,
+    _signature_in_U,
     case_n2_growth,
     choose_C,
     dominant_monomial,
     find_unit_prime,
+    image_signature,
     in_U,
     is_prime,
     minimal_signature,
@@ -196,12 +198,16 @@ def test_samples_with_distinct_signatures_have_disjoint_orbits():
 def test_stability_hand_checked_point():
     cfg = sector_config(E1)
     point = as_point([Fraction(1, 256), Fraction(1, 2)])
-    report = verify_stability(cfg, [signatures(E1, point, cfg)])
-    r = report.results[0]
-    assert r.signature_after == (24, 2)
-    assert r.image_in_U  # 24 > 7*2 > 0
-    assert r.first_coordinate_is_max
-    assert report.all_ok
+    sigs = signatures(E1, point, cfg)
+    assert sigs[1] == (24, 2)
+    assert max(sigs[1]) == sigs[1][0]
+    assert verify_stability(cfg, [sigs]) == [True]  # 24 > 7*2 > 0
+
+
+def test_stability_verdict_is_false_when_the_image_leaves_the_sector():
+    cfg = SectorConfig(prime=2, C=7, dimension=2)
+    # (24, 4) fails 24 > 7*4; (24, 2) is the true image signature of (8, 1)
+    assert verify_stability(cfg, [[(8, 1), (24, 4)], [(8, 1), (24, 2)]]) == [False, True]
 
 
 def test_stability_rejects_outside_point():
@@ -212,8 +218,8 @@ def test_stability_rejects_outside_point():
 
 def test_stability_batch_of_20():
     cfg = sector_config(E1)
-    report = verify_stability(cfg, [signatures(E1, p, cfg) for p in sample_U(cfg, 20, seed=5)])
-    assert report.all_ok
+    verdicts = verify_stability(cfg, [signatures(E1, p, cfg) for p in sample_U(cfg, 20, seed=5)])
+    assert verdicts == [True] * 20
 
 
 def test_sector_stable_under_eight_iterations():
@@ -255,22 +261,24 @@ def test_dominant_monomial_index_range():
 
 def test_dominant_value_hand_checked():
     cfg = sector_config(E1)
-    report = verify_dominant_value(cfg, E1, signatures(E1, [Fraction(1, 256), Fraction(1, 2)], cfg))
-    assert [(r.lhs, r.rhs) for r in report.rows] == [(-24, -24), (-2, -2)]
-    assert report.all_ok
+    sigs = signatures(E1, [Fraction(1, 256), Fraction(1, 2)], cfg)
+    assert sigs == [(8, 1), (24, 2)]
+    assert image_signature(E1, (8, 1)) == (24, 2)
+    assert verify_dominant_value(E1, sigs) is True
 
 
 def test_dominant_value_single_monomial_map():
     f = triangular_map(["x1^4"])
     cfg = sector_config(f)
-    report = verify_dominant_value(cfg, f, signatures(f, [Fraction(1, 2)], cfg))
-    assert report.rows[0].lhs == report.rows[0].rhs == -4
+    sigs = signatures(f, [Fraction(1, 2)], cfg)
+    assert image_signature(f, sigs[0]) == sigs[1] == (4,)
+    assert verify_dominant_value(f, sigs) is True
 
 
 def test_dominant_value_batch():
     cfg = sector_config(E1)
     for point in sample_U(cfg, 20, seed=2):
-        assert verify_dominant_value(cfg, E1, signatures(E1, point, cfg)).all_ok
+        assert verify_dominant_value(E1, signatures(E1, point, cfg)) is True
 
 
 def test_growth_floor_feeds_height_bound():
@@ -322,17 +330,17 @@ def test_witness_requires_decreasing_diagonal():
 def test_case_n2_growth_examples():
     f = triangular_map(["x1*x2+1", "x2^2"])
     cfg = sector_config(f, prime=2)
-    report = case_n2_growth(cfg, orbit(f, [1, Fraction(1, 2)], 5))
-    assert [r.valuation for r in report.rows] == [-2, -4, -8, -16, -32]
-    assert report.all_ok
+    rows = case_n2_growth(cfg, orbit(f, [1, Fraction(1, 2)], 5))
+    assert [v for _, v, _ in rows] == [-2, -4, -8, -16, -32]
+    assert all(v == expected for _, v, expected in rows)
 
 
 def test_case_n2_growth_cubing():
     f = triangular_map(["x1+x2^3", "x2^3"])
     cfg = sector_config(f, prime=2)
-    report = case_n2_growth(cfg, orbit(f, [0, Fraction(1, 2)], 4))
-    assert [r.valuation for r in report.rows] == [-3, -9, -27, -81]
-    assert report.all_ok
+    rows = case_n2_growth(cfg, orbit(f, [0, Fraction(1, 2)], 4))
+    assert [v for _, v, _ in rows] == [-3, -9, -27, -81]
+    assert all(v == expected for _, v, expected in rows)
 
 
 def test_case_n2_growth_precondition():
@@ -340,3 +348,41 @@ def test_case_n2_growth_precondition():
     cfg = sector_config(f, prime=2)
     with pytest.raises(NotInSectorError):
         case_n2_growth(cfg, orbit(f, [1, 3], 3))  # x2 integral at p=2
+
+
+# -- conditions the verdicts imply ------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 10),
+    st.integers(-3, 5),
+    st.lists(st.integers(-3, 20), min_size=3, max_size=3),
+)
+def test_a_sector_signature_has_its_first_entry_largest(dimension, C, last, gaps):
+    # built from the last entry up, so both sides of every inequality occur
+    sig = [last]
+    for gap in gaps[: dimension - 1]:
+        sig.insert(0, C * sig[0] + gap)
+    if _signature_in_U(sig, SectorConfig(prime=2, C=C, dimension=dimension)):
+        assert sig[0] == max(sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(-3, 3).filter(bool),
+    st.integers(-3, 3),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+)
+def test_growth_equality_keeps_x2_in_the_half_plane(d22, d11, a, b, c, p, k):
+    f = triangular_map([f"x1^{min(d11, d22)}*x2^{a}+1", f"{b}*x2^{d22}+{c}"])
+    cfg = SectorConfig(prime=p, C=1, dimension=2)
+    for _, v, expected in case_n2_growth(cfg, orbit(f, [1, Fraction(1, p**k)], 3)):
+        assert expected < 0
+        if v == expected:
+            assert v < 0
