@@ -32,7 +32,6 @@ from .maps import (
 )
 from .degrees import (
     DegreeMatrix,
-    check_composition_bounds,
     degree_matrix,
     dynamical_degree_exact,
     dynamical_degree_sequence,
@@ -79,7 +78,6 @@ __all__ = [
     "alpha_bounds",
     "as_point",
     "case_n2_growth",
-    "check_composition_bounds",
     "choose_C",
     "degree_matrix",
     "density_check",

@@ -41,10 +41,6 @@ class DegreeMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based entry d_{i,j}."""
-        return self.entries[i - 1][j - 1]
-
     def diagonal(self) -> tuple:
         return tuple(self.entries[i][i] for i in range(self.size))
 
@@ -120,44 +116,6 @@ def dynamical_degree_exact(f: TriangularMap) -> int:
 def map_degree(f: TriangularMap) -> int:
     """deg(f) = max over components of the total degree."""
     return max(c.total_degree() for c in f.components)
-
-
-@dataclass
-class CompositionBoundsReport:
-    """Degree matrices of f, g, f o g plus the two composition assertions."""
-
-    deg_f: DegreeMatrix
-    deg_g: DegreeMatrix
-    deg_composition: DegreeMatrix
-    bound: DegreeMatrix  # Deg(g) * Deg(f)
-    entrywise_ok: bool
-    diagonal_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.entrywise_ok and self.diagonal_ok
-
-
-def check_composition_bounds(
-    f: TriangularMap, g: TriangularMap, caps: ResourceCaps = DEFAULT_CAPS
-) -> CompositionBoundsReport:
-    """Verify Deg(f o g) <= Deg(g)*Deg(f) entrywise, with diagonal equality.
-
-    The diagonal of the composition's degree matrix equals the product of
-    the factors' diagonals because the dominant diagonal powers cannot cancel
-    (the components of g are algebraically independent).
-    """
-    deg_f = degree_matrix(f)
-    deg_g = degree_matrix(g)
-    composition = f.compose(g, caps)
-    deg_fg = degree_matrix(composition)
-    bound = deg_g.multiply(deg_f)
-    entrywise_ok = deg_fg.entrywise_leq(bound)
-    diagonal_ok = all(
-        deg_fg.entry(i, i) == deg_f.entry(i, i) * deg_g.entry(i, i)
-        for i in range(1, f.dimension + 1)
-    )
-    return CompositionBoundsReport(deg_f, deg_g, deg_fg, bound, entrywise_ok, diagonal_ok)
 
 
 @dataclass

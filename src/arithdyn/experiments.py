@@ -203,7 +203,7 @@ def _degree_stage(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, checks
             details={"delta_exact": delta, "rows": [[n, d, r] for n, d, r in seq.values]},
         )
     )
-    return delta, seq
+    return delta
 
 
 def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
@@ -247,7 +247,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             f"first_case requires strictly decreasing diagonal degrees with d11 >= 2, got {diag}"
         )
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
-    delta, _ = _degree_stage(cfg, f, out_dir, checks, files, caps)
+    delta = _degree_stage(cfg, f, out_dir, checks, files, caps)
 
     # The last sample's x_1 has denominator p^e of at least e*(bits(p) - 1) + 1
     # bits; past the cap orbit() would refuse its first step, so refuse now,
@@ -394,7 +394,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
     if diag[0] > diag[1]:
         raise ConfigError("second_case_n2 requires d11 <= d22")
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
-    delta, _ = _degree_stage(cfg, f, out_dir, checks, files, caps)
+    delta = _degree_stage(cfg, f, out_dir, checks, files, caps)
 
     if cfg.point is not None:
         point = as_point(cfg.point)

@@ -13,7 +13,6 @@ distinct starting points may be processed in parallel with no coordination.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,9 +167,6 @@ class Orbit:
     map: TriangularMap
     points: list = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.points)
-
 
 def orbit(
     f: TriangularMap,
@@ -193,7 +189,7 @@ def orbit(
             f"point has {len(point)} coordinates, expected {f.dimension}"
         )
     points = [point]
-    bound = _step_bound(f)
+    bound = step_bits_bound(f)
     for n in range(n_max):
         bits = bound(point)
         if bits > caps.max_coeff_bits:
@@ -209,8 +205,9 @@ def orbit(
     return Orbit(map=f, points=points)
 
 
-def step_bits_bound(f: TriangularMap, point: AffinePoint) -> int:
-    """A bound on bits(num) + bits(den) of each coordinate of f(point), known without it.
+def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
+    """A bound, as a function of the point Q, on bits(num) + bits(den) of each
+    coordinate of f(Q), known without computing f(Q); f's terms are summed once.
 
     Proof, from the homogenisation of ``qpoly._horner_integer``.  Write
     x_j = n_j / d_j in lowest terms, and for a component f_i let M be the
@@ -224,11 +221,6 @@ def step_bits_bound(f: TriangularMap, point: AffinePoint) -> int:
         bits(num) + bits(den) <= bits(sum_a |C_a|) + bits(M)
                                  + sum_j deg_j (bits(max(|n_j|, d_j)) + bits(d_j)).
     """
-    return _step_bound(f)(point)
-
-
-def _step_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
-    """:func:`step_bits_bound` for f as a function of the point, f's terms summed once."""
     terms = []
     for p in f.components:
         m = math.lcm(*(c.denominator for c in p.terms.values()))
@@ -273,14 +265,6 @@ def map_from_json_dict(doc: dict) -> TriangularMap:
     if len(texts) != dimension:
         raise DimensionMismatchError(f"{len(texts)} components for dimension {dimension}")
     return TriangularMap([parse_polynomial(text, dimension) for text in texts])
-
-
-def map_to_json(f: TriangularMap) -> str:
-    return json.dumps(map_to_json_dict(f), sort_keys=True)
-
-
-def map_from_json(text: str) -> TriangularMap:
-    return map_from_json_dict(json.loads(text))
 
 
 def orbit_to_csv(o: Orbit) -> str:

@@ -333,7 +333,7 @@ def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
 
 def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> list:
     """Exact second-coordinate valuation growth for N = 2, d_{1,1} <= d_{2,2},
-    read along the orbit ``orb``: rows (n, v, expected) for n = 1..len(orb)-1,
+    read along the orbit ``orb``: rows (n, v, expected) for n = 1..len(orb.points)-1,
     with v = v(x_2 at step n) and expected = d_{2,2}^n * v(x_2 at step 0).
 
     On the half-plane |x_2|_p > 1 the last coordinate's valuation multiplies

@@ -12,8 +12,8 @@ from arithdyn.maps import (
     TriangularMap,
     as_point,
     iterate_symbolic,
-    map_from_json,
-    map_to_json,
+    map_from_json_dict,
+    map_to_json_dict,
     orbit,
     orbit_to_csv,
     orbits_disjoint_prefix,
@@ -128,13 +128,13 @@ COORDS = st.builds(
 def test_step_bits_bound_covers_the_step(texts, data):
     f = triangular_map(texts)
     point = tuple(data.draw(COORDS) for _ in range(f.dimension))
-    assert max(map(_bits, f.apply(point))) <= step_bits_bound(f, point)
+    assert max(map(_bits, f.apply(point))) <= step_bits_bound(f)(point)
 
 
 def test_step_bits_bound_is_exact_on_a_pure_power():
     # bits(sum |C_a|) + bits(M) + deg * (bits(max(3, 1)) + bits(1)) = 1 + 1 + 5 * 3
     f = triangular_map(["x1^5"])
-    assert step_bits_bound(f, (Fraction(3),)) == 1 + 1 + 5 * (2 + 1)
+    assert step_bits_bound(f)((Fraction(3),)) == 1 + 1 + 5 * (2 + 1)
     assert _bits(f.apply((Fraction(3),))[0]) == (3**5).bit_length() + 1
 
 
@@ -213,9 +213,9 @@ def test_triangularity_preserved_by_iteration(texts, t):
 
 def test_map_json_round_trip():
     f = triangular_map(["x1^3+x2", "x2^2+1"])
-    doc = json.loads(map_to_json(f))
-    assert doc["dimension"] == 2
-    assert map_from_json(map_to_json(f)) == f
+    doc = json.loads(json.dumps(map_to_json_dict(f)))
+    assert doc == {"dimension": 2, "components": ["x1^3 + x2", "x2^2 + 1"]}
+    assert map_from_json_dict(doc) == f
 
 
 def test_map_json_component_count_checked_before_parsing(monkeypatch):
@@ -228,7 +228,7 @@ def test_map_json_component_count_checked_before_parsing(monkeypatch):
 
     monkeypatch.setattr(maps_module, "parse_polynomial", no_parse)
     with pytest.raises(DimensionMismatchError, match="1 components for dimension"):
-        map_from_json('{"dimension": 1000000000000, "components": ["x1"]}')
+        map_from_json_dict({"dimension": 1000000000000, "components": ["x1"]})
 
 
 def test_orbit_csv_round_trip():
