@@ -5,16 +5,18 @@ is the strongest finitely checkable consequence of density.  It holds iff
 the (points x monomials) evaluation matrix has full column rank M, where M
 counts the monomials of total degree <= d.
 
-The rows are built in integers: a point's row is its monomial values times
-L^d, for L the lcm of its coordinates' denominators, which is primitive.
-With at least as many points as monomials, a rank certificate modulo the
-Mersenne prime 2^61 - 1 comes first: if the integer rows have full column
-rank modulo p, they have full column rank over Q (a maximal minor that is
-nonzero mod p is a nonzero integer), and no exact elimination runs.
-Otherwise one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
-22 (1968); Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) on the same
-integer rows gives both the exact rank and, when the rank falls short, a
-kernel witness.
+The rows are built in integers, one point at a time: a point's row is its
+monomial values times L^d, for L the lcm of its coordinates' denominators,
+which is primitive.  A row is kept if it is independent modulo the Mersenne
+prime p = 2^61 - 1 of the rows kept before it; no row is built after the
+M-th.  Kept rows are independent over Q (a minor that is nonzero mod p is a
+nonzero integer), so M of them prove full rank.  Below M, one fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
+Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) runs on the kept rows, and
+an exact test proves every other row is in their span: then all rows have
+the same row space, hence the same reduced row echelon form, rank and
+kernel witness.  A row fails the test only if p divides every maximal minor
+of it and the kept rows; the elimination then runs on all rows.
 Pivots are chosen to limit bit-length growth (smallest nonzero magnitude,
 lowest row index on ties), so every run is deterministic; the reduced row
 echelon form, and hence the witness, does not depend on that choice.
@@ -26,16 +28,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .maps import DEFAULT_CAPS, as_point
 from .qpoly import DimensionMismatchError, Monomial, ResourceLimitError
 
 
 # The rank certificate's prime, the Mersenne prime 2^61 - 1: residues fit in
-# 61 bits, and a prime this large rarely divides every maximal minor of a
-# full-rank matrix, which is when the certificate fails and the exact
-# elimination runs instead.
+# 61 bits, and a prime this large rarely divides a minor of the rows, which
+# is when the rank modulo p falls short of the rank over Q and the exact
+# elimination runs on all rows.
 MODULUS = 2**61 - 1
 
 
@@ -69,10 +71,10 @@ def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list:
     return rows
 
 
-def _monomial_rows(points: Sequence, monomials: Sequence[Monomial], degree: int) -> list:
+def _monomial_rows(points: Iterable, monomials: Sequence[Monomial], degree: int) -> Iterator:
     """The evaluation rows of ``monomials`` (every monomial of total degree
     <= ``degree`` >= 1) at ``points``, each scaled to a primitive integer
-    vector without a gcd.
+    vector without a gcd, built one point at a time as they are read.
 
     For a point with L the lcm of its denominators and a_i = x_i * L, the
     entry of monomial m is prod a_i^(m_i) * L^(degree - |m|): L^degree times
@@ -89,42 +91,44 @@ def _monomial_rows(points: Sequence, monomials: Sequence[Monomial], degree: int)
     multiples of the same rational row, with a positive entry for the
     monomial 1, are equal.
     """
-    rows = []
     for point in points:
         lcm = math.lcm(*(x.denominator for x in point))
         powers = [
             [(x.numerator * (lcm // x.denominator)) ** k for k in range(degree + 1)] for x in point
         ]
         lcm_powers = [lcm**k for k in range(degree + 1)]
-        rows.append(
-            [
-                math.prod(p[e] for p, e in zip(powers, mono)) * lcm_powers[degree - sum(mono)]
-                for mono in monomials
-            ]
-        )
-    return rows
+        yield [
+            math.prod(p[e] for p, e in zip(powers, mono)) * lcm_powers[degree - sum(mono)]
+            for mono in monomials
+        ]
 
 
-def _full_column_rank_mod_p(rows: list) -> bool:
-    """Whether nonempty integer rows have full column rank modulo MODULUS.
-
-    Forward elimination over GF(p), stopping at the first column without a
-    pivot.  True proves full column rank over Q; False proves nothing.
-    """
+def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
+    """(kept, read): the integer rows read one at a time into an echelon
+    basis modulo MODULUS until ``n_cols`` are independent, and the indices of
+    those independent of the rows before them; len(kept) is the rank of
+    ``read`` modulo p.  A basis row is stored after its leading 1; a row
+    being reduced is taken mod p once, then only where read as a factor."""
     p = MODULUS
-    rows = [[x % p for x in row] for row in rows]
-    for col in range(len(rows[0])):
-        pivot_row = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            return False
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        top = rows[col][col:]
-        inverse = pow(top[0], -1, p)
-        for row in rows[col + 1 :]:
-            if row[col]:
-                factor = row[col] * inverse % p
-                row[col:] = [(a - factor * b) % p for a, b in zip(row[col:], top)]
-    return True
+    basis = [None] * n_cols  # basis[c]: the tail after column c of a row led by 1 at c
+    kept, read = [], []
+    for row in rows:
+        read.append(row)
+        r = [a % p for a in row]
+        for c in range(n_cols):
+            x = r[c] % p
+            if x:
+                if basis[c] is None:
+                    break
+                r[c + 1 :] = [a - x * b for a, b in zip(r[c + 1 :], basis[c])]
+        else:
+            continue  # zero modulo p: in the span of the kept rows
+        inverse = pow(x, -1, p)
+        basis[c] = [a * inverse % p for a in r[c + 1 :]]
+        kept.append(len(read) - 1)
+        if len(kept) == n_cols:
+            break
+    return kept, read
 
 
 def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
@@ -184,6 +188,22 @@ def _kernel_from_rref(n_cols: int, rows: list, pivots: list) -> list:
     return vec
 
 
+def _in_row_space(n_cols: int, rref: list, pivots: list, rows: list) -> bool:
+    """Whether each row x of ``rows`` is in the row space of a rational_rref
+    result (rows R_i, pivots piv_i).  The reduced rows are 1 at their own
+    pivot and 0 at the others, so x can only be sum_i x[piv_i] R_i/R_i[piv_i],
+    which agrees with x at the pivots; with L = lcm R_i[piv_i], the free
+    columns f must satisfy L x[f] == sum_i x[piv_i] (L / R_i[piv_i]) R_i[f]."""
+    lcm = math.lcm(*(row[c] for row, c in zip(rref, pivots)))
+    free = [f for f in range(n_cols) if f not in pivots]
+    scaled = [[lcm // row[c] * row[f] for f in free] for row, c in zip(rref, pivots)]
+    return all(
+        lcm * x[f] == sum(x[c] * s[j] for c, s in zip(pivots, scaled))
+        for x in rows
+        for j, f in enumerate(free)
+    )
+
+
 @dataclass
 class DensityReport:
     degree_bound: int
@@ -209,13 +229,10 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     unequal length raise DimensionMismatchError, and more monomials than
     ``DEFAULT_CAPS.max_terms`` raise ResourceLimitError before any is built.
 
-    The rows are built in integers once.  With at least m points, full
-    column rank modulo p = ``MODULUS`` settles the verdict without an exact
-    elimination.  Proof: scaling a row by a nonzero integer does not change
-    the rank; an m x m minor of the integer rows that is nonzero mod p is a
-    nonzero integer, so the rank over Q is m.  A rank below m mod p proves
-    nothing (p may divide every maximal minor), so ``rational_rref`` on the
-    same integer rows then gives the exact rank and the witness.
+    Integer rows are built one point at a time, and none after m are
+    independent modulo ``MODULUS``; below m, ``rational_rref`` runs on the
+    independent rows, and on all rows only if another row is outside their
+    span.  The module docstring has the proofs.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -235,11 +252,13 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
         )
     monos = monomials_up_to_degree(dimension, degree_bound)
 
-    rows = _monomial_rows(pts, monos, degree_bound)
-    if len(rows) >= m and _full_column_rank_mod_p(rows):
-        rank, kernel = m, None
-    else:
-        rank, rref, pivots = rational_rref(rows)
+    kept, rows = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)
+    rank, kernel = len(kept), None
+    if rank < m:
+        rank, rref, pivots = rational_rref([rows[i] for i in kept])
+        others = [row for i, row in enumerate(rows) if i not in kept]
+        if not _in_row_space(m, rref, pivots, others):
+            rank, rref, pivots = rational_rref(rows)
         kernel = _kernel_from_rref(m, rref, pivots) if rank < m else None
     if rank == m:
         verdict = "no_common_hypersurface"

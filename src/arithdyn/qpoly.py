@@ -165,9 +165,6 @@ class Polynomial:
 
     # -- predicates and accessors -------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficients(self) -> list[Fraction]:
         return list(self.terms.values())
 

@@ -159,17 +159,59 @@ def test_deficient_rank_runs_rational_rref_once(monkeypatch):
 def test_singular_mod_p_falls_back_to_exact_rank(monkeypatch):
     # 1, x1, x2 at (0, 0), (p, 0), (0, 1): the matrix has determinant p, so
     # it is singular mod p and the certificate proves nothing, but its rank
-    # over Q is 3
+    # over Q is 3: the elimination on the two kept rows is followed by a
+    # failed membership test and the elimination on all three rows
     rref_calls = count_rref_calls(monkeypatch)
     report = density_check([[0, 0], [density.MODULUS, 0], [0, 1]], 1)
     assert (report.rank, report.verdict, report.kernel) == (3, "no_common_hypersurface", None)
-    assert len(rref_calls) == 1
+    assert len(rref_calls) == 2
+
+
+def test_row_off_the_span_by_a_multiple_of_the_modulus_reaches_full_elimination(monkeypatch):
+    # 1, x1, x1^2 at 0 and p: the rows (1, 0, 0) and (1, p, p^2) are equal
+    # mod p, so one row is kept, but the second lies off its span over Q by
+    # a multiple of p; the exact rank is 2 and the witness is x1^2 - p*x1
+    p = density.MODULUS
+    kept, rows = density._rank_mod_p(iter([[1, 0, 0], [1, p, p * p]]), 3)
+    assert (kept, rows) == ([0], [[1, 0, 0], [1, p, p * p]])
+    _, rref, pivots = rational_rref([rows[0]])
+    assert density._in_row_space(3, rref, pivots, [[2, 0, 0]])
+    assert not density._in_row_space(3, rref, pivots, [rows[1]])
+    rref_calls = count_rref_calls(monkeypatch)
+    report = density_check([[0], [p]], 2)
+    assert [len(matrix) for matrix in rref_calls] == [1, 2]
+    assert (report.rank, report.verdict, report.kernel) == (2, "inconclusive", [0, -p, 1])
+
+
+def count_built_rows(monkeypatch) -> list:
+    """Record every row density._monomial_rows yields; the list fills as
+    density_check reads them."""
+    built = []
+    rows = density._monomial_rows
+
+    def counting_rows(*args):
+        for row in rows(*args):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(density, "_monomial_rows", counting_rows)
+    return built
+
+
+def test_full_rank_set_builds_only_the_rows_it_keeps(monkeypatch):
+    # 120 sector points of E1 at degree 6: the first 28 rows are
+    # independent mod p, and no row after them is built
+    built = count_built_rows(monkeypatch)
+    e1 = triangular_map(["x1^3+x2", "x2^2+1"])
+    report = density_check(sample_U(sector_config(e1), 120, 9), 6)
+    assert (report.rank, report.verdict) == (28, "no_common_hypersurface")
+    assert len(built) == 28
 
 
 def test_benchmark_sets_run_exact_elimination_only_when_deficient(monkeypatch):
     # 120 sector points of E1 at degree 6: full rank 28, certified mod p
     # with no exact elimination; 80 points on x2 = x1^3 + x1 + 1: rank 18,
-    # one elimination for the rank and the witness
+    # one elimination, on the 18 kept rows, for the rank and the witness
     rref_calls = count_rref_calls(monkeypatch)
     e1 = triangular_map(["x1^3+x2", "x2^2+1"])
     report = density_check(sample_U(sector_config(e1), 120, 9), 6)
@@ -179,6 +221,7 @@ def test_benchmark_sets_run_exact_elimination_only_when_deficient(monkeypatch):
     report = density_check(curve, 6)
     assert (report.rank, report.verdict) == (18, "vanishing_polynomial")
     assert len(rref_calls) == 1
+    assert len(rref_calls[0]) == 18
 
 
 @pytest.mark.parametrize(
@@ -200,7 +243,7 @@ def test_integer_rows_match_fraction_construction(points):
     # denominators row by row
     monos = monomials_up_to_degree(2, 6)
     fraction_rows = [[evaluate_monomial(mono, p) for mono in monos] for p in points]
-    assert density._monomial_rows(points, monos, 6) == density._integer_rows(fraction_rows)
+    assert list(density._monomial_rows(points, monos, 6)) == density._integer_rows(fraction_rows)
 
 
 def test_orbit_points_fill_degree_two_space():

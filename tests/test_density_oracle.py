@@ -9,8 +9,12 @@ column rank, the kernel witness must be a nonzero multiple of a
 ``nullspace()`` vector and 1 at the first free column.  ``density_check``
 is compared with the rank and ``nullspace()`` of its evaluation matrix on
 random point sets, with coordinates that are multiples of the certificate's
-prime so that the rank modulo that prime can fall short.  ``vp`` is compared
-with ``sympy.multiplicity`` on numerators and denominators.
+prime so that the rank modulo that prime can fall short.  The echelon basis
+modulo that prime, ``_rank_mod_p``, is compared on random integer matrices
+with entries and row offsets that are multiples of the prime: its rank is
+the rank over GF(p), at most the rank over Q, and its kept rows have rank
+over Q equal to their count.  ``vp`` is compared with ``sympy.multiplicity``
+on numerators and denominators.
 """
 
 from fractions import Fraction
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from arithdyn.density import (
     MODULUS,
     _kernel_from_rref,
+    _rank_mod_p,
     bareiss_rank,
     density_check,
     monomials_up_to_degree,
@@ -139,6 +144,7 @@ def point_sets(draw):
 @given(point_sets())
 @example(([(0, 0), (MODULUS, 0), (0, 1)], 1))
 @example(([(Fraction(0),), (Fraction(MODULUS),), (Fraction(1),)], 2))
+@example(([(0,), (MODULUS,)], 2))
 def test_density_check_matches_sympy(case):
     points, degree = case
     report = density_check(points, degree)
@@ -154,6 +160,51 @@ def test_density_check_matches_sympy(case):
     assert report.verdict == ("inconclusive" if len(points) < m else "vanishing_polynomial")
     k = sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in report.kernel])
     assert k in nullspace
+
+
+# Multiples of the prime vanish modulo it; rows drawn from the span of a
+# smaller basis and then moved off it by a multiple of the prime can have a
+# rank over Q above their rank modulo p.
+INTEGER_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2, 2).map(lambda k: k * MODULUS))
+
+
+@st.composite
+def integer_matrices(draw):
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 6))
+    basis_size = draw(st.integers(0, n_rows))
+    vectors = st.lists(INTEGER_ENTRIES, min_size=n_cols, max_size=n_cols)
+    basis = [draw(vectors) for _ in range(basis_size)]
+    offsets = st.lists(st.integers(-1, 1), min_size=n_cols, max_size=n_cols)
+    rows = []
+    for _ in range(n_rows):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=basis_size, max_size=basis_size))
+        offset = draw(offsets) if draw(st.booleans()) else [0] * n_cols
+        rows.append(
+            [
+                sum(c * b[j] for c, b in zip(coeffs, basis)) + MODULUS * offset[j]
+                for j in range(n_cols)
+            ]
+        )
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+@example([[1, 0, 0], [1, MODULUS, MODULUS**2]])
+@example([[MODULUS, 0], [0, 0]])
+def test_rank_mod_p_matches_sympy(matrix):
+    n_cols = len(matrix[0])
+    kept, read = _rank_mod_p(iter(matrix), n_cols)
+    # reading stops only at n_cols independent rows
+    assert read == matrix[: len(read)]
+    assert len(read) == len(matrix) or len(kept) == n_cols
+    residues = sympy.polys.matrices.DomainMatrix(
+        [[sympy.ZZ(x) for x in row] for row in read], (len(read), n_cols), sympy.ZZ
+    ).convert_to(sympy.GF(MODULUS))
+    assert len(kept) == residues.rank()
+    assert sympy.Matrix([read[i] for i in kept]).rank() == len(kept)
+    assert len(kept) <= sympy.Matrix(matrix).rank()
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 97])

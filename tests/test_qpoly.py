@@ -214,7 +214,7 @@ def test_degree_of_constant_and_zero():
     z = Polynomial.zero(2)
     assert z.degree_in_var(1) == 0
     assert z.total_degree() == 0
-    assert z.is_zero()
+    assert z == Polynomial.zero(z.dimension)
 
 
 def test_total_degree():
