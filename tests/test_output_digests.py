@@ -10,6 +10,7 @@ the affected digests here and say why.
 
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from arithdyn.experiments import EXIT_ASSERTION_FAILED, EXIT_OK, ExperimentConfi
 
 E1_DOC = {"dimension": 2, "components": ["x1^3+x2", "x2^2+1"]}
 SECOND_DOC = {"dimension": 2, "components": ["x1*x2+1", "x2^2"]}
+# coefficients with denominators > 1, so products reduce by a content gcd
+RATIONAL_DOC = {"dimension": 2, "components": ["3/2*x1^3 + 1/5*x2", "x2^2 + 1/3"]}
 
 DEGREES_E1 = "93a34f7f94bc893fd385a39f2ae182990c6da9e3c380caa05ee80ea45955ed04"
 
@@ -94,6 +97,19 @@ CASES = {
             "summary.json": "ecf3a8a260c25bbb70a8582e4329e841cdd41a2bb7ee2e73512ede60a3d29b32",
         },
     ),
+    # f^2 of a map with rational coefficients, printed and evaluated at a point
+    "iterate_check_rational": (
+        dict(
+            map=RATIONAL_DOC,
+            mode="iterate_check",
+            point=["1/7", "2/3"],
+            iterate_power=2,
+            n_max=3,
+        ),
+        {
+            "summary.json": "850d0d30338321797c1b51a4f15c0c279c23ec63c292d55a1c80b40dbf32d867",
+        },
+    ),
     # an odd sector prime: valuations go through the division chain, not bits
     "first_case_p3": (
         dict(map=E1_DOC, mode="first_case", prime=3, n_max=6, samples=6, seed=1),
@@ -127,6 +143,15 @@ def test_output_files_byte_identical(name, tmp_path):
         for path in tmp_path.iterdir()
     }
     assert written == expected
+
+
+def test_degrees_command_byte_identical_on_rational_map(tmp_path):
+    doc = tmp_path / "map.json"
+    doc.write_text(json.dumps(RATIONAL_DOC))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "degrees", "--map", str(doc), "--nmax", "4"]) == EXIT_OK
+    # degrees 3, 9, 27, 81: the same bytes as E1's degree table
+    assert hashlib.sha256((out / "degrees.csv").read_bytes()).hexdigest() == DEGREES_E1
 
 
 # 12 points at degree 2 (6 monomials): full rank.  10 points on
