@@ -84,15 +84,6 @@ class DegreeMatrix:
             e >>= 1
         return result
 
-    def entrywise_leq(self, other: "DegreeMatrix") -> bool:
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return all(
-            self.entries[i][j] <= other.entries[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
-        )
-
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
 
@@ -195,11 +186,11 @@ def product_map(f: TriangularMap, g: TriangularMap) -> TriangularMap:
     components = []
     for comp in f.components:
         components.append(
-            Polynomial(n, {mono + (0,) * ng: c for mono, c in comp.terms.items()})
+            Polynomial(n, {mono + (0,) * ng: c for mono, c in zip(comp.terms, comp.coefficients())})
         )
     for comp in g.components:
         components.append(
-            Polynomial(n, {(0,) * nf + mono: c for mono, c in comp.terms.items()})
+            Polynomial(n, {(0,) * nf + mono: c for mono, c in zip(comp.terms, comp.coefficients())})
         )
     return TriangularMap(components)
 

@@ -333,11 +333,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
         )
     )
 
-    disjoint = all(
-        orbits_disjoint_prefix(prefixes[i], prefixes[j])
-        for i in range(len(prefixes))
-        for j in range(i + 1, len(prefixes))
-    )
+    disjoint = orbits_disjoint_prefix(*prefixes)
     checks.append(
         Check(
             name="pairwise_orbit_disjointness",

@@ -200,6 +200,7 @@ def product_height_additivity(
         seq_b=height_sequence(f_b, p_b, n_max, caps=caps),
         projections_match=len(lifted) == len(blocks) and all(
             not any(any(mono[other]) for mono in poly.terms)
+            and poly.den == comp.den
             and {mono[own]: c for mono, c in poly.terms.items()} == comp.terms
             for poly, (comp, own, other) in zip(lifted, blocks)
         ),

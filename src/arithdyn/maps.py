@@ -13,7 +13,6 @@ distinct starting points may be processed in parallel with no coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -210,9 +209,9 @@ def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
     coordinate of f(Q), known without computing f(Q); f's terms are summed once.
 
     Proof, from the homogenisation of ``qpoly._horner_integer``.  Write
-    x_j = n_j / d_j in lowest terms, and for a component f_i let M be the
-    lcm of its coefficient denominators, C_a = M c_a its scaled integer
-    coefficients and deg_j its degree in x_j.  Then f_i(Q) = N / D with
+    x_j = n_j / d_j in lowest terms, and for a component f_i let M be its
+    denominator ``den``, the lcm of its coefficient denominators, C_a = M c_a
+    its numerators and deg_j its degree in x_j.  Then f_i(Q) = N / D with
     D = M prod_j d_j^deg_j and N = sum_a C_a prod_j n_j^a_j d_j^(deg_j - a_j),
     so |N| <= sum_a |C_a| prod_j max(|n_j|, d_j)^deg_j.  The reduced
     numerator and denominator divide N and D (a zero value is 0/1), and
@@ -223,9 +222,8 @@ def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
     """
     terms = []
     for p in f.components:
-        m = math.lcm(*(c.denominator for c in p.terms.values()))
-        weight = sum(abs(c.numerator) * (m // c.denominator) for c in p.terms.values())
-        terms.append((weight.bit_length() + m.bit_length(), [max(e) for e in zip(*p.terms)]))
+        weight = sum(map(abs, p.terms.values()))
+        terms.append((weight.bit_length() + p.den.bit_length(), [max(e) for e in zip(*p.terms)]))
 
     def bound(point: AffinePoint) -> int:
         dens = [c.denominator.bit_length() for c in point]
@@ -235,12 +233,14 @@ def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
     return bound
 
 
-def orbits_disjoint_prefix(o1: Orbit, o2: Orbit) -> bool:
-    """True iff no point of o1 equals any point of o2 (exact comparison)."""
-    if o1.map.dimension != o2.map.dimension:
+def orbits_disjoint_prefix(*orbits: Orbit) -> bool:
+    """True iff no point lies in two of the orbits (exact comparison); a
+    point may repeat inside one orbit.  Each point is hashed once: the union
+    reuses the hashes its sets store."""
+    if len({o.map.dimension for o in orbits}) > 1:
         raise DimensionMismatchError("orbits live in different dimensions")
-    seen = set(o1.points)
-    return not any(p in seen for p in o2.points)
+    sets = [set(o.points) for o in orbits]
+    return len(set().union(*sets)) == sum(map(len, sets))
 
 
 # -- wire formats ------------------------------------------------------

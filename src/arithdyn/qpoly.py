@@ -1,9 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in N variables x1..xN is a finite map from exponent tuples
-(one nonnegative integer per variable) to nonzero Fraction coefficients.
-All operations are pure and exact; values are immutable after construction,
-so they can be shared freely across threads.
+(one nonnegative integer per variable) to nonzero integer numerators over
+one positive denominator (:class:`Polynomial`).  All operations are pure
+and exact; values are immutable after construction, so they can be shared
+freely across threads.
 
 The text format is a human-readable sum of terms, e.g.
 
@@ -17,9 +18,11 @@ tokens.  A point string (:func:`rational`) is an optional sign and an
 integer or a/b.  :func:`Polynomial.to_text` parses back to the same
 polynomial.
 
-Integer kernels carry the hot paths; all take Fractions in and give
-reduced Fractions out.  Products scale each operand to integers over one
-denominator (:func:`_product_terms`).  When the exponents fill their box
+Integer kernels carry the hot paths on the stored numerators; a Fraction
+is built only where a value is read out or parsed.  A sum or product runs
+on ints over the lcm or product of the operands' denominators and divides
+out one content gcd when that denominator exceeds 1
+(:meth:`Polynomial._trusted`).  When the exponents fill their box
 densely enough, after dividing each variable's exponents by their gcd, each
 operand is packed into one big int and the product is one big-integer
 multiply (Kronecker substitution); otherwise a loop over all term pairs
@@ -110,12 +113,22 @@ def rational(value: int | str | Fraction) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Canonical form: no stored coefficient is zero and every exponent tuple
-    has length ``dimension``.  Two polynomials are equal iff their dimensions
-    and term maps are equal.
+    The coefficient of monomial a is ``terms[a] / den``: ``terms`` maps each
+    exponent tuple, of length ``dimension``, to a nonzero int numerator, and
+    ``den`` is a positive int.  Canonical form: gcd(den, every numerator)
+    = 1, so the zero polynomial is {} over 1.
+
+    Then den is the lcm of the reduced coefficient denominators, and the
+    numerators are those coefficients scaled by it.  Proof: the coefficient
+    n_a / den reduces to (n_a / g_a) / (den / g_a) with g_a = gcd(n_a, den),
+    and each g_a divides den, so the lcm of the den / g_a is den divided by
+    gcd_a g_a = gcd(den, every n_a) = 1; and n_a / den times den is n_a.
+    Hence (den, terms) is a function of the coefficient map alone, and two
+    polynomials are equal iff their dimensions, denominators and term maps
+    are equal.
     """
 
-    __slots__ = ("dimension", "terms", "_hash")
+    __slots__ = ("dimension", "terms", "den", "_hash")
 
     def __init__(self, dimension: int, terms: Mapping[Monomial, Fraction] | Iterable = ()):
         if dimension < 1:
@@ -133,8 +146,13 @@ class Polynomial:
             coeff = rational(coeff)
             if coeff != 0:
                 clean[mono] = coeff
+        # canonical: a prime power exactly dividing den exactly divides some
+        # reduced denominator, and that numerator is scaled by a unit mod p
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        numerators = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", numerators)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -143,15 +161,23 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, dimension: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap ``terms`` without validation; for ring-operation results only.
+    def _trusted(cls, dimension: int, terms: dict[Monomial, int], den: int) -> "Polynomial":
+        """``terms`` over ``den``, without validation; for ring-operation results only.
 
-        ``terms`` must already be canonical: tuple keys of length
-        ``dimension`` with nonnegative entries, and no zero Fraction value.
+        ``terms`` must have tuple keys of length ``dimension`` with
+        nonnegative entries and nonzero int values, and ``den`` must be
+        positive.  When den > 1 their gcd is divided out, so the result is
+        canonical.
         """
+        if den > 1:
+            g = math.gcd(den, *terms.values())
+            if g > 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
         poly = object.__new__(cls)
         object.__setattr__(poly, "dimension", dimension)
         object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "den", den)
         object.__setattr__(poly, "_hash", None)
         return poly
 
@@ -166,7 +192,8 @@ class Polynomial:
     # -- predicates and accessors -------------------------------------
 
     def coefficients(self) -> list[Fraction]:
-        return list(self.terms.values())
+        """The reduced coefficients, in the order of ``terms``."""
+        return [Fraction(c, self.den) for c in self.terms.values()]
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -185,15 +212,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        out = dict(self.terms)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = dict(self.terms) if a == 1 else {m: c * a for m, c in self.terms.items()}
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return Polynomial._trusted(self.dimension, {m: c for m, c in out.items() if c})
+            out[mono] = out.get(mono, 0) + coeff * b
+        return Polynomial._trusted(self.dimension, {m: c for m, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(self.dimension, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.dimension, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -207,14 +236,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rational(other)
+            c = other if type(other) is int else rational(other)
             if c == 0:
                 return Polynomial.zero(self.dimension)
-            return Polynomial._trusted(self.dimension, {m: k * c for m, k in self.terms.items()})
+            terms = {m: k * c.numerator for m, k in self.terms.items()}
+            return Polynomial._trusted(self.dimension, terms, self.den * c.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        return Polynomial._trusted(self.dimension, _product_terms(self.terms, other.terms))
+        terms = _product_terms(self.terms, other.terms)
+        return Polynomial._trusted(self.dimension, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -234,7 +265,7 @@ class Polynomial:
         values = [rational(v) for v in point]
         if not self.terms:
             return Fraction(0)
-        return _horner_integer(self.terms, values)
+        return _horner_integer(self.terms, self.den, values)
 
     def substitute(
         self, subs: Sequence["Polynomial"], max_terms: int | None = None
@@ -245,8 +276,8 @@ class Polynomial:
         per call, by halving the exponent (Knuth, TAOCP vol. 2, 4.6.3): the
         first power is subs[i-1] itself, an even power is the square of half
         of it, and an odd power is the one below it times subs[i-1].  A term
-        starts from its first power and is scaled only by a coefficient
-        other than 1.
+        starts from its first power and is scaled only by a numerator other
+        than 1; the sum is divided by ``den`` once, at the end.
         ``max_terms`` bounds the term count of every product and partial sum;
         exceeding it raises :class:`ResourceLimitError`.
         """
@@ -278,12 +309,14 @@ class Polynomial:
                     term = power(i, e) if term is None else term * power(i, e)
                     _check_budget(term, max_terms, stage="substitute:term")
             if term is None:
-                term = Polynomial.constant(target_dim, coeff)
+                term = Polynomial._trusted(target_dim, {(0,) * target_dim: coeff}, 1)
             elif coeff != 1:
                 term = term * coeff
             total = term if total is None else total + term
             _check_budget(total, max_terms, stage="substitute:sum")
-        return Polynomial.zero(target_dim) if total is None else total
+        if total is None:
+            return Polynomial.zero(target_dim)
+        return Polynomial._trusted(target_dim, total.terms, total.den * self.den)
 
     # -- degrees -------------------------------------------------------
 
@@ -303,12 +336,12 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dimension == other.dimension and self.terms == other.terms
+        return (self.dimension, self.den, self.terms) == (other.dimension, other.den, other.terms)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.dimension, frozenset(self.terms.items())))
+            h = hash((self.dimension, self.den, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -317,8 +350,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
+        for mono, coeff in sorted(zip(self.terms, self.coefficients()), reverse=True):
             varpart = "*".join(
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)
@@ -342,13 +374,12 @@ class Polynomial:
         return f"Polynomial({self.dimension}, {self.to_text()!r})"
 
 
-def _product_terms(
-    a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]
-) -> dict[Monomial, Fraction]:
-    """Canonical term map of the product of two term maps.
+def _product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
+    """The term map of the product of two maps of int numerators A_k, B_k.
 
-    Each operand is scaled to integer numerators A_k, B_k over its
-    denominator lcm, and the product runs on one of two integer kernels.
+    The product's numerators are over the product of the operands'
+    denominators, which the caller divides out; it runs on one of two
+    integer kernels.
 
     Dense (Kronecker substitution; Fateman 2005, Harvey, J. Symbolic Comput.
     44 (2009)), by :func:`_kronecker_terms`.  Deflation: let g_i be the gcd
@@ -377,46 +408,35 @@ def _product_terms(
     Selection: the dense kernel costs one multiply of box-long operands of
     w-bit slots plus one Python step per slot, the sparse kernel one Python
     step per term pair; :func:`_kronecker_pays` weighs the two.  Zero sums
-    are dropped so that the result is canonical.
+    are dropped, so every value is a nonzero int.
     """
     if not a or not b:
         return {}
-
-    def scaled(terms):
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        return den, [c.numerator * (den // c.denominator) for c in terms.values()]
-
-    a_den, a_nums = scaled(a)
-    b_den, b_nums = (a_den, a_nums) if a is b else scaled(b)
-    den = a_den * b_den
     a_cols, b_cols = list(zip(*a)), list(zip(*b))
     a_degs, b_degs = list(map(max, a_cols)), list(map(max, b_cols))
     steps = [math.gcd(*ea, *eb) or 1 for ea, eb in zip(a_cols, b_cols)]
     radii = [(da + db) // g + 1 for da, db, g in zip(a_degs, b_degs, steps)]
-    bound = min(len(a), len(b)) * max(map(abs, a_nums)) * max(map(abs, b_nums))
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
     slot = bound.bit_length() // 8 + 1
     if _kronecker_pays(math.prod(radii), slot, len(a) * len(b)):
-        return _kronecker_terms(a, b, a_nums, b_nums, den, steps, radii, slot)
+        return _kronecker_terms(a, b, steps, radii, slot)
 
     widths = [(da + db).bit_length() for da, db in zip(a_degs, b_degs)]
     shifts = [sum(widths[:i]) for i in range(len(widths))]
     fields = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
 
-    def packed(terms, nums):
-        return list(zip((sum(e << s for e, s in zip(mono, shifts)) for mono in terms), nums))
+    def packed(terms):
+        return [(sum(e << s for e, s in zip(mono, shifts)), c) for mono, c in terms.items()]
 
-    a_items, b_items = packed(a, a_nums), packed(b, b_nums)
+    a_items = packed(a)
+    b_items = a_items if a is b else packed(b)
     out: dict[int, int] = {}
     get = out.get
     for ka, ca in a_items:
         for kb, cb in b_items:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return {
-        tuple((k >> s) & mask for s, mask in fields): Fraction(c, den)
-        for k, c in out.items()
-        if c
-    }
+    return {tuple((k >> s) & mask for s, mask in fields): c for k, c in out.items() if c}
 
 
 def _kronecker_pays(box: int, slot_bytes: int, pairs: int) -> bool:
@@ -432,7 +452,7 @@ def _kronecker_pays(box: int, slot_bytes: int, pairs: int) -> bool:
     return box * max(slot_bytes, 8) <= 8 * pairs
 
 
-def _kronecker_terms(a, b, a_nums, b_nums, den, steps, radii, slot):
+def _kronecker_terms(a, b, steps, radii, slot):
     """The dense kernel of :func:`_product_terms`, with ``slot`` bytes a slot.
 
     Slots are little-endian, the last variable's digit varying fastest.
@@ -446,29 +466,30 @@ def _kronecker_terms(a, b, a_nums, b_nums, den, steps, radii, slot):
     empty = half.to_bytes(slot, "little")
     offset = int.from_bytes(empty * box, "little")
 
-    def packed(terms, nums):
+    def packed(terms):
         buf = bytearray(empty * box)
-        for mono, c in zip(terms, nums):
+        for mono, c in terms.items():
             i = slot * sum(e // g * s for e, g, s in zip(mono, steps, strides))
             buf[i : i + slot] = (c + half).to_bytes(slot, "little")
         return int.from_bytes(buf, "little") - offset
 
-    pa = packed(a, a_nums)
-    raw = ((pa * pa if a is b else pa * packed(b, b_nums)) + offset).to_bytes(slot * box, "little")
+    pa = packed(a)
+    raw = ((pa * pa if a is b else pa * packed(b)) + offset).to_bytes(slot * box, "little")
     monos = itertools.product(*(range(0, r * g, g) for r, g in zip(radii, steps)))
     return {
-        mono: Fraction(int.from_bytes(raw[i : i + slot], "little") - half, den)
+        mono: int.from_bytes(raw[i : i + slot], "little") - half
         for mono, i in zip(monos, range(0, slot * box, slot))
         if raw[i : i + slot] != empty
     }
 
 
-def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fraction]) -> Fraction:
-    """The value of a nonempty term map at a point, one variable level at a time.
+def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Fraction]) -> Fraction:
+    """The value of nonempty numerators over ``m`` at a point, one variable level at a time.
 
     Write x_i = n_i / d_i, d_i = 2^t_i o_i with o_i odd, deg_i for the degree
-    in x_i and M for the lcm of the coefficient denominators.  An entry is a
-    pair (v, s), s >= 0, standing for the integer v 2^s.  The pass starts
+    in x_i and M = m, the lcm of the coefficient denominators, so that the
+    numerators are M c_a.  An entry is a pair (v, s), s >= 0, standing for
+    the integer v 2^s.  The pass starts
     from {a: (M c_a, 0)} and folds x_N first, x_1 last: the entries sharing
     their exponents of x_1..x_(i-1), holding c_e at exponents e of x_i,
     become one entry holding sum_e c_e n_i^e d_i^(deg_i - e), by Horner over
@@ -494,7 +515,6 @@ def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fractio
     twos = [(v.denominator & -v.denominator).bit_length() - 1 for v in values]
     odds = [v.denominator >> t for v, t in zip(values, twos)]
     degs = [max(e) for e in zip(*terms)]
-    m = math.lcm(*(c.denominator for c in terms.values()))
 
     @functools.cache
     def power(odd: bool, i: int, e: int) -> int:
@@ -503,7 +523,7 @@ def _horner_integer(terms: Mapping[Monomial, Fraction], values: Sequence[Fractio
     def times(v: int, base: list[int], i: int, e: int) -> int:
         return _big_mul(v, power(base is odds, i, e)) if e and v else v
 
-    level = [(a, c.numerator * (m // c.denominator), 0) for a, c in sorted(terms.items(), reverse=True)]
+    level = [(a, c, 0) for a, c in sorted(terms.items(), reverse=True)]
     for i in reversed(range(len(values))):
         folded = []
         for prefix, group in itertools.groupby(level, lambda entry: entry[0][:i]):

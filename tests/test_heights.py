@@ -298,10 +298,22 @@ def _lifted_plus(index, text):
     return mutated
 
 
+def _lifted_halved(index):
+    """product_map with component ``index`` halved: its numerators stay, its denominator doubles."""
+
+    def mutated(f, g):
+        comps = list(product_map(f, g).components)
+        comps[index] = comps[index] * Fraction(1, 2)
+        return TriangularMap(comps)
+
+    return mutated
+
+
 PRODUCT_MUTATIONS = {
     "leading_crosses_into_trailing_block": _lifted_plus(0, "x3"),
     "trailing_constant_shifted": _lifted_plus(2, "1"),
     "trailing_extra_own_block_term": _lifted_plus(3, "x4"),
+    "leading_halved": _lifted_halved(0),
 }
 
 

@@ -164,6 +164,18 @@ def test_orbits_disjoint():
     assert not orbits_disjoint_prefix(orbit(f, [2], 3), orbit(f, [4], 3))
 
 
+def test_orbits_disjoint_across_three_orbits():
+    f = triangular_map(["x1^2"])
+    first, second, third = orbit(f, [2], 3), orbit(f, [3], 3), orbit(f, [16], 2)
+    # 16 and 256 lie in the first and the third orbit, and only there
+    assert orbits_disjoint_prefix(first, second) and orbits_disjoint_prefix(second, third)
+    assert not orbits_disjoint_prefix(first, second, third)
+    # the fixed point 1 repeats inside its own orbit, which is allowed
+    assert orbits_disjoint_prefix(orbit(f, [1], 3), first, second)
+    with pytest.raises(DimensionMismatchError):
+        orbits_disjoint_prefix(first, orbit(triangular_map(["x1^2", "x2"]), [2, 2], 1))
+
+
 # -- invariants -----------------------------------------------------------
 
 map_pool = [

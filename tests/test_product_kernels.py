@@ -8,8 +8,8 @@ predicate to force every product onto one kernel and compare with
 that may differ between the operands, with variables absent from both and
 denominators whose product is not reduced, and fixed edges for slot sums
 that reach the signed slot bound exactly, cancellation inside a slot and
-``p * p`` on one object.  Every result must be canonical: tuple keys and no
-zero coefficient.
+``p * p`` on one object.  Every result must be canonical: tuple keys, and
+nonzero int numerators over a positive denominator prime to their gcd.
 
 The guards pin the choice itself without a clock: a huge coefficient or a
 huge sparse exponent box keeps a product off the dense kernel, and the
@@ -61,10 +61,12 @@ def assert_product(a: Polynomial, b: Polynomial, kernel: str) -> Polynomial:
         got = a * b
     assert len(dense) == (kernel == "dense")
     assert got == from_sympy(to_sympy(a) * to_sympy(b), a.dimension)
+    assert type(got.den) is int and got.den > 0
+    assert math.gcd(got.den, *got.terms.values()) == 1
     for mono, c in got.terms.items():
         assert type(mono) is tuple and len(mono) == a.dimension
         assert all(type(e) is int and e >= 0 for e in mono)
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int and c != 0
     return got
 
 
@@ -160,7 +162,7 @@ def test_unreduced_denominators(kernel):
 def test_square_of_one_object(kernel):
     p = P("3/2*x1^3*x2 - x2^2 + 5", 2)
     got = assert_product(p, p, kernel)
-    assert got == p * Polynomial(2, p.terms)
+    assert got == p * Polynomial(2, zip(p.terms, p.coefficients()))
 
 
 # -- which kernel runs --------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Every public function and class in arithdyn is reached by the program.
+"""Every public function, class and method in arithdyn is reached by the program.
 
 A public top-level ``def`` or ``class`` in ``src/arithdyn/*.py`` must be
 referenced outside its own definition somewhere in ``src/arithdyn`` or in
 ``bench/*.py``, or be named as a trace target in ``bench/tracing.py``'s
-``TARGETS``.  Re-exports in ``__init__.py`` do not count, and neither do
-tests: a name that only its unit tests call is surface no pipeline, CLI
-command or benchmark uses.  ``KEPT`` names the exceptions, each with the
+``TARGETS``.  So must each public method of those classes (dunders and
+``_private`` methods are left out), where a reference from another method
+of its class counts.  Re-exports in ``__init__.py`` do not count, and
+neither do tests: a name that only its unit tests call is surface no
+pipeline, CLI command or benchmark uses.  ``KEPT`` names the exceptions, each with the
 reason it stays.
 """
 
@@ -36,25 +38,34 @@ def _names(node) -> set:
     return found
 
 
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _unreached(modules: dict, bench: list, traced: set) -> list:
     """``module.name`` for each public top-level def or class of ``modules``
-    that no other top-level statement of ``modules`` or ``bench`` refers to
-    and that ``traced`` does not name."""
-    trees = list(modules.values()) + bench
+    that no other top-level statement of ``modules`` or ``bench`` refers to,
+    and ``module.Class.method`` for each public method that neither another
+    top-level statement nor another statement of its class refers to; less
+    the names in ``traced``."""
+    top = [node for tree in list(modules.values()) + bench for node in tree.body]
     unreached = []
     for module, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, (*FUNCS, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or node.name in traced:
-                continue
-            if not any(
-                node.name in _names(other)
-                for t in trees
-                for other in t.body
-                if other is not node
-            ):
-                unreached.append(f"{module}.{node.name}")
+            others = [s for s in top if s is not node]
+            found = [(node.name, node, others)]
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{m.name}", m, others + [s for s in node.body if s is not m])
+                    for m in node.body
+                    if isinstance(m, FUNCS)
+                ]
+            for name, definition, pool in found:
+                if definition.name.startswith("_") or name in traced:
+                    continue
+                if not any(definition.name in _names(s) for s in pool):
+                    unreached.append(f"{module}.{name}")
     return unreached
 
 
@@ -65,14 +76,15 @@ def test_every_public_name_is_reached():
         if p.name != "__init__.py"
     }
     bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").glob("*.py"))]
-    traced = {attribute.split(".")[0] for _, _, attribute in _load_targets()}
-    unreached = _unreached(modules, bench, traced)
-    orphans = [name for name in unreached if name.split(".")[1] not in KEPT]
+    # a traced method, and the class that owns it
+    traced = {name for _, _, attribute in _load_targets() for name in (attribute, attribute.split(".")[0])}
+    unreached = [name.split(".", 1)[1] for name in _unreached(modules, bench, traced)]
+    orphans = [name for name in unreached if name not in KEPT]
     assert orphans == [], (
         f"{orphans} are reached by no pipeline, CLI command or benchmark; "
         "delete them, or name them in KEPT with the reason they stay"
     )
-    stale = set(KEPT) - {name.split(".")[1] for name in unreached}
+    stale = set(KEPT) - set(unreached)
     assert not stale, f"KEPT names {sorted(stale)}, which are reached or no longer defined"
 
 
@@ -94,3 +106,27 @@ def test_guard_flags_a_planted_orphan():
     }
     bench = [ast.parse("import arithdyn.b\narithdyn.b.main()\n")]
     assert _unreached(modules, bench, {"traced"}) == ["a.orphan"]
+
+
+def test_guard_flags_a_planted_orphan_method():
+    modules = {
+        "a": ast.parse(
+            "class Helper:\n"
+            "    def __init__(self):\n"
+            "        self.inner()\n"
+            "    def inner(self):\n"
+            "        pass\n"
+            "    def used(self):\n"
+            "        pass\n"
+            "    def orphan(self):\n"
+            "        return self.orphan()\n"
+            "    def traced(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "def main():\n"
+            "    return Helper().used()\n"
+        ),
+    }
+    bench = [ast.parse("import arithdyn.a\narithdyn.a.main()\n")]
+    assert _unreached(modules, bench, {"Helper.traced"}) == ["a.Helper.orphan"]

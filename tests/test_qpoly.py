@@ -28,6 +28,13 @@ def test_add_cancellation():
     assert P("x1+x2") + P("0-x2", 2) == P("x1", 2)
 
 
+def test_equal_numerators_over_different_denominators_differ():
+    half = P("1/2*x1 + 1/2")
+    assert half.terms == P("x1 + 1").terms
+    assert half != P("x1 + 1")
+    assert half + half == P("x1 + 1")
+
+
 def test_add_identity():
     p = P("3/2*x1^3*x2 + x2^2 - 1")
     assert p + Polynomial.zero(2) == p

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithdyn.maps import TriangularMap
@@ -50,7 +50,7 @@ def polynomials(dim, max_exp, max_size):
 
 def to_sympy(p: Polynomial):
     gens = GENS[: p.dimension]
-    terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+    terms = {m: sympy.Rational(c, p.den) for m, c in p.terms.items()}
     if not terms:
         return sympy.Poly(0, *gens, domain="QQ")
     return sympy.Poly.from_dict(terms, *gens, domain="QQ")
@@ -67,7 +67,7 @@ def sympy_power_sum(p: Polynomial, subs) -> Polynomial:
     dim = subs[0].dimension
     polys = [to_sympy(s) for s in subs]
     total = to_sympy(Polynomial.zero(dim))
-    for mono, c in p.terms.items():
+    for mono, c in zip(p.terms, p.coefficients()):
         term = to_sympy(Polynomial.constant(dim, c))
         for s, e in zip(polys, mono):
             term = term * s**e
@@ -84,7 +84,9 @@ def sympy_evaluate(p: Polynomial, point) -> Fraction:
 def assert_canonical_equal(got: Polynomial, want: Polynomial):
     assert got == want
     assert hash(got) == hash(want)
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert type(got.den) is int and got.den > 0
+    assert all(type(c) is int and c != 0 for c in got.terms.values())
+    assert math.gcd(got.den, *got.terms.values()) == 1
     assert all(len(m) == got.dimension for m in got.terms)
 
 
@@ -95,11 +97,40 @@ pairs = st.integers(1, 4).flatmap(
 
 @settings(max_examples=80, deadline=None)
 @given(pairs)
+@example((P("1/2*x1"), P("2")))
+@example((P("2/3*x1", 2), P("3/2*x2", 2)))
 def test_mul_matches_sympy(pair):
     a, b = pair
     want = from_sympy(to_sympy(a) * to_sympy(b), a.dimension)
     assert_canonical_equal(a * b, want)
     assert_canonical_equal(b * a, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs)
+@example((P("1/6*x1"), P("1/3*x1")))
+def test_add_matches_sympy(pair):
+    a, b = pair
+    want = from_sympy(to_sympy(a) + to_sympy(b), a.dimension)
+    assert_canonical_equal(a + b, want)
+    assert_canonical_equal(b + a, want)
+    assert_canonical_equal(a - b, from_sympy(to_sympy(a) - to_sympy(b), a.dimension))
+
+
+@pytest.mark.parametrize(
+    "got, terms, den",
+    [
+        (lambda: P("1/2*x1") * 2, {(1,): 1}, 1),
+        (lambda: P("1/2*x1") * P("2"), {(1,): 1}, 1),
+        (lambda: P("1/6*x1") + P("1/3*x1"), {(1,): 1}, 2),
+        (lambda: P("2/3*x1", 2) * P("3/2*x2", 2), {(1, 1): 1}, 1),
+    ],
+    ids=["scalar", "product", "sum", "two_variables"],
+)
+def test_denominator_cancels_to_canonical_form(got, terms, den):
+    poly = got()
+    assert (poly.terms, poly.den) == (terms, den)
+    assert_canonical_equal(poly, from_sympy(to_sympy(poly), poly.dimension))
 
 
 substitutions = st.integers(1, 4).flatmap(
@@ -201,7 +232,7 @@ def test_mul_unreduced_denominator_product():
     # the denominator lcms are 12 and 12; the product over 144 must reduce
     prod = P("1/6*x1 + 1/4") * P("1/6*x1 - 1/4")
     assert_canonical_equal(prod, P("1/36*x1^2 - 1/16"))
-    assert prod.terms[(2,)].denominator == 36
+    assert dict(zip(prod.terms, prod.coefficients()))[(2,)].denominator == 36
 
 
 def test_mul_by_zero_polynomial():
