@@ -14,6 +14,7 @@ Submodules:
 from .qpoly import (
     DimensionMismatchError,
     Polynomial,
+    ResourceCaps,
     ResourceLimitError,
     parse_polynomial,
     rational,
@@ -22,7 +23,6 @@ from .maps import (
     NotDominantError,
     NotTriangularError,
     Orbit,
-    ResourceCaps,
     TriangularMap,
     as_point,
     iterate_symbolic,

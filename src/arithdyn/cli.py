@@ -9,9 +9,10 @@ The global options --seed and --out-dir come before the subcommand.
 Exit codes: 0 all assertions pass, 2 an assertion failed, 3 a resource cap
 was hit, 4 the configuration, an input file or the command line is invalid
 (a usage error from argparse exits 4, not argparse's 2; --help exits 0).
-A cap hit anywhere raises ResourceLimitError, and main() alone turns it
-into exit 3; no command reports a partial result.  Python's own limit on the
-digits of an int <-> str conversion is a resource cap too, and exits 3.
+A cap hit anywhere is raised as ResourceLimitError by ResourceCaps.check
+alone, and main() alone turns it into exit 3; no command reports a partial
+result.  Python's own limit on the digits of an int <-> str conversion is a
+resource cap too, and exits 3.
 """
 
 from __future__ import annotations

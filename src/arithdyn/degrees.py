@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, iterates
+from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, iterates
 from .qpoly import Polynomial
 
 
@@ -116,10 +116,7 @@ class DegreeSequenceEstimate:
     values: list  # list[tuple[int, int, float]]
 
     def to_csv(self) -> str:
-        lines = ["n,deg_fn,root"]
-        for n, d, r in self.values:
-            lines.append(f"{n},{d},{r!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["n", "deg_fn", "root"], self.values)
 
 
 def dynamical_degree_sequence(

@@ -30,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .maps import DEFAULT_CAPS, as_point
-from .qpoly import DimensionMismatchError, Monomial, ResourceLimitError
+from .maps import DEFAULT_CAPS, as_point, csv_text
+from .qpoly import DimensionMismatchError, Monomial
 
 
 # The rank certificate's prime, the Mersenne prime 2^61 - 1: residues fit in
@@ -226,8 +226,8 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     <= d vanishes on every point; otherwise a kernel witness (the
     coefficient vector of such a polynomial) is returned.  With fewer
     points than monomials the verdict is flagged inconclusive.  Points of
-    unequal length raise DimensionMismatchError, and more monomials than
-    ``DEFAULT_CAPS.max_terms`` raise ResourceLimitError before any is built.
+    unequal length raise DimensionMismatchError, and ``DEFAULT_CAPS.check``
+    refuses more monomials than its ``max_terms`` before any is built.
 
     Integer rows are built one point at a time, and none after m are
     independent modulo ``MODULUS``; below m, ``rational_rref`` runs on the
@@ -245,11 +245,7 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     if any(len(p) != dimension for p in pts):
         raise DimensionMismatchError("input points differ in their number of coordinates")
     m = math.comb(dimension + degree_bound, degree_bound)
-    if m > DEFAULT_CAPS.max_terms:  # a vanishing polynomial has m coefficients
-        raise ResourceLimitError(
-            f"{m} monomials of degree <= {degree_bound} exceed cap {DEFAULT_CAPS.max_terms}",
-            stage="density:monomials",
-        )
+    DEFAULT_CAPS.check("density:monomials", terms=m)  # a vanishing polynomial has m coefficients
     monos = monomials_up_to_degree(dimension, degree_bound)
 
     kept, rows = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)
@@ -276,14 +272,12 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
 
 
 def density_report_csv(report: DensityReport) -> str:
-    lines = [
-        "degree_bound,monomial_count,point_count,rank,verdict",
-        f"{report.degree_bound},{report.monomial_count},{report.point_count},"
-        f"{report.rank},{report.verdict}",
-    ]
-    if report.kernel is not None:
-        lines.append("kernel_monomial,kernel_coefficient")
-        for mono, coeff in zip(report.monomials, report.kernel):
-            exps = ":".join(str(e) for e in mono)
-            lines.append(f"{exps},{coeff}")
-    return "\n".join(lines) + "\n"
+    r = report
+    text = csv_text(
+        ["degree_bound", "monomial_count", "point_count", "rank", "verdict"],
+        [[r.degree_bound, r.monomial_count, r.point_count, r.rank, r.verdict]],
+    )
+    if r.kernel is not None:
+        exps = (":".join(map(str, mono)) for mono in r.monomials)
+        text += csv_text(["kernel_monomial", "kernel_coefficient"], zip(exps, r.kernel))
+    return text

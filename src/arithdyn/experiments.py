@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +38,7 @@ from .maps import (
     ResourceCaps,
     TriangularMap,
     as_point,
+    csv_text,
     iterate_symbolic,
     map_from_json_dict,
     map_to_json_dict,
@@ -45,7 +46,6 @@ from .maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
 )
-from .qpoly import ResourceLimitError
 
 SCHEMA_VERSION = 1
 
@@ -133,14 +133,6 @@ class Check:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "passed": self.passed,
-            "details": self.details,
-        }
-
 
 @dataclass
 class ExperimentResult:
@@ -162,7 +154,7 @@ def _finish(cfg: ExperimentConfig, out_dir: Path, checks: list, extra: dict, fil
         "mode": cfg.mode,
         "seed": cfg.seed,
         "all_passed": all_pass,
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
     }
     summary.update(extra)
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n", files)
@@ -254,11 +246,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
     # before sample_U builds the power.
     e = padic.minimal_signature(sector)[0] + cfg.samples - 1
     bits = e * (sector.prime.bit_length() - 1) + 1
-    if bits > caps.max_coeff_bits:
-        raise ResourceLimitError(
-            f"sample coordinates reach {bits} bits, cap is {caps.max_coeff_bits}",
-            last_safe_n=0, bits=bits, max_coeff_bits=caps.max_coeff_bits,
-        )
+    caps.check("sample_U", bits=bits, last_safe_n=0)
     samples = padic.sample_U(sector, cfg.samples, cfg.seed)
 
     # One capped orbit per sample feeds every check and report below; only
@@ -401,15 +389,8 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
         point = (Fraction(1), Fraction(a, sector.prime))
     orb = orbit(f, point, cfg.n_max, caps)
     growth = padic.case_n2_growth(sector, orb)
-    _write(
-        out_dir,
-        "growth.csv",
-        "n,v_x2,expected,equal\n"
-        + "".join(
-            f"{n},{v},{expected},{str(v == expected).lower()}\n" for n, v, expected in growth
-        ),
-        files,
-    )
+    rows = ((n, v, expected, v == expected) for n, v, expected in growth)
+    _write(out_dir, "growth.csv", csv_text(["n", "v_x2", "expected", "equal"], rows), files)
     checks.append(
         Check(
             name="second_coordinate_valuation_growth",

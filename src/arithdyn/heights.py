@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .degrees import dynamical_degree_exact, product_map
-from .maps import DEFAULT_CAPS, Orbit, ResourceCaps, TriangularMap, as_point, orbit
+from .maps import DEFAULT_CAPS, Orbit, ResourceCaps, TriangularMap, as_point, csv_text, orbit
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,10 @@ class HeightSequence:
         return [row.root for row in self.rows if row.n >= min_n and row.root is not None]
 
     def to_csv(self) -> str:
-        lines = ["n,h_exact_numerator_bits,h_float,h_plus_float,a_n,khat_n"]
-        for row in self.rows:
-            root = "" if row.root is None else repr(row.root)
-            lines.append(
-                f"{row.n},{row.height_arg.bit_length()},{row.h!r},"
-                f"{row.h_plus!r},{root},{row.khat!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ["n", "h_exact_numerator_bits", "h_float", "h_plus_float", "a_n", "khat_n"],
+            ((r.n, r.height_arg.bit_length(), r.h, r.h_plus, r.root, r.khat) for r in self.rows),
+        )
 
 
 def _root(h: float, n: int) -> float | None:
@@ -159,13 +155,13 @@ class ProductHeightReport:
         ]
 
     def to_csv(self) -> str:
-        lines = ["n,arg_a_bits,arg_b_bits,h_sum,root"]
-        for ra, rb, (h_sum, root) in zip(self.seq_a.rows, self.seq_b.rows, self.sums()):
-            lines.append(
-                f"{ra.n},{ra.height_arg.bit_length()},{rb.height_arg.bit_length()},"
-                f"{h_sum!r},{'' if root is None else repr(root)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ["n", "arg_a_bits", "arg_b_bits", "h_sum", "root"],
+            (
+                (ra.n, ra.height_arg.bit_length(), rb.height_arg.bit_length(), *sums)
+                for ra, rb, sums in zip(self.seq_a.rows, self.seq_b.rows, self.sums())
+            ),
+        )
 
 
 def product_height_additivity(

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .qpoly import (
+    DEFAULT_CAPS,
     DimensionMismatchError,
     Polynomial,
+    ResourceCaps,
     ResourceLimitError,
     parse_polynomial,
     rational,
@@ -46,20 +48,6 @@ class NotDominantError(ValueError):
     def __init__(self, component: int):
         super().__init__(f"component {component} has degree 0 in x{component}: not dominant")
         self.component = component
-
-
-@dataclass(frozen=True)
-class ResourceCaps:
-    """Hard budgets for symbolic iteration and orbit coordinates.
-
-    Defaults: 10**6 terms per polynomial, 10**7 bits per orbit coordinate.
-    """
-
-    max_terms: int = 10**6
-    max_coeff_bits: int = 10**7
-
-
-DEFAULT_CAPS = ResourceCaps()
 
 
 class TriangularMap:
@@ -115,11 +103,7 @@ class TriangularMap:
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.dimension} vs {inner.dimension}"
             )
-        composed = [
-            f.substitute(inner.components, max_terms=caps.max_terms)
-            for f in self.components
-        ]
-        return TriangularMap(composed)
+        return TriangularMap([f.substitute(inner.components, caps) for f in self.components])
 
 
 def triangular_map(texts: Sequence[str]) -> TriangularMap:
@@ -176,9 +160,9 @@ def orbit(
     """Compute [P, f(P), ..., f^{n_max}(P)] exactly.
 
     Before each step, :func:`step_bits_bound` bounds the bit size of the
-    coordinates it would make, from f's terms summed once per call; if that
-    bound exceeds caps.max_coeff_bits the step is not computed, and
-    ResourceLimitError carries the last safe n.
+    coordinates it would make, from f's terms summed once per call, and
+    ``caps.check`` refuses a step whose bound exceeds caps.max_coeff_bits
+    before it is computed; the ResourceLimitError carries the last safe n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -190,15 +174,7 @@ def orbit(
     points = [point]
     bound = step_bits_bound(f)
     for n in range(n_max):
-        bits = bound(point)
-        if bits > caps.max_coeff_bits:
-            raise ResourceLimitError(
-                f"orbit coordinates may reach {bits} bits at step {n + 1}, "
-                f"cap is {caps.max_coeff_bits}",
-                last_safe_n=n,
-                bits=bits,
-                max_coeff_bits=caps.max_coeff_bits,
-            )
+        caps.check(f"orbit step {n + 1}", bits=bound(point), last_safe_n=n)
         point = f.apply(point)
         points.append(point)
     return Orbit(map=f, points=points)
@@ -267,19 +243,29 @@ def map_from_json_dict(doc: dict) -> TriangularMap:
     return TriangularMap([parse_polynomial(text, dimension) for text in texts])
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line, then one line per row, each ending in a newline.
+
+    A bool cell reads ``true`` or ``false``, None reads empty, and any other
+    cell reads as its ``str``, which for a float is its ``repr``.
+    """
+    return "".join(",".join(map(_cell, line)) + "\n" for line in [header, *rows])
+
+
 def orbit_to_csv(o: Orbit) -> str:
     """CSV with columns n, x1_num, x1_den, ..., xN_num, xN_den."""
-    n_vars = o.map.dimension
-    header = ["n"]
-    for i in range(1, n_vars + 1):
-        header += [f"x{i}_num", f"x{i}_den"]
-    lines = [",".join(header)]
-    for n, point in enumerate(o.points):
-        row = [str(n)]
-        for c in point:
-            row += [str(c.numerator), str(c.denominator)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["n", *(f"x{i}_{c}" for i in range(1, o.map.dimension + 1) for c in ("num", "den"))]
+    rows = (
+        [n, *(v for c in point for v in (c.numerator, c.denominator))]
+        for n, point in enumerate(o.points)
+    )
+    return csv_text(header, rows)
 
 
 def points_from_csv(text: str) -> list[AffinePoint]:

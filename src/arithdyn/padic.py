@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .degrees import degree_matrix
-from .maps import AffinePoint, Orbit, TriangularMap, as_point
+from .maps import AffinePoint, Orbit, TriangularMap, as_point, csv_text
 from .qpoly import Monomial
 
 INFINITY = math.inf
@@ -370,11 +370,8 @@ def sector_report_csv(
     for n in range(1, n_max + 1):
         header += [f"neg_v_x{i}_n{n}" for i in range(1, cfg.dimension + 1)]
     header += ["stable_ok", "dominant_ok"]
-    lines = [",".join(header)]
-    for pid, (sigs, stable_ok, dominant_ok) in enumerate(zip(tables, stable, dominant)):
-        row = [str(pid)]
-        for sig in sigs[: n_max + 1]:
-            row += [str(e) for e in sig]
-        row += [str(stable_ok).lower(), str(dominant_ok).lower()]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = (
+        [pid, *(e for sig in sigs[: n_max + 1] for e in sig), stable_ok, dominant_ok]
+        for pid, (sigs, stable_ok, dominant_ok) in enumerate(zip(tables, stable, dominant))
+    )
+    return csv_text(header, rows)

@@ -51,6 +51,7 @@ import functools
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -71,6 +72,39 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message: str, **metadata):
         super().__init__(message)
         self.metadata = dict(metadata)
+
+
+@dataclass(frozen=True)
+class ResourceCaps:
+    """Hard budgets for symbolic iteration and orbit coordinates.
+
+    Defaults: 10**6 terms per polynomial, 10**7 bits per orbit coordinate.
+    """
+
+    max_terms: int = 10**6
+    max_coeff_bits: int = 10**7
+
+    def check(self, stage: str, *, terms: int = 0, bits: int = 0, **metadata) -> None:
+        """Raise ResourceLimitError if ``terms`` exceeds max_terms or ``bits``
+        exceeds max_coeff_bits; the only place a size meets a cap.
+
+        The error's metadata holds ``stage``, the size (``term_count`` or
+        ``bits``), its cap (``max_terms`` or ``max_coeff_bits``) and
+        ``metadata``, such as the ``last_safe_n`` of a stepped computation.
+        """
+        if terms > self.max_terms:
+            raise ResourceLimitError(
+                f"{stage}: {terms} terms exceed the cap of {self.max_terms}",
+                stage=stage, term_count=terms, max_terms=self.max_terms, **metadata,
+            )
+        if bits > self.max_coeff_bits:
+            raise ResourceLimitError(
+                f"{stage}: {bits} bits exceed the cap of {self.max_coeff_bits}",
+                stage=stage, bits=bits, max_coeff_bits=self.max_coeff_bits, **metadata,
+            )
+
+
+DEFAULT_CAPS = ResourceCaps()
 
 
 # One factor of the text format, and with a sign a point string: an integer,
@@ -195,9 +229,6 @@ class Polynomial:
         """The reduced coefficients, in the order of ``terms``."""
         return [Fraction(c, self.den) for c in self.terms.values()]
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
     # -- ring operations ----------------------------------------------
 
     def _check_dimension(self, other: "Polynomial") -> None:
@@ -268,7 +299,7 @@ class Polynomial:
         return _horner_integer(self.terms, self.den, values)
 
     def substitute(
-        self, subs: Sequence["Polynomial"], max_terms: int | None = None
+        self, subs: Sequence["Polynomial"], caps: ResourceCaps = DEFAULT_CAPS
     ) -> "Polynomial":
         """Replace x_i by subs[i-1] and expand to canonical form.
 
@@ -278,8 +309,8 @@ class Polynomial:
         of it, and an odd power is the one below it times subs[i-1].  A term
         starts from its first power and is scaled only by a numerator other
         than 1; the sum is divided by ``den`` once, at the end.
-        ``max_terms`` bounds the term count of every product and partial sum;
-        exceeding it raises :class:`ResourceLimitError`.
+        ``caps.check`` bounds the term count of every power, product and
+        partial sum by ``caps.max_terms``, so no substitution runs uncapped.
         """
         if len(subs) != self.dimension:
             raise DimensionMismatchError(
@@ -297,7 +328,7 @@ class Polynomial:
                 return subs[i]
             if (i, e) not in powers:
                 p = power(i, e - 1) * subs[i] if e % 2 else power(i, e // 2) * power(i, e // 2)
-                _check_budget(p, max_terms, stage="substitute:power")
+                caps.check("substitute:power", terms=len(p.terms))
                 powers[i, e] = p
             return powers[i, e]
 
@@ -307,13 +338,13 @@ class Polynomial:
             for i, e in enumerate(mono):
                 if e:
                     term = power(i, e) if term is None else term * power(i, e)
-                    _check_budget(term, max_terms, stage="substitute:term")
+                    caps.check("substitute:term", terms=len(term.terms))
             if term is None:
                 term = Polynomial._trusted(target_dim, {(0,) * target_dim: coeff}, 1)
             elif coeff != 1:
                 term = term * coeff
             total = term if total is None else total + term
-            _check_budget(total, max_terms, stage="substitute:sum")
+            caps.check("substitute:sum", terms=len(total.terms))
         if total is None:
             return Polynomial.zero(target_dim)
         return Polynomial._trusted(target_dim, total.terms, total.den * self.den)
@@ -657,16 +688,6 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     out._numerator = numerator
     out._denominator = denominator
     return out
-
-
-def _check_budget(p: Polynomial, max_terms: int | None, stage: str) -> None:
-    if max_terms is not None and p.term_count() > max_terms:
-        raise ResourceLimitError(
-            f"term count {p.term_count()} exceeds cap {max_terms} during {stage}",
-            stage=stage,
-            term_count=p.term_count(),
-            max_terms=max_terms,
-        )
 
 
 def parse_polynomial(text: str, dimension: int | None = None) -> Polynomial:

@@ -5,10 +5,12 @@ referenced outside its own definition somewhere in ``src/arithdyn`` or in
 ``bench/*.py``, or be named as a trace target in ``bench/tracing.py``'s
 ``TARGETS``.  So must each public method of those classes (dunders and
 ``_private`` methods are left out), where a reference from another method
-of its class counts.  Re-exports in ``__init__.py`` do not count, and
-neither do tests: a name that only its unit tests call is surface no
-pipeline, CLI command or benchmark uses.  ``KEPT`` names the exceptions, each with the
-reason it stays.
+of its class counts.  A method is reached only through an attribute
+(``x.name``): a bare name, such as a local function of the same name in
+another module, does not reach it.  Re-exports in ``__init__.py`` do not
+count, and neither do tests: a name that only its unit tests call is surface
+no pipeline, CLI command or benchmark uses.  ``KEPT`` names the exceptions,
+each with the reason it stays.
 """
 
 import ast
@@ -22,6 +24,8 @@ SRC = ROOT / "src" / "arithdyn"
 KEPT = {
     "spectral_radius_maxroot": "acceptance check 3 compares it with the exact dynamical degree",
     "alpha_bounds": "the two-sided certificate of ROADMAP item 2 replaces it",
+    "DegreeMatrix.power": "acceptance checks 1 and 3 and test_degrees read Deg(f)^n from it, "
+    "and the ROADMAP fixes check 3's closed form",
 }
 
 
@@ -38,6 +42,11 @@ def _names(node) -> set:
     return found
 
 
+def _attributes(node) -> set:
+    """Every attribute name that appears under ``node``."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -45,8 +54,8 @@ def _unreached(modules: dict, bench: list, traced: set) -> list:
     """``module.name`` for each public top-level def or class of ``modules``
     that no other top-level statement of ``modules`` or ``bench`` refers to,
     and ``module.Class.method`` for each public method that neither another
-    top-level statement nor another statement of its class refers to; less
-    the names in ``traced``."""
+    top-level statement nor another statement of its class reaches through
+    an attribute; less the names in ``traced``."""
     top = [node for tree in list(modules.values()) + bench for node in tree.body]
     unreached = []
     for module, tree in modules.items():
@@ -54,17 +63,18 @@ def _unreached(modules: dict, bench: list, traced: set) -> list:
             if not isinstance(node, (*FUNCS, ast.ClassDef)):
                 continue
             others = [s for s in top if s is not node]
-            found = [(node.name, node, others)]
+            found = [(node.name, node, others, _names)]
             if isinstance(node, ast.ClassDef):
                 found += [
-                    (f"{node.name}.{m.name}", m, others + [s for s in node.body if s is not m])
+                    (f"{node.name}.{m.name}", m, others + [s for s in node.body if s is not m],
+                     _attributes)
                     for m in node.body
                     if isinstance(m, FUNCS)
                 ]
-            for name, definition, pool in found:
+            for name, definition, pool, references in found:
                 if definition.name.startswith("_") or name in traced:
                     continue
-                if not any(definition.name in _names(s) for s in pool):
+                if not any(definition.name in references(s) for s in pool):
                     unreached.append(f"{module}.{name}")
     return unreached
 
@@ -124,9 +134,13 @@ def test_guard_flags_a_planted_orphan_method():
             "        pass\n"
             "    def _private(self):\n"
             "        pass\n"
+            "    def power(self):\n"
+            "        pass\n"
             "def main():\n"
             "    return Helper().used()\n"
         ),
+        # a local function named like the method is not a reference to it
+        "b": ast.parse("def run():\n    def power(e):\n        return e\n    return power(2)\n"),
     }
-    bench = [ast.parse("import arithdyn.a\narithdyn.a.main()\n")]
-    assert _unreached(modules, bench, {"Helper.traced"}) == ["a.Helper.orphan"]
+    bench = [ast.parse("import arithdyn.a\narithdyn.a.main()\narithdyn.b.run()\n")]
+    assert _unreached(modules, bench, {"Helper.traced"}) == ["a.Helper.orphan", "a.Helper.power"]

@@ -12,6 +12,7 @@ from arithdyn.maps import iterate_symbolic, orbit, triangular_map
 from arithdyn.qpoly import (
     DimensionMismatchError,
     Polynomial,
+    ResourceCaps,
     ResourceLimitError,
     parse_polynomial,
 )
@@ -154,7 +155,7 @@ def test_substitute_vs_independent_expansion():
 def test_substitute_term_budget():
     p = P("x1^4", 1)
     with pytest.raises(ResourceLimitError) as err:
-        p.substitute([P("x1^3+x1^2+x1+1", 1)], max_terms=5)
+        p.substitute([P("x1^3+x1^2+x1+1", 1)], caps=ResourceCaps(max_terms=5))
     assert err.value.metadata["max_terms"] == 5
 
 
@@ -188,11 +189,22 @@ def test_degree_sequence_of_a_huge_power_is_cheap(monkeypatch):
 def test_substitute_power_budget_stops_before_the_top_power(monkeypatch):
     calls = count_products(monkeypatch)
     with pytest.raises(ResourceLimitError) as err:
-        P("x1^8", 1).substitute([P("x1+1", 1)], max_terms=4)
+        P("x1^8", 1).substitute([P("x1+1", 1)], caps=ResourceCaps(max_terms=4))
     # (x1+1)^2 has 3 terms; its square (x1+1)^4 has 5 and stops the chain
     assert err.value.metadata["stage"] == "substitute:power"
     assert err.value.metadata["term_count"] == 5
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text, stage, term_count",
+    [("x1*x2", "substitute:term", 4), ("x1 + x2", "substitute:sum", 3)],
+)
+def test_substitute_term_and_sum_budgets(text, stage, term_count):
+    # no power is built: (x1+1)*(x2+2) has 4 terms, (x1+1) + (x2+2) has 3
+    with pytest.raises(ResourceLimitError) as err:
+        P(text, 2).substitute([P("x1+1", 2), P("x2+2", 2)], caps=ResourceCaps(max_terms=2))
+    assert err.value.metadata == {"stage": stage, "term_count": term_count, "max_terms": 2}
 
 
 def test_substitute_reuses_powers_across_terms(monkeypatch):
