@@ -12,7 +12,9 @@ was hit, 4 the configuration, an input file or the command line is invalid
 A cap hit anywhere is raised as ResourceLimitError by ResourceCaps.check
 alone, and main() alone turns it into exit 3; no command reports a partial
 result.  Python's own limit on the digits of an int <-> str conversion is a
-resource cap too, and exits 3.
+resource cap too, and exits 3.  Every command builds all of its report texts
+before experiments.write_reports writes them, so a run that exits 3 or 4
+writes nothing: no file and no output directory.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from .experiments import (
     ExperimentConfig,
     read_json,
     run_experiment,
+    write_reports,
 )
 from .maps import map_from_json_dict, points_from_csv
 from .qpoly import ResourceLimitError
+
+DEFAULT_OUT_DIR = Path("arithdyn-out")
 
 
 @functools.cache
@@ -64,17 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args) -> Path:
-    out = args.out_dir if args.out_dir is not None else Path("arithdyn-out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    out = args.out_dir or (Path(cfg.out_dir) if cfg.out_dir else Path("arithdyn-out"))
+    out = args.out_dir or Path(cfg.out_dir or DEFAULT_OUT_DIR)
     result = run_experiment(cfg, out)
     for check in result.summary["checks"]:
         marker = "PASS" if check["passed"] else "FAIL"
@@ -86,8 +85,7 @@ def _cmd_run(args) -> int:
 def _cmd_density(args) -> int:
     points = points_from_csv(args.points.read_text(encoding="utf-8"))
     report = density_check(points, args.degree)
-    out = _out_dir(args)
-    (out / "density.csv").write_text(density_report_csv(report), encoding="utf-8")
+    write_reports(args.out_dir or DEFAULT_OUT_DIR, {"density.csv": density_report_csv(report)})
     print(
         f"rank {report.rank} of {report.monomial_count} monomials on "
         f"{report.point_count} points: {report.verdict}"
@@ -98,8 +96,7 @@ def _cmd_density(args) -> int:
 def _cmd_degrees(args) -> int:
     f = map_from_json_dict(read_json(args.map))
     est = dynamical_degree_sequence(f, n_max=args.nmax)
-    out = _out_dir(args)
-    (out / "degrees.csv").write_text(est.to_csv(), encoding="utf-8")
+    write_reports(args.out_dir or DEFAULT_OUT_DIR, {"degrees.csv": est.to_csv()})
     print(f"exact dynamical degree: {dynamical_degree_exact(f)}")
     for n, d, r in est.values:
         print(f"n={n}: deg={d} root={r:.6f}")

@@ -16,6 +16,11 @@ An experiment takes a triangular map and runs one of four modes:
 
 Identical configs (same seed) produce byte-identical outputs.  Every check
 in the summary names the mathematical statement it instantiates.
+
+A mode returns its checks and its report texts and writes nothing;
+run_experiment adds summary.json and hands every text to write_reports, the
+package's one writer.  So a run that exits 3 or 4 writes nothing: no file
+and no output directory.
 """
 
 from __future__ import annotations
@@ -141,13 +146,37 @@ class ExperimentResult:
     exit_code: int
 
 
-def _write(out_dir: Path, name: str, text: str, files: list) -> None:
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    files.append(str(path))
+def write_reports(out_dir, reports: dict) -> list:
+    """Write each report text to its file name under ``out_dir``, in order,
+    and return the paths written.
+
+    The one function in the package that makes a directory or writes a
+    file.  Every caller builds all of its texts first, so a run that raises
+    leaves no directory and no file behind.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in reports.items():
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return paths
 
 
-def _finish(cfg: ExperimentConfig, out_dir: Path, checks: list, extra: dict, files: list) -> ExperimentResult:
+def run_experiment(
+    cfg: ExperimentConfig, out_dir, caps: ResourceCaps = DEFAULT_CAPS
+) -> ExperimentResult:
+    """Run the config's mode, then write its reports and ``summary.json``
+    (last) to ``out_dir``; nothing is written if the run raises."""
+    f = map_from_json_dict(cfg.map)
+    run_mode = {
+        "first_case": _run_first_case,
+        "second_case_n2": _run_second_case,
+        "product": _run_product,
+        "iterate_check": _run_iterate_check,
+    }[cfg.mode]
+    checks, reports, extra = run_mode(cfg, f, caps)
     all_pass = all(c.passed for c in checks)
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -155,47 +184,31 @@ def _finish(cfg: ExperimentConfig, out_dir: Path, checks: list, extra: dict, fil
         "seed": cfg.seed,
         "all_passed": all_pass,
         "checks": [asdict(c) for c in checks],
+        "map": map_to_json_dict(f),
+        **extra,
     }
-    summary.update(extra)
-    _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n", files)
+    reports["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     return ExperimentResult(
         summary=summary,
-        files=files,
+        files=write_reports(out_dir, reports),
         exit_code=EXIT_OK if all_pass else EXIT_ASSERTION_FAILED,
     )
-
-
-def run_experiment(
-    cfg: ExperimentConfig, out_dir, caps: ResourceCaps = DEFAULT_CAPS
-) -> ExperimentResult:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    f = map_from_json_dict(cfg.map)
-    if cfg.mode == "first_case":
-        return _run_first_case(cfg, f, out_dir, caps)
-    if cfg.mode == "second_case_n2":
-        return _run_second_case(cfg, f, out_dir, caps)
-    if cfg.mode == "product":
-        return _run_product(cfg, f, out_dir, caps)
-    return _run_iterate_check(cfg, f, out_dir, caps)
 
 
 # -- mode pipelines ----------------------------------------------------
 
 
-def _degree_stage(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, checks, files, caps):
+def _degree_stage(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
+    """(delta, checks, reports) of the degree stage that opens both sector modes."""
     delta = deg.dynamical_degree_exact(f)
     seq = deg.dynamical_degree_sequence(f, n_max=cfg.degree_sequence_depth, caps=caps)
-    _write(out_dir, "degrees.csv", seq.to_csv(), files)
-    checks.append(
-        Check(
+    check = Check(
             name="degree_roots_above_exact",
             statement="deg(f^n)^(1/n) >= max diagonal degree for every computed n",
             passed=all(d >= delta**n for n, d, _ in seq.values),
-            details={"delta_exact": delta, "rows": [[n, d, r] for n, d, r in seq.values]},
-        )
+        details={"delta_exact": delta, "rows": [[n, d, r] for n, d, r in seq.values]},
     )
-    return delta
+    return delta, [check], {"degrees.csv": seq.to_csv()}
 
 
 def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
@@ -230,16 +243,14 @@ def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
     return checks
 
 
-def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -> ExperimentResult:
-    checks: list = []
-    files: list = []
+def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     diag = deg.degree_matrix(f).diagonal()
     if diag[0] < 2 or any(diag[i] <= diag[i + 1] for i in range(len(diag) - 1)):
         raise ConfigError(
             f"first_case requires strictly decreasing diagonal degrees with d11 >= 2, got {diag}"
         )
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
-    delta = _degree_stage(cfg, f, out_dir, checks, files, caps)
+    delta, checks, reports = _degree_stage(cfg, f, caps)
 
     # The last sample's x_1 has denominator p^e of at least e*(bits(p) - 1) + 1
     # bits; past the cap orbit() would refuse its first step, so refuse now,
@@ -292,9 +303,10 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             details={},
         )
     )
-    sector_csv = padic.sector_report_csv(sector, tables, stability, dominant, min(cfg.n_max, 4))
-    _write(out_dir, "sector.csv", sector_csv, files)
-    _write(out_dir, "heights_sample0.csv", seqs[0].to_csv(), files)
+    reports["sector.csv"] = padic.sector_report_csv(
+        sector, tables, stability, dominant, min(cfg.n_max, 4)
+    )
+    reports["heights_sample0.csv"] = seqs[0].to_csv()
     checks.append(
         Check(
             name="height_growth_floor",
@@ -341,7 +353,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
     )
 
     density = density_check(samples, cfg.density_degree)
-    _write(out_dir, "density.csv", density_report_csv(density), files)
+    reports["density.csv"] = density_report_csv(density)
     checks.append(
         Check(
             name="density_proxy",
@@ -358,27 +370,18 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps
             },
         )
     )
-    _write(out_dir, "orbit_sample0.csv", orbit_to_csv(prefixes[0]), files)
-
-    extra = {
-        "map": map_to_json_dict(f),
-        "delta_exact": delta,
-        "prime": sector.prime,
-        "C": sector.C,
-    }
-    return _finish(cfg, out_dir, checks, extra, files)
+    reports["orbit_sample0.csv"] = orbit_to_csv(prefixes[0])
+    return checks, reports, {"delta_exact": delta, "prime": sector.prime, "C": sector.C}
 
 
-def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -> ExperimentResult:
-    checks: list = []
-    files: list = []
+def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if f.dimension != 2:
         raise ConfigError("second_case_n2 requires a two-variable map")
     diag = deg.degree_matrix(f).diagonal()
     if diag[0] > diag[1]:
         raise ConfigError("second_case_n2 requires d11 <= d22")
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
-    delta = _degree_stage(cfg, f, out_dir, checks, files, caps)
+    delta, checks, reports = _degree_stage(cfg, f, caps)
 
     if cfg.point is not None:
         point = as_point(cfg.point)
@@ -390,7 +393,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
     orb = orbit(f, point, cfg.n_max, caps)
     growth = padic.case_n2_growth(sector, orb)
     rows = ((n, v, expected, v == expected) for n, v, expected in growth)
-    _write(out_dir, "growth.csv", csv_text(["n", "v_x2", "expected", "equal"], rows), files)
+    reports["growth.csv"] = csv_text(["n", "v_x2", "expected", "equal"], rows)
     checks.append(
         Check(
             name="second_coordinate_valuation_growth",
@@ -401,26 +404,19 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, cap
     )
 
     seq = hts.height_sequence_of_orbit(orb, delta)
-    _write(out_dir, "heights.csv", seq.to_csv(), files)
+    reports["heights.csv"] = seq.to_csv()
     checks.extend(_height_checks([seq], delta))
 
-    extra = {
-        "map": map_to_json_dict(f),
-        "delta_exact": delta,
-        "prime": sector.prime,
-        "point": [str(c) for c in point],
-    }
-    return _finish(cfg, out_dir, checks, extra, files)
+    extra = {"delta_exact": delta, "prime": sector.prime, "point": [str(c) for c in point]}
+    return checks, reports, extra
 
 
-def _run_product(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -> ExperimentResult:
-    checks: list = []
-    files: list = []
+def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if cfg.map_b is None:
         raise ConfigError("product mode needs map_b")
     g = map_from_json_dict(cfg.map_b)
     expected, report = deg.product_dynamical_degree(f, g)
-    checks.append(
+    checks = [
         Check(
             name="product_degree_max_rule",
             statement="the dynamical degree of the block product equals the max of the factors'",
@@ -431,7 +427,8 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -
                 "delta_product": report.delta_product,
             },
         )
-    )
+    ]
+    reports = {}
 
     if cfg.point is not None:
         point = as_point(cfg.point)
@@ -457,14 +454,9 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -
                 },
             )
         )
-        _write(out_dir, "product_heights.csv", additivity.to_csv(), files)
+        reports["product_heights.csv"] = additivity.to_csv()
 
-    extra = {
-        "map": map_to_json_dict(f),
-        "map_b": map_to_json_dict(g),
-        "delta_exact": expected,
-    }
-    return _finish(cfg, out_dir, checks, extra, files)
+    return checks, reports, {"map_b": map_to_json_dict(g), "delta_exact": expected}
 
 
 def iterate_consistency(
@@ -474,7 +466,11 @@ def iterate_consistency(
     n_max: int,
     caps: ResourceCaps = DEFAULT_CAPS,
 ) -> dict:
-    """delta(f^t) = delta(f)^t and exact height-row equality h+((f^t)^n P) = h+(f^(tn) P)."""
+    """delta(f^t) = delta(f)^t, and (f^t)^n P = f^(tn) P exactly for n = 0..n_max.
+
+    Equal points have equal heights, so comparing the points is the stronger
+    check; each row reports the bit length of the point's height argument.
+    """
     delta = deg.dynamical_degree_exact(f)
     f_t = iterate_symbolic(f, t, caps)
     delta_t = deg.dynamical_degree_exact(f_t)
@@ -482,14 +478,13 @@ def iterate_consistency(
 
     orb_fast = orbit(f_t, point, n_max, caps)
     orb_slow = orbit(f, point, n_max * t, caps)
-    # equal points have equal height arguments, so one height per row
     rows = [
         {
-            "n": row.n,
-            "height_arg_bits": row.height_arg.bit_length(),
-            "equal": orb_fast.points[row.n] == orb_slow.points[row.n * t],
+            "n": n,
+            "height_arg_bits": hts.affine_height(p).max_abs.bit_length(),
+            "equal": p == orb_slow.points[n * t],
         }
-        for row in hts.height_sequence_of_orbit(orb_fast, delta_t).rows
+        for n, p in enumerate(orb_fast.points)
     ]
     heights_ok = all(row["equal"] for row in rows)
     return {
@@ -503,29 +498,24 @@ def iterate_consistency(
     }
 
 
-def _run_iterate_check(cfg: ExperimentConfig, f: TriangularMap, out_dir: Path, caps) -> ExperimentResult:
-    checks: list = []
-    files: list = []
+def _run_iterate_check(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if cfg.point is None:
         raise ConfigError("iterate_check mode needs a point")
     if cfg.iterate_power > 3:
         raise ConfigError("iterate_power is capped at 3")
     report = iterate_consistency(f, cfg.point, cfg.iterate_power, cfg.n_max, caps)
-    checks.append(
+    checks = [
         Check(
             name="iterate_degree_power_law",
             statement="the dynamical degree of the t-fold iterate is the t-th power of the original",
             passed=report["degree_ok"],
             details={"t": report["t"], "delta": report["delta"], "delta_iterate": report["delta_iterate"]},
-        )
-    )
-    checks.append(
+        ),
         Check(
             name="iterate_height_rows_match",
             statement="height arguments of (f^t)^n(P) and f^(tn)(P) agree exactly row for row",
             passed=report["heights_ok"],
             details={"rows": report["rows"]},
-        )
-    )
-    extra = {"map": map_to_json_dict(f), "delta_exact": report["delta"]}
-    return _finish(cfg, out_dir, checks, extra, files)
+        ),
+    ]
+    return checks, {}, {"delta_exact": report["delta"]}

@@ -112,17 +112,15 @@ def height_sequence(
     f: TriangularMap,
     start: Sequence[Fraction],
     n_max: int,
-    delta: int | None = None,
     caps: ResourceCaps = DEFAULT_CAPS,
 ) -> HeightSequence:
-    """Height rows along the exact orbit of ``start`` for n = 0..n_max.
+    """Height rows along the exact orbit of ``start`` for n = 0..n_max, with
+    khat scaled by the exact dynamical degree of f.
 
-    ``delta`` defaults to the exact dynamical degree of f; callers may
-    override it for experiments.  An orbit resource overrun raises
-    ResourceLimitError carrying the last safe n.
+    An orbit resource overrun raises ResourceLimitError carrying the last
+    safe n.
     """
-    if delta is None:
-        delta = dynamical_degree_exact(f)
+    delta = dynamical_degree_exact(f)
     return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
 
 

@@ -229,7 +229,7 @@ def test_acceptance_06_two_variable_second_case():
         if vp(current[1], 2) != -(2**n):
             valuations_ok = False
     assert cfg.prime == 2
-    seq = height_sequence(SECOND_CASE_MAP, point, 8, delta=2)
+    seq = height_sequence(SECOND_CASE_MAP, point, 8)
     window = [row.root for row in seq.rows if row.n >= 5]
     proxy_ok = max(window) <= 2 + 0.05
     a8 = seq.rows[8].root
@@ -310,9 +310,7 @@ def test_acceptance_09_upper_arithmetic_degree_proxy():
     # the experiments of checks 4-5: sector samples of E1, delta = 3
     _, _, _, seqs = _sector_orbits()
     # the experiment of check 6: delta = 2
-    growth = height_sequence(
-        SECOND_CASE_MAP, (Fraction(1), Fraction(1, 2)), 8, delta=2
-    )
+    growth = height_sequence(SECOND_CASE_MAP, (Fraction(1), Fraction(1, 2)), 8)
 
     envelope_ok = all(
         seq.rows[n].height_arg <= 2 * seq.rows[n - 1].height_arg ** 3

@@ -89,15 +89,15 @@ def test_first_case_pipeline(tmp_path):
     # above delta for any feasible window: an honest failure, reported as such
     assert not checks["alpha_upper_proxy"]["passed"]
     assert result.exit_code == EXIT_ASSERTION_FAILED
-    written = {name.rsplit("/", 1)[-1] for name in result.files}
-    assert {
-        "summary.json",
+    # every report, in the order written, summary.json last
+    assert [name.rsplit("/", 1)[-1] for name in result.files] == [
         "degrees.csv",
         "sector.csv",
         "heights_sample0.csv",
         "density.csv",
         "orbit_sample0.csv",
-    } <= written
+        "summary.json",
+    ]
 
 
 def test_second_case_pipeline(tmp_path):
@@ -465,19 +465,17 @@ def test_cli_run_rejected_config_exits_config(tmp_path, capsys, doc, message):
     ],
 )
 def test_cli_run_refused_sector_config_writes_nothing(tmp_path, capsys, doc, message):
-    # the sector config is built and the map's shape checked before the
-    # degree stage writes degrees.csv
     cfg = write_cfg(tmp_path, doc)
     code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_with_a_61_bit_prime_ends(tmp_path, capsys):
     # trial division would take about 7.6e8 divisions to prove 2^61 - 1
     # prime, so the run would hang; the orbit coordinates outgrow Python's
-    # int-to-str digit limit while the reports are written, a resource cap
+    # int-to-str digit limit while the reports are built, a resource cap
     # (exit 3)
     cfg = write_cfg(
         tmp_path, {"map": E1_DOC, "mode": "first_case", "prime": 2**61 - 1, "samples": 2, "n_max": 3}
@@ -485,6 +483,7 @@ def test_cli_run_with_a_61_bit_prime_ends(tmp_path, capsys):
     code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
     assert code == EXIT_RESOURCE
     assert "integer string conversion" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_density_zero_denominator_exits_config(tmp_path, capsys):
@@ -612,7 +611,24 @@ def test_cli_first_case_huge_sample_exponent_exits_resource(tmp_path, capsys, ov
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_RESOURCE
     assert "'last_safe_n': 0" in capsys.readouterr().err
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["degrees.csv"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_failed_run_leaves_an_earlier_run_untouched(tmp_path, capsys):
+    # a run stopped by a cap must not mix its reports into a directory that
+    # holds a finished run's summary.json (here one whose alpha proxy fails,
+    # exit 2); the refused run's degrees.csv would differ at depth 5
+    out = tmp_path / "out"
+    done = write_cfg(tmp_path, {"map": E1_DOC, "mode": "first_case", "samples": 3, "n_max": 4})
+    assert main(["--out-dir", str(out), "run", "--config", str(done)]) == EXIT_ASSERTION_FAILED
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    refused = write_cfg(
+        tmp_path,
+        {"map": E1_DOC, "mode": "first_case", "c_constant": 10**12, "degree_sequence_depth": 5},
+    )
+    assert main(["--out-dir", str(out), "run", "--config", str(refused)]) == EXIT_RESOURCE
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_density_huge_degree_exits_resource(tmp_path, capsys):
@@ -771,6 +787,7 @@ def test_cli_run_int_digit_limit_exits_resource(tmp_path, capsys):
     assert code == EXIT_RESOURCE
     assert "resource cap exceeded: Exceeds the limit" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_degrees_int_digit_limit_exits_resource(tmp_path, capsys):
