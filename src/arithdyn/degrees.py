@@ -10,6 +10,25 @@ deg(f) for an affine polynomial map is max_i total_degree(f_i): homogenizing
 with some component attaining the max total degree d gives
 [X0^d : F_1 : ... : F_N] with gcd 1, so this matches the degree of the
 induced projective map.
+
+deg(f^n) is read from a certificate mod a prime q, not from the iterate;
+q is 2^61 - 1, or the next prime that divides no coefficient denominator,
+so every coefficient of f^n on an integral line has a residue mod q.
+Restrict f^n to the line t*b.  Component j of f^n restricted to it has
+t-degree D_j and leading coefficient lc_j mod q; for f^0 these are 1 and
+b_j.  Component i of f^(n+1) = f_i(f^n) then has t-degree at most
+top_i = max over the monomials m of f_i of sum_j m_j*D_j, and its
+coefficient of t^top_i mod q is lc_i = sum of c_m * prod_j lc_j^(m_j) over
+the monomials attaining top_i.  If every lc_i is nonzero mod q, then
+
+    top_i <= deg over GF(q) <= deg over Q <= totdeg(f^(n+1))_i <= top_i,
+
+the last bound because totdeg(f^n)_j <= D_j by induction.  So every D_i is
+an exact total degree, and deg(f^n) = max_i D_i.  The point a of a line
+a + t*b would not change the leading coefficients, so none is taken.  A
+leading coefficient of 0 mod q may be a real drop (x1 + x2^3, -x2 has
+f^2 = identity), so the direction certifies nothing; a second fixed
+direction is tried, then the iterates are built symbolically.
 """
 
 from __future__ import annotations
@@ -17,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .density import MODULUS
 from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, iterates
 from .qpoly import Polynomial
 
@@ -122,18 +142,67 @@ class DegreeSequenceEstimate:
 def dynamical_degree_sequence(
     f: TriangularMap, n_max: int = 6, caps: ResourceCaps = DEFAULT_CAPS
 ) -> DegreeSequenceEstimate:
-    """deg(f^n) for n = 1..n_max via symbolic iteration, with n-th roots.
+    """deg(f^n) for n = 1..n_max, with n-th roots.
 
-    A resource overrun raises ResourceLimitError whose ``last_safe_n`` is the
-    last n whose degree was computed.
+    Each degree is exact: it comes from the certificate mod q in the module
+    docstring, which builds no iterate, or, when both fixed directions meet
+    a leading coefficient of 0 mod q, from the symbolic iterates.  A
+    resource overrun raises ResourceLimitError whose ``last_safe_n`` is the
+    last n whose degree was computed; the certificate checks the running sum
+    of its degrees' bit lengths, which bounds the rows it keeps.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values = []
-    for n, current in enumerate(iterates(f, n_max, caps), start=1):
-        d = map_degree(current)
-        values.append((n, d, nth_root(d, n)))
-    return DegreeSequenceEstimate(values=values)
+    degrees = _certified_degrees(f, n_max, caps)
+    if degrees is None:
+        degrees = [map_degree(current) for current in iterates(f, n_max, caps)]
+    return DegreeSequenceEstimate(
+        values=[(n, d, nth_root(d, n)) for n, d in enumerate(degrees, start=1)]
+    )
+
+
+# The fixed directions b = (g, g^2, ..., g^N) mod q; large g keeps small
+# integer coefficients from cancelling by accident.
+_DIRECTION_BASES = (0x2545F4914F6CDD1D, 0x9E3779B97F4A7C15)
+
+
+def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list | None:
+    """[deg(f^1), ..., deg(f^n_max)] from the certificate mod q, or None when
+    neither fixed direction certifies every step."""
+    q = MODULUS
+    while any(c.den % q == 0 for c in f.components):
+        from .padic import next_prime  # padic imports this module
+
+        q = next_prime(q + 1)
+    components = [
+        [(mono, num * pow(c.den, -1, q) % q) for mono, num in c.terms.items()]
+        for c in f.components
+    ]
+    for g in _DIRECTION_BASES:
+        D = [1] * f.dimension
+        lc = [pow(g, j, q) for j in range(1, f.dimension + 1)]
+        degrees, bits = [], 0
+        for n in range(n_max):
+            tops, lcs = [], []
+            for terms in components:
+                weights = [sum(e * d for e, d in zip(mono, D)) for mono, _ in terms]
+                top = max(weights)
+                lead = sum(
+                    c * math.prod(pow(l, e, q) for l, e in zip(lc, mono))
+                    for (mono, c), w in zip(terms, weights)
+                    if w == top
+                )
+                tops.append(top)
+                lcs.append(lead % q)
+            if not all(lcs):
+                break
+            D, lc = tops, lcs
+            degrees.append(max(D))
+            bits += degrees[-1].bit_length()
+            caps.check("degrees:certificate", bits=bits, last_safe_n=n)
+        else:
+            return degrees
+    return None
 
 
 def nth_root(value: int, n: int) -> float:

@@ -18,7 +18,7 @@ import pytest
 from arithdyn.degrees import dynamical_degree_sequence
 from arithdyn.density import density_check
 from arithdyn.experiments import run_experiment
-from arithdyn.maps import ResourceCaps, orbit, triangular_map
+from arithdyn.maps import ResourceCaps, iterate_symbolic, orbit, triangular_map
 from arithdyn.qpoly import ResourceLimitError
 from test_experiments import first_case_cfg
 
@@ -129,7 +129,13 @@ def test_guard_flags_a_planted_cap_error():
 
 def _substitute(tmp_path):
     f = triangular_map(["x1^3+x2^2+x2+1", "x2^3+x2^2+x2+1"])
-    dynamical_degree_sequence(f, 6, ResourceCaps(max_terms=30))
+    iterate_symbolic(f, 6, ResourceCaps(max_terms=30))
+
+
+def _certificate(tmp_path):
+    # degrees 3, 9, 27: running bit-length sum 2 + 4 + 5 = 11 at n = 3
+    f = triangular_map(["x1^3+x2^2+x2+1", "x2^3+x2^2+x2+1"])
+    dynamical_degree_sequence(f, 6, ResourceCaps(max_coeff_bits=10))
 
 
 def _orbit(tmp_path):
@@ -137,7 +143,7 @@ def _orbit(tmp_path):
 
 
 def _sample_precheck(tmp_path):
-    run_experiment(first_case_cfg(), tmp_path, ResourceCaps(max_coeff_bits=10))
+    run_experiment(first_case_cfg(degree_sequence_depth=1), tmp_path, ResourceCaps(max_coeff_bits=10))
 
 
 def _density(tmp_path):
@@ -148,11 +154,12 @@ def _density(tmp_path):
     "site, metadata",
     [
         (_substitute, {"stage": "substitute:power", "term_count": 49, "max_terms": 30, "last_safe_n": 2}),
+        (_certificate, {"stage": "degrees:certificate", "bits": 11, "max_coeff_bits": 10, "last_safe_n": 2}),
         (_orbit, {"stage": "orbit step 7", "bits": 134, "max_coeff_bits": 100, "last_safe_n": 6}),
         (_sample_precheck, {"stage": "sample_U", "bits": 20, "max_coeff_bits": 10, "last_safe_n": 0}),
         (_density, {"stage": "density:monomials", "term_count": 2003001, "max_terms": 10**6}),
     ],
-    ids=["substitute", "orbit", "sample_U", "density"],
+    ids=["substitute", "certificate", "orbit", "sample_U", "density"],
 )
 def test_every_cap_error_has_one_metadata_schema(tmp_path, site, metadata):
     """Each cap error names its stage, the size (``term_count`` or ``bits``)

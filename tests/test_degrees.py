@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import CORPUS
 
 from arithdyn.degrees import (
     DegreeMatrix,
+    _certified_degrees,
     degree_matrix,
     dynamical_degree_exact,
     dynamical_degree_sequence,
@@ -14,7 +18,9 @@ from arithdyn.degrees import (
     product_map,
     spectral_radius_maxroot,
 )
-from arithdyn.maps import iterate_symbolic, triangular_map
+from arithdyn.density import MODULUS
+from arithdyn.maps import DEFAULT_CAPS, TriangularMap, iterate_symbolic, iterates, triangular_map
+from arithdyn.qpoly import Polynomial
 
 E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 IDENTITY2 = triangular_map(["x1", "x2"])
@@ -84,8 +90,56 @@ def test_degree_sequence_cap_raises():
 
     f = triangular_map(["x1^3+x2^2+x2+1", "x2^3+x2^2+x2+1"])
     with pytest.raises(ResourceLimitError) as err:
-        dynamical_degree_sequence(f, 6, ResourceCaps(max_terms=30))
+        dynamical_degree_sequence(f, 6, ResourceCaps(max_coeff_bits=10))
     assert err.value.metadata["last_safe_n"] == 2
+
+
+def _symbolic_degrees(f, n_max):
+    return [map_degree(g) for g in iterates(f, n_max)]
+
+
+@st.composite
+def small_triangular_maps(draw):
+    """Maps of dimension 1..3 whose component i is c*x_i plus up to two terms
+    in x_i..x_N, with exponents <= 3 and coefficients in {-1, -1/2, 1, 2}."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(1), Fraction(2)])
+    components = []
+    for i in range(n):
+        monos = st.tuples(*([st.just(0)] * i + [st.integers(0, 3)] * (n - i)))
+        terms = dict(draw(st.lists(st.tuples(monos, coeffs), max_size=2)))
+        lead = tuple(int(j == i) for j in range(n))
+        terms[lead] = draw(coeffs)
+        components.append(Polynomial(n, terms))
+    return TriangularMap(components)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_triangular_maps(), st.integers(1, 3))
+# random maps almost never drop degree; these two do, so the fallback runs
+@example(triangular_map(["x1+x2*x3", "x2", "-x3"]), 3)
+@example(triangular_map(["x1+x2^3", "-x2+1"]), 3)
+def test_certified_degrees_match_symbolic_iterates(f, n_max):
+    # oracle: wherever the certificate certifies, it is map_degree of the
+    # symbolic iterate; either way the sequence is the symbolic one
+    certified = _certified_degrees(f, n_max, DEFAULT_CAPS)
+    symbolic = _symbolic_degrees(f, n_max)
+    assert certified is None or certified == symbolic
+    assert [d for _, d, _ in dynamical_degree_sequence(f, n_max).values] == symbolic
+
+
+def test_degree_drop_takes_the_symbolic_fallback():
+    # f^2 = identity: the leading coefficient of x1 + x2^3 + (-x2)^3 is 0 in
+    # every direction, so the certificate refuses and the iterates are built
+    f = triangular_map(["x1+x2^3", "-x2"])
+    assert _certified_degrees(f, 5, DEFAULT_CAPS) is None
+    assert [d for _, d, _ in dynamical_degree_sequence(f, 5).values] == [3, 1, 3, 1, 3]
+
+
+def test_certificate_skips_a_modulus_dividing_a_denominator():
+    f = triangular_map([f"x1^2+1/{MODULUS}*x2", "x2^3+x2"])
+    assert f.components[0].den == MODULUS
+    assert _certified_degrees(f, 4, DEFAULT_CAPS) == _symbolic_degrees(f, 4) == [3, 9, 27, 81]
 
 
 def test_spectral_radius_triangular_exact_path():

@@ -189,10 +189,10 @@ def test_first_case_orbit_cap_raises(tmp_path):
 
 
 def test_first_case_degree_cap_raises(tmp_path):
-    # deg(f^3) needs more than 30 terms: the degree stage raises instead of
-    # passing its check on the first two rows
+    # the bit lengths of deg(f^n) = 3, 9, 27 sum to 11 > 10 at n = 3: the
+    # degree stage raises instead of passing its check on the first two rows
     with pytest.raises(ResourceLimitError) as err:
-        run_experiment(first_case_cfg(), tmp_path, ResourceCaps(max_terms=30))
+        run_experiment(first_case_cfg(), tmp_path, ResourceCaps(max_coeff_bits=10))
     assert err.value.metadata["last_safe_n"] == 2
     assert not (tmp_path / "summary.json").exists()
 
@@ -343,7 +343,7 @@ def test_cli_degrees_cap_hit_exits_resource(tmp_path, capsys, monkeypatch):
     from arithdyn.degrees import dynamical_degree_sequence
 
     def capped(f, n_max):
-        return dynamical_degree_sequence(f, n_max, ResourceCaps(max_terms=30))
+        return dynamical_degree_sequence(f, n_max, ResourceCaps(max_coeff_bits=10))
 
     monkeypatch.setattr(cli, "dynamical_degree_sequence", capped)
     map_path = tmp_path / "map.json"
@@ -791,17 +791,53 @@ def test_cli_run_int_digit_limit_exits_resource(tmp_path, capsys):
 
 
 def test_cli_degrees_int_digit_limit_exits_resource(tmp_path, capsys):
-    # deg f^15000 = 2^15000 has 4516 digits, over Python's default of 4300
+    # deg f^540 = 10^4320 has 4321 digits, over Python's default of 4300,
+    # while the bit lengths of the 540 degrees sum to about 3.9 * 10^6 bits
     map_path = tmp_path / "map.json"
-    map_path.write_text(json.dumps({"dimension": 1, "components": ["x1^2"]}))
+    map_path.write_text(json.dumps({"dimension": 1, "components": ["x1^100000000+x1"]}))
     code = main(
-        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "15000"]
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "540"]
     )
     captured = capsys.readouterr()
     assert code == EXIT_RESOURCE
     assert "resource cap exceeded: Exceeds the limit" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out" / "degrees.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "component, nmax, last",
+    [("x1^30+x1", 4, 30**4), ("x1^1000+x1", 3, 1000**3), ("x1^100000000+x1", 2, 10**16)],
+)
+def test_cli_degrees_of_large_iterates_are_certified(tmp_path, capsys, component, nmax, last):
+    # f^nmax would have up to 810001 terms of about 27000 bits (x1^30+x1) or
+    # a power ladder of doubling term counts (x1^100000000+x1); the degrees
+    # are read from the certificate without building it
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"dimension": 1, "components": [component]}))
+    start = time.perf_counter()
+    code = main(
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", str(nmax)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert f"n={nmax}: deg={last} " in capsys.readouterr().out
+
+
+def test_cli_degrees_huge_nmax_exits_resource_at_the_certificate(tmp_path, capsys):
+    # the running sum of the degrees' bit lengths passes 10^7 bits after
+    # n = 3551, long before n_max
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(E1_DOC))
+    start = time.perf_counter()
+    code = main(
+        ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "1000000"]
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "'stage': 'degrees:certificate'" in err and "'last_safe_n': 3551" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field_name", ["degree_sequence_depth", "iterate_power", "density_degree"])
