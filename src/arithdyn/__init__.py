@@ -4,7 +4,7 @@ Submodules:
 
   qpoly        exact sparse multivariate polynomials over the rationals
   maps         triangular self-maps, symbolic iteration, exact orbits
-  degrees      degree matrices, dynamical degrees, spectral-radius estimates
+  degrees      degree matrices, dynamical degrees, degree sequences
   heights      Weil heights, arithmetic-degree and canonical-height sequences
   padic        p-adic valuations and the stable-sector construction
   density      exact-rank Zariski-density proxy
@@ -37,7 +37,6 @@ from .degrees import (
     dynamical_degree_sequence,
     product_dynamical_degree,
     product_map,
-    spectral_radius_maxroot,
 )
 from .heights import (
     alpha_bounds,
@@ -99,7 +98,6 @@ __all__ = [
     "run_experiment",
     "sample_U",
     "sector_config",
-    "spectral_radius_maxroot",
     "triangular_map",
     "u_minus_fu_witness",
     "verify_dominant_value",

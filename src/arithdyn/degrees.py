@@ -1,10 +1,9 @@
-"""Degree-matrix calculus and dynamical-degree computation.
+"""Degree matrices and dynamical-degree computation.
 
 The degree matrix of a triangular map has (i,j) entry deg_{x_i} f_j; it is
 lower triangular with positive diagonal.  The dynamical degree of a
-triangular map is exactly the maximum diagonal entry; the degree-sequence
-estimator deg(f^n)^{1/n} and the matrix-power spectral-radius estimator are
-provided as independent numeric routes to the same number.
+triangular map is exactly the maximum diagonal entry; the degree sequence
+deg(f^n)^{1/n} is computed as an independent route to the same number.
 
 deg(f) for an affine polynomial map is max_i total_degree(f_i): homogenizing
 with some component attaining the max total degree d gives
@@ -15,20 +14,24 @@ deg(f^n) is read from a certificate mod a prime q, not from the iterate;
 q is 2^61 - 1, or the next prime that divides no coefficient denominator,
 so every coefficient of f^n on an integral line has a residue mod q.
 Restrict f^n to the line t*b.  Component j of f^n restricted to it has
-t-degree D_j and leading coefficient lc_j mod q; for f^0 these are 1 and
-b_j.  Component i of f^(n+1) = f_i(f^n) then has t-degree at most
-top_i = max over the monomials m of f_i of sum_j m_j*D_j, and its
-coefficient of t^top_i mod q is lc_i = sum of c_m * prod_j lc_j^(m_j) over
-the monomials attaining top_i.  If every lc_i is nonzero mod q, then
+t-degree at most D_j, and lc_j is its coefficient of t^(D_j) mod q, which
+may be 0; for f^0 these are 1 and b_j.  Component i of f^(n+1) = f_i(f^n)
+then has t-degree at most top_i = max over the monomials m of f_i of
+sum_j m_j*D_j, and its coefficient of t^top_i mod q is exactly lc_i = sum
+of c_m * prod_j lc_j^(m_j) over the monomials attaining top_i.  By
+induction totdeg(f^n)_j <= D_j, so totdeg(f^(n+1))_i <= top_i whatever the
+lc_j are.  If lc_i is nonzero mod q, then
 
     top_i <= deg over GF(q) <= deg over Q <= totdeg(f^(n+1))_i <= top_i,
 
-the last bound because totdeg(f^n)_j <= D_j by induction.  So every D_i is
-an exact total degree, and deg(f^n) = max_i D_i.  The point a of a line
-a + t*b would not change the leading coefficients, so none is taken.  A
-leading coefficient of 0 mod q may be a real drop (x1 + x2^3, -x2 has
-f^2 = identity), so the direction certifies nothing; a second fixed
-direction is tried, then the iterates are built symbolically.
+so D_i = top_i is an exact total degree.  Hence deg(f^n) = max_i D_i
+whenever some component with a nonzero lc_i attains that maximum; a
+component whose lc_i is 0 keeps D_i as an upper bound only.  The point a
+of a line a + t*b would not change the leading coefficients, so none is
+taken.  When no component with a nonzero lc_i attains the maximum, which
+may be a real drop (x1 + x2^3, -x2 has f^2 = identity), the direction
+certifies nothing; a second fixed direction is tried, then the iterates are
+built symbolically.
 """
 
 from __future__ import annotations
@@ -66,43 +69,6 @@ class DegreeMatrix:
 
     def max_diagonal(self) -> int:
         return max(self.diagonal())
-
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
-
-    def multiply(self, other: "DegreeMatrix") -> "DegreeMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        n = self.size
-        a, b = self.entries, other.entries
-        return DegreeMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    def power(self, n: int) -> "DegreeMatrix":
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result = DegreeMatrix(
-            tuple(
-                tuple(1 if i == j else 0 for j in range(self.size))
-                for i in range(self.size)
-            )
-        )
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result.multiply(base)
-            base = base.multiply(base) if e > 1 else base
-            e >>= 1
-        return result
 
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
@@ -145,11 +111,12 @@ def dynamical_degree_sequence(
     """deg(f^n) for n = 1..n_max, with n-th roots.
 
     Each degree is exact: it comes from the certificate mod q in the module
-    docstring, which builds no iterate, or, when both fixed directions meet
-    a leading coefficient of 0 mod q, from the symbolic iterates.  A
-    resource overrun raises ResourceLimitError whose ``last_safe_n`` is the
-    last n whose degree was computed; the certificate checks the running sum
-    of its degrees' bit lengths, which bounds the rows it keeps.
+    docstring, which builds no iterate, or, when in both fixed directions
+    only components with a leading coefficient of 0 mod q attain the
+    maximum, from the symbolic iterates.  A resource overrun raises
+    ResourceLimitError whose ``last_safe_n`` is the last n whose degree was
+    computed; the certificate checks the running sum of its degrees' bit
+    lengths, which bounds the rows it keeps.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -194,11 +161,12 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
                 )
                 tops.append(top)
                 lcs.append(lead % q)
-            if not all(lcs):
-                break
             D, lc = tops, lcs
-            degrees.append(max(D))
-            bits += degrees[-1].bit_length()
+            degree = max(D)
+            if not any(l and d == degree for l, d in zip(lc, D)):
+                break
+            degrees.append(degree)
+            bits += degree.bit_length()
             caps.check("degrees:certificate", bits=bits, last_safe_n=n)
         else:
             return degrees
@@ -210,34 +178,6 @@ def nth_root(value: int, n: int) -> float:
     if value <= 0:
         raise ValueError("value must be positive")
     return math.exp(math.log(value) / n)
-
-
-@dataclass
-class SpectralRadiusResult:
-    """Max-entry n-th-root sequence of integer matrix powers."""
-
-    values: list  # list[tuple[int, float]]
-    last: float
-    exact: int | None  # max diagonal when the input is triangular
-
-
-def spectral_radius_maxroot(A: DegreeMatrix, n_max: int) -> SpectralRadiusResult:
-    """Estimate the spectral radius via max |entry of A^n| ^ (1/n).
-
-    Matrix powers are exact integers.  When A is lower triangular the exact
-    answer (its max diagonal entry) is returned alongside the sequence.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    values = []
-    power = A
-    for n in range(1, n_max + 1):
-        if n > 1:
-            power = power.multiply(A)
-        m = power.max_entry()
-        values.append((n, nth_root(m, n) if m > 0 else 0.0))
-    exact = A.max_diagonal() if A.is_lower_triangular() else None
-    return SpectralRadiusResult(values=values, last=values[-1][1], exact=exact)
 
 
 def product_map(f: TriangularMap, g: TriangularMap) -> TriangularMap:

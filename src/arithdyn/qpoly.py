@@ -22,17 +22,15 @@ Integer kernels carry the hot paths on the stored numerators; a Fraction
 is built only where a value is read out or parsed.  A sum or product runs
 on ints over the lcm or product of the operands' denominators and divides
 out one content gcd when that denominator exceeds 1
-(:meth:`Polynomial._trusted`).  When the exponents fill their box
-densely enough, after dividing each variable's exponents by their gcd, each
-operand is packed into one big int and the product is one big-integer
-multiply (Kronecker substitution); otherwise a loop over all term pairs
-adds exponent tuples packed into ints.  Evaluation folds one variable
-level at a time, x_N first (:func:`_horner_integer`): the terms sharing
-their exponents of x_1..x_(i-1) are one homogenised Horner in x_i, so all
-values share one denominator D = 2^E * D_odd and only numerators are
-computed, as pairs (v, s) standing for v 2^s.  A power of two in a
-denominator only adds to s, never enters a product.  The result is reduced
-by shifts and one gcd against D_odd, which is 1 on power-of-two orbits.
+(:meth:`Polynomial._trusted`).  A product is one loop over all term pairs
+that adds exponent tuples packed into ints (:func:`_product_terms`).
+Evaluation folds one variable level at a time, x_N first
+(:func:`_horner_integer`): the terms sharing their exponents of
+x_1..x_(i-1) are one homogenised Horner in x_i, so all values share one
+denominator D = 2^E * D_odd and only numerators are computed, as pairs
+(v, s) standing for v 2^s.  A power of two in a denominator only adds to s,
+never enters a product.  The result is reduced by shifts and one gcd
+against D_odd, which is 1 on power-of-two orbits.
 
 Orbit coordinates grow like delta^n, so evaluation multiplies numerators
 of 10^5 to 10^6 bits.  Every product and power there runs through
@@ -409,49 +407,17 @@ def _product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict
     """The term map of the product of two maps of int numerators A_k, B_k.
 
     The product's numerators are over the product of the operands'
-    denominators, which the caller divides out; it runs on one of two
-    integer kernels.
-
-    Dense (Kronecker substitution; Fateman 2005, Harvey, J. Symbolic Comput.
-    44 (2009)), by :func:`_kronecker_terms`.  Deflation: let g_i be the gcd
-    of the exponents of x_i over both operands, 1 for a variable absent from
-    both.  Every exponent of x_i in either operand is a multiple of g_i, so
-    x_i^e becomes the digit e / g_i of a mixed radix with base
-    r_i = deg_i(a) / g_i + deg_i(b) / g_i + 1.  A product monomial's digits
-    are the sums of its factors' digits, at most r_i - 1, so slot indices
-    add without carry and distinct monomials get distinct slots.  Iterates
-    of x_i^d + g(x_(i+1..N)) keep x_i-exponents that are multiples of d, so
-    deflation divides the box prod r_i by about d per such variable.
-    Slot width: each operand becomes one signed int sum_k A_k 2^(w idx_k),
-    and one multiply gives sum_s c_s 2^(w s), where c_s sums A_i B_j over
-    the pairs landing in slot s.  A term of a meets at most one term of b in
-    a given slot, so |c_s| <= min(|a|, |b|) max|A_k| max|B_k| =: C, and so
-    does every |A_k| and |B_k|.  With w a multiple of 8 above the bit length
-    of C, every c_s lies strictly between -2^(w-1) and 2^(w-1), so each
-    slot plus 2^(w-1) is a w-bit digit and the digits read back exactly.
-
-    Sparse (packed-monomial; S. C. Johnson, "Sparse polynomial arithmetic",
-    1974; Monagan & Pearce, ISSAC 2009): each exponent tuple is packed into
-    one int with a field of ``(deg_i(a) + deg_i(b)).bit_length()`` bits per
-    variable, so adding two packed keys never carries between fields, and
-    the loop runs over all |a| |b| term pairs.
-
-    Selection: the dense kernel costs one multiply of box-long operands of
-    w-bit slots plus one Python step per slot, the sparse kernel one Python
-    step per term pair; :func:`_kronecker_pays` weighs the two.  Zero sums
-    are dropped, so every value is a nonzero int.
+    denominators, which the caller divides out.  Packed-monomial kernel
+    (S. C. Johnson, "Sparse polynomial arithmetic", 1974; Monagan & Pearce,
+    ISSAC 2009): each exponent tuple is packed into one int with a field of
+    ``(deg_i(a) + deg_i(b)).bit_length()`` bits per variable, so adding two
+    packed keys never carries between fields, and the loop runs over all
+    |a| |b| term pairs.  Zero sums are dropped, so every value is a nonzero
+    int.
     """
     if not a or not b:
         return {}
-    a_cols, b_cols = list(zip(*a)), list(zip(*b))
-    a_degs, b_degs = list(map(max, a_cols)), list(map(max, b_cols))
-    steps = [math.gcd(*ea, *eb) or 1 for ea, eb in zip(a_cols, b_cols)]
-    radii = [(da + db) // g + 1 for da, db, g in zip(a_degs, b_degs, steps)]
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    slot = bound.bit_length() // 8 + 1
-    if _kronecker_pays(math.prod(radii), slot, len(a) * len(b)):
-        return _kronecker_terms(a, b, steps, radii, slot)
-
+    a_degs, b_degs = list(map(max, zip(*a))), list(map(max, zip(*b)))
     widths = [(da + db).bit_length() for da, db in zip(a_degs, b_degs)]
     shifts = [sum(widths[:i]) for i in range(len(widths))]
     fields = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
@@ -468,50 +434,6 @@ def _product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return {tuple((k >> s) & mask for s, mask in fields): c for k, c in out.items() if c}
-
-
-def _kronecker_pays(box: int, slot_bytes: int, pairs: int) -> bool:
-    """Whether the dense kernel of :func:`_product_terms` should run.
-
-    It should when the packed product, each slot counted as at least one
-    64-bit word, is no larger than one word per term pair of the sparse
-    loop.  The word bound keeps a huge coefficient, which widens every slot,
-    off the dense path: squaring 400 terms with one 3^200000 among them
-    would pack each operand into 63 MB of mostly empty slots.  The slot floor keeps a
-    sparse box off it, since every slot costs a Python step when read back.
-    """
-    return box * max(slot_bytes, 8) <= 8 * pairs
-
-
-def _kronecker_terms(a, b, steps, radii, slot):
-    """The dense kernel of :func:`_product_terms`, with ``slot`` bytes a slot.
-
-    Slots are little-endian, the last variable's digit varying fastest.
-    Each slot holds its value plus half = 2^(8 slot - 1), which lies in
-    [1, 2^(8 slot) - 1], so the bytes of an operand or of the product plus
-    the offset sum_s half 2^(8 slot s) need no borrow between slots.
-    """
-    strides = [math.prod(radii[i + 1 :]) for i in range(len(radii))]
-    box = radii[0] * strides[0]
-    half = 1 << (8 * slot - 1)
-    empty = half.to_bytes(slot, "little")
-    offset = int.from_bytes(empty * box, "little")
-
-    def packed(terms):
-        buf = bytearray(empty * box)
-        for mono, c in terms.items():
-            i = slot * sum(e // g * s for e, g, s in zip(mono, steps, strides))
-            buf[i : i + slot] = (c + half).to_bytes(slot, "little")
-        return int.from_bytes(buf, "little") - offset
-
-    pa = packed(a)
-    raw = ((pa * pa if a is b else pa * packed(b)) + offset).to_bytes(slot * box, "little")
-    monos = itertools.product(*(range(0, r * g, g) for r, g in zip(radii, steps)))
-    return {
-        mono: int.from_bytes(raw[i : i + slot], "little") - half
-        for mono, i in zip(monos, range(0, slot * box, slot))
-        if raw[i : i + slot] != empty
-    }
 
 
 def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Fraction]) -> Fraction:

@@ -1,8 +1,10 @@
 """Oracle helpers shared by the test suites."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from arithdyn.degrees import product_map
+from arithdyn import degrees
+from arithdyn.degrees import nth_root, product_map
 from arithdyn.maps import as_point, orbit
 
 
@@ -25,3 +27,78 @@ def product_orbit_projects(f_a, p_a, f_b, p_b, n_max) -> bool:
     return len(product) == n_max + 1 and all(
         q[:na] == qa and q[na:] == qb for q, qa, qb in zip(product, orb_a, orb_b)
     )
+
+
+class DegreeMatrix(degrees.DegreeMatrix):
+    """The package's degree matrix with the exact matrix calculus the degree
+    laws are checked against: products, powers and the triangular test."""
+
+    def is_lower_triangular(self) -> bool:
+        return all(
+            self.entries[i][j] == 0
+            for i in range(self.size)
+            for j in range(i + 1, self.size)
+        )
+
+    def multiply(self, other: "DegreeMatrix") -> "DegreeMatrix":
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        n = self.size
+        a, b = self.entries, other.entries
+        return DegreeMatrix(
+            tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                for i in range(n)
+            )
+        )
+
+    def power(self, n: int) -> "DegreeMatrix":
+        if n < 0:
+            raise ValueError("negative matrix power")
+        result = DegreeMatrix(
+            tuple(
+                tuple(1 if i == j else 0 for j in range(self.size))
+                for i in range(self.size)
+            )
+        )
+        base = self
+        e = n
+        while e:
+            if e & 1:
+                result = result.multiply(base)
+            base = base.multiply(base) if e > 1 else base
+            e >>= 1
+        return result
+
+
+def degree_matrix(f) -> DegreeMatrix:
+    """``arithdyn.degrees.degree_matrix(f)`` as an oracle :class:`DegreeMatrix`."""
+    return DegreeMatrix(degrees.degree_matrix(f).entries)
+
+
+@dataclass
+class SpectralRadiusResult:
+    """Max-entry n-th-root sequence of integer matrix powers."""
+
+    values: list  # list[tuple[int, float]]
+    last: float
+    exact: int | None  # max diagonal when the input is triangular
+
+
+def spectral_radius_maxroot(A: DegreeMatrix, n_max: int) -> SpectralRadiusResult:
+    """Estimate the spectral radius via max |entry of A^n| ^ (1/n).
+
+    Matrix powers are exact integers.  When A is lower triangular the exact
+    answer (its max diagonal entry) is returned alongside the sequence.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    values = []
+    power = A
+    for n in range(1, n_max + 1):
+        if n > 1:
+            power = power.multiply(A)
+        m = power.max_entry()
+        values.append((n, nth_root(m, n) if m > 0 else 0.0))
+    exact = A.max_diagonal() if A.is_lower_triangular() else None
+    return SpectralRadiusResult(values=values, last=values[-1][1], exact=exact)

@@ -29,14 +29,12 @@ import time
 from fractions import Fraction
 
 from corpus import BASE_POINTS, CORPUS, E1, PRODUCT_PAIRS, SECOND_CASE_MAP
+from oracle import DegreeMatrix, degree_matrix, spectral_radius_maxroot
 
 from arithdyn.degrees import (
-    DegreeMatrix,
-    degree_matrix,
     dynamical_degree_exact,
     dynamical_degree_sequence,
     product_dynamical_degree,
-    spectral_radius_maxroot,
 )
 from arithdyn.density import density_check
 from arithdyn.heights import (

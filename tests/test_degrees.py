@@ -6,17 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import CORPUS
+from oracle import DegreeMatrix, degree_matrix, spectral_radius_maxroot
 
 from arithdyn.degrees import (
-    DegreeMatrix,
     _certified_degrees,
-    degree_matrix,
     dynamical_degree_exact,
     dynamical_degree_sequence,
     map_degree,
     product_dynamical_degree,
     product_map,
-    spectral_radius_maxroot,
 )
 from arithdyn.density import MODULUS
 from arithdyn.maps import DEFAULT_CAPS, TriangularMap, iterate_symbolic, iterates, triangular_map
@@ -119,6 +117,8 @@ def small_triangular_maps(draw):
 # random maps almost never drop degree; these two do, so the fallback runs
 @example(triangular_map(["x1+x2*x3", "x2", "-x3"]), 3)
 @example(triangular_map(["x1+x2^3", "-x2+1"]), 3)
+# component 1 drops at n = 2 below component 3, which certifies the maximum
+@example(triangular_map(["x1+x2^3", "-x2", "x3^2+x3"]), 3)
 def test_certified_degrees_match_symbolic_iterates(f, n_max):
     # oracle: wherever the certificate certifies, it is map_degree of the
     # symbolic iterate; either way the sequence is the symbolic one
@@ -134,6 +134,13 @@ def test_degree_drop_takes_the_symbolic_fallback():
     f = triangular_map(["x1+x2^3", "-x2"])
     assert _certified_degrees(f, 5, DEFAULT_CAPS) is None
     assert [d for _, d, _ in dynamical_degree_sequence(f, 5).values] == [3, 1, 3, 1, 3]
+
+
+def test_a_dropping_component_below_the_maximum_keeps_the_certificate():
+    # component 1 is x1 at n = 2, a leading coefficient of 0 mod q, but
+    # component 3, x3^(30^n), attains the maximum with a nonzero one
+    f = triangular_map(["x1+x2^3", "-x2", "x3^30+x3"])
+    assert _certified_degrees(f, 4, DEFAULT_CAPS) == [30, 900, 27000, 810000]
 
 
 def test_certificate_skips_a_modulus_dividing_a_denominator():

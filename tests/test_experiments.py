@@ -806,15 +806,23 @@ def test_cli_degrees_int_digit_limit_exits_resource(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "component, nmax, last",
-    [("x1^30+x1", 4, 30**4), ("x1^1000+x1", 3, 1000**3), ("x1^100000000+x1", 2, 10**16)],
+    "components, nmax, last",
+    [
+        ("x1^30+x1", 4, 30**4),
+        ("x1^1000+x1", 3, 1000**3),
+        ("x1^100000000+x1", 2, 10**16),
+        # x1 + x2^3 drops to x1 at n = 2, below x3^30 + x3, which still
+        # certifies the maximum
+        ("x1+x2^3, -x2, x3^30+x3", 4, 30**4),
+    ],
 )
-def test_cli_degrees_of_large_iterates_are_certified(tmp_path, capsys, component, nmax, last):
+def test_cli_degrees_of_large_iterates_are_certified(tmp_path, capsys, components, nmax, last):
     # f^nmax would have up to 810001 terms of about 27000 bits (x1^30+x1) or
     # a power ladder of doubling term counts (x1^100000000+x1); the degrees
     # are read from the certificate without building it
+    components = components.split(", ")
     map_path = tmp_path / "map.json"
-    map_path.write_text(json.dumps({"dimension": 1, "components": [component]}))
+    map_path.write_text(json.dumps({"dimension": len(components), "components": components}))
     start = time.perf_counter()
     code = main(
         ["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", str(nmax)]

@@ -22,10 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "arithdyn"
 
 KEPT = {
-    "spectral_radius_maxroot": "acceptance check 3 compares it with the exact dynamical degree",
     "alpha_bounds": "the two-sided certificate of ROADMAP item 2 replaces it",
-    "DegreeMatrix.power": "acceptance checks 1 and 3 and test_degrees read Deg(f)^n from it, "
-    "and the ROADMAP fixes check 3's closed form",
 }
 
 
