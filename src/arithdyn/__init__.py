@@ -4,7 +4,7 @@ Submodules:
 
   qpoly        exact sparse multivariate polynomials over the rationals
   maps         triangular self-maps, symbolic iteration, exact orbits
-  degrees      degree matrices, dynamical degrees, degree sequences
+  degrees      diagonal degrees, dynamical degrees, degree sequences
   heights      Weil heights, arithmetic-degree and canonical-height sequences
   padic        p-adic valuations and the stable-sector construction
   density      exact-rank Zariski-density proxy
@@ -22,7 +22,6 @@ from .qpoly import (
 from .maps import (
     NotDominantError,
     NotTriangularError,
-    Orbit,
     TriangularMap,
     as_point,
     iterate_symbolic,
@@ -31,8 +30,7 @@ from .maps import (
     triangular_map,
 )
 from .degrees import (
-    DegreeMatrix,
-    degree_matrix,
+    diagonal_degrees,
     dynamical_degree_exact,
     dynamical_degree_sequence,
     product_dynamical_degree,
@@ -63,12 +61,10 @@ from .experiments import ExperimentConfig, iterate_consistency, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeMatrix",
     "DimensionMismatchError",
     "ExperimentConfig",
     "NotDominantError",
     "NotTriangularError",
-    "Orbit",
     "Polynomial",
     "ResourceCaps",
     "ResourceLimitError",
@@ -78,8 +74,8 @@ __all__ = [
     "as_point",
     "case_n2_growth",
     "choose_C",
-    "degree_matrix",
     "density_check",
+    "diagonal_degrees",
     "dominant_monomial",
     "dynamical_degree_exact",
     "dynamical_degree_sequence",

@@ -1,8 +1,9 @@
-"""Degree matrices and dynamical-degree computation.
+"""Diagonal degrees and dynamical-degree computation.
 
 The degree matrix of a triangular map has (i,j) entry deg_{x_i} f_j; it is
 lower triangular with positive diagonal.  The dynamical degree of a
-triangular map is exactly the maximum diagonal entry; the degree sequence
+triangular map is exactly its maximum diagonal entry, so only the diagonal
+degrees deg_{x_i} f_i are computed here; the degree sequence
 deg(f^n)^{1/n} is computed as an independent route to the same number.
 
 deg(f) for an affine polynomial map is max_i total_degree(f_i): homogenizing
@@ -44,50 +45,14 @@ from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, iterates
 from .qpoly import Polynomial
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
-    """N x N nonnegative-integer matrix of per-variable component degrees."""
-
-    entries: tuple  # tuple[tuple[int, ...], ...], row-major
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.entries)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("degree matrix must be square")
-            if any(e < 0 for e in row):
-                raise ValueError("degree matrix entries must be nonnegative")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def diagonal(self) -> tuple:
-        return tuple(self.entries[i][i] for i in range(self.size))
-
-    def max_diagonal(self) -> int:
-        return max(self.diagonal())
-
-    def max_entry(self) -> int:
-        return max(max(row) for row in self.entries)
-
-
-def degree_matrix(f: TriangularMap) -> DegreeMatrix:
-    """Exact degree matrix: entry (i,j) = deg_{x_i} f_j."""
-    n = f.dimension
-    return DegreeMatrix(
-        tuple(
-            tuple(f.components[j].degree_in_var(i + 1) for j in range(n))
-            for i in range(n)
-        )
-    )
+def diagonal_degrees(f: TriangularMap) -> tuple:
+    """The diagonal degrees (deg_{x_i} f_i)_i, each at least 1."""
+    return tuple(c.degree_in_var(i) for i, c in enumerate(f.components, start=1))
 
 
 def dynamical_degree_exact(f: TriangularMap) -> int:
-    """Max diagonal entry of the degree matrix (exact for triangular maps)."""
-    return degree_matrix(f).max_diagonal()
+    """The largest diagonal degree (exact for triangular maps)."""
+    return max(diagonal_degrees(f))
 
 
 def map_degree(f: TriangularMap) -> int:
@@ -120,6 +85,9 @@ def dynamical_degree_sequence(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # Every deg(f^n) has at least one bit, so n_max rows hold at least n_max
+    # bits of the certificate's running sum: refuse them before either path.
+    caps.check("degrees:certificate", bits=n_max, last_safe_n=0)
     degrees = _certified_degrees(f, n_max, caps)
     if degrees is None:
         degrees = [map_degree(current) for current in iterates(f, n_max, caps)]

@@ -39,7 +39,6 @@ from . import padic
 from .density import density_check, density_report_csv
 from .maps import (
     DEFAULT_CAPS,
-    Orbit,
     ResourceCaps,
     TriangularMap,
     as_point,
@@ -244,7 +243,7 @@ def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
 
 
 def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
-    diag = deg.degree_matrix(f).diagonal()
+    diag = deg.diagonal_degrees(f)
     if diag[0] < 2 or any(diag[i] <= diag[i + 1] for i in range(len(diag) - 1)):
         raise ConfigError(
             f"first_case requires strictly decreasing diagonal degrees with d11 >= 2, got {diag}"
@@ -268,11 +267,11 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     tables = []
     prefixes = []
     for point in samples:
-        orb = orbit(f, point, max(cfg.n_max, prefix), caps)
-        head = Orbit(map=f, points=orb.points[: cfg.n_max + 1])
+        points = orbit(f, point, max(cfg.n_max, prefix), caps)
+        head = points[: cfg.n_max + 1]
         seqs.append(hts.height_sequence_of_orbit(head, delta))
-        tables.append([padic.valuation_signature(q, sector) for q in head.points])
-        prefixes.append(Orbit(map=f, points=orb.points[: prefix + 1]))
+        tables.append([padic.valuation_signature(q, sector) for q in head])
+        prefixes.append(points[: prefix + 1])
     d11 = diag[0]
     # e_1 = -v_p(x_1): e_1(f^n P) >= d11^n * e_1(P)
     floor_ok = all(sigs[n][0] >= d11**n * sigs[0][0] for sigs in tables for n in range(len(sigs)))
@@ -377,12 +376,10 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
 def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if f.dimension != 2:
         raise ConfigError("second_case_n2 requires a two-variable map")
-    diag = deg.degree_matrix(f).diagonal()
+    diag = deg.diagonal_degrees(f)
     if diag[0] > diag[1]:
         raise ConfigError("second_case_n2 requires d11 <= d22")
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)
-    delta, checks, reports = _degree_stage(cfg, f, caps)
-
     if cfg.point is not None:
         point = as_point(cfg.point)
     else:
@@ -390,8 +387,14 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         # numerator sample_U's first sample gives x2; x1's is not used.
         _, a = itertools.islice(padic.unit_numerators(sector.prime, cfg.seed), 2)
         point = (Fraction(1), Fraction(a, sector.prime))
-    orb = orbit(f, point, cfg.n_max, caps)
-    growth = padic.case_n2_growth(sector, orb)
+    # The growth law holds on |x_2|_p > 1 only: refuse a start outside it
+    # before any stage runs.
+    if len(point) != 2 or padic.valuation_signature(point, sector)[1] <= 0:
+        raise ConfigError("second_case_n2 needs a start (x1, x2) with |x_2|_p > 1")
+    delta, checks, reports = _degree_stage(cfg, f, caps)
+
+    points = orbit(f, point, cfg.n_max, caps)
+    growth = padic.case_n2_growth(sector, f, points)
     rows = ((n, v, expected, v == expected) for n, v, expected in growth)
     reports["growth.csv"] = csv_text(["n", "v_x2", "expected", "equal"], rows)
     checks.append(
@@ -403,7 +406,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         )
     )
 
-    seq = hts.height_sequence_of_orbit(orb, delta)
+    seq = hts.height_sequence_of_orbit(points, delta)
     reports["heights.csv"] = seq.to_csv()
     checks.extend(_height_checks([seq], delta))
 
@@ -476,15 +479,15 @@ def iterate_consistency(
     delta_t = deg.dynamical_degree_exact(f_t)
     degree_ok = delta_t == delta**t
 
-    orb_fast = orbit(f_t, point, n_max, caps)
-    orb_slow = orbit(f, point, n_max * t, caps)
+    fast = orbit(f_t, point, n_max, caps)
+    slow = orbit(f, point, n_max * t, caps)
     rows = [
         {
             "n": n,
             "height_arg_bits": hts.affine_height(p).max_abs.bit_length(),
-            "equal": p == orb_slow.points[n * t],
+            "equal": p == slow[n * t],
         }
-        for n, p in enumerate(orb_fast.points)
+        for n, p in enumerate(fast)
     ]
     heights_ok = all(row["equal"] for row in rows)
     return {

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .degrees import dynamical_degree_exact, product_map
-from .maps import DEFAULT_CAPS, Orbit, ResourceCaps, TriangularMap, as_point, csv_text, orbit
+from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, as_point, csv_text, orbit
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,15 @@ def _height_row(n: int, point, delta: int) -> HeightRow:
     height = affine_height(point)
     h_plus = max(height.log, 1.0)
     root = _root(h_plus, n)
-    try:
-        khat = h_plus / delta**n
-    except OverflowError:  # delta^n is past the float range, the quotient is not
-        khat = float(Fraction(h_plus) / delta**n)
+    if n * (delta.bit_length() - 1) >= 1075 + math.frexp(h_plus)[1]:
+        # with e = frexp(h+)[1], h+ < 2^e and delta^n >= 2^(1075 + e): the quotient
+        # is below 2^-1075, half the least subnormal, so it rounds to 0.0 unbuilt
+        khat = 0.0
+    else:
+        try:
+            khat = h_plus / delta**n
+        except OverflowError:  # delta^n is past the float range, the quotient is not
+            khat = float(Fraction(h_plus) / delta**n)
     return HeightRow(
         n=n, height_arg=height.max_abs, h=height.log, h_plus=h_plus, root=root, khat=khat
     )
@@ -124,8 +129,9 @@ def height_sequence(
     return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
 
 
-def height_sequence_of_orbit(orb: Orbit, delta: int) -> HeightSequence:
-    return HeightSequence(rows=[_height_row(n, p, delta) for n, p in enumerate(orb.points)])
+def height_sequence_of_orbit(points: Sequence, delta: int) -> HeightSequence:
+    """Height rows of the orbit ``points``, where points[n] = f^n(points[0])."""
+    return HeightSequence(rows=[_height_row(n, p, delta) for n, p in enumerate(points)])
 
 
 def alpha_bounds(seq: HeightSequence, tail: int) -> tuple:

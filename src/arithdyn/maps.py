@@ -13,7 +13,6 @@ distinct starting points may be processed in parallel with no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -143,21 +142,13 @@ def iterate_symbolic(
     return current
 
 
-@dataclass
-class Orbit:
-    """Exact forward-orbit prefix: points[n] = f^n(points[0])."""
-
-    map: TriangularMap
-    points: list = field(default_factory=list)
-
-
 def orbit(
     f: TriangularMap,
     start: Sequence[Fraction],
     n_max: int,
     caps: ResourceCaps = DEFAULT_CAPS,
-) -> Orbit:
-    """Compute [P, f(P), ..., f^{n_max}(P)] exactly.
+) -> list[AffinePoint]:
+    """Compute the exact orbit prefix [P, f(P), ..., f^{n_max}(P)].
 
     Before each step, :func:`step_bits_bound` bounds the bit size of the
     coordinates it would make, from f's terms summed once per call, and
@@ -177,7 +168,7 @@ def orbit(
         caps.check(f"orbit step {n + 1}", bits=bound(point), last_safe_n=n)
         point = f.apply(point)
         points.append(point)
-    return Orbit(map=f, points=points)
+    return points
 
 
 def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
@@ -209,13 +200,13 @@ def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
     return bound
 
 
-def orbits_disjoint_prefix(*orbits: Orbit) -> bool:
-    """True iff no point lies in two of the orbits (exact comparison); a
-    point may repeat inside one orbit.  Each point is hashed once: the union
-    reuses the hashes its sets store."""
-    if len({o.map.dimension for o in orbits}) > 1:
+def orbits_disjoint_prefix(*orbits: Sequence[AffinePoint]) -> bool:
+    """True iff no point lies in two of the orbits, each a list of points
+    (exact comparison); a point may repeat inside one orbit.  Each point is
+    hashed once: the union reuses the hashes its sets store."""
+    if len({len(points[0]) for points in orbits if points}) > 1:
         raise DimensionMismatchError("orbits live in different dimensions")
-    sets = [set(o.points) for o in orbits]
+    sets = [set(points) for points in orbits]
     return len(set().union(*sets)) == sum(map(len, sets))
 
 
@@ -258,12 +249,13 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "".join(",".join(map(_cell, line)) + "\n" for line in [header, *rows])
 
 
-def orbit_to_csv(o: Orbit) -> str:
-    """CSV with columns n, x1_num, x1_den, ..., xN_num, xN_den."""
-    header = ["n", *(f"x{i}_{c}" for i in range(1, o.map.dimension + 1) for c in ("num", "den"))]
+def orbit_to_csv(points: Sequence[AffinePoint]) -> str:
+    """CSV with columns n, x1_num, x1_den, ..., xN_num, xN_den, one row per
+    point of the nonempty orbit ``points``."""
+    header = ["n", *(f"x{i}_{c}" for i in range(1, len(points[0]) + 1) for c in ("num", "den"))]
     rows = (
         [n, *(v for c in point for v in (c.numerator, c.denominator))]
-        for n, point in enumerate(o.points)
+        for n, point in enumerate(points)
     )
     return csv_text(header, rows)
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .degrees import degree_matrix
-from .maps import AffinePoint, Orbit, TriangularMap, as_point, csv_text
+from .degrees import diagonal_degrees
+from .maps import AffinePoint, TriangularMap, as_point, csv_text
 from .qpoly import Monomial
 
 INFINITY = math.inf
@@ -142,8 +142,9 @@ def find_unit_prime(f: TriangularMap, start: int = 2) -> int:
 
 
 def choose_C(f: TriangularMap) -> int:
-    """Minimal integer strictly above N * max_{i,j} deg_{x_i} f_j."""
-    return f.dimension * degree_matrix(f).max_entry() + 1
+    """Minimal integer strictly above N * max_{i,j} deg_{x_i} f_j, the
+    largest exponent in any term of any component."""
+    return f.dimension * max(max(mono) for c in f.components for mono in c.terms) + 1
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
     witness has the minimal valuation signature; its first exponent lies
     strictly below the floor achievable by one application of f.
     """
-    diag = degree_matrix(f).diagonal()
+    diag = diagonal_degrees(f)
     if any(diag[i] <= diag[i + 1] for i in range(len(diag) - 1)):
         raise ValueError("witness construction needs strictly decreasing diagonal degrees")
     base = minimal_signature(cfg)
@@ -331,22 +332,21 @@ def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
     return point
 
 
-def case_n2_growth(cfg: SectorConfig, orb: Orbit) -> list:
+def case_n2_growth(cfg: SectorConfig, f: TriangularMap, points: Sequence) -> list:
     """Exact second-coordinate valuation growth for N = 2, d_{1,1} <= d_{2,2},
-    read along the orbit ``orb``: rows (n, v, expected) for n = 1..len(orb.points)-1,
+    read along the orbit ``points`` of f: rows (n, v, expected) for n = 1..len(points)-1,
     with v = v(x_2 at step n) and expected = d_{2,2}^n * v(x_2 at step 0).
 
     On the half-plane |x_2|_p > 1 the last coordinate's valuation multiplies
     by exactly d_{2,2} each step, with no tolerance.  v == expected keeps the
     orbit in the half-plane: v0 < 0 and d_{2,2} >= 1 make expected < 0.
     """
-    f = orb.map
     if f.dimension != 2:
         raise ValueError("this construction is specific to N = 2")
-    diag = degree_matrix(f).diagonal()
+    diag = diagonal_degrees(f)
     if diag[0] > diag[1]:
         raise ValueError("needs d_{1,1} <= d_{2,2}; use the sector construction otherwise")
-    v0, *vals = [_valuation(q[1], cfg.prime) for q in orb.points]
+    v0, *vals = [_valuation(q[1], cfg.prime) for q in points]
     if not (v0 < 0):
         raise NotInSectorError("second coordinate must satisfy |x_2|_p > 1")
     return [(n, v, diag[1] ** n * v0) for n, v in enumerate(vals, start=1)]

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from arithdyn import degrees
 from arithdyn.degrees import nth_root, product_map
 from arithdyn.maps import as_point, orbit
 
@@ -22,16 +21,43 @@ def product_orbit_projects(f_a, p_a, f_b, p_b, n_max) -> bool:
     orbits; True iff every product point is the pair of factor points."""
     p_a, p_b = as_point(p_a), as_point(p_b)
     na = f_a.dimension
-    product = orbit(product_map(f_a, f_b), p_a + p_b, n_max).points
-    orb_a, orb_b = orbit(f_a, p_a, n_max).points, orbit(f_b, p_b, n_max).points
+    product = orbit(product_map(f_a, f_b), p_a + p_b, n_max)
+    orb_a, orb_b = orbit(f_a, p_a, n_max), orbit(f_b, p_b, n_max)
     return len(product) == n_max + 1 and all(
         q[:na] == qa and q[na:] == qb for q, qa, qb in zip(product, orb_a, orb_b)
     )
 
 
-class DegreeMatrix(degrees.DegreeMatrix):
-    """The package's degree matrix with the exact matrix calculus the degree
-    laws are checked against: products, powers and the triangular test."""
+@dataclass(frozen=True)
+class DegreeMatrix:
+    """N x N nonnegative-integer matrix of per-variable component degrees,
+    with the exact matrix calculus the degree laws are checked against:
+    products, powers and the triangular test."""
+
+    entries: tuple  # tuple[tuple[int, ...], ...], row-major
+
+    def __post_init__(self):
+        rows = tuple(tuple(int(e) for e in row) for row in self.entries)
+        n = len(rows)
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("degree matrix must be square")
+            if any(e < 0 for e in row):
+                raise ValueError("degree matrix entries must be nonnegative")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def diagonal(self) -> tuple:
+        return tuple(self.entries[i][i] for i in range(self.size))
+
+    def max_diagonal(self) -> int:
+        return max(self.diagonal())
+
+    def max_entry(self) -> int:
+        return max(max(row) for row in self.entries)
 
     def is_lower_triangular(self) -> bool:
         return all(
@@ -72,8 +98,11 @@ class DegreeMatrix(degrees.DegreeMatrix):
 
 
 def degree_matrix(f) -> DegreeMatrix:
-    """``arithdyn.degrees.degree_matrix(f)`` as an oracle :class:`DegreeMatrix`."""
-    return DegreeMatrix(degrees.degree_matrix(f).entries)
+    """The exact degree matrix of f: entry (i,j) = deg_{x_i} f_j."""
+    n = f.dimension
+    return DegreeMatrix(
+        tuple(tuple(f.components[j].degree_in_var(i + 1) for j in range(n)) for i in range(n))
+    )
 
 
 @dataclass

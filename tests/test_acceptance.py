@@ -175,7 +175,7 @@ def test_acceptance_04_sector_stability():
     budget = Budget(5)
     cfg, samples = _sector_samples()
     assert (cfg.prime, cfg.C) == (2, 7)
-    steps = [[valuation_signature(q, cfg) for q in orbit(E1, p, 1).points] for p in samples]
+    steps = [[valuation_signature(q, cfg) for q in orbit(E1, p, 1)] for p in samples]
     stable = all(verify_stability(cfg, steps))
     dominant = all(verify_dominant_value(E1, sigs) for sigs in steps)
     passed = stable and dominant and budget.ok()
@@ -200,7 +200,7 @@ def test_acceptance_05_canonical_height_lower_bound():
     for point, orb, seq in zip(samples, orbits, seqs):
         e1 = -vp(point[0], cfg.prime)
         for n in range(1, 9):
-            if -vp(orb.points[n][0], cfg.prime) < d11**n * e1:
+            if -vp(orb[n][0], cfg.prime) < d11**n * e1:
                 integer_ok = False
         for row in seq.rows:
             if row.khat < e1 * log_p - 1e-9:
@@ -285,7 +285,7 @@ def test_acceptance_08_iterate_consistency():
         fast = orbit(f2, point, 3)
         slow = orbit(f, point, 6)
         for n in range(4):
-            ok = ok and fast.points[n] == slow.points[2 * n]
+            ok = ok and fast[n] == slow[2 * n]
     passed = ok and budget.ok()
     report(8, "delta(f^2) = delta(f)^2; (f^2)^n P = f^(2n) P row-exact, n <= 3", passed)
     assert ok, "iterate consistency failed on the corpus"

@@ -138,6 +138,12 @@ def _certificate(tmp_path):
     dynamical_degree_sequence(f, 6, ResourceCaps(max_coeff_bits=10))
 
 
+def _certificate_rows(tmp_path):
+    # every degree has at least one bit, so 101 rows exceed a 100-bit cap
+    # before either path runs, the symbolic fallback this drop would take too
+    dynamical_degree_sequence(triangular_map(["x1+x2^3", "-x2"]), 101, ResourceCaps(max_coeff_bits=100))
+
+
 def _orbit(tmp_path):
     orbit(triangular_map(["x1^2"]), [2], 20, ResourceCaps(max_coeff_bits=100))
 
@@ -155,11 +161,15 @@ def _density(tmp_path):
     [
         (_substitute, {"stage": "substitute:power", "term_count": 49, "max_terms": 30, "last_safe_n": 2}),
         (_certificate, {"stage": "degrees:certificate", "bits": 11, "max_coeff_bits": 10, "last_safe_n": 2}),
+        (
+            _certificate_rows,
+            {"stage": "degrees:certificate", "bits": 101, "max_coeff_bits": 100, "last_safe_n": 0},
+        ),
         (_orbit, {"stage": "orbit step 7", "bits": 134, "max_coeff_bits": 100, "last_safe_n": 6}),
         (_sample_precheck, {"stage": "sample_U", "bits": 20, "max_coeff_bits": 10, "last_safe_n": 0}),
         (_density, {"stage": "density:monomials", "term_count": 2003001, "max_terms": 10**6}),
     ],
-    ids=["substitute", "certificate", "orbit", "sample_U", "density"],
+    ids=["substitute", "certificate", "certificate_rows", "orbit", "sample_U", "density"],
 )
 def test_every_cap_error_has_one_metadata_schema(tmp_path, site, metadata):
     """Each cap error names its stage, the size (``term_count`` or ``bits``)

@@ -252,7 +252,7 @@ def test_orbit_points_fill_degree_two_space():
     f = triangular_map(["x1^3+x2", "x2^2+1"])
     points = []
     for start in ([Fraction(1, 256), Fraction(1, 2)], [Fraction(1, 512), Fraction(3, 2)]):
-        points.extend(orbit(f, start, 3).points)
+        points.extend(orbit(f, start, 3))
     report = density_check(points, 2)
     assert report.point_count == 8
     assert report.dense

@@ -573,6 +573,24 @@ def test_cli_over_cap_orbit_step_exits_before_it_is_computed(tmp_path, capsys, m
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("n_max", [22, 40])
+def test_cli_second_case_start_outside_the_half_plane_exits_before_its_orbit(
+    tmp_path, capsys, monkeypatch, n_max
+):
+    # x2 = 3 has |x2|_2 = 1: the config is refused before any orbit step,
+    # also where the walk would hit the coordinate cap first (n_max 40)
+    def refuse(self, point):
+        raise AssertionError("an orbit step ran")
+
+    monkeypatch.setattr(TriangularMap, "apply", refuse)
+    doc = {"map": SECOND_DOC, "mode": "second_case_n2", "point": ["1", "3"], "n_max": n_max}
+    cfg = write_cfg(tmp_path, doc)
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "|x_2|_p > 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_product_cap_on_the_second_factor_exits_resource(tmp_path, capsys, monkeypatch):
     # f_a = x1^2 is walked in full first; f_b's first step, 3^(10^8), is
     # refused from its bound, so f_b's orbit is never stepped

@@ -171,10 +171,23 @@ def test_h_plus_and_khat_are_positive():
         assert row.khat > 0
 
 
-def test_khat_past_the_float_range():
-    # 2^n leaves the float range at n = 1024; khat = 2^-n stays exact
-    seq = height_sequence(triangular_map(["x1^2"]), [1], 1030)
-    assert [seq.rows[n].khat for n in (1023, 1024, 1030)] == [2.0**-1023, 2.0**-1024, 2.0**-1030]
+def test_khat_past_the_float_range(monkeypatch):
+    # 2^n leaves the float range at n = 1024; khat = 2^-n stays exact down to
+    # the least subnormal 2^-1074 and rounds to 0 from n = 1075 on, where
+    # the exact quotient is no longer built
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(heights_module, "Fraction", counted)
+    seq = height_sequence(triangular_map(["x1^2"]), [1], 3000)
+    assert [seq.rows[n].khat for n in (1023, 1024, 1030, 1074)] == [
+        2.0**-1023, 2.0**-1024, 2.0**-1030, 2.0**-1074
+    ]
+    assert all(row.khat == 0.0 for row in seq.rows[1075:])
+    assert len(calls) <= 60
 
 
 def test_alpha_bounds_constant_orbit():
@@ -221,8 +234,8 @@ def test_iterate_height_rows_match_exactly():
     slow = orbit(f, point, 6)
     for n in range(4):
         assert (
-            affine_height(fast.points[n]).max_abs
-            == affine_height(slow.points[2 * n]).max_abs
+            affine_height(fast[n]).max_abs
+            == affine_height(slow[2 * n]).max_abs
         )
 
 

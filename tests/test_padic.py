@@ -33,7 +33,7 @@ E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 
 def signatures(f, point, cfg):
     """Valuation signatures of P and f(P)."""
-    return [valuation_signature(q, cfg) for q in orbit(f, point, 1).points]
+    return [valuation_signature(q, cfg) for q in orbit(f, point, 1)]
 
 
 # -- valuations --------------------------------------------------------------
@@ -330,7 +330,7 @@ def test_witness_requires_decreasing_diagonal():
 def test_case_n2_growth_examples():
     f = triangular_map(["x1*x2+1", "x2^2"])
     cfg = sector_config(f, prime=2)
-    rows = case_n2_growth(cfg, orbit(f, [1, Fraction(1, 2)], 5))
+    rows = case_n2_growth(cfg, f, orbit(f, [1, Fraction(1, 2)], 5))
     assert [v for _, v, _ in rows] == [-2, -4, -8, -16, -32]
     assert all(v == expected for _, v, expected in rows)
 
@@ -338,7 +338,7 @@ def test_case_n2_growth_examples():
 def test_case_n2_growth_cubing():
     f = triangular_map(["x1+x2^3", "x2^3"])
     cfg = sector_config(f, prime=2)
-    rows = case_n2_growth(cfg, orbit(f, [0, Fraction(1, 2)], 4))
+    rows = case_n2_growth(cfg, f, orbit(f, [0, Fraction(1, 2)], 4))
     assert [v for _, v, _ in rows] == [-3, -9, -27, -81]
     assert all(v == expected for _, v, expected in rows)
 
@@ -347,7 +347,7 @@ def test_case_n2_growth_precondition():
     f = triangular_map(["x1*x2+1", "x2^2"])
     cfg = sector_config(f, prime=2)
     with pytest.raises(NotInSectorError):
-        case_n2_growth(cfg, orbit(f, [1, 3], 3))  # x2 integral at p=2
+        case_n2_growth(cfg, f, orbit(f, [1, 3], 3))  # x2 integral at p=2
 
 
 # -- conditions the verdicts imply ------------------------------------------------
@@ -382,7 +382,7 @@ def test_a_sector_signature_has_its_first_entry_largest(dimension, C, last, gaps
 def test_growth_equality_keeps_x2_in_the_half_plane(d22, d11, a, b, c, p, k):
     f = triangular_map([f"x1^{min(d11, d22)}*x2^{a}+1", f"{b}*x2^{d22}+{c}"])
     cfg = SectorConfig(prime=p, C=1, dimension=2)
-    for _, v, expected in case_n2_growth(cfg, orbit(f, [1, Fraction(1, p**k)], 3)):
+    for _, v, expected in case_n2_growth(cfg, f, orbit(f, [1, Fraction(1, p**k)], 3)):
         assert expected < 0
         if v == expected:
             assert v < 0

@@ -14,8 +14,10 @@ each with the reason it stays.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
+import arithdyn
 from test_bench_targets import _load_targets
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +95,16 @@ def test_every_public_name_is_reached():
     )
     stale = set(KEPT) - set(unreached)
     assert not stale, f"KEPT names {sorted(stale)}, which are reached or no longer defined"
+
+
+def test_all_names_exactly_the_public_exports():
+    # a stale entry breaks ``from arithdyn import *``; a missing one hides an export
+    public = {
+        name
+        for name, value in vars(arithdyn).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(arithdyn.__all__) == sorted(public)
 
 
 def test_guard_flags_a_planted_orphan():
