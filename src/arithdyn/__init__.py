@@ -33,7 +33,6 @@ from .degrees import (
     diagonal_degrees,
     dynamical_degree_exact,
     dynamical_degree_sequence,
-    product_dynamical_degree,
     product_map,
 )
 from .heights import (
@@ -56,7 +55,7 @@ from .padic import (
     vp,
 )
 from .density import density_check
-from .experiments import ExperimentConfig, iterate_consistency, run_experiment
+from .experiments import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
 
@@ -82,12 +81,10 @@ __all__ = [
     "find_unit_prime",
     "height_sequence",
     "in_U",
-    "iterate_consistency",
     "iterate_symbolic",
     "orbit",
     "orbits_disjoint_prefix",
     "parse_polynomial",
-    "product_dynamical_degree",
     "product_height_additivity",
     "product_map",
     "rational",

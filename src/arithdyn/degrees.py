@@ -168,27 +168,3 @@ def product_map(f: TriangularMap, g: TriangularMap) -> TriangularMap:
         )
     return TriangularMap(components)
 
-
-@dataclass
-class ProductDegreeReport:
-    delta_f: int
-    delta_g: int
-    delta_product: int
-    consistent: bool  # delta_product == max(delta_f, delta_g)
-
-
-def product_dynamical_degree(
-    f: TriangularMap, g: TriangularMap
-) -> tuple[int, ProductDegreeReport]:
-    """max(delta_f, delta_g), with verification on the explicit product map."""
-    delta_f = dynamical_degree_exact(f)
-    delta_g = dynamical_degree_exact(g)
-    expected = max(delta_f, delta_g)
-    actual = dynamical_degree_exact(product_map(f, g))
-    report = ProductDegreeReport(
-        delta_f=delta_f,
-        delta_g=delta_g,
-        delta_product=actual,
-        consistent=actual == expected,
-    )
-    return expected, report

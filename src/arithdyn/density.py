@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .maps import DEFAULT_CAPS, as_point, csv_text
+from .maps import DEFAULT_CAPS, ResourceCaps, as_point, csv_text
 from .qpoly import DimensionMismatchError, Monomial
 
 
@@ -219,15 +219,17 @@ class DensityReport:
         return self.verdict == "no_common_hypersurface"
 
 
-def density_check(points: Sequence, degree_bound: int) -> DensityReport:
+def density_check(
+    points: Sequence, degree_bound: int, caps: ResourceCaps = DEFAULT_CAPS
+) -> DensityReport:
     """Exact rank of the evaluation matrix of all monomials of degree <= d.
 
     Full column rank certifies that no nonzero polynomial of total degree
     <= d vanishes on every point; otherwise a kernel witness (the
     coefficient vector of such a polynomial) is returned.  With fewer
     points than monomials the verdict is flagged inconclusive.  Points of
-    unequal length raise DimensionMismatchError, and ``DEFAULT_CAPS.check``
-    refuses more monomials than its ``max_terms`` before any is built.
+    unequal length raise DimensionMismatchError, and ``caps.check`` refuses
+    more monomials than its ``max_terms`` before any is built.
 
     Integer rows are built one point at a time, and none after m are
     independent modulo ``MODULUS``; below m, ``rational_rref`` runs on the
@@ -245,7 +247,7 @@ def density_check(points: Sequence, degree_bound: int) -> DensityReport:
     if any(len(p) != dimension for p in pts):
         raise DimensionMismatchError("input points differ in their number of coordinates")
     m = math.comb(dimension + degree_bound, degree_bound)
-    DEFAULT_CAPS.check("density:monomials", terms=m)  # a vanishing polynomial has m coefficients
+    caps.check("density:monomials", terms=m)  # a vanishing polynomial has m coefficients
     monos = monomials_up_to_degree(dimension, degree_bound)
 
     kept, rows = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)

@@ -104,10 +104,9 @@ def _height_row(n: int, point, delta: int) -> HeightRow:
         # is below 2^-1075, half the least subnormal, so it rounds to 0.0 unbuilt
         khat = 0.0
     else:
-        try:
-            khat = h_plus / delta**n
-        except OverflowError:  # delta^n is past the float range, the quotient is not
-            khat = float(Fraction(h_plus) / delta**n)
+        # int / int is correctly rounded, and gives 0.0 rather than overflowing
+        a, b = h_plus.as_integer_ratio()
+        khat = a / (b * delta**n)
     return HeightRow(
         n=n, height_arg=height.max_abs, h=height.log, h_plus=h_plus, root=root, khat=khat
     )
@@ -150,20 +149,14 @@ class ProductHeightReport:
     seq_a: HeightSequence
     seq_b: HeightSequence
     projections_match: bool  # product orbit projects exactly onto factor orbits
-
-    def sums(self) -> list:
-        """(h_sum, root) per row n: h_sum = h_a + h_b, root = max(h_sum, 1)^(1/n)."""
-        return [
-            (ra.h + rb.h, _root(ra.h + rb.h, ra.n))
-            for ra, rb in zip(self.seq_a.rows, self.seq_b.rows)
-        ]
+    sums: list  # (h_sum, root) per row n: h_sum = h_a + h_b, root = max(h_sum, 1)^(1/n)
 
     def to_csv(self) -> str:
         return csv_text(
             ["n", "arg_a_bits", "arg_b_bits", "h_sum", "root"],
             (
                 (ra.n, ra.height_arg.bit_length(), rb.height_arg.bit_length(), *sums)
-                for ra, rb, sums in zip(self.seq_a.rows, self.seq_b.rows, self.sums())
+                for ra, rb, sums in zip(self.seq_a.rows, self.seq_b.rows, self.sums)
             ),
         )
 
@@ -195,9 +188,12 @@ def product_height_additivity(
     blocks = [(comp, slice(na), slice(na, None)) for comp in f_a.components]
     blocks += [(comp, slice(na, None), slice(na)) for comp in f_b.components]
     lifted = product_map(f_a, f_b).components
+    seq_a = height_sequence(f_a, p_a, n_max, caps=caps)
+    seq_b = height_sequence(f_b, p_b, n_max, caps=caps)
     return ProductHeightReport(
-        seq_a=height_sequence(f_a, p_a, n_max, caps=caps),
-        seq_b=height_sequence(f_b, p_b, n_max, caps=caps),
+        seq_a=seq_a,
+        seq_b=seq_b,
+        sums=[(ra.h + rb.h, _root(ra.h + rb.h, ra.n)) for ra, rb in zip(seq_a.rows, seq_b.rows)],
         projections_match=len(lifted) == len(blocks) and all(
             not any(any(mono[other]) for mono in poly.terms)
             and poly.den == comp.den

@@ -156,6 +156,11 @@ def _density(tmp_path):
     density_check([(1, 2), (3, 1), (5, 7)], 2000)
 
 
+def _density_run(tmp_path):
+    # six monomials of degree <= 2 in two variables, under the run's caps
+    run_experiment(first_case_cfg(samples=6, density_degree=2), tmp_path, ResourceCaps(max_terms=5))
+
+
 @pytest.mark.parametrize(
     "site, metadata",
     [
@@ -168,8 +173,9 @@ def _density(tmp_path):
         (_orbit, {"stage": "orbit step 7", "bits": 134, "max_coeff_bits": 100, "last_safe_n": 6}),
         (_sample_precheck, {"stage": "sample_U", "bits": 20, "max_coeff_bits": 10, "last_safe_n": 0}),
         (_density, {"stage": "density:monomials", "term_count": 2003001, "max_terms": 10**6}),
+        (_density_run, {"stage": "density:monomials", "term_count": 6, "max_terms": 5}),
     ],
-    ids=["substitute", "certificate", "certificate_rows", "orbit", "sample_U", "density"],
+    ids=["substitute", "certificate", "certificate_rows", "orbit", "sample_U", "density", "density_run"],
 )
 def test_every_cap_error_has_one_metadata_schema(tmp_path, site, metadata):
     """Each cap error names its stage, the size (``term_count`` or ``bits``)

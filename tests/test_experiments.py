@@ -15,7 +15,6 @@ from arithdyn.experiments import (
     ConfigError,
     ExperimentConfig,
     _height_checks,
-    iterate_consistency,
     run_experiment,
 )
 from arithdyn.heights import HeightRow, HeightSequence
@@ -263,13 +262,20 @@ def test_iterate_check_pipeline(tmp_path):
     assert result.exit_code == EXIT_OK
 
 
-def test_iterate_consistency_values():
-    report = iterate_consistency(
-        triangular_map(["x1^3+x2", "x2^2+1"]), ["1/256", "1/2"], 2, 3
+def test_iterate_consistency_values(tmp_path):
+    cfg = ExperimentConfig(
+        map=map_to_json_dict(triangular_map(["x1^3+x2", "x2^2+1"])),
+        mode="iterate_check",
+        point=["1/256", "1/2"],
+        n_max=3,
+        iterate_power=2,
     )
-    assert report["delta"] == 3
-    assert report["delta_iterate"] == 9
-    assert report["all_ok"]
+    checks = checks_by_name(run_experiment(cfg, tmp_path))
+    power_law = checks["iterate_degree_power_law"]
+    assert power_law["details"]["delta"] == 3
+    assert power_law["details"]["delta_iterate"] == 9
+    assert power_law["passed"]
+    assert checks["iterate_height_rows_match"]["passed"]
 
 
 def test_run_experiment_deterministic(tmp_path):

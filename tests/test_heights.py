@@ -10,6 +10,7 @@ from arithdyn.heights import (
     affine_height,
     alpha_bounds,
     height_sequence,
+    height_sequence_of_orbit,
     product_height_additivity,
 )
 import arithdyn.heights as heights_module
@@ -171,23 +172,32 @@ def test_h_plus_and_khat_are_positive():
         assert row.khat > 0
 
 
-def test_khat_past_the_float_range(monkeypatch):
+def test_khat_past_the_float_range():
     # 2^n leaves the float range at n = 1024; khat = 2^-n stays exact down to
-    # the least subnormal 2^-1074 and rounds to 0 from n = 1075 on, where
-    # the exact quotient is no longer built
-    calls = []
+    # the least subnormal 2^-1074 and rounds to 0 from n = 1075 on; past
+    # n = 1075 the shortcut returns 0.0 without building delta^n
+    powers = []
 
-    def counted(*args):
-        calls.append(args)
-        return Fraction(*args)
+    class CountedDegree(int):
+        def __pow__(self, n):
+            powers.append(n)
+            return int(self) ** n
 
-    monkeypatch.setattr(heights_module, "Fraction", counted)
-    seq = height_sequence(triangular_map(["x1^2"]), [1], 3000)
+    points = orbit(triangular_map(["x1^2"]), [1], 3000)
+    seq = height_sequence_of_orbit(points, CountedDegree(2))
     assert [seq.rows[n].khat for n in (1023, 1024, 1030, 1074)] == [
         2.0**-1023, 2.0**-1024, 2.0**-1030, 2.0**-1074
     ]
     assert all(row.khat == 0.0 for row in seq.rows[1075:])
-    assert len(calls) <= 60
+    assert powers == list(range(1076))
+
+
+def test_khat_is_correctly_rounded():
+    # 3^120 is not a double: rounding it before dividing gives ...444e-58,
+    # one unit off the correctly rounded h+ / delta^n
+    seq = height_sequence_of_orbit([(Fraction(1),)] * 4, 3**40)
+    assert seq.rows[3].h_plus == 1.0
+    assert seq.rows[3].khat == 5.564798376768443e-58 == float(Fraction(1, 3**120))
 
 
 def test_alpha_bounds_constant_orbit():
@@ -246,11 +256,11 @@ def test_product_height_additivity_closed_form():
         triangular_map(["x1^2"]), [2], triangular_map(["x1^3"]), [2], 8
     )
     assert report.projections_match
-    for ra, rb, (h_sum, _) in zip(report.seq_a.rows, report.seq_b.rows, report.sums()):
+    for ra, rb, (h_sum, _) in zip(report.seq_a.rows, report.seq_b.rows, report.sums):
         assert (ra.height_arg, rb.height_arg) == (2 ** 2**ra.n, 2 ** 3**rb.n)
         assert h_sum == math.log(ra.height_arg) + math.log(rb.height_arg)
         assert abs(h_sum - (2**ra.n + 3**ra.n) * math.log(2)) < 1e-9
-    assert abs(report.sums()[-1][1] - 3.0) <= 0.25
+    assert abs(report.sums[-1][1] - 3.0) <= 0.25
 
 
 def test_product_height_additivity_fixed_points():
@@ -260,7 +270,7 @@ def test_product_height_additivity_fixed_points():
     assert report.projections_match
     args = [(ra.height_arg, rb.height_arg) for ra, rb in zip(report.seq_a.rows, report.seq_b.rows)]
     assert args == [(1, 1)] * 6
-    assert [h_sum for h_sum, _ in report.sums()] == [0.0] * 6
+    assert [h_sum for h_sum, _ in report.sums] == [0.0] * 6
 
 
 def test_product_with_trivial_factor_tracks_other_factor():
@@ -276,7 +286,7 @@ def test_product_with_trivial_factor_tracks_other_factor():
     assert report.seq_a.rows == solo.rows
     assert report.seq_a.rows[-1].root >= report.seq_b.rows[-1].root
     assert {row.height_arg for row in report.seq_b.rows} == {5}
-    assert abs(report.sums()[-1][1] - solo.rows[-1].root) < 0.2
+    assert abs(report.sums[-1][1] - solo.rows[-1].root) < 0.2
 
 
 SECOND = triangular_map(["x1*x2+1", "x2^2"])
