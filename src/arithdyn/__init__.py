@@ -7,6 +7,8 @@ Submodules:
   degrees      diagonal degrees, dynamical degrees, degree sequences
   heights      Weil heights, arithmetic-degree and canonical-height sequences
   padic        p-adic valuations and the stable-sector construction
+  sector_tail  sector orbits past the printed prefix, certified without
+               forming the points
   density      exact-rank Zariski-density proxy
   experiments  end-to-end pipelines with deterministic reports
 """

@@ -49,6 +49,7 @@ from .maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
 )
+from .sector_tail import sector_tail
 
 SCHEMA_VERSION = 1
 
@@ -258,19 +259,22 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     caps.check("sample_U", bits=bits, last_safe_n=0)
     samples = padic.sample_U(sector, cfg.samples, cfg.seed)
 
-    # One capped orbit per sample feeds every check and report below; only
-    # its height rows, its valuation signatures for n = 0..n_max and its
-    # disjointness prefix outlive the loop.
+    # One capped orbit per sample feeds every check and report below: exact
+    # points up to the printed prefix, then sector_tail's certified
+    # valuations and height rows.  Only its height rows, its valuation
+    # signatures for n = 0..n_max and its disjointness prefix outlive the loop.
     prefix = 5
     seqs = []
     tables = []
     prefixes = []
     for point in samples:
-        points = orbit(f, point, max(cfg.n_max, prefix), caps)
+        points = orbit(f, point, prefix, caps)
         head = points[: cfg.n_max + 1]
-        seqs.append(hts.height_sequence_of_orbit(head, delta))
-        tables.append([padic.valuation_signature(q, sector) for q in head])
-        prefixes.append(points[: prefix + 1])
+        tail_sigs, tail_rows = sector_tail(f, sector, points[-1], prefix, cfg.n_max, delta, caps)
+        rows = hts.height_sequence_of_orbit(head, delta).rows
+        seqs.append(hts.HeightSequence(rows=rows + tail_rows))
+        tables.append([padic.valuation_signature(q, sector) for q in head] + tail_sigs)
+        prefixes.append(points)
     d11 = diag[0]
     # e_1 = -v_p(x_1): e_1(f^n P) >= d11^n * e_1(P)
     floor_ok = all(sigs[n][0] >= d11**n * sigs[0][0] for sigs in tables for n in range(len(sigs)))
@@ -419,7 +423,8 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     g = map_from_json_dict(cfg.map_b)
     delta_f = deg.dynamical_degree_exact(f)
     delta_g = deg.dynamical_degree_exact(g)
-    delta_product = deg.dynamical_degree_exact(deg.product_map(f, g))
+    fg = deg.product_map(f, g)
+    delta_product = deg.dynamical_degree_exact(fg)
     checks = [
         Check(
             name="product_degree_max_rule",
@@ -435,7 +440,7 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         if len(point) != f.dimension + g.dimension:
             raise ConfigError("product point must have N_f + N_g coordinates")
         p_a, p_b = point[: f.dimension], point[f.dimension :]
-        additivity = hts.product_height_additivity(f, p_a, g, p_b, cfg.n_max, caps)
+        additivity = hts.product_height_additivity(f, p_a, g, p_b, cfg.n_max, caps, fg=fg)
         alpha_a = additivity.seq_a.rows[-1].root
         alpha_b = additivity.seq_b.rows[-1].root
         checks.append(
@@ -476,7 +481,7 @@ def _run_iterate_check(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     rows = [
         {
             "n": n,
-            "height_arg_bits": hts.affine_height(p).max_abs.bit_length(),
+            "height_arg_bits": hts.affine_height(p).bits,
             "equal": p == slow[n * t],
         }
         for n, p in enumerate(fast)

@@ -31,9 +31,13 @@ khat_n along the whole orbit certifies that the arithmetic degree at P equals
 the dynamical degree.  Finite tails are estimates: the limits themselves are
 not finitely computable, so only one-sided bounds are ever asserted.
 
-Every row is built by ``height_sequence_of_orbit``.  A product X x Y has no
-rows or orbit of its own: its row n is read from the two factors' height
-sequences as h_a + h_b, whose exact argument arg_a * arg_b is never formed.
+Every row is built by ``height_row`` from a :class:`Height`.  The rows of
+an exact orbit (``height_sequence_of_orbit``) carry the exact argument.  Past
+the printed prefix of a sector orbit, ``sector_tail`` certifies only the
+argument's bit length and ``math.log`` without forming it, so those rows
+carry no argument.  A product X x Y has no rows or orbit of its own: its row
+n is read from the two factors' height sequences as h_a + h_b, whose exact
+argument arg_a * arg_b is never formed.
 """
 
 from __future__ import annotations
@@ -43,15 +47,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .degrees import dynamical_degree_exact, product_map
+from . import degrees
 from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, as_point, csv_text, orbit
 
 
 @dataclass(frozen=True)
 class Height:
-    """log max|coordinate| with the exact integer argument preserved."""
+    """log max|coordinate| and the bit length of its integer argument, with
+    the argument itself where it was formed."""
 
-    max_abs: int
+    max_abs: int | None  # None where only bits and log were certified
+    bits: int
     log: float
 
 
@@ -63,13 +69,14 @@ def affine_height(point: Sequence[Fraction]) -> Height:
     top, odd_lcm = max(twos, default=0), math.lcm(*odds)
     m = max([odd_lcm << top, *(abs(c.numerator) * (odd_lcm // o) << (top - t)
                                for c, o, t in zip(point, odds, twos))])
-    return Height(max_abs=m, log=math.log(m))
+    return Height(max_abs=m, bits=m.bit_length(), log=math.log(m))
 
 
 @dataclass(frozen=True)
 class HeightRow:
     n: int
-    height_arg: int  # exact height argument of f^n(P)
+    height_arg: int | None  # exact height argument of f^n(P), None on a certified tail row
+    arg_bits: int  # its bit length
     h: float
     h_plus: float
     root: float | None  # (h+)^(1/n), None at n = 0
@@ -86,7 +93,7 @@ class HeightSequence:
     def to_csv(self) -> str:
         return csv_text(
             ["n", "h_exact_numerator_bits", "h_float", "h_plus_float", "a_n", "khat_n"],
-            ((r.n, r.height_arg.bit_length(), r.h, r.h_plus, r.root, r.khat) for r in self.rows),
+            ((r.n, r.arg_bits, r.h, r.h_plus, r.root, r.khat) for r in self.rows),
         )
 
 
@@ -95,8 +102,8 @@ def _root(h: float, n: int) -> float | None:
     return math.exp(math.log(max(h, 1.0)) / n) if n >= 1 else None
 
 
-def _height_row(n: int, point, delta: int) -> HeightRow:
-    height = affine_height(point)
+def height_row(n: int, height: Height, delta: int) -> HeightRow:
+    """Row n of a height sequence scaled by delta, for f^n(P) of height ``height``."""
     h_plus = max(height.log, 1.0)
     root = _root(h_plus, n)
     if n * (delta.bit_length() - 1) >= 1075 + math.frexp(h_plus)[1]:
@@ -108,7 +115,8 @@ def _height_row(n: int, point, delta: int) -> HeightRow:
         a, b = h_plus.as_integer_ratio()
         khat = a / (b * delta**n)
     return HeightRow(
-        n=n, height_arg=height.max_abs, h=height.log, h_plus=h_plus, root=root, khat=khat
+        n=n, height_arg=height.max_abs, arg_bits=height.bits, h=height.log, h_plus=h_plus,
+        root=root, khat=khat,
     )
 
 
@@ -124,13 +132,14 @@ def height_sequence(
     An orbit resource overrun raises ResourceLimitError carrying the last
     safe n.
     """
-    delta = dynamical_degree_exact(f)
+    delta = degrees.dynamical_degree_exact(f)
     return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
 
 
 def height_sequence_of_orbit(points: Sequence, delta: int) -> HeightSequence:
     """Height rows of the orbit ``points``, where points[n] = f^n(points[0])."""
-    return HeightSequence(rows=[_height_row(n, p, delta) for n, p in enumerate(points)])
+    rows = [height_row(n, affine_height(p), delta) for n, p in enumerate(points)]
+    return HeightSequence(rows=rows)
 
 
 def alpha_bounds(seq: HeightSequence, tail: int) -> tuple:
@@ -155,7 +164,7 @@ class ProductHeightReport:
         return csv_text(
             ["n", "arg_a_bits", "arg_b_bits", "h_sum", "root"],
             (
-                (ra.n, ra.height_arg.bit_length(), rb.height_arg.bit_length(), *sums)
+                (ra.n, ra.arg_bits, rb.arg_bits, *sums)
                 for ra, rb, sums in zip(self.seq_a.rows, self.seq_b.rows, self.sums)
             ),
         )
@@ -168,6 +177,8 @@ def product_height_additivity(
     p_b: Sequence[Fraction],
     n_max: int,
     caps: ResourceCaps = DEFAULT_CAPS,
+    *,
+    fg: TriangularMap | None = None,
 ) -> ProductHeightReport:
     """Row-wise additivity of factor heights along the product orbit.
 
@@ -178,16 +189,18 @@ def product_height_additivity(
     factor's rows use its own dynamical degree, on one walk of its orbit.
 
     ``projections_match`` is proved for every n from fg = product_map(f_a, f_b),
-    N_a = f_a.dimension: fg's first N_a components use no variable past x_(N_a)
-    and, cut to their first N_a exponents, are f_a's; the rest use none of
-    x_1..x_(N_a) and, cut to their last exponents, are f_b's.  As x^0 = 1,
+    which a caller that has already built it passes in, N_a = f_a.dimension:
+    fg's first N_a components use no variable past x_(N_a) and, cut to their
+    first N_a exponents, are f_a's; the rest use none of x_1..x_(N_a) and,
+    cut to their last exponents, are f_b's.  As x^0 = 1,
     fg(P, Q) = (f_a(P), f_b(Q)) everywhere, so by induction on n
-    fg^n(P, Q) = (f_a^n(P), f_b^n(Q)).
+    fg^n(P, Q) = (f_a^n(P), f_b^n(Q)).  The check reads fg's components, so
+    it proves the projection for whatever map is passed, never assumes it.
     """
     na = f_a.dimension
     blocks = [(comp, slice(na), slice(na, None)) for comp in f_a.components]
     blocks += [(comp, slice(na, None), slice(na)) for comp in f_b.components]
-    lifted = product_map(f_a, f_b).components
+    lifted = (degrees.product_map(f_a, f_b) if fg is None else fg).components
     seq_a = height_sequence(f_a, p_a, n_max, caps=caps)
     seq_b = height_sequence(f_b, p_b, n_max, caps=caps)
     return ProductHeightReport(

@@ -7,8 +7,13 @@ algebraically independent (eliminate variables from the bottom up), while a
 zero diagonal degree leaves f_i, ..., f_N as N-i+1 polynomials in N-i
 variables, hence algebraically dependent.
 
-Everything here is pure and exact.  Orbit computation is sequential in n;
-distinct starting points may be processed in parallel with no coordination.
+Everything here is pure and exact: an orbit is a list of exact rational
+points.  ``first_case`` walks its sector orbits this way only up to the
+prefix it prints; past it, ``sector_tail`` carries each coordinate as its
+exact p-adic valuation, its numerator mod p and a rounded enclosure of the
+numerator, which certify exact valuations and height read-outs without
+forming the rationals.  Orbit computation is sequential in n; distinct
+starting points may be processed in parallel with no coordination.
 """
 
 from __future__ import annotations
@@ -148,13 +153,8 @@ def orbit(
     n_max: int,
     caps: ResourceCaps = DEFAULT_CAPS,
 ) -> list[AffinePoint]:
-    """Compute the exact orbit prefix [P, f(P), ..., f^{n_max}(P)].
-
-    Before each step, :func:`step_bits_bound` bounds the bit size of the
-    coordinates it would make, from f's terms summed once per call, and
-    ``caps.check`` refuses a step whose bound exceeds caps.max_coeff_bits
-    before it is computed; the ResourceLimitError carries the last safe n.
-    """
+    """Compute the exact orbit prefix [P, f(P), ..., f^{n_max}(P)], stepped
+    under ``caps`` by :func:`exact_steps`."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     point = as_point(start)
@@ -162,23 +162,42 @@ def orbit(
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates, expected {f.dimension}"
         )
-    points = [point]
+    return [point, *exact_steps(f, point, 0, n_max, caps)]
+
+
+def exact_steps(
+    f: TriangularMap, point: AffinePoint, n: int, n_max: int, caps: ResourceCaps
+) -> Iterator[AffinePoint]:
+    """Yield f^(n+1)(P), ..., f^(n_max)(P) from ``point`` = f^n(P).
+
+    Before each step, :func:`step_bits_bound` bounds the bit size of the
+    coordinates it would make, from f's terms summed once per call, and
+    ``caps.check("orbit step m", ...)`` refuses a step m whose bound exceeds
+    caps.max_coeff_bits before it is computed; the ResourceLimitError
+    carries the last safe n, m - 1.
+    """
     bound = step_bits_bound(f)
-    for n in range(n_max):
-        caps.check(f"orbit step {n + 1}", bits=bound(point), last_safe_n=n)
+    for n in range(n, n_max):
+        caps.check(f"orbit step {n + 1}", bits=bound(coordinate_bits(point)), last_safe_n=n)
         point = f.apply(point)
-        points.append(point)
-    return points
+        yield point
 
 
-def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
-    """A bound, as a function of the point Q, on bits(num) + bits(den) of each
-    coordinate of f(Q), known without computing f(Q); f's terms are summed once.
+def coordinate_bits(point: AffinePoint) -> list[tuple[int, int]]:
+    """(bits of the numerator, bits of the denominator) of each reduced coordinate."""
+    return [(c.numerator.bit_length(), c.denominator.bit_length()) for c in point]
 
-    Proof, from the homogenisation of ``qpoly._horner_integer``.  Write
-    x_j = n_j / d_j in lowest terms, and for a component f_i let M be its
-    denominator ``den``, the lcm of its coefficient denominators, C_a = M c_a
-    its numerators and deg_j its degree in x_j.  Then f_i(Q) = N / D with
+
+def step_bits_bound(f: TriangularMap) -> Callable[[Sequence[tuple[int, int]]], int]:
+    """A bound on bits(num) + bits(den) of each coordinate of f(Q), known
+    without computing f(Q), as a function of the sizes (bits(n_j), bits(d_j))
+    of Q's reduced coordinates n_j / d_j (:func:`coordinate_bits`); f's
+    terms are summed once.
+
+    Proof, from the homogenisation of ``qpoly._horner_integer``.  For a
+    component f_i let M be its denominator ``den``, the lcm of its
+    coefficient denominators, C_a = M c_a its numerators and deg_j its degree
+    in x_j.  Then f_i(Q) = N / D with
     D = M prod_j d_j^deg_j and N = sum_a C_a prod_j n_j^a_j d_j^(deg_j - a_j),
     so |N| <= sum_a |C_a| prod_j max(|n_j|, d_j)^deg_j.  The reduced
     numerator and denominator divide N and D (a zero value is 0/1), and
@@ -192,10 +211,9 @@ def step_bits_bound(f: TriangularMap) -> Callable[[AffinePoint], int]:
         weight = sum(map(abs, p.terms.values()))
         terms.append((weight.bit_length() + p.den.bit_length(), [max(e) for e in zip(*p.terms)]))
 
-    def bound(point: AffinePoint) -> int:
-        dens = [c.denominator.bit_length() for c in point]
-        sizes = [max(c.numerator.bit_length(), d) + d for c, d in zip(point, dens)]
-        return max(w + sum(d * z for d, z in zip(degs, sizes)) for w, degs in terms)
+    def bound(sizes: Sequence[tuple[int, int]]) -> int:
+        widths = [max(num, den) + den for num, den in sizes]
+        return max(w + sum(d * z for d, z in zip(degs, widths)) for w, degs in terms)
 
     return bound
 

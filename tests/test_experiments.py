@@ -116,7 +116,7 @@ def _seq(*khats):
     return HeightSequence(
         rows=[
             HeightRow(
-                n=n, height_arg=1, h=3**n * k, h_plus=3**n * k,
+                n=n, height_arg=1, arg_bits=1, h=3**n * k, h_plus=3**n * k,
                 root=(3**n * k) ** (1 / n) if n else None, khat=k,
             )
             for n, k in enumerate(khats)
@@ -148,9 +148,10 @@ def test_height_checks_without_floors_is_the_root_proxy_alone():
 @pytest.mark.parametrize(
     "doc,steps",
     [
-        # one orbit of max(n_max, 5) steps per sample; the stability and
-        # dominant-value checks read f(P) from it
-        pytest.param(dict(mode="first_case", n_max=6, samples=12, seed=0), 12 * 6, id="first_case-6-12-0"),
+        # one exact orbit of 5 steps per sample, the printed prefix; the
+        # stability and dominant-value checks read f(P) from it, and the
+        # steps past it are certified without f.apply (sector_tail)
+        pytest.param(dict(mode="first_case", n_max=6, samples=12, seed=0), 12 * 5, id="first_case-6-12-0"),
         pytest.param(dict(mode="first_case", n_max=4, samples=3, seed=5), 3 * 5, id="first_case-4-3-5"),
         pytest.param(
             dict(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8), 8, id="second_case_n2"

@@ -13,6 +13,7 @@ from arithdyn.heights import (
     height_sequence_of_orbit,
     product_height_additivity,
 )
+import arithdyn.degrees as degrees_module
 import arithdyn.heights as heights_module
 from arithdyn.cli import main
 from arithdyn.degrees import product_map
@@ -342,7 +343,8 @@ PRODUCT_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", PRODUCT_MUTATIONS.values(), ids=PRODUCT_MUTATIONS)
 def test_mutated_product_map_fails_the_projection_check(mutation, monkeypatch, tmp_path):
-    monkeypatch.setattr(heights_module, "product_map", mutation)
+    # the product pipeline builds the map once, in degrees, for both of its checks
+    monkeypatch.setattr(degrees_module, "product_map", mutation)
     report = product_height_additivity(E1, BENCH_PRODUCT_POINT[0], SECOND, BENCH_PRODUCT_POINT[1], 4)
     assert not report.projections_match
     cfg = tmp_path / "cfg.json"

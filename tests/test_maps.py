@@ -18,6 +18,7 @@ from arithdyn.maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
     points_from_csv,
+    coordinate_bits,
     step_bits_bound,
     triangular_map,
 )
@@ -128,13 +129,13 @@ COORDS = st.builds(
 def test_step_bits_bound_covers_the_step(texts, data):
     f = triangular_map(texts)
     point = tuple(data.draw(COORDS) for _ in range(f.dimension))
-    assert max(map(_bits, f.apply(point))) <= step_bits_bound(f)(point)
+    assert max(map(_bits, f.apply(point))) <= step_bits_bound(f)(coordinate_bits(point))
 
 
 def test_step_bits_bound_is_exact_on_a_pure_power():
     # bits(sum |C_a|) + bits(M) + deg * (bits(max(3, 1)) + bits(1)) = 1 + 1 + 5 * 3
     f = triangular_map(["x1^5"])
-    assert step_bits_bound(f)((Fraction(3),)) == 1 + 1 + 5 * (2 + 1)
+    assert step_bits_bound(f)(coordinate_bits((Fraction(3),))) == 1 + 1 + 5 * (2 + 1)
     assert _bits(f.apply((Fraction(3),))[0]) == (3**5).bit_length() + 1
 
 
