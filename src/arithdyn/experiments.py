@@ -49,7 +49,7 @@ from .maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
 )
-from .sector_tail import sector_tail
+from .orbit_tail import PREFIX, orbit_tail
 
 SCHEMA_VERSION = 1
 
@@ -259,21 +259,19 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     caps.check("sample_U", bits=bits, last_safe_n=0)
     samples = padic.sample_U(sector, cfg.samples, cfg.seed)
 
-    # One capped orbit per sample feeds every check and report below: exact
-    # points up to the printed prefix, then sector_tail's certified
-    # valuations and height rows.  Only its height rows, its valuation
-    # signatures for n = 0..n_max and its disjointness prefix outlive the loop.
-    prefix = 5
+    # One capped orbit per sample feeds every check and report below.  The
+    # disjointness check and orbit_sample0.csv read the exact points up to
+    # n = PREFIX even when n_max is smaller; the rest read its valuation
+    # signatures and height rows for n = 0..n_max.
     seqs = []
     tables = []
     prefixes = []
     for point in samples:
-        points = orbit(f, point, prefix, caps)
-        head = points[: cfg.n_max + 1]
-        tail_sigs, tail_rows = sector_tail(f, sector, points[-1], prefix, cfg.n_max, delta, caps)
-        rows = hts.height_sequence_of_orbit(head, delta).rows
-        seqs.append(hts.HeightSequence(rows=rows + tail_rows))
-        tables.append([padic.valuation_signature(q, sector) for q in head] + tail_sigs)
+        points, sigs, rows = orbit_tail(
+            f, sector.prime, point, max(cfg.n_max, PREFIX), delta, caps
+        )
+        seqs.append(hts.HeightSequence(rows=rows[: cfg.n_max + 1]))
+        tables.append(sigs[: cfg.n_max + 1])
         prefixes.append(points)
     d11 = diag[0]
     # e_1 = -v_p(x_1): e_1(f^n P) >= d11^n * e_1(P)
@@ -339,9 +337,9 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     checks.append(
         Check(
             name="pairwise_orbit_disjointness",
-            statement=f"all pairwise orbit prefixes of length {prefix + 1} are disjoint",
+            statement=f"all pairwise orbit prefixes of length {PREFIX + 1} are disjoint",
             passed=disjoint,
-            details={"prefix": prefix},
+            details={"prefix": PREFIX},
         )
     )
     signatures = [sigs[0] for sigs in tables]
@@ -396,8 +394,8 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         raise ConfigError("second_case_n2 needs a start (x1, x2) with |x_2|_p > 1")
     delta, checks, reports = _degree_stage(cfg, f, caps)
 
-    points = orbit(f, point, cfg.n_max, caps)
-    growth = padic.case_n2_growth(sector, f, points)
+    _, sigs, height_rows = orbit_tail(f, sector.prime, point, cfg.n_max, delta, caps)
+    growth = padic.case_n2_growth(f, sigs)
     rows = ((n, v, expected, v == expected) for n, v, expected in growth)
     reports["growth.csv"] = csv_text(["n", "v_x2", "expected", "equal"], rows)
     checks.append(
@@ -409,7 +407,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         )
     )
 
-    seq = hts.height_sequence_of_orbit(points, delta)
+    seq = hts.HeightSequence(rows=height_rows)
     reports["heights.csv"] = seq.to_csv()
     checks.extend(_height_checks([seq], delta))
 
@@ -420,6 +418,8 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
 def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if cfg.map_b is None:
         raise ConfigError("product mode needs map_b")
+    if cfg.prime is not None and not padic.is_prime(cfg.prime):
+        raise padic.NotPrimeError(f"{cfg.prime} is not prime")
     g = map_from_json_dict(cfg.map_b)
     delta_f = deg.dynamical_degree_exact(f)
     delta_g = deg.dynamical_degree_exact(g)
@@ -439,8 +439,17 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         point = as_point(cfg.point)
         if len(point) != f.dimension + g.dimension:
             raise ConfigError("product point must have N_f + N_g coordinates")
-        p_a, p_b = point[: f.dimension], point[f.dimension :]
-        additivity = hts.product_height_additivity(f, p_a, g, p_b, cfg.n_max, caps, fg=fg)
+        # Each factor's orbit is carried at cfg.prime, else at its smallest
+        # unit prime; a prime its orbit does not fit only costs the exact walk.
+        seqs = []
+        for h, start, delta_h in (
+            (f, point[: f.dimension], delta_f),
+            (g, point[f.dimension :], delta_g),
+        ):
+            prime = padic.find_unit_prime(h) if cfg.prime is None else cfg.prime
+            rows = orbit_tail(h, prime, start, cfg.n_max, delta_h, caps)[2]
+            seqs.append(hts.HeightSequence(rows=rows))
+        additivity = hts.product_height_additivity(f, seqs[0], g, seqs[1], fg=fg)
         alpha_a = additivity.seq_a.rows[-1].root
         alpha_b = additivity.seq_b.rows[-1].root
         checks.append(

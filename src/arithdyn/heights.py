@@ -33,10 +33,10 @@ not finitely computable, so only one-sided bounds are ever asserted.
 
 Every row is built by ``height_row`` from a :class:`Height`.  The rows of
 an exact orbit (``height_sequence_of_orbit``) carry the exact argument.  Past
-the printed prefix of a sector orbit, ``sector_tail`` certifies only the
-argument's bit length and ``math.log`` without forming it, so those rows
-carry no argument.  A product X x Y has no rows or orbit of its own: its row
-n is read from the two factors' height sequences as h_a + h_b, whose exact
+the printed prefix of an orbit, ``orbit_tail`` certifies only the argument's
+bit length and ``math.log`` without forming it, so those rows carry no
+argument.  A product X x Y has no rows or orbit of its own: its row n is
+read from the two factors' height sequences as h_a + h_b, whose exact
 argument arg_a * arg_b is never formed.
 """
 
@@ -130,7 +130,9 @@ def height_sequence(
     khat scaled by the exact dynamical degree of f.
 
     An orbit resource overrun raises ResourceLimitError carrying the last
-    safe n.
+    safe n.  No run mode calls it: each reads its rows from ``orbit_tail``.
+    It stays as the exact reference that the tests compare against and as a
+    trace target of the benchmark.
     """
     delta = degrees.dynamical_degree_exact(f)
     return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
@@ -172,21 +174,20 @@ class ProductHeightReport:
 
 def product_height_additivity(
     f_a: TriangularMap,
-    p_a: Sequence[Fraction],
+    seq_a: HeightSequence,
     f_b: TriangularMap,
-    p_b: Sequence[Fraction],
-    n_max: int,
-    caps: ResourceCaps = DEFAULT_CAPS,
+    seq_b: HeightSequence,
     *,
     fg: TriangularMap | None = None,
 ) -> ProductHeightReport:
-    """Row-wise additivity of factor heights along the product orbit.
+    """Row-wise additivity of factor heights along the product orbit, from
+    the height sequences of the factor orbits of f_a and f_b, each scaled
+    by its own dynamical degree.
 
     The product height (sum of the factors' coordinate heights) has exact
     integer argument arg_a * arg_b; its n-th roots tend to the max of the
     factors' estimates because for positive sequences with n-th-root limits
-    >= 1, (a_n + b_n)^(1/n) converges to the larger of the two limits.  Each
-    factor's rows use its own dynamical degree, on one walk of its orbit.
+    >= 1, (a_n + b_n)^(1/n) converges to the larger of the two limits.
 
     ``projections_match`` is proved for every n from fg = product_map(f_a, f_b),
     which a caller that has already built it passes in, N_a = f_a.dimension:
@@ -201,8 +202,6 @@ def product_height_additivity(
     blocks = [(comp, slice(na), slice(na, None)) for comp in f_a.components]
     blocks += [(comp, slice(na, None), slice(na)) for comp in f_b.components]
     lifted = (degrees.product_map(f_a, f_b) if fg is None else fg).components
-    seq_a = height_sequence(f_a, p_a, n_max, caps=caps)
-    seq_b = height_sequence(f_b, p_b, n_max, caps=caps)
     return ProductHeightReport(
         seq_a=seq_a,
         seq_b=seq_b,

@@ -8,9 +8,9 @@ zero diagonal degree leaves f_i, ..., f_N as N-i+1 polynomials in N-i
 variables, hence algebraically dependent.
 
 Everything here is pure and exact: an orbit is a list of exact rational
-points.  ``first_case`` walks its sector orbits this way only up to the
-prefix it prints; past it, ``sector_tail`` carries each coordinate as its
-exact p-adic valuation, its numerator mod p and a rounded enclosure of the
+points.  The run modes walk their orbits this way only up to the prefix
+they print; past it, ``orbit_tail`` carries each coordinate as its exact
+p-adic valuation, its numerator mod p and a rounded enclosure of the
 numerator, which certify exact valuations and height read-outs without
 forming the rationals.  Orbit computation is sequential in n; distinct
 starting points may be processed in parallel with no coordination.

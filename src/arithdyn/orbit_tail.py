@@ -1,18 +1,20 @@
-"""Sector orbits past the printed prefix, carried as only what the checks read.
+"""Orbits past the printed prefix, carried as only what the checks read.
 
-Past the prefix that ``first_case`` prints (n <= 5), its checks and reports
-read two things of an orbit point f^n(P): the p-adic valuation of each
-coordinate, and the height row, which needs the bit length and ``math.log``
-of the height argument.  So from the last exact point on, each coordinate
-x = N / p^k is carried as three parts:
+Every run mode that walks an orbit prints or compares its points exactly only
+up to n = 5.  Past that prefix its checks and reports read two things of an
+orbit point f^n(P): the p-adic valuation of each coordinate, and the height
+row, which needs the bit length and ``math.log`` of the height argument.  So
+:func:`orbit_tail` walks the prefix with ``maps.orbit`` and, from the last
+exact point on, carries each coordinate x = N / p^k as three parts:
 
   k, exact;
   N mod p, exact;
   an integer enclosure [lo 2^s, hi 2^s] of N, with lo and hi cut to
   ``ENCLOSURE_BITS`` bits and rounded outward.
 
-The coordinates of f^n(P) reach 10^5 bits by n = 9 on the benchmark's sector
-orbits; the three parts stay a few hundred bits.
+The coordinates of f^n(P) reach 10^6 bits by n = 17 on the benchmark's
+second-case orbit; the three parts stay a few hundred bits.  Any proved
+prime p will do: a p the orbit does not fit only takes the exact path below.
 
 One step.  Every component has integer coefficients c_a (den == 1), so with
 w(a) = sum_j a_j k_j, the p-weight of the monomial a, and W the top weight,
@@ -25,18 +27,20 @@ so it contains N'.
 
 The height row.  The height argument of (N_i / p^k_i)_i is the largest of
 the candidates p^K and |N_i| p^(K - k_i), K = max k_i: the L and
-|num_i| L / den_i of ``heights.affine_height``.  When one candidate's
-enclosure lies above every other's, the argument lies in it.  When both of
-its ends have one bit length, that is the argument's.  When both round to
-the same double, so does every integer between them, and ``math.log`` of an
+|num_i| L / den_i of ``heights.affine_height``.  So it lies between the
+largest lower end and the largest upper end of their enclosures, also where
+two candidates agree to more bits than an enclosure carries.  When both
+ends have one bit length, that is the argument's.  When both round to the
+same double, so does every integer between them, and ``math.log`` of an
 int reads only its correctly rounded double and exponent (CPython's
 ``loghelper`` and ``_PyLong_Frexp``): so ``math.log`` of the lower end is
 the argument's.
 
-Every decision is exact.  A zero residue, an enclosure that contains 0,
-ends that straddle a bit length or a rounding boundary, or candidates whose
-enclosures overlap leave a decision open; the orbit is then recomputed
-exactly from its last exact point.  Before each step ``caps.check`` gets the
+Every decision is exact.  A point outside the case split (a coefficient off
+Z, a coordinate that is not N / p^k with k > 0), a zero residue, an
+enclosure that contains 0, or ends that straddle a bit length or a rounding
+boundary leave a decision open; the orbit is then recomputed exactly from
+its last exact point.  Before each step ``caps.check`` gets the
 ``maps.step_bits_bound`` of the same (numerator bits, denominator bits) on
 either path, so a cap refuses the same step with the same metadata.
 """
@@ -52,24 +56,41 @@ from .maps import (
     TriangularMap,
     coordinate_bits,
     exact_steps,
+    orbit,
     step_bits_bound,
 )
 
 ENCLOSURE_BITS = 192
+PREFIX = 5
 
 # (lo, hi, s): the integers in [lo * 2^s, hi * 2^s], with s >= 0.
 Enclosure = tuple
 
 
-def sector_tail(
-    f: TriangularMap,
-    sector: padic.SectorConfig,
-    point: AffinePoint,
-    n0: int,
-    n_max: int,
-    delta: int,
-    caps: ResourceCaps,
-) -> tuple[list, list]:
+def orbit_tail(
+    f: TriangularMap, p: int, start, n_max: int, delta: int, caps: ResourceCaps
+) -> tuple[list, list, list]:
+    """(points, valuation signatures, height rows) of the orbit of ``start``.
+
+    ``points`` are the exact f^n(P) for n = 0..min(PREFIX, n_max), walked by
+    ``maps.orbit``; the signatures (-v_p(x_i))_i and the height rows,
+    scaled by ``delta``, cover n = 0..n_max, past the prefix as
+    :func:`_tail_from` certifies them.  ``p`` must be proved prime.
+    """
+    points = orbit(f, start, min(PREFIX, n_max), caps)
+    sigs, rows = _tail_from(f, p, points[-1], len(points) - 1, n_max, delta, caps)
+    return (
+        points,
+        [_signature(q, p) for q in points] + sigs,
+        heights.height_sequence_of_orbit(points, delta).rows + rows,
+    )
+
+
+def _signature(point: AffinePoint, p: int) -> tuple:
+    return tuple(-padic._valuation(x, p) for x in point)
+
+
+def _tail_from(f, p, point, n0, n_max, delta, caps) -> tuple[list, list]:
     """(valuation signatures, height rows) of f^n(P) for n = n0+1..n_max,
     from ``point`` = f^n0(P), the rows scaled by ``delta``.
 
@@ -79,8 +100,7 @@ def sector_tail(
     orbit is walked exactly from ``point``.  Either way the result is the
     one the exact orbit gives.
     """
-    p = sector.prime
-    sig = padic.valuation_signature(point, sector)
+    sig = _signature(point, p)
     tail = None
     if all(c.den == 1 for c in f.components) and all(
         k > 0 and x.denominator == p**k for x, k in zip(point, sig)
@@ -89,7 +109,7 @@ def sector_tail(
     if tail is None:
         points = list(exact_steps(f, point, n0, n_max, caps))
         tail = (
-            [padic.valuation_signature(q, sector) for q in points],
+            [_signature(q, p) for q in points],
             [heights.height_row(n, heights.affine_height(q), delta)
              for n, q in enumerate(points, start=n0 + 1)],
         )
@@ -97,7 +117,7 @@ def sector_tail(
 
 
 def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list] | None:
-    """:func:`sector_tail` on enclosures, or None when a decision is open."""
+    """:func:`_tail_from` on enclosures, or None when a decision is open."""
     terms = [list(c.terms.items()) for c in f.components]
     residues = [x.numerator % p for x in point]
     nums = [_exact(x.numerator) for x in point]
@@ -154,14 +174,13 @@ def _height(ks, nums, p) -> heights.Height | None:
         if size is None:
             return None
         candidates.append(_mul(size, _prime_power(p, top - k)))
-    for winner in candidates:
-        if all(_above(winner, other) for other in candidates if other is not winner):
-            lo, hi, s = winner
-            # float() of an int is its correctly rounded double: an exact test
-            if lo.bit_length() != hi.bit_length() or float(lo) != float(hi):
-                return None
-            return heights.Height(max_abs=None, bits=lo.bit_length() + s, log=math.log(lo << s))
-    return None
+    u = min(s for _, _, s in candidates)
+    ends = [_at(c, u) for c in candidates]
+    lo, hi, s = _cut(max(lo for lo, _ in ends), max(hi for _, hi in ends), u)
+    # float() of an int is its correctly rounded double: an exact test
+    if lo.bit_length() != hi.bit_length() or float(lo) != float(hi):
+        return None
+    return heights.Height(max_abs=None, bits=lo.bit_length() + s, log=math.log(lo << s))
 
 
 # -- interval arithmetic on enclosures, every bound rounded outward ---------
@@ -228,13 +247,6 @@ def _abs(x: Enclosure) -> Enclosure | None:
     if hi < 0:
         return -hi, -lo, s
     return None
-
-
-def _above(x: Enclosure, y: Enclosure) -> bool:
-    """Whether every integer in x exceeds every integer in y."""
-    (lo, _, s), (_, hi, t) = x, y
-    u = min(s, t)
-    return lo << s - u > hi << t - u
 
 
 def _bits(x: Enclosure | None) -> int | None:

@@ -332,10 +332,11 @@ def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
     return point
 
 
-def case_n2_growth(cfg: SectorConfig, f: TriangularMap, points: Sequence) -> list:
+def case_n2_growth(f: TriangularMap, sigs: Sequence[tuple]) -> list:
     """Exact second-coordinate valuation growth for N = 2, d_{1,1} <= d_{2,2},
-    read along the orbit ``points`` of f: rows (n, v, expected) for n = 1..len(points)-1,
-    with v = v(x_2 at step n) and expected = d_{2,2}^n * v(x_2 at step 0).
+    read from the valuation signatures ``sigs`` of an orbit of f, n = 0..n_max:
+    rows (n, v, expected) for n = 1..n_max, with v = v(x_2 at step n) and
+    expected = d_{2,2}^n * v(x_2 at step 0).
 
     On the half-plane |x_2|_p > 1 the last coordinate's valuation multiplies
     by exactly d_{2,2} each step, with no tolerance.  v == expected keeps the
@@ -346,7 +347,7 @@ def case_n2_growth(cfg: SectorConfig, f: TriangularMap, points: Sequence) -> lis
     diag = diagonal_degrees(f)
     if diag[0] > diag[1]:
         raise ValueError("needs d_{1,1} <= d_{2,2}; use the sector construction otherwise")
-    v0, *vals = [_valuation(q[1], cfg.prime) for q in points]
+    v0, *vals = [-sig[1] for sig in sigs]
     if not (v0 < 0):
         raise NotInSectorError("second coordinate must satisfy |x_2|_p > 1")
     return [(n, v, diag[1] ** n * v0) for n, v in enumerate(vals, start=1)]

@@ -254,7 +254,8 @@ def test_acceptance_07_product_rule():
         degree_ok = degree_ok and dynamical_degree_exact(product_map(fa, fb)) == max(
             dynamical_degree_exact(fa), dynamical_degree_exact(fb)
         )
-        add = product_height_additivity(fa, BASE_POINTS[ia], fb, BASE_POINTS[ib], 5)
+        seq_a, seq_b = (height_sequence(h, BASE_POINTS[i], 5) for h, i in ((fa, ia), (fb, ib)))
+        add = product_height_additivity(fa, seq_a, fb, seq_b)
         additivity_ok = additivity_ok and add.projections_match
         for ra, rb, (h_sum, _) in zip(add.seq_a.rows, add.seq_b.rows, add.sums):
             # the summed height is the sum of the logs of the factors' exact

@@ -150,16 +150,17 @@ def test_height_checks_without_floors_is_the_root_proxy_alone():
     [
         # one exact orbit of 5 steps per sample, the printed prefix; the
         # stability and dominant-value checks read f(P) from it, and the
-        # steps past it are certified without f.apply (sector_tail)
+        # steps past it are certified without f.apply (orbit_tail)
         pytest.param(dict(mode="first_case", n_max=6, samples=12, seed=0), 12 * 5, id="first_case-6-12-0"),
         pytest.param(dict(mode="first_case", n_max=4, samples=3, seed=5), 3 * 5, id="first_case-4-3-5"),
+        # the same prefix for the second-case orbit and each product factor
         pytest.param(
-            dict(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8), 8, id="second_case_n2"
+            dict(map=SECOND_DOC, mode="second_case_n2", point=["1", "1/2"], n_max=8), 5, id="second_case_n2"
         ),
         # one walk per factor, none of the product map
         pytest.param(
             dict(map_b=SECOND_DOC, mode="product", point=["1/256", "1/2", "1", "1/2"], n_max=6),
-            2 * 6,
+            2 * 5,
             id="product",
         ),
         # n_max steps of f^t, then t * n_max steps of f

@@ -250,10 +250,17 @@ def test_iterate_height_rows_match_exactly():
         )
 
 
+def _additivity(f_a, p_a, f_b, p_b, n_max):
+    """product_height_additivity on the exact height sequences of the factor orbits."""
+    return product_height_additivity(
+        f_a, height_sequence(f_a, p_a, n_max), f_b, height_sequence(f_b, p_b, n_max)
+    )
+
+
 def test_product_height_additivity_closed_form():
     # oracle: arguments 2^(2^n) and 2^(3^n), so h_sum = (2^n + 3^n) log 2 and
     # the summed-root limit is 3
-    report = product_height_additivity(
+    report = _additivity(
         triangular_map(["x1^2"]), [2], triangular_map(["x1^3"]), [2], 8
     )
     assert report.projections_match
@@ -267,7 +274,7 @@ def test_product_height_additivity_closed_form():
 def test_product_height_additivity_fixed_points():
     # 1 and 0 are fixed by x1^2 and both have height argument 1
     f = triangular_map(["x1^2"])
-    report = product_height_additivity(f, [1], f, [0], 5)
+    report = _additivity(f, [1], f, [0], 5)
     assert report.projections_match
     args = [(ra.height_arg, rb.height_arg) for ra, rb in zip(report.seq_a.rows, report.seq_b.rows)]
     assert args == [(1, 1)] * 6
@@ -276,7 +283,7 @@ def test_product_height_additivity_fixed_points():
 
 def test_product_with_trivial_factor_tracks_other_factor():
     trivial = triangular_map(["x1"])
-    report = product_height_additivity(
+    report = _additivity(
         triangular_map(["x1^2"]), [2], trivial, [5], 8
     )
     solo = height_sequence(triangular_map(["x1^2"]), [2], 8)
@@ -304,7 +311,7 @@ def test_product_orbit_oracle_agrees_with_the_structural_proof(f_a, p_a, f_b, p_
     # the reference three-orbit walk keeps evaluate on lifted polynomials under
     # test; the proof from the map's components must reach the same verdict
     assert product_orbit_projects(f_a, p_a, f_b, p_b, 5)
-    report = product_height_additivity(f_a, p_a, f_b, p_b, 5)
+    report = _additivity(f_a, p_a, f_b, p_b, 5)
     assert report.projections_match
     assert report.seq_a.rows == height_sequence(f_a, p_a, 5).rows
     assert report.seq_b.rows == height_sequence(f_b, p_b, 5).rows
@@ -345,7 +352,7 @@ PRODUCT_MUTATIONS = {
 def test_mutated_product_map_fails_the_projection_check(mutation, monkeypatch, tmp_path):
     # the product pipeline builds the map once, in degrees, for both of its checks
     monkeypatch.setattr(degrees_module, "product_map", mutation)
-    report = product_height_additivity(E1, BENCH_PRODUCT_POINT[0], SECOND, BENCH_PRODUCT_POINT[1], 4)
+    report = _additivity(E1, BENCH_PRODUCT_POINT[0], SECOND, BENCH_PRODUCT_POINT[1], 4)
     assert not report.projections_match
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -1,10 +1,12 @@
 """Sector orbit tails carried as enclosures agree with the exact orbit.
 
-``sector_tail`` walks f^n(P) past the printed prefix as (k, N mod p, an
-enclosure of N) for each coordinate N / p^k.  These tests compare every
-tail row with the row the exact orbit gives, force each kind of open
-decision and check that it falls back to the exact walk, and check that
-the resource caps refuse the same step either way.
+``orbit_tail`` walks f^n(P) past the printed prefix as (k, N mod p, an
+enclosure of N) for each coordinate N / p^k.  These tests, on the sector
+orbits of ``first_case``, compare every tail row with the row the exact
+orbit gives, force each kind of open decision and check that it falls back
+to the exact walk, and check that the resource caps refuse the same step
+either way.  ``test_orbit_tail.py`` does the same for the second-case and
+product orbits.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arithdyn.cli as cli
-import arithdyn.sector_tail as tail
+import arithdyn.orbit_tail as tail
 from arithdyn.cli import main
 from arithdyn.experiments import EXIT_RESOURCE, ExperimentConfig, run_experiment
 from arithdyn.heights import affine_height, height_row
@@ -134,7 +136,7 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value():
     point = (Fraction(1, 2), Fraction(1, 2))
     terms = list(f.components[0].terms.items())
     assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, 2) is None
-    sigs, rows = tail.sector_tail(f, sector, point, 0, 3, 2, ResourceCaps())
+    sigs, rows = tail._tail_from(f, sector.prime, point, 0, 3, 2, ResourceCaps())
     assert sigs == [(1, 1)] * 3
     assert f.apply(point) == point
     assert [r.arg_bits for r in rows] == [affine_height(point).max_abs.bit_length()] * 3
@@ -149,7 +151,7 @@ TOP = 1 << 60  # doubles are 256 apart just above it
         ((TOP, TOP + 1, 0), (1, 1, 0), True),  # one bit length, one double
         ((TOP, TOP + 1024, 0), (1, 1, 0), False),  # two doubles
         ((TOP - 1, TOP, 0), (1, 1, 0), False),  # two bit lengths
-        ((TOP, TOP + 5, 0), (TOP + 3, TOP + 3, 0), False),  # candidates overlap
+        ((TOP, TOP + 5, 0), (TOP + 3, TOP + 3, 0), True),  # overlapping candidates, one double
         ((-TOP - 1, -TOP, 0), (1, 1, 0), True),  # a negative numerator
         ((-1, 1, 60), (1, 1, 0), False),  # a numerator enclosure that holds 0
     ],
@@ -177,7 +179,7 @@ def test_points_outside_the_case_split_walk_exactly(components, point):
     sector = sector_config(f, prime=2)  # 1/3 is a 2-adic unit
     points = orbit(f, point, PREFIX + 2)
     want = _exact_tail(f, sector, points, 3)
-    got = tail.sector_tail(f, sector, points[PREFIX], PREFIX, PREFIX + 2, 3, ResourceCaps())
+    got = tail._tail_from(f, sector.prime, points[PREFIX], PREFIX, PREFIX + 2, 3, ResourceCaps())
     assert got[0] == want[0] and got[1] == want[1]
 
 
