@@ -49,7 +49,7 @@ from .maps import (
     orbit_to_csv,
     orbits_disjoint_prefix,
 )
-from .orbit_tail import PREFIX, orbit_tail
+from .orbit_tail import PREFIX, orbit_tail, start_prime
 
 SCHEMA_VERSION = 1
 
@@ -390,7 +390,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         point = (Fraction(1), Fraction(a, sector.prime))
     # The growth law holds on |x_2|_p > 1 only: refuse a start outside it
     # before any stage runs.
-    if len(point) != 2 or padic.valuation_signature(point, sector)[1] <= 0:
+    if len(point) != 2 or padic.valuation_signature(point, sector.prime)[1] <= 0:
         raise ConfigError("second_case_n2 needs a start (x1, x2) with |x_2|_p > 1")
     delta, checks, reports = _degree_stage(cfg, f, caps)
 
@@ -418,8 +418,6 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
 def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if cfg.map_b is None:
         raise ConfigError("product mode needs map_b")
-    if cfg.prime is not None and not padic.is_prime(cfg.prime):
-        raise padic.NotPrimeError(f"{cfg.prime} is not prime")
     g = map_from_json_dict(cfg.map_b)
     delta_f = deg.dynamical_degree_exact(f)
     delta_g = deg.dynamical_degree_exact(g)
@@ -439,15 +437,12 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         point = as_point(cfg.point)
         if len(point) != f.dimension + g.dimension:
             raise ConfigError("product point must have N_f + N_g coordinates")
-        # Each factor's orbit is carried at cfg.prime, else at its smallest
-        # unit prime; a prime its orbit does not fit only costs the exact walk.
         seqs = []
         for h, start, delta_h in (
             (f, point[: f.dimension], delta_f),
             (g, point[f.dimension :], delta_g),
         ):
-            prime = padic.find_unit_prime(h) if cfg.prime is None else cfg.prime
-            rows = orbit_tail(h, prime, start, cfg.n_max, delta_h, caps)[2]
+            rows = orbit_tail(h, start_prime(h, start), start, cfg.n_max, delta_h, caps)[2]
             seqs.append(hts.HeightSequence(rows=rows))
         additivity = hts.product_height_additivity(f, seqs[0], g, seqs[1], fg=fg)
         alpha_a = additivity.seq_a.rows[-1].root

@@ -51,7 +51,6 @@ import math
 
 from . import heights, padic
 from .maps import (
-    AffinePoint,
     ResourceCaps,
     TriangularMap,
     coordinate_bits,
@@ -81,13 +80,28 @@ def orbit_tail(
     sigs, rows = _tail_from(f, p, points[-1], len(points) - 1, n_max, delta, caps)
     return (
         points,
-        [_signature(q, p) for q in points] + sigs,
+        [padic.valuation_signature(q, p) for q in points] + sigs,
         heights.height_sequence_of_orbit(points, delta).rows + rows,
     )
 
 
-def _signature(point: AffinePoint, p: int) -> tuple:
-    return tuple(-padic._valuation(x, p) for x in point)
+def start_prime(f: TriangularMap, start) -> int:
+    """The prime p of which the denominators of ``start``'s non-integral
+    coordinates are powers, else f's smallest unit prime.
+
+    The orbit of a product factor is carried at this p.  Any prime gives the
+    exact result; one the orbit does not fit only costs the exact walk, so a
+    p above 2^48, whose float root below may be off by one, is not sought.
+    """
+    d = math.gcd(*(x.denominator for x in start if x.denominator > 1))
+    if d > 1:
+        bits = math.log2(d)
+        # d = r^k for the largest such k gives r = p when d is a prime power
+        for k in range(d.bit_length(), math.ceil(bits / 48) - 1, -1):
+            r = round(2 ** (bits / k))
+            if r > 1 and abs(k * math.log2(r) - bits) < 0.5 and r**k == d:
+                return r if padic.is_prime(r) else padic.find_unit_prime(f)
+    return padic.find_unit_prime(f)
 
 
 def _tail_from(f, p, point, n0, n_max, delta, caps) -> tuple[list, list]:
@@ -100,7 +114,7 @@ def _tail_from(f, p, point, n0, n_max, delta, caps) -> tuple[list, list]:
     orbit is walked exactly from ``point``.  Either way the result is the
     one the exact orbit gives.
     """
-    sig = _signature(point, p)
+    sig = padic.valuation_signature(point, p)
     tail = None
     if all(c.den == 1 for c in f.components) and all(
         k > 0 and x.denominator == p**k for x, k in zip(point, sig)
@@ -109,7 +123,7 @@ def _tail_from(f, p, point, n0, n_max, delta, caps) -> tuple[list, list]:
     if tail is None:
         points = list(exact_steps(f, point, n0, n_max, caps))
         tail = (
-            [_signature(q, p) for q in points],
+            [padic.valuation_signature(q, p) for q in points],
             [heights.height_row(n, heights.affine_height(q), delta)
              for n, q in enumerate(points, start=n0 + 1)],
         )

@@ -193,7 +193,7 @@ def in_U(point: Sequence[Fraction], cfg: SectorConfig) -> bool:
 
     For N = 1 this degenerates to |x_1|_p > 1.
     """
-    return _signature_in_U(valuation_signature(point, cfg), cfg)
+    return _signature_in_U(valuation_signature(point, cfg.prime), cfg)
 
 
 def _signature_in_U(sizes: Sequence, cfg: SectorConfig) -> bool:
@@ -248,8 +248,9 @@ def unit_numerators(p: int, seed: int) -> Iterator[int]:
             yield a
 
 
-def valuation_signature(point: Sequence[Fraction], cfg: SectorConfig) -> tuple:
-    return tuple(-_valuation(c, cfg.prime) for c in as_point(point))
+def valuation_signature(point: Sequence[Fraction], p: int) -> tuple:
+    """(-v_p(x_i))_i of ``point``, for a p already proved prime."""
+    return tuple(-_valuation(c, p) for c in as_point(point))
 
 
 def dominant_monomial(f: TriangularMap, i: int) -> Monomial:

@@ -175,7 +175,7 @@ def test_acceptance_04_sector_stability():
     budget = Budget(5)
     cfg, samples = _sector_samples()
     assert (cfg.prime, cfg.C) == (2, 7)
-    steps = [[valuation_signature(q, cfg) for q in orbit(E1, p, 1)] for p in samples]
+    steps = [[valuation_signature(q, cfg.prime) for q in orbit(E1, p, 1)] for p in samples]
     stable = all(verify_stability(cfg, steps))
     dominant = all(verify_dominant_value(E1, sigs) for sigs in steps)
     passed = stable and dominant and budget.ok()

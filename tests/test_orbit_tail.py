@@ -8,7 +8,8 @@ second-case map and on each factor of the benchmark's product point, check
 that the enclosure walk (not its fallback) decided those rows, check that a
 point outside the case split and a forced fallback give the exact result,
 and check that a cap past the prefix refuses the same step as the exact
-walk.  ``test_sector_tail.py`` does the same for the sector orbits of
+walk, and which prime a product factor's orbit is carried at.
+``test_sector_tail.py`` does the same for the sector orbits of
 ``first_case``.
 """
 
@@ -18,9 +19,9 @@ from fractions import Fraction
 import pytest
 from test_output_digests import CASES
 
+import arithdyn.experiments as experiments
 import arithdyn.orbit_tail as tail
-from arithdyn.cli import main
-from arithdyn.experiments import EXIT_CONFIG, ExperimentConfig, run_experiment
+from arithdyn.experiments import ExperimentConfig, run_experiment
 from arithdyn.heights import affine_height, height_row
 from arithdyn.maps import (
     ResourceCaps,
@@ -30,7 +31,7 @@ from arithdyn.maps import (
     step_bits_bound,
     triangular_map,
 )
-from arithdyn.padic import find_unit_prime, vp
+from arithdyn.padic import vp
 from arithdyn.qpoly import ResourceLimitError
 
 E1 = ["x1^3+x2", "x2^2+1"]
@@ -102,7 +103,7 @@ def test_second_case_tail_equals_the_exact_walk(monkeypatch, p, start, n_max):
     "components, start, delta", BENCH_FACTORS, ids=["factor-E1", "factor-second-case"]
 )
 def test_each_bench_product_factor_tail_equals_the_exact_walk(monkeypatch, components, start, delta):
-    p = find_unit_prime(triangular_map(components))
+    p = tail.start_prime(triangular_map(components), start)
     assert p == 2
     _assert_tail_is_exact(monkeypatch, components, p, start, 10, delta)
 
@@ -117,9 +118,24 @@ def test_a_factor_point_outside_the_case_split_walks_exactly(monkeypatch):
     assert got == (points[: tail.PREFIX + 1], sigs, rows)
 
 
-def test_a_product_prime_only_chooses_the_path(tmp_path, monkeypatch):
-    # at the default 2 the 3-adic point walks exactly, at 3 it is enclosed;
-    # every byte is the same
+@pytest.mark.parametrize(
+    "start, p",
+    [
+        (("1/27", "1/3"), 3),  # the denominators' prime
+        (("1", "1/3"), 3),  # an integral coordinate names no prime
+        (("1/256", "1/2"), 2),
+        (("7/25", "2/125"), 5),  # their gcd 25 is 5^2
+        (("1", "3"), 2),  # an integral start: the smallest unit prime
+        (("1/6", "1/6"), 2),  # no prime power
+        (("1/36", "1/6"), 2),
+        ((f"1/{2**61 - 1}", "1"), 2),  # a prime above 2^48 is not sought
+    ],
+)
+def test_start_prime_reads_the_denominators(start, p):
+    assert tail.start_prime(triangular_map(SECOND), tuple(Fraction(x) for x in start)) == p
+
+
+def test_a_3_adic_product_is_enclosed_and_its_bytes_are_the_exact_walks(tmp_path, monkeypatch):
     doc = dict(
         map={"dimension": 2, "components": E1},
         map_b={"dimension": 2, "components": SECOND},
@@ -128,26 +144,30 @@ def test_a_product_prime_only_chooses_the_path(tmp_path, monkeypatch):
         n_max=9,
     )
     calls = _counting_apply(monkeypatch)
-    guessed = run_experiment(ExperimentConfig(**doc), tmp_path / "guessed")
-    assert len(calls) == 2 * 9
-    del calls[:]
-    given = run_experiment(ExperimentConfig(**doc, prime=3), tmp_path / "given")
+    enclosed = run_experiment(ExperimentConfig(**doc), tmp_path / "enclosed")
     assert len(calls) == 2 * tail.PREFIX
-    assert given.exit_code == guessed.exit_code
-    assert _digests(tmp_path / "given") == _digests(tmp_path / "guessed")
+    # at p = 2 neither 3-adic factor fits the case split
+    del calls[:]
+    monkeypatch.setattr(experiments, "start_prime", lambda h, start: 2)
+    exact = run_experiment(ExperimentConfig(**doc), tmp_path / "exact")
+    assert len(calls) == 2 * 9
+    assert exact.exit_code == enclosed.exit_code
+    assert _digests(tmp_path / "exact") == _digests(tmp_path / "enclosed")
 
 
-@pytest.mark.parametrize("prime", [4, 1, 2**89])
-def test_a_product_prime_that_is_not_proved_exits_4(tmp_path, prime):
-    config = tmp_path / "cfg.json"
-    config.write_text(
-        '{"map": {"dimension": 1, "components": ["x1^2"]}, '
-        '"map_b": {"dimension": 1, "components": ["x1^3"]}, '
-        f'"mode": "product", "point": ["2", "2"], "prime": {prime}}}'
+def test_product_mode_reads_no_prime(tmp_path):
+    doc = dict(
+        map={"dimension": 1, "components": ["x1^2"]},
+        map_b={"dimension": 1, "components": ["x1^3"]},
+        mode="product",
+        point=["2", "1/2"],
+        n_max=7,
     )
-    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(config)])
-    assert code == EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    want = run_experiment(ExperimentConfig(**doc), tmp_path / "none")
+    for prime in (3, 4):
+        got = run_experiment(ExperimentConfig(**doc, prime=prime), tmp_path / str(prime))
+        assert got.exit_code == want.exit_code == 0
+        assert _digests(tmp_path / str(prime)) == _digests(tmp_path / "none")
 
 
 def _digests(out_dir):

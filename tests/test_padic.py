@@ -33,7 +33,7 @@ E1 = triangular_map(["x1^3+x2", "x2^2+1"])
 
 def signatures(f, point, cfg, n_max=1):
     """Valuation signatures of P, f(P), ..., f^n_max(P)."""
-    return [valuation_signature(q, cfg) for q in orbit(f, point, n_max)]
+    return [valuation_signature(q, cfg.prime) for q in orbit(f, point, n_max)]
 
 
 # -- valuations --------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_sample_U_postconditions():
     cfg = SectorConfig(prime=2, C=7, dimension=2)
     points = sample_U(cfg, 10, seed=42)
     assert len(points) == 10
-    signatures = [valuation_signature(p, cfg) for p in points]
+    signatures = [valuation_signature(p, cfg.prime) for p in points]
     assert all(in_U(p, cfg) for p in points)
     assert len(set(signatures)) == 10
     # numerators are 2-adic units
@@ -310,7 +310,7 @@ def test_witness_not_an_achievable_image_signature():
     witness = u_minus_fu_witness(E1, cfg)
     # exhaustively: a point with signature (24, 2) is achievable as an image,
     # so the witness must not carry that signature
-    assert valuation_signature(witness, cfg) != (24, 2)
+    assert valuation_signature(witness, cfg.prime) != (24, 2)
 
 
 def test_witness_dimension_one_squaring():

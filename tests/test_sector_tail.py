@@ -47,14 +47,14 @@ def _exact_tail(f, sector, points, delta):
     """(signatures, rows) of points[PREFIX + 1:], read from the exact points."""
     tail_points = list(enumerate(points))[PREFIX + 1 :]
     return (
-        [valuation_signature(q, sector) for _, q in tail_points],
+        [valuation_signature(q, sector.prime) for _, q in tail_points],
         [height_row(n, affine_height(q), delta) for n, q in tail_points],
     )
 
 
 def _enclosed(f, sector, point, n_max, delta):
     """The enclosure walk alone, never its exact fallback."""
-    sig = valuation_signature(point, sector)
+    sig = valuation_signature(point, sector.prime)
     return tail._enclosed_tail(f, sector.prime, point, sig, PREFIX, n_max, delta, ResourceCaps())
 
 
@@ -90,7 +90,7 @@ def test_enclosures_contain_the_exact_numerators():
         for point in sample_U(sector, 3, 1):
             points = orbit(f, point, 8)
             start = points[PREFIX]
-            ks = list(valuation_signature(start, sector))
+            ks = list(valuation_signature(start, sector.prime))
             residues = [x.numerator % prime for x in start]
             nums = [tail._exact(x.numerator) for x in start]
             for exact in points[PREFIX + 1 :]:
