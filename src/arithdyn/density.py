@@ -10,7 +10,26 @@ monomial values times L^d, for L the lcm of its coordinates' denominators,
 which is primitive.  A row is kept if it is independent modulo the Mersenne
 prime p = 2^61 - 1 of the rows kept before it; no row is built after the
 M-th.  Kept rows are independent over Q (a minor that is nonzero mod p is a
-nonzero integer), so M of them prove full rank.  Below M, one fraction-free
+nonzero integer), so M of them prove full rank.
+
+Below M, every row has been read and r of them are kept.  The kernel of the
+rows modulo p has one vector k_f per free column f of their echelon form:
+1 at f, 0 at the other free columns and past f.  Each entry is lifted to Q
+by rational reconstruction (Wang, SYMSAC 1981; the lift-and-verify scheme
+of Dixon, Numer. Math. 40 (1982)): the fraction a/b with |a|, b <= B =
+isqrt((p - 1)/2) and a = b k mod p, of which there is at most one, as
+2 B^2 < p.  Each lifted vector, cleared of denominators, must have integer
+dot product 0 with every row.  If all do:
+  1. the rank over Q is at least r: the kept rows have a minor that is
+     nonzero mod p;
+  2. it is at most r: the M - r lifted vectors lie in the kernel over Q and
+     are independent, each 1 at its own free column and 0 at the others;
+  3. the witness is the one the reduced row echelon form gives: a lifted
+     vector is 1 at f and 0 past f, so column f is a combination of earlier
+     columns and is free over Q too; both sides have M - r free columns, so
+     they agree, and the lifted vector of the first free column is the
+     kernel vector that is 1 there and 0 at the other free columns.
+If an entry does not lift or a dot product is not 0, one fraction-free
 Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
 Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) runs on the kept rows, and
 an exact test proves every other row is in their span: then all rows have
@@ -25,6 +44,7 @@ echelon form, and hence the witness, does not depend on that choice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -90,45 +110,126 @@ def _monomial_rows(points: Iterable, monomials: Sequence[Monomial], degree: int)
     entry times l), and two primitive integer vectors that are positive
     multiples of the same rational row, with a positive entry for the
     monomial 1, are equal.
+
+    Each point's powers of a_1..a_N and L are tabled once, and an entry is
+    the product of one table entry per exponent of (m_1..m_N, degree - |m|).
     """
+    exponents = [(*mono, degree - sum(mono)) for mono in monomials]
     for point in points:
         lcm = math.lcm(*(x.denominator for x in point))
-        powers = [
-            [(x.numerator * (lcm // x.denominator)) ** k for k in range(degree + 1)] for x in point
-        ]
-        lcm_powers = [lcm**k for k in range(degree + 1)]
-        yield [
-            math.prod(p[e] for p, e in zip(powers, mono)) * lcm_powers[degree - sum(mono)]
-            for mono in monomials
-        ]
+        bases = [x.numerator * (lcm // x.denominator) for x in point] + [lcm]
+        tables = [[a**k for k in range(degree + 1)] for a in bases]
+        yield [math.prod(map(operator.getitem, tables, e)) for e in exponents]
 
 
 def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
-    """(kept, read): the integer rows read one at a time into an echelon
-    basis modulo MODULUS until ``n_cols`` are independent, and the indices of
-    those independent of the rows before them; len(kept) is the rank of
-    ``read`` modulo p.  A basis row is stored after its leading 1; a row
-    being reduced is taken mod p once, then only where read as a factor."""
+    """(kept, read, kernel): the integer rows read one at a time until
+    ``n_cols`` are independent modulo MODULUS, the indices of those
+    independent of the rows before them (len(kept) is the rank of ``read``
+    modulo p), and, below n_cols, the kernel modulo p of the kept rows as
+    ``_kernel_mod_p`` gives it (None at full rank).
+
+    Rows are reduced into an echelon basis until the first one reduces to
+    zero.  A basis row is stored after its leading 1; a row being reduced is
+    taken mod p once, then only where read as a factor.  From then on the
+    basis is replaced by its kernel, and a row is tested by its dot products
+    d_f with the kernel vectors k_f: it is in the span modulo p exactly when
+    all are 0.  Otherwise the first free column c with d_c != 0 is the
+    leading column the echelon reduction would give it, and the kernel of
+    the grown span is k_f - (d_f / d_c) k_c for the other f, still 1 at f
+    and 0 at the other free columns and past f, so each row costs one dot
+    product and at most one update per kernel vector.
+    """
     p = MODULUS
     basis = [None] * n_cols  # basis[c]: the tail after column c of a row led by 1 at c
-    kept, read = [], []
+    kept, read, kernel = [], [], None
     for row in rows:
         read.append(row)
-        r = [a % p for a in row]
-        for c in range(n_cols):
-            x = r[c] % p
-            if x:
-                if basis[c] is None:
-                    break
-                r[c + 1 :] = [a - x * b for a, b in zip(r[c + 1 :], basis[c])]
+        if kernel is not None:
+            dots = [sum(map(operator.mul, row, k)) % p for k in kernel]
+            lead = next((j for j, d in enumerate(dots) if d), None)
+            if lead is None:
+                continue  # in the span of the kept rows modulo p
+            k_lead = kernel.pop(lead)
+            inverse = pow(dots.pop(lead), -1, p)
+            for k, d in zip(kernel[lead:], dots[lead:]):
+                if d:
+                    s = d * inverse % p
+                    k[: len(k_lead)] = [(a - s * b) % p for a, b in zip(k, k_lead)]
         else:
-            continue  # zero modulo p: in the span of the kept rows
-        inverse = pow(x, -1, p)
-        basis[c] = [a * inverse % p for a in r[c + 1 :]]
+            r = [a % p for a in row]
+            for c in range(n_cols):
+                x = r[c] % p
+                if x:
+                    if basis[c] is None:
+                        break
+                    r[c + 1 :] = [a - x * b for a, b in zip(r[c + 1 :], basis[c])]
+            else:
+                kernel = _kernel_mod_p(basis)  # zero modulo p: in the span of the kept rows
+                continue
+            inverse = pow(x, -1, p)
+            basis[c] = [a * inverse % p for a in r[c + 1 :]]
         kept.append(len(read) - 1)
         if len(kept) == n_cols:
-            break
-    return kept, read
+            return kept, read, None
+    if kernel is None and len(kept) < n_cols:
+        kernel = _kernel_mod_p(basis)
+    return kept, read, kernel
+
+
+def _kernel_mod_p(basis: list) -> list:
+    """The kernel modulo MODULUS of an echelon basis (``basis[c]`` the tail
+    after column c of a row led by 1 at c, None at a free column), one
+    vector per free column f, by back-substitution: 1 at f, 0 at the other
+    free columns and past f, so it is stored as its first f + 1 entries."""
+    p = MODULUS
+    kernel = []
+    for f, lead in enumerate(basis):
+        if lead is not None:
+            continue
+        k = [0] * f + [1]
+        for c in range(f - 1, -1, -1):
+            if basis[c] is not None:
+                k[c] = -sum(map(operator.mul, basis[c], k[c + 1 :])) % p
+        kernel.append(k)
+    return kernel
+
+
+# Rational reconstruction bound: numerators and denominators up to B with
+# 2 B^2 < p, so a residue is the image of at most one such fraction.
+LIFT_BOUND = math.isqrt((MODULUS - 1) // 2)
+
+
+def _reconstruct(x: int) -> Fraction | None:
+    """The fraction a/b with |a|, b <= LIFT_BOUND and a = b x modulo
+    MODULUS, by the half extended Euclidean algorithm (Wang, SYMSAC 1981),
+    or None if there is none."""
+    r0, r1, t0, t1 = MODULUS, x, 0, 1
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= LIFT_BOUND else None
+
+
+def _lift_kernel(kernel: list, rows: list, n_cols: int) -> list | None:
+    """The kernel witness of ``rows`` over Q from their ``_kernel_mod_p``:
+    each vector is lifted entry by entry with ``_reconstruct`` and cleared
+    of denominators, and must have integer dot product 0 with every row.
+    If all do, the first one, padded with zeros to ``n_cols`` entries, is
+    returned as Fractions; if an entry does not lift or a dot product is
+    not 0, None."""
+    witness = None
+    for k in kernel:
+        lifted = [_reconstruct(x) for x in k]
+        if None in lifted:
+            return None
+        lcm = math.lcm(*(q.denominator for q in lifted))
+        v = [q.numerator * (lcm // q.denominator) for q in lifted]
+        if any(sum(map(operator.mul, row, v)) for row in rows):
+            return None
+        if witness is None:
+            witness = lifted + [Fraction(0)] * (n_cols - len(lifted))
+    return witness
 
 
 def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
@@ -180,7 +281,8 @@ def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
 def _kernel_from_rref(n_cols: int, rows: list, pivots: list) -> list:
     """The kernel vector that is 1 at the first free column and 0 at the
     other free columns, read from a rank-deficient rational_rref result."""
-    free_col = next(c for c in range(n_cols) if c not in pivots)
+    pivot_set = set(pivots)
+    free_col = next(c for c in range(n_cols) if c not in pivot_set)
     vec = [Fraction(0)] * n_cols
     vec[free_col] = Fraction(1)
     for row, pivot_col in zip(rows, pivots):
@@ -195,7 +297,8 @@ def _in_row_space(n_cols: int, rref: list, pivots: list, rows: list) -> bool:
     which agrees with x at the pivots; with L = lcm R_i[piv_i], the free
     columns f must satisfy L x[f] == sum_i x[piv_i] (L / R_i[piv_i]) R_i[f]."""
     lcm = math.lcm(*(row[c] for row, c in zip(rref, pivots)))
-    free = [f for f in range(n_cols) if f not in pivots]
+    pivot_set = set(pivots)
+    free = [f for f in range(n_cols) if f not in pivot_set]
     scaled = [[lcm // row[c] * row[f] for f in free] for row, c in zip(rref, pivots)]
     return all(
         lcm * x[f] == sum(x[c] * s[j] for c, s in zip(pivots, scaled))
@@ -232,9 +335,16 @@ def density_check(
     more monomials than its ``max_terms`` before any is built.
 
     Integer rows are built one point at a time, and none after m are
-    independent modulo ``MODULUS``; below m, ``rational_rref`` runs on the
-    independent rows, and on all rows only if another row is outside their
-    span.  The module docstring has the proofs.
+    independent modulo ``MODULUS``.  Below m, with r rows kept, the m - r
+    kernel vectors modulo p are lifted to Q by rational reconstruction
+    (numerators and denominators up to isqrt((p - 1)/2)) and checked
+    against every row exactly.  If all pass, (1) the kept rows' minor that
+    is nonzero mod p gives rank >= r, (2) the m - r independent lifted
+    vectors give rank <= r, and (3) being 1 at their free column and 0 past
+    it, they fix the free columns over Q, so the first is the reduced row
+    echelon form's witness.  Otherwise ``rational_rref`` runs on the kept
+    rows, and on all rows only if another row is outside their span.  The
+    module docstring has the proofs.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -250,11 +360,14 @@ def density_check(
     caps.check("density:monomials", terms=m)  # a vanishing polynomial has m coefficients
     monos = monomials_up_to_degree(dimension, degree_bound)
 
-    kept, rows = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)
-    rank, kernel = len(kept), None
-    if rank < m:
+    kept, rows, kernel = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)
+    rank = len(kept)
+    if kernel is not None:
+        kernel = _lift_kernel(kernel, rows, m)
+    if rank < m and kernel is None:
         rank, rref, pivots = rational_rref([rows[i] for i in kept])
-        others = [row for i, row in enumerate(rows) if i not in kept]
+        kept_set = set(kept)
+        others = [row for i, row in enumerate(rows) if i not in kept_set]
         if not _in_row_space(m, rref, pivots, others):
             rank, rref, pivots = rational_rref(rows)
         kernel = _kernel_from_rref(m, rref, pivots) if rank < m else None

@@ -137,14 +137,15 @@ def count_rref_calls(monkeypatch) -> list:
     return calls
 
 
-def test_deficient_rank_runs_rational_rref_once(monkeypatch):
-    # one elimination per deficient matrix gives both the rank and the
-    # kernel; a full-rank one is settled by the mod-p certificate alone
+def test_deficient_rank_is_certified_without_exact_elimination(monkeypatch):
+    # a deficient matrix whose kernel modulo p lifts to Q and is checked
+    # against every row gives the rank and the witness with no elimination;
+    # a full-rank one is settled by the mod-p certificate alone
     rref_calls, bareiss_calls = count_rref_calls(monkeypatch), []
     monkeypatch.setattr(density, "bareiss_rank", lambda matrix: bareiss_calls.append(matrix))
     # seven points on the parabola x2 = x1^2: rank 5 of 6 monomials
     report = density_check([[t, t * t] for t in range(7)], 2)
-    assert (len(rref_calls), len(bareiss_calls)) == (1, 0)
+    assert (len(rref_calls), len(bareiss_calls)) == (0, 0)
     assert (report.rank, report.verdict) == (5, "vanishing_polynomial")
     kernel = dict(zip(report.monomials, report.kernel))
     assert kernel[(2, 0)] == -kernel[(0, 1)] != 0
@@ -172,7 +173,7 @@ def test_row_off_the_span_by_a_multiple_of_the_modulus_reaches_full_elimination(
     # mod p, so one row is kept, but the second lies off its span over Q by
     # a multiple of p; the exact rank is 2 and the witness is x1^2 - p*x1
     p = density.MODULUS
-    kept, rows = density._rank_mod_p(iter([[1, 0, 0], [1, p, p * p]]), 3)
+    kept, rows, _ = density._rank_mod_p(iter([[1, 0, 0], [1, p, p * p]]), 3)
     assert (kept, rows) == ([0], [[1, 0, 0], [1, p, p * p]])
     _, rref, pivots = rational_rref([rows[0]])
     assert density._in_row_space(3, rref, pivots, [[2, 0, 0]])
@@ -181,6 +182,27 @@ def test_row_off_the_span_by_a_multiple_of_the_modulus_reaches_full_elimination(
     report = density_check([[0], [p]], 2)
     assert [len(matrix) for matrix in rref_calls] == [1, 2]
     assert (report.rank, report.verdict, report.kernel) == (2, "inconclusive", [0, -p, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-density.LIFT_BOUND, density.LIFT_BOUND),
+    st.integers(1, density.LIFT_BOUND),
+)
+def test_reconstruct_round_trips_within_the_bound(a, b):
+    # a fraction with |a|, b <= LIFT_BOUND is the only one of that size
+    # with its residue, and it is the one found
+    p = density.MODULUS
+    assert density._reconstruct(a * pow(b, -1, p) % p) == Fraction(a, b)
+
+
+def test_reconstruct_refuses_a_residue_past_the_bound():
+    # the integer B + 1 has no fraction with |a|, b <= B as its residue
+    bound = density.LIFT_BOUND
+    assert 2 * bound**2 < density.MODULUS < 2 * (bound + 1) ** 2
+    assert density._reconstruct(bound + 1) is None
+    assert density._reconstruct(bound) == bound
+    assert density._reconstruct(density.MODULUS - bound) == -bound
 
 
 def count_built_rows(monkeypatch) -> list:
@@ -208,10 +230,10 @@ def test_full_rank_set_builds_only_the_rows_it_keeps(monkeypatch):
     assert len(built) == 28
 
 
-def test_benchmark_sets_run_exact_elimination_only_when_deficient(monkeypatch):
-    # 120 sector points of E1 at degree 6: full rank 28, certified mod p
-    # with no exact elimination; 80 points on x2 = x1^3 + x1 + 1: rank 18,
-    # one elimination, on the 18 kept rows, for the rank and the witness
+def test_benchmark_sets_run_no_exact_elimination(monkeypatch):
+    # 120 sector points of E1 at degree 6: full rank 28, certified mod p;
+    # 80 points on x2 = x1^3 + x1 + 1: rank 18, certified by the lifted
+    # kernel, which gives the witness; neither runs an exact elimination
     rref_calls = count_rref_calls(monkeypatch)
     e1 = triangular_map(["x1^3+x2", "x2^2+1"])
     report = density_check(sample_U(sector_config(e1), 120, 9), 6)
@@ -220,30 +242,64 @@ def test_benchmark_sets_run_exact_elimination_only_when_deficient(monkeypatch):
     curve = [(x, x**3 + x + 1) for x in (Fraction(k, 7) for k in range(-40, 40))]
     report = density_check(curve, 6)
     assert (report.rank, report.verdict) == (18, "vanishing_polynomial")
-    assert len(rref_calls) == 1
-    assert len(rref_calls[0]) == 18
+    assert len(rref_calls) == 0
+    # the lifted witness vanishes at every point
+    witness = dict(zip(report.monomials, report.kernel))
+    assert all(
+        sum(c * evaluate_monomial(mono, point) for mono, c in witness.items()) == 0
+        for point in curve
+    )
+
+
+def test_kernel_that_does_not_lift_runs_exact_elimination_once(monkeypatch):
+    # 1, x2, x1 on 4 points of x2 = a*x1 + 5 with a = (2^40 + 1)/3: the
+    # witness x1 - 3/(2^40 + 1)*x2 + 15/(2^40 + 1) has a denominator past
+    # the reconstruction bound, so the kernel modulo p does not lift to it
+    # and one elimination on the two kept rows gives rank and witness
+    rref_calls = count_rref_calls(monkeypatch)
+    a = Fraction(2**40 + 1, 3)
+    assert a.numerator > density.LIFT_BOUND
+    report = density_check([(Fraction(x), a * x + 5) for x in range(4)], 1)
+    assert [len(matrix) for matrix in rref_calls] == [2]
+    assert (report.rank, report.verdict) == (2, "vanishing_polynomial")
+    assert report.monomials == [(0, 0), (0, 1), (1, 0)]
+    assert report.kernel == [Fraction(15, 2**40 + 1), Fraction(-3, 2**40 + 1), 1]
 
 
 @pytest.mark.parametrize(
-    "points",
+    "points, degree",
     [
-        sample_U(sector_config(triangular_map(["x1^3+x2", "x2^2+1"])), 120, 9),
-        [(x, x**3 + x + 1) for x in (Fraction(k, 7) for k in range(-40, 40))],
+        (sample_U(sector_config(triangular_map(["x1^3+x2", "x2^2+1"])), 120, 9), 6),
+        ([(x, x**3 + x + 1) for x in (Fraction(k, 7) for k in range(-40, 40))], 6),
         # entries such as x1*x2 = -7/12 and x2^2*x1 = 16/27 cancel primes
-        [
-            (Fraction(1, 2), Fraction(2, 3)),
-            (Fraction(5, 6), Fraction(-7, 10)),
-            (Fraction(3), Fraction(4, 9)),
-        ],
+        (
+            [
+                (Fraction(1, 2), Fraction(2, 3)),
+                (Fraction(5, 6), Fraction(-7, 10)),
+                (Fraction(3), Fraction(4, 9)),
+            ],
+            6,
+        ),
+        (
+            [
+                (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)),
+                (Fraction(3), Fraction(1, 6), Fraction(-7, 9)),
+                (Fraction(-4, 5), Fraction(0), Fraction(10, 3)),
+            ],
+            3,
+        ),
+        ([(Fraction(3, 4), Fraction(-5, 6), Fraction(7))], 1),
     ],
-    ids=["sample_U", "curve", "cancelling"],
+    ids=["sample_U", "curve", "cancelling", "three_variables_degree_3", "degree_1"],
 )
-def test_integer_rows_match_fraction_construction(points):
+def test_integer_rows_match_fraction_construction(points, degree):
     # the integer row build equals the Fraction evaluation matrix cleared of
-    # denominators row by row
-    monos = monomials_up_to_degree(2, 6)
+    # denominators row by row, with the power of L appended to each exponent
+    monos = monomials_up_to_degree(len(points[0]), degree)
     fraction_rows = [[evaluate_monomial(mono, p) for mono in monos] for p in points]
-    assert list(density._monomial_rows(points, monos, 6)) == density._integer_rows(fraction_rows)
+    assert list(density._monomial_rows(points, monos, degree)) == density._integer_rows(
+        fraction_rows
+    )
 
 
 def test_orbit_points_fill_degree_two_space():

@@ -9,14 +9,17 @@ column rank, the kernel witness must be a nonzero multiple of a
 ``nullspace()`` vector and 1 at the first free column.  ``density_check``
 is compared with the rank and ``nullspace()`` of its evaluation matrix on
 random point sets, with coordinates that are multiples of the certificate's
-prime so that the rank modulo that prime can fall short.  The echelon basis
-modulo that prime, ``_rank_mod_p``, is compared on random integer matrices
-with entries and row offsets that are multiples of the prime: its rank is
-the rank over GF(p), at most the rank over Q, and its kept rows have rank
-over Q equal to their count.  ``vp`` is compared with ``sympy.multiplicity``
+prime so that the rank modulo that prime can fall short, and with a line
+whose kernel witness does not lift from its residues.  The rank modulo that
+prime, ``_rank_mod_p``, is compared on random integer matrices with entries
+and row offsets that are multiples of the prime: it keeps exactly the rows
+that raise the rank over GF(p) of the rows before them, its rank is at most
+the rank over Q, its kept rows have rank over Q equal to their count, and
+its kernel vectors are orthogonal to every row modulo the prime.  ``vp`` is compared with ``sympy.multiplicity``
 on numerators and denominators.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -145,6 +148,9 @@ def point_sets(draw):
 @example(([(0, 0), (MODULUS, 0), (0, 1)], 1))
 @example(([(Fraction(0),), (Fraction(MODULUS),), (Fraction(1),)], 2))
 @example(([(0,), (MODULUS,)], 2))
+# x2 = (2^40 + 1)/3 * x1 + 5: the witness's denominator 2^40 + 1 is past the
+# reconstruction bound, so the exact elimination decides
+@example(([(Fraction(x), Fraction(2**40 + 1, 3) * x + 5) for x in range(4)], 1))
 def test_density_check_matches_sympy(case):
     points, degree = case
     report = density_check(points, degree)
@@ -189,22 +195,52 @@ def integer_matrices(draw):
     return rows
 
 
+def rank_mod_p(rows, n_cols):
+    if not rows:
+        return 0
+    return (
+        sympy.polys.matrices.DomainMatrix(
+            [[sympy.ZZ(x) for x in row] for row in rows], (len(rows), n_cols), sympy.ZZ
+        )
+        .convert_to(sympy.GF(MODULUS))
+        .rank()
+    )
+
+
+# The 3x3 grid's rows at degree 2: the sixth point lies on the conic
+# x1*(x1 - 1) through the first five, the seventh does not.
+GRID_ROWS = [
+    [int(evaluate_monomial(mono, point)) for mono in monomials_up_to_degree(2, 2)]
+    for point in itertools.product(range(3), range(3))
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(integer_matrices())
 @example([[1, 0, 0], [1, MODULUS, MODULUS**2]])
 @example([[MODULUS, 0], [0, 0]])
+@example([[1, 0], [2, 0], [0, 1]])
+@example(GRID_ROWS)
 def test_rank_mod_p_matches_sympy(matrix):
     n_cols = len(matrix[0])
-    kept, read = _rank_mod_p(iter(matrix), n_cols)
+    kept, read, kernel = _rank_mod_p(iter(matrix), n_cols)
     # reading stops only at n_cols independent rows
     assert read == matrix[: len(read)]
     assert len(read) == len(matrix) or len(kept) == n_cols
-    residues = sympy.polys.matrices.DomainMatrix(
-        [[sympy.ZZ(x) for x in row] for row in read], (len(read), n_cols), sympy.ZZ
-    ).convert_to(sympy.GF(MODULUS))
-    assert len(kept) == residues.rank()
+    # the greedy set: row i is kept iff it raises the rank over GF(p)
+    ranks = [rank_mod_p(read[:i], n_cols) for i in range(len(read) + 1)]
+    assert kept == [i for i in range(len(read)) if ranks[i + 1] > ranks[i]]
     assert sympy.Matrix([read[i] for i in kept]).rank() == len(kept)
     assert len(kept) <= sympy.Matrix(matrix).rank()
+    # one kernel vector per free column, orthogonal to every row mod p
+    if len(kept) == n_cols:
+        assert kernel is None
+        return
+    assert len(kernel) == n_cols - len(kept)
+    free = [len(k) - 1 for k in kernel]
+    assert free == sorted(set(free)) and all(k[-1] == 1 for k in kernel)
+    assert all(k[g] == 0 for k in kernel for g in free if g < len(k) - 1)
+    assert all(sum(a * b for a, b in zip(row, k)) % MODULUS == 0 for row in read for k in kernel)
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 97])
