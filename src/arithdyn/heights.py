@@ -178,7 +178,7 @@ def product_height_additivity(
     f_b: TriangularMap,
     seq_b: HeightSequence,
     *,
-    fg: TriangularMap | None = None,
+    fg: TriangularMap,
 ) -> ProductHeightReport:
     """Row-wise additivity of factor heights along the product orbit, from
     the height sequences of the factor orbits of f_a and f_b, each scaled
@@ -190,18 +190,17 @@ def product_height_additivity(
     >= 1, (a_n + b_n)^(1/n) converges to the larger of the two limits.
 
     ``projections_match`` is proved for every n from fg = product_map(f_a, f_b),
-    which a caller that has already built it passes in, N_a = f_a.dimension:
-    fg's first N_a components use no variable past x_(N_a) and, cut to their
-    first N_a exponents, are f_a's; the rest use none of x_1..x_(N_a) and,
-    cut to their last exponents, are f_b's.  As x^0 = 1,
-    fg(P, Q) = (f_a(P), f_b(Q)) everywhere, so by induction on n
+    with N_a = f_a.dimension: fg's first N_a components use no variable past
+    x_(N_a) and, cut to their first N_a exponents, are f_a's; the rest use
+    none of x_1..x_(N_a) and, cut to their last exponents, are f_b's.  As
+    x^0 = 1, fg(P, Q) = (f_a(P), f_b(Q)) everywhere, so by induction on n
     fg^n(P, Q) = (f_a^n(P), f_b^n(Q)).  The check reads fg's components, so
     it proves the projection for whatever map is passed, never assumes it.
     """
     na = f_a.dimension
     blocks = [(comp, slice(na), slice(na, None)) for comp in f_a.components]
     blocks += [(comp, slice(na, None), slice(na)) for comp in f_b.components]
-    lifted = (degrees.product_map(f_a, f_b) if fg is None else fg).components
+    lifted = fg.components
     return ProductHeightReport(
         seq_a=seq_a,
         seq_b=seq_b,

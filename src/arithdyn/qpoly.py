@@ -32,15 +32,11 @@ denominator D = 2^E * D_odd and only numerators are computed, as pairs
 never enters a product.  The result is reduced by shifts and one gcd
 against D_odd, which is 1 on power-of-two orbits.
 
-Orbit coordinates grow like delta^n, so evaluation multiplies numerators
-of 10^5 to 10^6 bits.  Every product and power there runs through
-:func:`_big_mul`: CPython's Karatsuba ``*``, O(n^1.585), below
-``_TOOM_BITS`` bits, Toom-6 above (Toom 1963, Cook 1966; Bodrato & Zanoni,
-ISSAC 2007), eleven recursive products of a sixth of the length, so
-O(n^1.34), with one exact division (proof at :func:`_big_mul`).  The
-cut-off is measured (x86-64, CPython 3.11): at 48,000 bits Toom-6 ties a
-product and loses 7 % on a square, at 52,000 bits both tie, and at
-60,000 bits both gain 7-10 %.
+Products and powers are CPython's ``*`` and ``pow``.  Orbits past their
+printed prefix are certified tails of a few hundred bits
+(:mod:`arithdyn.orbit_tail`), so numerators of 10^5 bits and more reach
+evaluation only where an orbit falls back to exact steps or where a
+high-degree iterate is evaluated along its own orbit (``iterate_check``).
 """
 
 from __future__ import annotations
@@ -456,10 +452,10 @@ def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Frac
     which :func:`maps.step_bits_bound` bounds.  Levels are a loop, so the
     depth does not grow with N.
 
-    No power of two is multiplied: :func:`_big_mul` and :func:`_big_pow`
-    see only values, n_i and o_i, and each power is built once, cached by
-    (numerator or odd part, variable, exponent).  With D = 2^E D_odd, and
-    s <= E since level i adds at most t_i deg_i, the value is
+    No power of two is multiplied: ``*`` and ``pow`` see only values, n_i
+    and o_i, and each power is built once, cached by (numerator or odd part,
+    variable, exponent).  With D = 2^E D_odd, and s <= E since level i adds
+    at most t_i deg_i, the value is
     v / (2^(E - s) D_odd), reduced by shifting 2^min(v_2(v), E - s) out of v
     and dividing v and D_odd by their gcd, skipped when D_odd = 1; see
     :func:`_coprime_fraction` for why no further gcd is needed.
@@ -471,10 +467,10 @@ def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Frac
 
     @functools.cache
     def power(odd: bool, i: int, e: int) -> int:
-        return _big_pow((odds if odd else nums)[i], e)
+        return pow((odds if odd else nums)[i], e)
 
     def times(v: int, base: list[int], i: int, e: int) -> int:
-        return _big_mul(v, power(base is odds, i, e)) if e and v else v
+        return v * power(base is odds, i, e) if e and v else v
 
     level = [(a, c, 0) for a, c in sorted(terms.items(), reverse=True)]
     for i in reversed(range(len(values))):
@@ -507,87 +503,6 @@ def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Frac
         v //= g
         odd //= g
     return _coprime_fraction(v, odd << (twos_exponent - k))
-
-
-_TOOM_BITS = 52_000
-_TOOM_POINTS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, None)  # None: the point at infinity
-# W = D V^(-1) for the evaluation matrix V of _TOOM_POINTS, with D = 9! the least
-# D that makes W integral (checked by the tests)
-_TOOM_D = 362880
-_TOOM_W = (
-    (362880, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (-72576, 362880, -241920, -120960, 51840, 34560, -8640, -6480, 720, 576, -1045094400),
-    (-516600, 290304, 290304, -36288, -36288, 4608, 4608, -324, -324, 0, 209018880),
-    (103320, -226296, 54096, 154056, -55656, -47664, 10764, 9144, -944, -820, 1487808000),
-    (171990, -122976, -122976, 42588, 42588, -6048, -6048, 441, 441, 0, -297561600),
-    (-34398, 49014, 8316, -36036, 3276, 14364, -2079, -2961, 231, 273, -495331200),
-    (-18900, 14616, 14616, -6552, -6552, 1512, 1512, -126, -126, 0, 99066240),
-    (3780, -4284, -2016, 3024, 576, -1296, -54, 306, -6, -30, 54432000),
-    (630, -504, -504, 252, 252, -72, -72, 9, 9, 0, -10886400),
-    (-126, 126, 84, -84, -36, 36, 9, -9, -1, 1, -1814400),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 362880),
-)
-
-
-def _big_mul(a: int, b: int) -> int:
-    """The exact product a * b, by Toom-6 when both operands are long.
-
-    Below ``_TOOM_BITS`` bits on the shorter operand this is CPython's ``*``.
-    An operand at least twice as long as the other, to within one bit, is
-    cut into chunks of the other's length, as CPython's ``k_lopsided_mul``
-    does, so n^2 n is two balanced products.  Otherwise |a| and |b| are cut
-    into six s-bit pieces, s = ceil(bits / 6), read as polynomials a(t),
-    b(t) of degree 5 with a(2^s) = |a|.  The values of r(t) = a(t) b(t),
-    of degree 10, at the eleven ``_TOOM_POINTS`` (at infinity: the leading
-    coefficient) are eleven recursive products, squares when ``a is b``.
-    Exactness: the evaluation matrix V maps the coefficients of r to those
-    values and is invertible, and W = D V^(-1) is integral, so W times the
-    values is D times the integer coefficients of r.  Hence the shifted sum
-    of those rows is D r(2^s) = D |a b|, and one floor division is exact.
-    """
-    na, nb = a.bit_length(), b.bit_length()
-    if min(na, nb) < _TOOM_BITS:
-        return a * b
-    square, negative = a is b, (a < 0) != (b < 0)
-    a = abs(a)
-    b = a if square else abs(b)
-    if na < nb:
-        a, b, na, nb = b, a, nb, na
-    out = 0
-    if 2 * nb <= na + 1:
-        mask = (1 << nb) - 1
-        for k in reversed(range(-(-na // nb))):
-            out = (out << nb) + _big_mul((a >> k * nb) & mask, b)
-    else:
-        s = -(-na // 6)
-        a_values = _toom_values(a, s)
-        b_values = a_values if square else _toom_values(b, s)
-        values = [_big_mul(x, y) for x, y in zip(a_values, b_values)]
-        for row in reversed(_TOOM_W):
-            out = (out << s) + sum(c * v for c, v in zip(row, values) if c)
-        out //= _TOOM_D
-    return -out if negative else out
-
-
-def _toom_values(x: int, s: int) -> list[int]:
-    """The six s-bit pieces p_i of x >= 0, as sum p_i t^i at each of ``_TOOM_POINTS``."""
-    p = [(x >> i * s) & ((1 << s) - 1) for i in range(6)]
-    out = [p[0]]
-    for t in (1, 2, 3, 4):  # +-t share the even and the odd part
-        even = (p[4] * t * t + p[2]) * t * t + p[0]
-        odd = ((p[5] * t * t + p[3]) * t * t + p[1]) * t
-        out += [even + odd, even - odd]
-    return out + [((((p[5] * 5 + p[4]) * 5 + p[3]) * 5 + p[2]) * 5 + p[1]) * 5 + p[0], p[5]]
-
-
-def _big_pow(x: int, e: int) -> int:
-    """x ** e for e >= 1, by left-to-right square-and-multiply on :func:`_big_mul`."""
-    out = x
-    for bit in bin(e)[3:]:
-        out = _big_mul(out, out)
-        if bit == "1":
-            out = _big_mul(out, x)
-    return out
 
 
 def _coprime_fraction(numerator: int, denominator: int) -> Fraction:

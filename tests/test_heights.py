@@ -253,7 +253,11 @@ def test_iterate_height_rows_match_exactly():
 def _additivity(f_a, p_a, f_b, p_b, n_max):
     """product_height_additivity on the exact height sequences of the factor orbits."""
     return product_height_additivity(
-        f_a, height_sequence(f_a, p_a, n_max), f_b, height_sequence(f_b, p_b, n_max)
+        f_a,
+        height_sequence(f_a, p_a, n_max),
+        f_b,
+        height_sequence(f_b, p_b, n_max),
+        fg=degrees_module.product_map(f_a, f_b),
     )
 
 

@@ -18,17 +18,27 @@ Horner folds and the final x_i^(lowest exponent) factors of
 rather than by shifts: powers 3^k and 5^k, composites 6, 12 and 35, the
 prime 2^61 - 1, and the product of two large primes, with numerators that
 cancel them; every value must come back reduced with a positive denominator.
+
+At large points, whose numerators and denominators run to 70,000 bits (odd
+ones too, so the gcd reduction runs), and in 1200 variables, ``evaluate`` is
+checked against a sum of ``evaluate_monomial`` terms (``tests/oracle.py``).
+Its powers are recorded through the module-level name ``pow``: along four
+power-of-two orbits no base or result of a power is a power of two, and each
+power is built once.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithdyn.maps import TriangularMap
+from arithdyn import qpoly
+from arithdyn.maps import TriangularMap, triangular_map
 from arithdyn.qpoly import Polynomial, parse_polynomial
+from oracle import evaluate_monomial
 
 sympy = pytest.importorskip("sympy")
 
@@ -388,3 +398,117 @@ def test_evaluate_kernel_large_odd_power_runs_one_gcd(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert_reduced_value(got, Fraction(1, 101 ** (e - 1)))
+
+
+# -- large points, many variables, and the powers evaluate builds ------------
+
+
+def monomial_sum(poly, point):
+    return sum(c * evaluate_monomial(mono, point) for mono, c in zip(poly.terms, poly.coefficients()))
+
+
+BIG_POINTS = [
+    (-(3**40000 + 1), 2**60000 + 0, 5**30000 + 2, 2**70000),
+    (7**20000 + 2, 3 * 11**16000, -(2**70001 - 1), 13**15000),
+    (-(5**25000) * 2**10, 7**25000, 1, 3**35000),
+]
+
+
+@pytest.mark.parametrize(
+    "text", ["x1^3 + x2", "3/7*x1^2*x2 - 5/3*x1*x2^2 + x2^3 - 1", "x1^2*x2^2 + 2*x1 + x2^2"]
+)
+@pytest.mark.parametrize("coords", BIG_POINTS, ids=["neg_x1", "neg_x2_odd_dens", "odd_dens"])
+def test_evaluate_at_large_points_matches_monomial_sum(coords, text):
+    point = (Fraction(coords[0], coords[1]), Fraction(coords[2], coords[3]))
+    poly = parse_polynomial(text, 2)
+    assert_reduced_value(poly.evaluate(point), monomial_sum(poly, point))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nums=st.lists(st.integers(-(2**900), 2**900), min_size=2, max_size=2),
+    dens=st.lists(
+        st.builds(lambda a, b, c: 2**a * 3**b * 7**c, st.integers(0, 300), st.integers(0, 200), st.integers(0, 90)),
+        min_size=2,
+        max_size=2,
+    ),
+    text=st.sampled_from(
+        ["x1^3 + x2", "x1*x2 + 1", "2/9*x1^4*x2 - x1*x2^3 + 5/2", "x1^2 - x2^2", "x2^5 - 7/3*x1"]
+    ),
+)
+def test_evaluate_over_2_3_7_denominators_matches_monomial_sum(nums, dens, text):
+    point = tuple(Fraction(n, d) for n, d in zip(nums, dens))
+    poly = parse_polynomial(text, 2)
+    assert_reduced_value(poly.evaluate(point), monomial_sum(poly, point))
+
+
+@pytest.fixture
+def recorded_powers(monkeypatch):
+    """The (base, exponent, result) of every ``pow`` that ``qpoly`` calls."""
+    calls = []
+
+    def recorder(base, e):
+        out = pow(base, e)
+        calls.append((base, e, out))
+        return out
+
+    monkeypatch.setattr(qpoly, "pow", recorder, raising=False)
+    return calls
+
+
+def is_power_of_two(x):
+    return x > 1 and x & (x - 1) == 0
+
+
+def test_evaluate_builds_each_power_once(recorded_powers):
+    n1 = random.Random(9).getrandbits(60_000) | 1 << 59_999
+    point = (Fraction(n1, 3**20), Fraction(-5, 7))
+    # the Horner in x1 steps down by 3 twice, so n1^3 is used twice
+    poly = parse_polynomial("x1^6 - 2*x1^3 + x2", 2)
+    value = poly.evaluate(point)
+    assert not [x for call in recorded_powers for x in (call[0], call[2]) if is_power_of_two(abs(x))]
+    powers = [(base, e) for base, e, _ in recorded_powers]
+    assert powers.count((n1, 3)) == 1
+    assert powers.count((3**20, 3)) == 1
+    assert len(set(powers)) == len(powers)
+    assert value == monomial_sum(poly, point)
+
+
+@pytest.mark.parametrize(
+    "components, start, steps",
+    [
+        (["x1^3+x2", "x2^2+1"], ("1/256", "1/2"), 10),
+        (["x1^3+x2", "x2^2+1"], ("15/256", "9/2"), 8),
+        (["x1*x2+1", "x2^2"], ("1", "97/2"), 17),
+        (["x1*x2+1", "x2^2"], ("1", "1/2"), 10),
+    ],
+    ids=["E1_product_start", "E1_sector_start", "second_case_start", "product_b_start"],
+)
+def test_evaluate_never_multiplies_by_a_power_of_two(components, start, steps, recorded_powers):
+    # every denominator on these orbits is a power of two: it may only move
+    # the pairs' exponents, never enter a power or a product
+    f = triangular_map(components)
+    point = tuple(Fraction(c) for c in start)
+    for _ in range(steps):
+        recorded_powers.clear()
+        image = f.apply(point)
+        assert recorded_powers
+        assert not [x for call in recorded_powers for x in (call[0], call[2]) if is_power_of_two(abs(x))]
+        assert image == tuple(monomial_sum(p, point) for p in f.components)
+        point = image
+    assert max(c.denominator.bit_length() for c in point) > 500
+
+
+def test_evaluate_in_1200_variables_matches_monomial_sum():
+    # one pass per variable level, no recursion: depth does not grow with N
+    n = 1200
+    rng = random.Random(15)
+    terms = {(0,) * n: Fraction(-7, 3), (1,) * n: Fraction(1)}
+    for _ in range(40):
+        mono = [0] * n
+        for i in rng.sample(range(n), 6):
+            mono[i] = rng.randint(1, 4)
+        terms[tuple(mono)] = Fraction(rng.randint(-50, 50) or 1, rng.choice([1, 2, 6, 8]))
+    poly = Polynomial(n, terms)
+    point = [Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 4, 5])) for _ in range(n)]
+    assert_reduced_value(poly.evaluate(point), monomial_sum(poly, point))
