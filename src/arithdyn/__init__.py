@@ -3,8 +3,9 @@
 Submodules:
 
   qpoly        exact sparse multivariate polynomials over the rationals
-  maps         triangular self-maps, symbolic iteration, exact orbits
-  degrees      diagonal degrees, dynamical degrees, degree sequences
+  maps         triangular self-maps, diagonal degrees, symbolic iteration,
+               exact orbits
+  degrees      dynamical degrees, degree sequences
   heights      Weil heights, arithmetic-degree and canonical-height sequences
   padic        p-adic valuations and the stable-sector construction
   orbit_tail   orbits past the printed prefix: valuations and height rows
@@ -26,19 +27,18 @@ from .maps import (
     NotTriangularError,
     TriangularMap,
     as_point,
+    diagonal_degrees,
     iterate_symbolic,
     orbit,
     orbits_disjoint_prefix,
     triangular_map,
 )
 from .degrees import (
-    diagonal_degrees,
     dynamical_degree_exact,
     dynamical_degree_sequence,
     product_map,
 )
 from .heights import (
-    alpha_bounds,
     height_sequence,
     product_height_additivity,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "ResourceLimitError",
     "SectorConfig",
     "TriangularMap",
-    "alpha_bounds",
     "as_point",
     "case_n2_growth",
     "choose_C",

@@ -1,10 +1,11 @@
-"""Diagonal degrees and dynamical-degree computation.
+"""Dynamical-degree computation.
 
 The degree matrix of a triangular map has (i,j) entry deg_{x_i} f_j; it is
 lower triangular with positive diagonal.  The dynamical degree of a
 triangular map is exactly its maximum diagonal entry, so only the diagonal
-degrees deg_{x_i} f_i are computed here; the degree sequence
-deg(f^n)^{1/n} is computed as an independent route to the same number.
+degrees deg_{x_i} f_i (``maps.diagonal_degrees``) are needed; the degree
+sequence deg(f^n)^{1/n} is computed as an independent route to the same
+number.
 
 deg(f) for an affine polynomial map is max_i total_degree(f_i): homogenizing
 with some component attaining the max total degree d gives
@@ -41,13 +42,9 @@ import math
 from dataclasses import dataclass
 
 from .density import MODULUS
-from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, iterates
+from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, diagonal_degrees, iterates
+from .padic import next_prime
 from .qpoly import Polynomial
-
-
-def diagonal_degrees(f: TriangularMap) -> tuple:
-    """The diagonal degrees (deg_{x_i} f_i)_i, each at least 1."""
-    return tuple(c.degree_in_var(i) for i, c in enumerate(f.components, start=1))
 
 
 def dynamical_degree_exact(f: TriangularMap) -> int:
@@ -106,8 +103,6 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
     neither fixed direction certifies every step."""
     q = MODULUS
     while any(c.den % q == 0 for c in f.components):
-        from .padic import next_prime  # padic imports this module
-
         q = next_prime(q + 1)
     components = [
         [(mono, num * pow(c.den, -1, q) % q) for mono, num in c.terms.items()]

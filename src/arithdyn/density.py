@@ -31,11 +31,8 @@ dot product 0 with every row.  If all do:
      kernel vector that is 1 there and 0 at the other free columns.
 If an entry does not lift or a dot product is not 0, one fraction-free
 Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
-Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) runs on the kept rows, and
-an exact test proves every other row is in their span: then all rows have
-the same row space, hence the same reduced row echelon form, rank and
-kernel witness.  A row fails the test only if p divides every maximal minor
-of it and the kept rows; the elimination then runs on all rows.
+Nakos-Turner-Williams, SIGSAM Bull. 31 (1997)) runs on every row read, and
+its reduced row echelon form gives the rank and the kernel witness.
 Pivots are chosen to limit bit-length growth (smallest nonzero magnitude,
 lowest row index on ties), so every run is deterministic; the reduced row
 echelon form, and hence the witness, does not depend on that choice.
@@ -290,23 +287,6 @@ def _kernel_from_rref(n_cols: int, rows: list, pivots: list) -> list:
     return vec
 
 
-def _in_row_space(n_cols: int, rref: list, pivots: list, rows: list) -> bool:
-    """Whether each row x of ``rows`` is in the row space of a rational_rref
-    result (rows R_i, pivots piv_i).  The reduced rows are 1 at their own
-    pivot and 0 at the others, so x can only be sum_i x[piv_i] R_i/R_i[piv_i],
-    which agrees with x at the pivots; with L = lcm R_i[piv_i], the free
-    columns f must satisfy L x[f] == sum_i x[piv_i] (L / R_i[piv_i]) R_i[f]."""
-    lcm = math.lcm(*(row[c] for row, c in zip(rref, pivots)))
-    pivot_set = set(pivots)
-    free = [f for f in range(n_cols) if f not in pivot_set]
-    scaled = [[lcm // row[c] * row[f] for f in free] for row, c in zip(rref, pivots)]
-    return all(
-        lcm * x[f] == sum(x[c] * s[j] for c, s in zip(pivots, scaled))
-        for x in rows
-        for j, f in enumerate(free)
-    )
-
-
 @dataclass
 class DensityReport:
     degree_bound: int
@@ -342,9 +322,8 @@ def density_check(
     is nonzero mod p gives rank >= r, (2) the m - r independent lifted
     vectors give rank <= r, and (3) being 1 at their free column and 0 past
     it, they fix the free columns over Q, so the first is the reduced row
-    echelon form's witness.  Otherwise ``rational_rref`` runs on the kept
-    rows, and on all rows only if another row is outside their span.  The
-    module docstring has the proofs.
+    echelon form's witness.  Otherwise ``rational_rref`` runs once on every
+    row read.  The module docstring has the proofs.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -365,11 +344,7 @@ def density_check(
     if kernel is not None:
         kernel = _lift_kernel(kernel, rows, m)
     if rank < m and kernel is None:
-        rank, rref, pivots = rational_rref([rows[i] for i in kept])
-        kept_set = set(kept)
-        others = [row for i, row in enumerate(rows) if i not in kept_set]
-        if not _in_row_space(m, rref, pivots, others):
-            rank, rref, pivots = rational_rref(rows)
+        rank, rref, pivots = rational_rref(rows)
         kernel = _kernel_from_rref(m, rref, pivots) if rank < m else None
     if rank == m:
         verdict = "no_common_hypersurface"

@@ -42,6 +42,7 @@ from .maps import (
     TriangularMap,
     as_point,
     csv_text,
+    diagonal_degrees,
     iterate_symbolic,
     map_from_json_dict,
     map_to_json_dict,
@@ -243,7 +244,7 @@ def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
 
 
 def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
-    diag = deg.diagonal_degrees(f)
+    diag = diagonal_degrees(f)
     if diag[0] < 2 or any(diag[i] <= diag[i + 1] for i in range(len(diag) - 1)):
         raise ConfigError(
             f"first_case requires strictly decreasing diagonal degrees with d11 >= 2, got {diag}"
@@ -377,7 +378,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
 def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     if f.dimension != 2:
         raise ConfigError("second_case_n2 requires a two-variable map")
-    diag = deg.diagonal_degrees(f)
+    diag = diagonal_degrees(f)
     if diag[0] > diag[1]:
         raise ConfigError("second_case_n2 requires d11 <= d22")
     sector = padic.sector_config(f, prime=cfg.prime, C=cfg.c_constant)

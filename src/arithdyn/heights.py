@@ -144,15 +144,6 @@ def height_sequence_of_orbit(points: Sequence, delta: int) -> HeightSequence:
     return HeightSequence(rows=rows)
 
 
-def alpha_bounds(seq: HeightSequence, tail: int) -> tuple:
-    """(min, max) of a_n over the last ``tail`` rows with n >= 1."""
-    roots = seq.roots(min_n=1)
-    if len(roots) < tail:
-        raise ValueError(f"need at least {tail} rows with n >= 1, have {len(roots)}")
-    window = roots[-tail:]
-    return (min(window), max(window))
-
-
 @dataclass
 class ProductHeightReport:
     """The factors' height sequences along the projections of the product orbit."""

@@ -110,6 +110,11 @@ class TriangularMap:
         return TriangularMap([f.substitute(inner.components, caps) for f in self.components])
 
 
+def diagonal_degrees(f: TriangularMap) -> tuple:
+    """The diagonal degrees (deg_{x_i} f_i)_i, each at least 1."""
+    return tuple(c.degree_in_var(i) for i, c in enumerate(f.components, start=1))
+
+
 def triangular_map(texts: Sequence[str]) -> TriangularMap:
     """Convenience constructor from component text, e.g. ['x1^3+x2', 'x2^2+1']."""
     n = len(texts)

@@ -77,10 +77,11 @@ def orbit_tail(
     :func:`_tail_from` certifies them.  ``p`` must be proved prime.
     """
     points = orbit(f, start, min(PREFIX, n_max), caps)
-    sigs, rows = _tail_from(f, p, points[-1], len(points) - 1, n_max, delta, caps)
+    sigs = [padic.valuation_signature(q, p) for q in points]
+    tail_sigs, rows = _tail_from(f, p, points[-1], sigs[-1], len(points) - 1, n_max, delta, caps)
     return (
         points,
-        [padic.valuation_signature(q, p) for q in points] + sigs,
+        sigs + tail_sigs,
         heights.height_sequence_of_orbit(points, delta).rows + rows,
     )
 
@@ -104,9 +105,10 @@ def start_prime(f: TriangularMap, start) -> int:
     return padic.find_unit_prime(f)
 
 
-def _tail_from(f, p, point, n0, n_max, delta, caps) -> tuple[list, list]:
+def _tail_from(f, p, point, sig, n0, n_max, delta, caps) -> tuple[list, list]:
     """(valuation signatures, height rows) of f^n(P) for n = n0+1..n_max,
-    from ``point`` = f^n0(P), the rows scaled by ``delta``.
+    from ``point`` = f^n0(P) and its valuation signature ``sig``, the rows
+    scaled by ``delta``.
 
     The enclosure walk of the module docstring runs when every component
     of f has integer coefficients and every coordinate of ``point`` is
@@ -114,7 +116,6 @@ def _tail_from(f, p, point, n0, n_max, delta, caps) -> tuple[list, list]:
     orbit is walked exactly from ``point``.  Either way the result is the
     one the exact orbit gives.
     """
-    sig = padic.valuation_signature(point, p)
     tail = None
     if all(c.den == 1 for c in f.components) and all(
         k > 0 and x.denominator == p**k for x, k in zip(point, sig)

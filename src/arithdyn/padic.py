@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .degrees import diagonal_degrees
-from .maps import AffinePoint, TriangularMap, as_point, csv_text
+from .maps import AffinePoint, TriangularMap, as_point, csv_text, diagonal_degrees
 from .qpoly import Monomial
 
 INFINITY = math.inf

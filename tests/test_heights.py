@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from arithdyn.heights import (
     affine_height,
-    alpha_bounds,
     height_sequence,
     height_sequence_of_orbit,
     product_height_additivity,
@@ -199,25 +198,6 @@ def test_khat_is_correctly_rounded():
     seq = height_sequence_of_orbit([(Fraction(1),)] * 4, 3**40)
     assert seq.rows[3].h_plus == 1.0
     assert seq.rows[3].khat == 5.564798376768443e-58 == float(Fraction(1, 3**120))
-
-
-def test_alpha_bounds_constant_orbit():
-    f = triangular_map(["x1", "x2"])
-    seq = height_sequence(f, [1, 1], 8)
-    lo, hi = alpha_bounds(seq, 3)
-    assert lo == hi == 1.0
-
-
-def test_alpha_bounds_squaring_window():
-    seq = height_sequence(triangular_map(["x1^2"]), [2], 10)
-    lo, hi = alpha_bounds(seq, 5)
-    assert 1.83 <= lo <= hi <= 1.93
-
-
-def test_alpha_bounds_requires_enough_rows():
-    seq = height_sequence(triangular_map(["x1^2"]), [2], 3)
-    with pytest.raises(ValueError):
-        alpha_bounds(seq, 5)
 
 
 def test_height_sequence_cap_raises_after_one_orbit(monkeypatch):

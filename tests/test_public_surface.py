@@ -9,8 +9,7 @@ of its class counts.  A method is reached only through an attribute
 (``x.name``): a bare name, such as a local function of the same name in
 another module, does not reach it.  Re-exports in ``__init__.py`` do not
 count, and neither do tests: a name that only its unit tests call is surface
-no pipeline, CLI command or benchmark uses.  ``KEPT`` names the exceptions,
-each with the reason it stays.
+no pipeline, CLI command or benchmark uses.
 """
 
 import ast
@@ -22,10 +21,6 @@ from test_bench_targets import _load_targets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "arithdyn"
-
-KEPT = {
-    "alpha_bounds": "the two-sided certificate of ROADMAP item 2 replaces it",
-}
 
 
 def _names(node) -> set:
@@ -87,14 +82,10 @@ def test_every_public_name_is_reached():
     bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").glob("*.py"))]
     # a traced method, and the class that owns it
     traced = {name for _, _, attribute in _load_targets() for name in (attribute, attribute.split(".")[0])}
-    unreached = [name.split(".", 1)[1] for name in _unreached(modules, bench, traced)]
-    orphans = [name for name in unreached if name not in KEPT]
+    orphans = [name.split(".", 1)[1] for name in _unreached(modules, bench, traced)]
     assert orphans == [], (
-        f"{orphans} are reached by no pipeline, CLI command or benchmark; "
-        "delete them, or name them in KEPT with the reason they stay"
+        f"{orphans} are reached by no pipeline, CLI command or benchmark; delete them"
     )
-    stale = set(KEPT) - set(unreached)
-    assert not stale, f"KEPT names {sorted(stale)}, which are reached or no longer defined"
 
 
 def test_all_names_exactly_the_public_exports():

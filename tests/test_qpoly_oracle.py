@@ -24,9 +24,14 @@ ones too, so the gcd reduction runs), and in 1200 variables, ``evaluate`` is
 checked against a sum of ``evaluate_monomial`` terms (``tests/oracle.py``).
 Its powers are recorded through the module-level name ``pow``: along four
 power-of-two orbits no base or result of a power is a power of two, and each
-power is built once.
+power is built once.  A power of two multiplied with ``*`` would escape that
+record, so the source of the integer kernel is also read: it writes no
+power of two as a value (``2 ** e``, ``1 << e``, ``pow(2, e)``), and aligns
+pairs by shifting a value instead.
 """
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -497,6 +502,55 @@ def test_evaluate_never_multiplies_by_a_power_of_two(components, start, steps, r
         assert image == tuple(monomial_sum(p, point) for p in f.components)
         point = image
     assert max(c.denominator.bit_length() for c in point) > 500
+
+
+def powers_of_two_written(tree) -> list:
+    """Line numbers of every expression under ``tree`` that builds a power
+    of two from a constant: ``2 ** e`` (or 4, 8, ...), ``1 << e`` (or any
+    constant shifted) and ``pow(2, e)``."""
+
+    def two_power(node):
+        return (
+            isinstance(node, ast.Constant)
+            and type(node.value) is int
+            and is_power_of_two(node.value)
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            built = (isinstance(node.op, ast.Pow) and two_power(node.left)) or (
+                isinstance(node.op, ast.LShift) and isinstance(node.left, ast.Constant)
+            )
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            built = name == "pow" and bool(node.args) and two_power(node.args[0])
+        else:
+            built = False
+        if built:
+            found.append(node.lineno)
+    return found
+
+
+def test_evaluate_kernel_writes_no_power_of_two():
+    # a product with 2^(t - s) is a multiply by a power of two that the pow
+    # record above cannot see: the kernel must shift its values instead
+    tree = ast.parse(inspect.getsource(qpoly._horner_integer))
+    shifts = [node for node in ast.walk(tree) if isinstance(node, ast.LShift)]
+    assert shifts
+    assert powers_of_two_written(tree) == []
+
+
+def test_power_of_two_guard_flags_the_rewrites_of_a_shift():
+    planted = ast.parse(
+        "v += c * 2 ** (t - s)\n"
+        "v += c * (1 << (t - s))\n"
+        "v += c * pow(2, t - s)\n"
+        "v = v * 4 ** k\n"
+    )
+    clean = ast.parse("v += c << t - s\nv, s = (v << s - t) + c, t\nw = 3 ** k * d**e\n")
+    assert powers_of_two_written(planted) == [1, 2, 3, 4]
+    assert powers_of_two_written(clean) == []
 
 
 def test_evaluate_in_1200_variables_matches_monomial_sum():

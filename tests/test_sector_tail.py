@@ -136,7 +136,8 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value():
     point = (Fraction(1, 2), Fraction(1, 2))
     terms = list(f.components[0].terms.items())
     assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, 2) is None
-    sigs, rows = tail._tail_from(f, sector.prime, point, 0, 3, 2, ResourceCaps())
+    sig = valuation_signature(point, sector.prime)
+    sigs, rows = tail._tail_from(f, sector.prime, point, sig, 0, 3, 2, ResourceCaps())
     assert sigs == [(1, 1)] * 3
     assert f.apply(point) == point
     assert [r.arg_bits for r in rows] == [affine_height(point).max_abs.bit_length()] * 3
@@ -179,7 +180,10 @@ def test_points_outside_the_case_split_walk_exactly(components, point):
     sector = sector_config(f, prime=2)  # 1/3 is a 2-adic unit
     points = orbit(f, point, PREFIX + 2)
     want = _exact_tail(f, sector, points, 3)
-    got = tail._tail_from(f, sector.prime, points[PREFIX], PREFIX, PREFIX + 2, 3, ResourceCaps())
+    sig = valuation_signature(points[PREFIX], sector.prime)
+    got = tail._tail_from(
+        f, sector.prime, points[PREFIX], sig, PREFIX, PREFIX + 2, 3, ResourceCaps()
+    )
     assert got[0] == want[0] and got[1] == want[1]
 
 
