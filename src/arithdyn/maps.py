@@ -80,6 +80,9 @@ class TriangularMap:
     def __setattr__(self, name, value):
         raise AttributeError("TriangularMap is immutable")
 
+    def __reduce__(self):
+        return TriangularMap, (self.components,)
+
     def __eq__(self, other):
         if not isinstance(other, TriangularMap):
             return NotImplemented

@@ -23,7 +23,9 @@ only the monomials of weight W survive, so N' mod p is the sum of their
 residues.  When that is nonzero, N' is a p-unit and N' / p^W is reduced:
 k' = W exactly (W >= k_i > 0, as f_i has a term in x_i).  The enclosure of
 N' is the same sum over interval products and sums, each rounded outward,
-so it contains N'.
+so it contains N'.  Each term's coefficient enclosure and variables are
+read once per tail, each power N_j^e once per step for every component,
+and for p = 2 the exact p^(W - w(a)) only moves the scale of an enclosure.
 
 The height row.  The height argument of (N_i / p^k_i)_i is the largest of
 the candidates p^K and |N_i| p^(K - k_i), K = max k_i: the L and
@@ -133,7 +135,7 @@ def _tail_from(f, p, point, sig, n0, n_max, delta, caps) -> tuple[list, list]:
 
 def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list] | None:
     """:func:`_tail_from` on enclosures, or None when a decision is open."""
-    terms = [list(c.terms.items()) for c in f.components]
+    terms = [_step_terms(c) for c in f.components]
     residues = [x.numerator % p for x in point]
     nums = [_exact(x.numerator) for x in point]
     bound = step_bits_bound(f)
@@ -146,7 +148,8 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
             if None in (bit for size in sizes for bit in size):
                 return None
         caps.check(f"orbit step {n + 1}", bits=bound(sizes), last_safe_n=n)
-        images = [_component_step(t, ks, residues, nums, p) for t in terms]
+        powers = {}
+        images = [_component_step(t, ks, residues, nums, p, powers) for t in terms]
         if None in images:
             return None
         ks, residues, nums = (list(part) for part in zip(*images))
@@ -158,24 +161,39 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
     return sigs, rows
 
 
-def _component_step(terms, ks, residues, nums, p) -> tuple | None:
+def _step_terms(component) -> list:
+    """(c, enclosure of c, the (j, e) with e > 0) of each term c x^a of an
+    integer-coefficient component, as :func:`_component_step` reads them."""
+    return [
+        (c, _exact(c), [(j, e) for j, e in enumerate(mono) if e])
+        for mono, c in component.terms.items()
+    ]
+
+
+def _component_step(terms, ks, residues, nums, p, powers) -> tuple | None:
     """(k', N' mod p, enclosure of N') of one component at the carried
-    point, or None when N' mod p is 0."""
-    weights = [sum(e * k for e, k in zip(mono, ks)) for mono, _ in terms]
+    point, or None when N' mod p is 0.
+
+    ``terms`` are the component's :func:`_step_terms`; ``powers`` keeps each
+    ``_pow(nums[j], e)`` by (j, e), shared by every component of one step.
+    """
+    weights = [sum(e * ks[j] for j, e in pairs) for _, _, pairs in terms]
     top = max(weights)
     residue = sum(
-        c * math.prod(pow(r, e, p) for r, e in zip(residues, mono))
-        for (mono, c), w in zip(terms, weights)
+        c * math.prod(pow(residues[j], e, p) for j, e in pairs)
+        for (c, _, pairs), w in zip(terms, weights)
         if w == top
     ) % p
     if not residue:
         return None
     total = None
-    for (mono, c), w in zip(terms, weights):
-        term = _mul(_exact(c), _prime_power(p, top - w))
-        for e, num in zip(mono, nums):
-            if e:
-                term = _mul(term, _pow(num, e))
+    for (_, coeff, pairs), w in zip(terms, weights):
+        term = _times_prime_power(coeff, p, top - w)
+        for j, e in pairs:
+            power = powers.get((j, e))
+            if power is None:
+                power = powers[j, e] = _pow(nums[j], e)
+            term = _mul(term, power)
         total = term if total is None else _add(total, term)
     return top, residue, total
 
@@ -188,7 +206,7 @@ def _height(ks, nums, p) -> heights.Height | None:
         size = _abs(num)
         if size is None:
             return None
-        candidates.append(_mul(size, _prime_power(p, top - k)))
+        candidates.append(_times_prime_power(size, p, top - k))
     u = min(s for _, _, s in candidates)
     ends = [_at(c, u) for c in candidates]
     lo, hi, s = _cut(max(lo for lo, _ in ends), max(hi for _, hi in ends), u)
@@ -240,9 +258,15 @@ def _at(x: Enclosure, u: int) -> tuple[int, int]:
 
 
 def _pow(x: Enclosure, e: int) -> Enclosure:
-    """x^e for e >= 0, by left-to-right square-and-multiply."""
-    out = (1, 1, 0)
-    for bit in bin(e)[2:]:
+    """x^e for e >= 0, by left-to-right square-and-multiply.
+
+    The leading bit of e gives x cut, which is (1, 1, 0) squared and then
+    times x, so the remaining bits start from there.
+    """
+    if not e:
+        return 1, 1, 0
+    out = _cut(*x)
+    for bit in bin(e)[3:]:
         out = _mul(out, out)
         if bit == "1":
             out = _mul(out, x)
@@ -252,6 +276,15 @@ def _pow(x: Enclosure, e: int) -> Enclosure:
 def _prime_power(p: int, m: int) -> Enclosure:
     """An enclosure of p^m; exact for p = 2."""
     return (1, 1, m) if p == 2 else _pow((p, p, 0), m)
+
+
+def _times_prime_power(x: Enclosure, p: int, m: int) -> Enclosure:
+    """``_mul(x, _prime_power(p, m))``; for p = 2 the exact p^m = (1, 1, m)
+    multiplies no ends, so its product is x cut on the scale 2^(s + m)."""
+    if p == 2:
+        lo, hi, s = x
+        return _cut(lo, hi, s + m)
+    return _mul(x, _prime_power(p, m))
 
 
 def _abs(x: Enclosure) -> Enclosure | None:

@@ -30,7 +30,10 @@ x_1..x_(i-1) are one homogenised Horner in x_i, so all values share one
 denominator D = 2^E * D_odd and only numerators are computed, as pairs
 (v, s) standing for v 2^s.  A power of two in a denominator only adds to s,
 never enters a product.  The result is reduced by shifts and one gcd
-against D_odd, which is 1 on power-of-two orbits.
+against D_odd, which is 1 on power-of-two orbits.  The fold's plan, the
+numerators in fold order and the exponent steps of every level
+(:func:`_horner_plan`), is built on a polynomial's first evaluation and kept
+in a private slot that equality, hashing, text and copies ignore.
 
 Products and powers are CPython's ``*`` and ``pow``.  Orbits past their
 printed prefix are certified tails of a few hundred bits
@@ -41,8 +44,6 @@ high-degree iterate is evaluated along its own orbit (``iterate_check``).
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ class Polynomial:
     are equal.
     """
 
-    __slots__ = ("dimension", "terms", "den", "_hash")
+    __slots__ = ("dimension", "terms", "den", "_hash", "_plan")
 
     def __init__(self, dimension: int, terms: Mapping[Monomial, Fraction] | Iterable = ()):
         if dimension < 1:
@@ -182,9 +183,15 @@ class Polynomial:
         object.__setattr__(self, "terms", numerators)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the canonical data alone: the
+        # cached hash and evaluation plan are never carried along
+        return Polynomial._trusted, (self.dimension, dict(self.terms), self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -207,6 +214,7 @@ class Polynomial:
         object.__setattr__(poly, "terms", terms)
         object.__setattr__(poly, "den", den)
         object.__setattr__(poly, "_hash", None)
+        object.__setattr__(poly, "_plan", None)
         return poly
 
     @classmethod
@@ -281,7 +289,9 @@ class Polynomial:
 
         Sparse Horner (Knuth, TAOCP vol. 2, 4.6.4), one variable level at a
         time on integer numerators over one denominator, reduced by shifts
-        and, for odd denominators, one gcd (:func:`_horner_integer`).
+        and, for odd denominators, one gcd (:func:`_horner_integer`).  The
+        term order and exponent steps of the fold (:func:`_horner_plan`) are
+        built on the first call and kept for the polynomial's lifetime.
         """
         if len(point) != self.dimension:
             raise DimensionMismatchError(
@@ -290,7 +300,11 @@ class Polynomial:
         values = [rational(v) for v in point]
         if not self.terms:
             return Fraction(0)
-        return _horner_integer(self.terms, self.den, values)
+        plan = self._plan
+        if plan is None:
+            plan = _horner_plan(self.terms)
+            object.__setattr__(self, "_plan", plan)
+        return _horner_integer(plan, self.den, values)
 
     def substitute(
         self, subs: Sequence["Polynomial"], caps: ResourceCaps = DEFAULT_CAPS
@@ -432,8 +446,46 @@ def _product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict
     return {tuple((k >> s) & mask for s, mask in fields): c for k, c in out.items() if c}
 
 
-def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Fraction]) -> Fraction:
-    """The value of nonempty numerators over ``m`` at a point, one variable level at a time.
+def _horner_plan(terms: Mapping[Monomial, int]) -> tuple:
+    """The evaluation plan of nonempty numerators: (numerators in fold
+    order, degs, levels), as :func:`_horner_integer` reads it.
+
+    The fold order is descending lexicographic, so the terms sharing their
+    exponents of x_1..x_i are adjacent and, among them, the exponents of
+    x_(i+1) descend.  ``levels`` lists (i, groups, n_exps, o_exps) for
+    i = N-1 down to 0.  A group is one run of entries that share their
+    exponents of x_1..x_i, given as (steps, e_last): a step (e' - e,
+    deg_(i+1) - e) for each of its exponents e of x_(i+1), descending, with
+    e' the exponent before e (0 for the first, which starts the Horner), and
+    the last exponent, by which the group is closed.  ``n_exps`` and
+    ``o_exps`` are the nonzero exponents of n_(i+1) and o_(i+1) that the
+    steps use.
+    """
+    order = sorted(terms, reverse=True)
+    degs = [max(e) for e in zip(*terms)]
+    levels = []
+    prefixes = order
+    for i in reversed(range(len(degs))):
+        folded, groups = [], []
+        for a in prefixes:
+            if not folded or folded[-1] != a[:i]:
+                folded.append(a[:i])
+                groups.append([])
+            groups[-1].append(a[i])
+        steps = [
+            ([(low - e, degs[i] - e) for low, e in zip([exps[0], *exps], exps)], exps[-1])
+            for exps in groups
+        ]
+        n_exps = {down for group, low in steps for down, _ in [*group, (low, 0)] if down}
+        o_exps = {lift for group, _ in steps for _, lift in group if lift}
+        levels.append((i, steps, sorted(n_exps), sorted(o_exps)))
+        prefixes = folded
+    return [terms[a] for a in order], degs, levels
+
+
+def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction:
+    """The value of nonempty numerators over ``m`` at a point, one variable
+    level at a time, from their :func:`_horner_plan`.
 
     Write x_i = n_i / d_i, d_i = 2^t_i o_i with o_i odd, deg_i for the degree
     in x_i and M = m, the lcm of the coefficient denominators, so that the
@@ -453,44 +505,44 @@ def _horner_integer(terms: Mapping[Monomial, int], m: int, values: Sequence[Frac
     depth does not grow with N.
 
     No power of two is multiplied: ``*`` and ``pow`` see only values, n_i
-    and o_i, and each power is built once, cached by (numerator or odd part,
-    variable, exponent).  With D = 2^E D_odd, and s <= E since level i adds
-    at most t_i deg_i, the value is
+    and o_i, and each power is built once, in one dict for n_i and one for
+    o_i at level i.  With D = 2^E D_odd, and s <= E since level
+    i adds at most t_i deg_i, the value is
     v / (2^(E - s) D_odd), reduced by shifting 2^min(v_2(v), E - s) out of v
     and dividing v and D_odd by their gcd, skipped when D_odd = 1; see
     :func:`_coprime_fraction` for why no further gcd is needed.
     """
+    coeffs, degs, levels = plan
     nums = [v.numerator for v in values]
     twos = [(v.denominator & -v.denominator).bit_length() - 1 for v in values]
     odds = [v.denominator >> t for v, t in zip(values, twos)]
-    degs = [max(e) for e in zip(*terms)]
-
-    @functools.cache
-    def power(odd: bool, i: int, e: int) -> int:
-        return pow((odds if odd else nums)[i], e)
-
-    def times(v: int, base: list[int], i: int, e: int) -> int:
-        return v * power(base is odds, i, e) if e and v else v
-
-    level = [(a, c, 0) for a, c in sorted(terms.items(), reverse=True)]
-    for i in reversed(range(len(values))):
-        folded = []
-        for prefix, group in itertools.groupby(level, lambda entry: entry[0][:i]):
-            v, s, low = 0, 0, degs[i]  # v = 0 until the first term
-            for a, c, t in group:
-                v = times(v, nums, i, low - a[i])
-                c = times(c, odds, i, degs[i] - a[i])
-                t += twos[i] * (degs[i] - a[i])
+    level = [(c, 0) for c in coeffs]
+    for i, groups, n_exps, o_exps in levels:
+        n, o, two = nums[i], odds[i], twos[i]
+        n_powers = {e: pow(n, e) for e in n_exps}
+        o_powers = {e: pow(o, e) for e in o_exps}
+        entries = iter(level)
+        level = []
+        for steps, low in groups:
+            v = s = 0  # v = 0 until the first term
+            # steps first: zip stops at the group's end without taking an entry
+            for (down, lift), (c, t) in zip(steps, entries):
+                if v and down:
+                    v *= n_powers[down]
+                if lift:
+                    if c:
+                        c *= o_powers[lift]
+                    t += two * lift
                 if not v:
                     v, s = c, t
                 elif s <= t:
                     v += c << t - s
                 else:
                     v, s = (v << s - t) + c, t
-                low = a[i]
-            folded.append((prefix, times(v, nums, i, low), s))
-        level = folded
-    _, v, s = level[0]
+            if v and low:
+                v *= n_powers[low]
+            level.append((v, s))
+    v, s = level[0]
     if not v:
         return Fraction(0)
     m_twos = (m & -m).bit_length() - 1

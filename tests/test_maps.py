@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -229,6 +231,23 @@ def test_map_json_round_trip():
     doc = json.loads(json.dumps(map_to_json_dict(f)))
     assert doc == {"dimension": 2, "components": ["x1^3 + x2", "x2^2 + 1"]}
     assert map_from_json_dict(doc) == f
+
+
+@pytest.mark.parametrize(
+    "make_copy",
+    [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("evaluated_first", [False, True], ids=["fresh", "evaluated"])
+def test_copy_and_pickle_rebuild_an_equal_map(make_copy, evaluated_first):
+    f = triangular_map(["x1^3+x2", "x2^2+1"])
+    point = (Fraction(15, 256), Fraction(9, 2))
+    want = orbit(f, point, 3) if evaluated_first else None
+    g = make_copy(f)
+    assert type(g) is TriangularMap and g == f and hash(g) == hash(f)
+    assert orbit(g, point, 3) == orbit(f, point, 3) == (want or orbit(f, point, 3))
+    with pytest.raises(AttributeError, match="immutable"):
+        g.dimension = 3
 
 
 def test_map_json_component_count_checked_before_parsing(monkeypatch):

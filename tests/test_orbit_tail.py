@@ -8,7 +8,11 @@ second-case map and on each factor of the benchmark's product point, check
 that the enclosure walk (not its fallback) decided those rows, check that a
 point outside the case split and a forced fallback give the exact result,
 and check that a cap past the prefix refuses the same step as the exact
-walk, and which prime a product factor's orbit is carried at.
+walk, and which prime a product factor's orbit is carried at.  The
+shortcuts of one enclosure step are checked against the products they
+replace: ``_pow`` from x against square-and-multiply from (1, 1, 0), and
+the p = 2 scale shift against the product with the exact 2^m, while a
+p = 3 tail still multiplies by its enclosed prime power.
 ``test_sector_tail.py`` does the same for the sector orbits of
 ``first_case``.
 """
@@ -17,6 +21,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_output_digests import CASES
 
 import arithdyn.experiments as experiments
@@ -227,3 +233,64 @@ def test_a_cap_past_the_prefix_has_the_exact_walks_metadata(tmp_path, monkeypatc
         run_experiment(ExperimentConfig(**config), tmp_path / "out", caps)
     assert run.value.metadata == exact.value.metadata
     assert not (tmp_path / "out").exists()
+
+
+# -- the shortcuts of one enclosure step --------------------------------------
+
+
+def _square_and_multiply_from_one(x, e):
+    """x^e by left-to-right square-and-multiply from (1, 1, 0)."""
+    out = (1, 1, 0)
+    for bit in bin(e)[2:]:
+        out = tail._mul(out, out)
+        if bit == "1":
+            out = tail._mul(out, x)
+    return out
+
+
+ENCLOSURES = st.builds(
+    lambda lo, width, s: (lo, lo + width, s),
+    st.integers(-(2**300), 2**300),
+    st.integers(0, 2**250),
+    st.integers(0, 400),
+)
+# a cut rounds an end out to +-2^ENCLOSURE_BITS, one bit past the cut
+CUT_ENCLOSURES = ENCLOSURES.map(lambda x: tail._cut(*x)) | st.sampled_from(
+    [(2**192 - 5, 2**192, 9), (-(2**192), -(2**192) + 3, 0), (1, 1, 0), (-1, 1, 60)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=ENCLOSURES | CUT_ENCLOSURES, e=st.integers(0, 64))
+def test_pow_from_x_is_the_square_and_multiply_from_one(x, e):
+    assert tail._pow(x, e) == _square_and_multiply_from_one(x, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=CUT_ENCLOSURES, m=st.integers(0, 3000))
+def test_the_p2_scale_shift_is_the_product_with_the_exact_power(x, m):
+    assert tail._times_prime_power(x, 2, m) == tail._mul(x, tail._prime_power(2, m))
+
+
+@pytest.mark.parametrize(
+    "p, start", [(3, ("1/27", "1/3")), (2, ("1/256", "1/2"))], ids=["p3", "p2"]
+)
+def test_only_a_p3_tail_multiplies_by_an_enclosed_prime_power(monkeypatch, p, start):
+    # for p = 3 each factor p^(W - w(a)) is an enclosure multiplied by _mul;
+    # for p = 2 it only moves the scale, so no _mul sees (1, 1, m), m > 0,
+    # which no power of an odd numerator is
+    start = tuple(Fraction(x) for x in start)
+    operands = []
+    mul = tail._mul
+
+    def recording(x, y):
+        operands.append(y)
+        return mul(x, y)
+
+    monkeypatch.setattr(tail, "_mul", recording)
+    _assert_tail_is_exact(monkeypatch, E1, p, start, 9, 3)
+    if p == 3:
+        enclosed = {tail._prime_power(3, m) for m in range(1, 200)}
+        assert enclosed.intersection(operands)
+    else:
+        assert not [y for y in operands if y[:2] == (1, 1) and y[2] > 0]

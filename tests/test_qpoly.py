@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -264,6 +266,32 @@ def test_degree_index_out_of_range():
 def test_round_trip(text):
     p = parse_polynomial(text)
     assert parse_polynomial(p.to_text(), p.dimension) == p
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("make_copy", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("evaluated_first", [False, True], ids=["fresh", "evaluated"])
+@pytest.mark.parametrize("text", ["x1^3+1/3*x2", "0", "-5/4"])
+def test_copy_and_pickle_rebuild_an_equal_polynomial(text, evaluated_first, make_copy):
+    p = P(text, 2)
+    point = [Fraction(3, 4), Fraction(-2, 9)]
+    want = p.evaluate(point) if evaluated_first else None
+    hashed = hash(p)
+    q = make_copy(p)
+    # the cached hash and plan stay with the original
+    assert q._hash is None and q._plan is None
+    assert type(q) is Polynomial and q == p and hash(q) == hashed
+    assert q.evaluate(point) == p.evaluate(point) == (want or p.evaluate(point))
+    assert (q.dimension, q.den, q.terms) == (p.dimension, p.den, p.terms)
+    assert q.terms is not p.terms
+    with pytest.raises(AttributeError, match="immutable"):
+        q.den = 2
 
 
 def test_parse_whitespace_insensitive():

@@ -28,6 +28,12 @@ power is built once.  A power of two multiplied with ``*`` would escape that
 record, so the source of the integer kernel is also read: it writes no
 power of two as a value (``2 ** e``, ``1 << e``, ``pow(2, e)``), and aligns
 pairs by shifting a value instead.
+
+A polynomial builds its evaluation plan once and keeps it: one polynomial
+evaluated at many points, so that its plan is reused, is checked against
+the monomial sum and sympy, an evaluated polynomial stays equal, with an
+equal hash, to a fresh one, an exact orbit builds each component's plan
+once, and ``qpoly`` imports no ``functools``.
 """
 
 import ast
@@ -41,7 +47,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithdyn import qpoly
-from arithdyn.maps import TriangularMap, triangular_map
+from arithdyn.maps import TriangularMap, orbit, triangular_map
 from arithdyn.qpoly import Polynomial, parse_polynomial
 from oracle import evaluate_monomial
 
@@ -566,3 +572,78 @@ def test_evaluate_in_1200_variables_matches_monomial_sum():
     poly = Polynomial(n, terms)
     point = [Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 4, 5])) for _ in range(n)]
     assert_reduced_value(poly.evaluate(point), monomial_sum(poly, point))
+
+
+# -- the evaluation plan, built once and reused ------------------------------
+
+PLAN_COORDS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2**40), Fraction(-7, 3**9)]),
+    st.builds(
+        Fraction,
+        st.integers(-(2**70), 2**70),
+        # odd, power-of-two and mixed denominators
+        st.sampled_from([1, 3, 5, 9, 2**61 - 1, 2, 8, 1024, 6, 12, 40, 3 * 2**20, 7 * 5**4]),
+    ),
+)
+
+PLAN_POLYNOMIALS = [
+    ("0", 3),
+    ("-7/3", 2),
+    ("5", 1),
+    ("x1^3 + x2", 2),
+    ("x1^3 + 1/3*x2", 2),
+    ("1/6*x1^5*x2^2 - 3/4*x1^5 + 2/5*x2^7*x3 + x3^4 - 1/9", 3),
+    ("x1^9*x2^40*x3 + x1^9*x3^37 + x2*x3^40 - 3/2*x1 + 2/3", 3),
+    ("x2^5*x4^3 + 5/8*x3^2 - x1^6*x4 + 1/35", 4),
+]
+
+
+@pytest.mark.parametrize("text, dim", PLAN_POLYNOMIALS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_plan_at_many_points_matches_monomial_sum_and_sympy(text, dim, data):
+    poly = P(text, dim)
+    point = st.lists(PLAN_COORDS, min_size=dim, max_size=dim)
+    points = data.draw(st.lists(point, min_size=6, max_size=10))
+    plan = None
+    for point in points:
+        got = poly.evaluate(point)
+        plan = plan or poly._plan
+        assert poly._plan is plan  # built on the first call that needs it, then reused
+        assert_reduced_value(got, monomial_sum(poly, point))
+        assert got == sympy_evaluate(poly, point)
+
+
+@pytest.mark.parametrize("text, dim", PLAN_POLYNOMIALS)
+def test_an_evaluated_polynomial_stays_equal_to_a_fresh_one(text, dim):
+    evaluated, fresh = P(text, dim), P(text, dim)
+    before = hash(evaluated)
+    evaluated.evaluate([Fraction(3, 2)] * dim)
+    assert evaluated == fresh and fresh == evaluated
+    assert hash(evaluated) == hash(fresh) == before
+    assert evaluated.to_text() == fresh.to_text() and repr(evaluated) == repr(fresh)
+    assert len({evaluated, fresh}) == 1
+
+
+def test_an_orbit_builds_each_components_plan_once(monkeypatch):
+    built = []
+    plan = qpoly._horner_plan
+
+    def counting(terms):
+        built.append(terms)
+        return plan(terms)
+
+    monkeypatch.setattr(qpoly, "_horner_plan", counting)
+    f = triangular_map(["x1^3+x2", "x2^2+1"])
+    points = orbit(f, (Fraction(15, 256), Fraction(9, 2)), 9)
+    assert len(points) == 10
+    assert len(built) == 2
+    assert all(any(terms is c.terms for terms in built) for c in f.components)
+
+
+def test_qpoly_imports_no_functools():
+    # the plan is a slot of the polynomial, not a per-call functools.cache
+    tree = ast.parse(inspect.getsource(qpoly))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "functools" not in modules

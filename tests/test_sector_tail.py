@@ -86,7 +86,7 @@ def test_enclosures_contain_the_exact_numerators():
     for components, prime in [(E1, 2), (E1, 3), (M2, 2)]:
         f = triangular_map(components)
         sector = sector_config(f, prime=prime)
-        terms = [list(c.terms.items()) for c in f.components]
+        terms = [tail._step_terms(c) for c in f.components]
         for point in sample_U(sector, 3, 1):
             points = orbit(f, point, 8)
             start = points[PREFIX]
@@ -94,7 +94,10 @@ def test_enclosures_contain_the_exact_numerators():
             residues = [x.numerator % prime for x in start]
             nums = [tail._exact(x.numerator) for x in start]
             for exact in points[PREFIX + 1 :]:
-                images = [tail._component_step(t, ks, residues, nums, prime) for t in terms]
+                powers = {}
+                images = [
+                    tail._component_step(t, ks, residues, nums, prime, powers) for t in terms
+                ]
                 ks, residues, nums = (list(part) for part in zip(*images))
                 for x, k, r, (lo, hi, s) in zip(exact, ks, residues, nums):
                     assert x.denominator == prime**k
@@ -134,8 +137,8 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value():
     f = triangular_map(["x1^2 + x2^2", "x2"])
     sector = sector_config(f, prime=2)
     point = (Fraction(1, 2), Fraction(1, 2))
-    terms = list(f.components[0].terms.items())
-    assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, 2) is None
+    terms = tail._step_terms(f.components[0])
+    assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, 2, {}) is None
     sig = valuation_signature(point, sector.prime)
     sigs, rows = tail._tail_from(f, sector.prime, point, sig, 0, 3, 2, ResourceCaps())
     assert sigs == [(1, 1)] * 3
