@@ -39,7 +39,6 @@ built symbolically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .density import MODULUS
 from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, diagonal_degrees, iterates
@@ -57,11 +56,11 @@ def map_degree(f: TriangularMap) -> int:
     return max(c.total_degree() for c in f.components)
 
 
-@dataclass
 class DegreeSequenceEstimate:
     """Rows (n, deg(f^n), deg(f^n)^(1/n)) for n = 1..n_max."""
 
-    values: list  # list[tuple[int, int, float]]
+    def __init__(self, values: list):  # list[tuple[int, int, float]]
+        self.values = values
 
     def to_csv(self) -> str:
         return csv_text(["n", "deg_fn", "root"], self.values)

@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
 
 from .maps import DEFAULT_CAPS, ResourceCaps, as_point, csv_text
 from .qpoly import DimensionMismatchError, Monomial
@@ -218,7 +217,7 @@ def _lift_kernel(kernel: list, rows: list, n_cols: int) -> list | None:
     witness = None
     for k in kernel:
         lifted = [_reconstruct(x) for x in k]
-        if None in lifted:
+        if any(q is None for q in lifted):  # `None in` would call Fraction.__eq__ per entry
             return None
         lcm = math.lcm(*(q.denominator for q in lifted))
         v = [q.numerator * (lcm // q.denominator) for q in lifted]
@@ -287,15 +286,15 @@ def _kernel_from_rref(n_cols: int, rows: list, pivots: list) -> list:
     return vec
 
 
-@dataclass
 class DensityReport:
-    degree_bound: int
-    monomial_count: int
-    point_count: int
-    rank: int
-    verdict: str  # "no_common_hypersurface" | "vanishing_polynomial" | "inconclusive"
-    kernel: list | None  # monomial-ordered coefficients of a vanishing polynomial
-    monomials: list
+    """The rank of a density check and its verdict: "no_common_hypersurface",
+    "vanishing_polynomial" or "inconclusive"; ``kernel`` holds the
+    monomial-ordered coefficients of a vanishing polynomial, or None."""
+
+    def __init__(self, degree_bound, monomial_count, point_count, rank, verdict, kernel, monomials):
+        self.degree_bound, self.monomial_count = degree_bound, monomial_count
+        self.point_count, self.rank, self.verdict = point_count, rank, verdict
+        self.kernel, self.monomials = kernel, monomials
 
     @property
     def dense(self) -> bool:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,29 +78,37 @@ def read_json(path):
         raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
-@dataclass
 class ExperimentConfig:
-    map: dict  # wire format: {"dimension": N, "components": [...]}
-    mode: str = "first_case"
-    map_b: dict | None = None  # second factor, product mode only
-    point: list | None = None  # rational strings, modes that track one orbit
-    prime: int | None = None
-    c_constant: int | None = None
-    n_max: int = 8
-    samples: int = 12
-    seed: int = 0
-    density_degree: int = 2
-    degree_sequence_depth: int = 4
-    iterate_power: int = 2
-    out_dir: str | None = None
+    """A run's settings: ``map`` in the wire format {"dimension": N,
+    "components": [...]} and any of the fields in DEFAULTS, checked here."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.type == "int | None":
-                continue
-            if f.type in ("int", "int | None") and type(value) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+    DEFAULTS = {
+        "mode": "first_case",
+        "map_b": None,  # second factor, product mode only
+        "point": None,  # rational strings, modes that track one orbit
+        "prime": None,
+        "c_constant": None,
+        "n_max": 8,
+        "samples": 12,
+        "seed": 0,
+        "density_degree": 2,
+        "degree_sequence_depth": 4,
+        "iterate_power": 2,
+        "out_dir": None,
+    }
+    NULLABLE_INTS = ("prime", "c_constant")
+    INT_FIELDS = (*NULLABLE_INTS, "n_max", "samples", "seed", "density_degree",
+                  "degree_sequence_depth", "iterate_power")
+
+    def __init__(self, /, map: dict, **fields):
+        unknown = fields.keys() - self.DEFAULTS.keys()
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        vars(self).update(self.DEFAULTS, map=map, **fields)
+        for name in self.INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name in self.NULLABLE_INTS):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.point is not None and type(self.point) is not list:
             raise ConfigError(f"point must be a list of rationals, got {self.point!r}")
         if self.out_dir is not None and type(self.out_dir) is not str:
@@ -124,26 +131,17 @@ class ExperimentConfig:
         doc = read_json(path)
         if not isinstance(doc, dict) or "map" not in doc:
             raise ConfigError("config must be a JSON object with a 'map' key")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)
 
 
-@dataclass
 class Check:
-    name: str
-    statement: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, statement: str, passed: bool, details: dict):
+        self.name, self.statement, self.passed, self.details = name, statement, passed, details
 
 
-@dataclass
 class ExperimentResult:
-    summary: dict
-    files: list
-    exit_code: int
+    def __init__(self, summary: dict, files: list, exit_code: int):
+        self.summary, self.files, self.exit_code = summary, files, exit_code
 
 
 def write_reports(out_dir, reports: dict) -> list:
@@ -183,7 +181,7 @@ def run_experiment(
         "mode": cfg.mode,
         "seed": cfg.seed,
         "all_passed": all_pass,
-        "checks": [asdict(c) for c in checks],
+        "checks": [dict(vars(c)) for c in checks],
         "map": map_to_json_dict(f),
         **extra,
     }

@@ -43,22 +43,26 @@ argument arg_a * arg_b is never formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
 
 from . import degrees
 from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, as_point, csv_text, orbit
+from .qpoly import Record
 
 
-@dataclass(frozen=True)
-class Height:
+class Height(Record):
     """log max|coordinate| and the bit length of its integer argument, with
     the argument itself where it was formed."""
 
-    max_abs: int | None  # None where only bits and log were certified
-    bits: int
-    log: float
+    __slots__ = ()
+    max_abs = property(itemgetter(0))  # None where only bits and log were certified
+    bits = property(itemgetter(1))
+    log = property(itemgetter(2))
+
+    def __new__(cls, max_abs: int | None, bits: int, log: float):
+        return tuple.__new__(cls, (max_abs, bits, log))
 
 
 def affine_height(point: Sequence[Fraction]) -> Height:
@@ -72,20 +76,25 @@ def affine_height(point: Sequence[Fraction]) -> Height:
     return Height(max_abs=m, bits=m.bit_length(), log=math.log(m))
 
 
-@dataclass(frozen=True)
-class HeightRow:
-    n: int
-    height_arg: int | None  # exact height argument of f^n(P), None on a certified tail row
-    arg_bits: int  # its bit length
-    h: float
-    h_plus: float
-    root: float | None  # (h+)^(1/n), None at n = 0
-    khat: float  # delta^(-n) * h+
+class HeightRow(Record):
+    """Row n of a height sequence; rows compare equal field by field."""
+
+    __slots__ = ()
+    n = property(itemgetter(0))
+    height_arg = property(itemgetter(1))  # exact height argument of f^n(P), None on a tail row
+    arg_bits = property(itemgetter(2))  # its bit length
+    h = property(itemgetter(3))
+    h_plus = property(itemgetter(4))
+    root = property(itemgetter(5))  # (h+)^(1/n), None at n = 0
+    khat = property(itemgetter(6))  # delta^(-n) * h+
+
+    def __new__(cls, n, height_arg, arg_bits, h, h_plus, root, khat):
+        return tuple.__new__(cls, (n, height_arg, arg_bits, h, h_plus, root, khat))
 
 
-@dataclass
 class HeightSequence:
-    rows: list
+    def __init__(self, rows: list):
+        self.rows = rows
 
     def roots(self, min_n: int = 1) -> list:
         return [row.root for row in self.rows if row.n >= min_n and row.root is not None]
@@ -144,14 +153,13 @@ def height_sequence_of_orbit(points: Sequence, delta: int) -> HeightSequence:
     return HeightSequence(rows=rows)
 
 
-@dataclass
 class ProductHeightReport:
     """The factors' height sequences along the projections of the product orbit."""
 
-    seq_a: HeightSequence
-    seq_b: HeightSequence
-    projections_match: bool  # product orbit projects exactly onto factor orbits
-    sums: list  # (h_sum, root) per row n: h_sum = h_a + h_b, root = max(h_sum, 1)^(1/n)
+    def __init__(self, seq_a, seq_b, projections_match: bool, sums: list):
+        self.seq_a, self.seq_b = seq_a, seq_b
+        self.projections_match = projections_match  # product orbit projects onto factor orbits
+        self.sums = sums  # (h_sum, root) per row n: h_sum = h_a + h_b, root = max(h_sum, 1)^(1/n)
 
     def to_csv(self) -> str:
         return csv_text(

@@ -18,8 +18,8 @@ starting points may be processed in parallel with no coordination.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .qpoly import (
     DEFAULT_CAPS,

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import itemgetter
 
 from .maps import AffinePoint, TriangularMap, as_point, csv_text, diagonal_degrees
-from .qpoly import Monomial
+from .qpoly import Monomial, Record
 
 INFINITY = math.inf
 
@@ -146,21 +146,22 @@ def choose_C(f: TriangularMap) -> int:
     return f.dimension * max(max(mono) for c in f.components for mono in c.terms) + 1
 
 
-@dataclass(frozen=True)
-class SectorConfig:
+class SectorConfig(Record):
     """A prime, the sector constant C, and the ambient dimension."""
 
-    prime: int
-    C: int
-    dimension: int
+    __slots__ = ()
+    prime = property(itemgetter(0))
+    C = property(itemgetter(1))
+    dimension = property(itemgetter(2))
 
-    def __post_init__(self):
-        if not is_prime(self.prime):
-            raise NotPrimeError(f"{self.prime} is not prime")
-        if self.C < 1:
+    def __new__(cls, prime: int, C: int, dimension: int):
+        if not is_prime(prime):
+            raise NotPrimeError(f"{prime} is not prime")
+        if C < 1:
             raise ValueError("C must be positive")
-        if self.dimension < 1:
+        if dimension < 1:
             raise ValueError("dimension must be >= 1")
+        return tuple.__new__(cls, (prime, C, dimension))
 
 
 def sector_config(

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple
+from operator import itemgetter
 
-Monomial = Tuple[int, ...]
+Monomial = tuple[int, ...]
 
 
 class DimensionMismatchError(ValueError):
@@ -69,15 +69,29 @@ class ResourceLimitError(RuntimeError):
         self.metadata = dict(metadata)
 
 
-@dataclass(frozen=True)
-class ResourceCaps:
+class Record(tuple):
+    """Base of the read-only records: fields are the tuple's items, read by
+    name through properties, so equality, hashing and immutability are the
+    tuple's, and the class costs next to nothing to build at import."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+class ResourceCaps(Record):
     """Hard budgets for symbolic iteration and orbit coordinates.
 
     Defaults: 10**6 terms per polynomial, 10**7 bits per orbit coordinate.
     """
 
-    max_terms: int = 10**6
-    max_coeff_bits: int = 10**7
+    __slots__ = ()
+    max_terms = property(itemgetter(0))
+    max_coeff_bits = property(itemgetter(1))
+
+    def __new__(cls, max_terms: int = 10**6, max_coeff_bits: int = 10**7):
+        return tuple.__new__(cls, (max_terms, max_coeff_bits))
 
     def check(self, stage: str, *, terms: int = 0, bits: int = 0, **metadata) -> None:
         """Raise ResourceLimitError if ``terms`` exceeds max_terms or ``bits``
