@@ -125,16 +125,20 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
     modulo p), and, below n_cols, the kernel modulo p of the kept rows as
     ``_kernel_mod_p`` gives it (None at full rank).
 
-    Rows are reduced into an echelon basis until the first one reduces to
-    zero.  A basis row is stored after its leading 1; a row being reduced is
-    taken mod p once, then only where read as a factor.  From then on the
-    basis is replaced by its kernel, and a row is tested by its dot products
-    d_f with the kernel vectors k_f: it is in the span modulo p exactly when
-    all are 0.  Otherwise the first free column c with d_c != 0 is the
-    leading column the echelon reduction would give it, and the kernel of
-    the grown span is k_f - (d_f / d_c) k_c for the other f, still 1 at f
-    and 0 at the other free columns and past f, so each row costs one dot
-    product and at most one update per kernel vector.
+    Rows are reduced into an echelon basis, and one that reduces to zero is
+    skipped, until such a row arrives while the kernel is no larger than
+    the basis: m - r <= r, for r rows kept of m = n_cols.  A basis row is
+    stored after its leading 1; a row being reduced is taken mod p once,
+    then only where read as a factor.  From then on the basis is replaced
+    by its kernel, and a row is tested by its dot products d_f with the
+    kernel vectors k_f: it is in the span modulo p exactly when all are 0.
+    Otherwise the first free column c with d_c != 0 is the leading column
+    the echelon reduction would give it, and the kernel of the grown span is
+    k_f - (d_f / d_c) k_c for the other f, still 1 at f and 0 at the other
+    free columns and past f, so each row costs one dot product and at most
+    one update per kernel vector.  Either phase keeps the same rows and ends
+    with the same kernel, whenever the switch comes: the vector that is 1 at
+    a free column f and 0 at the other free columns and past f is unique.
     """
     p = MODULUS
     basis = [None] * n_cols  # basis[c]: the tail after column c of a row led by 1 at c
@@ -160,8 +164,9 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
                     if basis[c] is None:
                         break
                     r[c + 1 :] = [a - x * b for a, b in zip(r[c + 1 :], basis[c])]
-            else:
-                kernel = _kernel_mod_p(basis)  # zero modulo p: in the span of the kept rows
+            else:  # zero modulo p: in the span of the kept rows
+                if n_cols - len(kept) <= len(kept):
+                    kernel = _kernel_mod_p(basis)
                 continue
             inverse = pow(x, -1, p)
             basis[c] = [a * inverse % p for a in r[c + 1 :]]

@@ -24,8 +24,9 @@ residues.  When that is nonzero, N' is a p-unit and N' / p^W is reduced:
 k' = W exactly (W >= k_i > 0, as f_i has a term in x_i).  The enclosure of
 N' is the same sum over interval products and sums, each rounded outward,
 so it contains N'.  Each term's coefficient enclosure and variables are
-read once per tail, each power N_j^e once per step for every component,
-and for p = 2 the exact p^(W - w(a)) only moves the scale of an enclosure.
+read once per tail, each power N_j^e and p^m once per step for every
+component, and for p = 2 the exact p^(W - w(a)) only moves the scale of an
+enclosure.
 
 The height row.  The height argument of (N_i / p^k_i)_i is the largest of
 the candidates p^K and |N_i| p^(K - k_i), K = max k_i: the L and
@@ -141,19 +142,20 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
     bound = step_bits_bound(f)
     sigs, rows = [], []
     for n in range(n0, n_max):
+        powers = {}  # N_j^e by (j, e) and p^m by m, shared by the whole step
         if n == n0:
             sizes = coordinate_bits(point)
         else:
-            sizes = [(_bits(_abs(num)), _bits(_prime_power(p, k))) for num, k in zip(nums, ks)]
+            sizes = [(_bits(_abs(num)), _bits(_shared_prime_power(p, k, powers)))
+                     for num, k in zip(nums, ks)]
             if None in (bit for size in sizes for bit in size):
                 return None
         caps.check(f"orbit step {n + 1}", bits=bound(sizes), last_safe_n=n)
-        powers = {}
         images = [_component_step(t, ks, residues, nums, p, powers) for t in terms]
         if None in images:
             return None
         ks, residues, nums = (list(part) for part in zip(*images))
-        height = _height(ks, nums, p)
+        height = _height(ks, nums, p, powers)
         if height is None:
             return None
         sigs.append(tuple(ks))
@@ -175,7 +177,8 @@ def _component_step(terms, ks, residues, nums, p, powers) -> tuple | None:
     point, or None when N' mod p is 0.
 
     ``terms`` are the component's :func:`_step_terms`; ``powers`` keeps each
-    ``_pow(nums[j], e)`` by (j, e), shared by every component of one step.
+    ``_pow(nums[j], e)`` by (j, e) and each p^m by m, shared by every
+    component of one step.
     """
     weights = [sum(e * ks[j] for j, e in pairs) for _, _, pairs in terms]
     top = max(weights)
@@ -188,7 +191,7 @@ def _component_step(terms, ks, residues, nums, p, powers) -> tuple | None:
         return None
     total = None
     for (_, coeff, pairs), w in zip(terms, weights):
-        term = _times_prime_power(coeff, p, top - w)
+        term = _times_prime_power(coeff, p, top - w, powers)
         for j, e in pairs:
             power = powers.get((j, e))
             if power is None:
@@ -198,15 +201,16 @@ def _component_step(terms, ks, residues, nums, p, powers) -> tuple | None:
     return top, residue, total
 
 
-def _height(ks, nums, p) -> heights.Height | None:
-    """The certified height of (N_i / p^k_i)_i, or None when it is open."""
+def _height(ks, nums, p, powers) -> heights.Height | None:
+    """The certified height of (N_i / p^k_i)_i, or None when it is open;
+    ``powers`` is the step's dict of p^m."""
     top = max(ks)
-    candidates = [_prime_power(p, top)]
+    candidates = [_shared_prime_power(p, top, powers)]
     for num, k in zip(nums, ks):
         size = _abs(num)
         if size is None:
             return None
-        candidates.append(_times_prime_power(size, p, top - k))
+        candidates.append(_times_prime_power(size, p, top - k, powers))
     u = min(s for _, _, s in candidates)
     ends = [_at(c, u) for c in candidates]
     lo, hi, s = _cut(max(lo for lo, _ in ends), max(hi for _, hi in ends), u)
@@ -221,8 +225,8 @@ def _height(ks, nums, p) -> heights.Height | None:
 
 def _cut(lo: int, hi: int, s: int) -> Enclosure:
     """(lo, hi, s) with lo and hi cut to ENCLOSURE_BITS bits: lo rounded
-    down, hi up."""
-    t = max(abs(lo), abs(hi)).bit_length() - ENCLOSURE_BITS
+    down, hi up.  With lo >= 0 the larger magnitude is hi."""
+    t = (hi if lo >= 0 else max(-lo, abs(hi))).bit_length() - ENCLOSURE_BITS
     if t <= 0:
         return lo, hi, s
     return lo >> t, -(-hi >> t), s + t
@@ -233,7 +237,10 @@ def _exact(x: int) -> Enclosure:
 
 
 def _mul(x: Enclosure, y: Enclosure) -> Enclosure:
+    """The product; with both lower ends >= 0 its ends are a c and b d."""
     (a, b, s), (c, d, t) = x, y
+    if a >= 0 and c >= 0:
+        return _cut(a * c, b * d, s + t)
     ends = (a * c, a * d, b * c, b * d)
     return _cut(min(ends), max(ends), s + t)
 
@@ -278,13 +285,22 @@ def _prime_power(p: int, m: int) -> Enclosure:
     return (1, 1, m) if p == 2 else _pow((p, p, 0), m)
 
 
-def _times_prime_power(x: Enclosure, p: int, m: int) -> Enclosure:
-    """``_mul(x, _prime_power(p, m))``; for p = 2 the exact p^m = (1, 1, m)
-    multiplies no ends, so its product is x cut on the scale 2^(s + m)."""
+def _times_prime_power(x: Enclosure, p: int, m: int, powers: dict) -> Enclosure:
+    """``_mul(x, p^m)``, p^m shared through ``powers``; for p = 2 the exact
+    p^m = (1, 1, m) multiplies no ends, so its product is x cut on the
+    scale 2^(s + m)."""
     if p == 2:
         lo, hi, s = x
         return _cut(lo, hi, s + m)
-    return _mul(x, _prime_power(p, m))
+    return _mul(x, _shared_prime_power(p, m, powers))
+
+
+def _shared_prime_power(p: int, m: int, powers: dict) -> Enclosure:
+    """``_prime_power(p, m)``, built once into the step's ``powers``."""
+    power = powers.get(m)
+    if power is None:
+        power = powers[m] = _prime_power(p, m)
+    return power
 
 
 def _abs(x: Enclosure) -> Enclosure | None:

@@ -26,14 +26,17 @@ out one content gcd when that denominator exceeds 1
 that adds exponent tuples packed into ints (:func:`_product_terms`).
 Evaluation folds one variable level at a time, x_N first
 (:func:`_horner_integer`): the terms sharing their exponents of
-x_1..x_(i-1) are one homogenised Horner in x_i, so all values share one
-denominator D = 2^E * D_odd and only numerators are computed, as pairs
-(v, s) standing for v 2^s.  A power of two in a denominator only adds to s,
-never enters a product.  The result is reduced by shifts and one gcd
-against D_odd, which is 1 on power-of-two orbits.  The fold's plan, the
-numerators in fold order and the exponent steps of every level
-(:func:`_horner_plan`), is built on a polynomial's first evaluation and kept
-in a private slot that equality, hashing, text and copies ignore.
+x_1..x_(i-1) are one homogenised polynomial in x_i, folded as a balanced
+tree (Estrin's scheme) rather than a Horner chain, so a group of k terms
+costs about 0.8 k^1.585 products of one term's size, not k^2 / 2.  All
+values share one denominator D = 2^E * D_odd, the same N / D either way,
+and only numerators are computed, as pairs (v, s) standing for v 2^s.  A
+power of two in a denominator only adds to s, never enters a product.  The
+result is reduced by shifts and one gcd against D_odd, which is 1 on
+power-of-two orbits.  The fold's plan, the numerators in fold order and the
+fold programs of every level (:func:`_horner_plan`), is built on a
+polynomial's first evaluation and kept in a private slot that equality,
+hashing, text and copies ignore.
 
 Products and powers are CPython's ``*`` and ``pow``.  Orbits past their
 printed prefix are certified tails of a few hundred bits
@@ -466,14 +469,13 @@ def _horner_plan(terms: Mapping[Monomial, int]) -> tuple:
 
     The fold order is descending lexicographic, so the terms sharing their
     exponents of x_1..x_i are adjacent and, among them, the exponents of
-    x_(i+1) descend.  ``levels`` lists (i, groups, n_exps, o_exps) for
+    x_(i+1) descend.  ``levels`` lists (i, groups, n_plan, o_plan) for
     i = N-1 down to 0.  A group is one run of entries that share their
-    exponents of x_1..x_i, given as (steps, e_last): a step (e' - e,
-    deg_(i+1) - e) for each of its exponents e of x_(i+1), descending, with
-    e' the exponent before e (0 for the first, which starts the Horner), and
-    the last exponent, by which the group is closed.  ``n_exps`` and
-    ``o_exps`` are the nonzero exponents of n_(i+1) and o_(i+1) that the
-    steps use.
+    exponents of x_1..x_i, given as (program, e_last): the
+    :func:`_fold_program` of its exponents of x_(i+1), and the last
+    exponent, by which the group is closed.  ``n_plan`` and ``o_plan`` are
+    the :func:`_power_plan` of the nonzero exponents of n_(i+1) and o_(i+1)
+    that the programs use.
     """
     order = sorted(terms, reverse=True)
     degs = [max(e) for e in zip(*terms)]
@@ -486,15 +488,32 @@ def _horner_plan(terms: Mapping[Monomial, int]) -> tuple:
                 folded.append(a[:i])
                 groups.append([])
             groups[-1].append(a[i])
-        steps = [
-            ([(low - e, degs[i] - e) for low, e in zip([exps[0], *exps], exps)], exps[-1])
-            for exps in groups
-        ]
-        n_exps = {down for group, low in steps for down, _ in [*group, (low, 0)] if down}
-        o_exps = {lift for group, _ in steps for _, lift in group if lift}
-        levels.append((i, steps, sorted(n_exps), sorted(o_exps)))
+        programs = [(_fold_program(exps, degs[i]), exps[-1]) for exps in groups]
+        n_exps = {-op for ops, low in programs for op in [*ops, -low] if op < 0}
+        o_exps = {op for ops, _ in programs for op in ops if op > 0}
+        levels.append((i, programs, _power_plan(n_exps), _power_plan(o_exps)))
         prefixes = folded
     return [terms[a] for a in order], degs, levels
+
+
+def _fold_program(exps: list, deg: int) -> list:
+    """The balanced fold of a group with exponents ``exps``, descending, in
+    post order: op = deg - e >= 0 pushes the next entry, lifted by d^op;
+    op = -gap < 0 joins the top two, each the sum of its run over n^(its last
+    exponent), as A n^gap + B.  The higher part holds 2^floor(log2(k - 1))
+    of k entries, so one or two entries are one Horner step (Estrin's scheme;
+    Knuth, TAOCP vol. 2, 4.6.4)."""
+    if len(exps) == 1:
+        return [deg - exps[0]]
+    high = 1 << (len(exps) - 1).bit_length() - 1
+    return [*_fold_program(exps[:high], deg), *_fold_program(exps[high:], deg),
+            exps[-1] - exps[high - 1]]
+
+
+def _power_plan(exps: set) -> list:
+    """(e, half) for each e of ``exps``, ascending: b^e is (b^half)^2 when
+    half = e / 2 is in ``exps``, else ``pow(b, e)`` and half = 0."""
+    return [(e, e // 2 if e % 2 == 0 and e // 2 in exps else 0) for e in sorted(exps)]
 
 
 def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction:
@@ -507,52 +526,63 @@ def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction
     the integer v 2^s.  The pass starts
     from {a: (M c_a, 0)} and folds x_N first, x_1 last: the entries sharing
     their exponents of x_1..x_(i-1), holding c_e at exponents e of x_i,
-    become one entry holding sum_e c_e n_i^e d_i^(deg_i - e), by Horner over
-    descending e, v <- v n_i^(e' - e) + c_e o_i^(deg_i - e) with e' the last
-    exponent folded, closed by n_i^e'.  The factor 2^(t_i (deg_i - e)) only
-    adds to the s of c_e, and two pairs are summed over the smaller s, so
-    aligning them is a shift.  Every step is exact.  By induction from x_N
-    down, an entry at level i holds M d_i^deg_i ... d_N^deg_N times the
-    value in x_i..x_N of its terms, so the last one gives N = v 2^s over
-    D = M prod_i d_i^deg_i: the N / D of homogenising all terms at once,
-    which :func:`maps.step_bits_bound` bounds.  Levels are a loop, so the
-    depth does not grow with N.
+    become one entry holding sum_e c_e n_i^e d_i^(deg_i - e): each c_e is
+    lifted by o_i^(deg_i - e), and they fold as the balanced tree of their
+    :func:`_fold_program`, closed by n_i^e_last.  A Horner chain of k
+    entries costs about k^2 / 2 Karatsuba products of one entry's size, the
+    tree of equal-sized operands about 0.8 k^1.585; the sum is the same
+    integer.  The factor 2^(t_i (deg_i - e)) only adds to the s of c_e, and
+    two pairs are summed over the smaller s, so aligning them is a shift.
+    Every step is exact.  By induction from x_N down, an entry at level i
+    holds M d_i^deg_i ... d_N^deg_N times the value in x_i..x_N of its
+    terms, so the last one gives N = v 2^s over D = M prod_i d_i^deg_i: the
+    N / D of homogenising all terms at once, which
+    :func:`maps.step_bits_bound` bounds.  Levels are a loop, so the depth
+    does not grow with N.
 
     No power of two is multiplied: ``*`` and ``pow`` see only values, n_i
-    and o_i, and each power is built once, in one dict for n_i and one for
-    o_i at level i.  With D = 2^E D_odd, and s <= E since level
-    i adds at most t_i deg_i, the value is
-    v / (2^(E - s) D_odd), reduced by shifting 2^min(v_2(v), E - s) out of v
-    and dividing v and D_odd by their gcd, skipped when D_odd = 1; see
-    :func:`_coprime_fraction` for why no further gcd is needed.
+    and o_i, and each power is built once per level (:func:`_power_plan`),
+    in one dict for n_i and one for o_i; o_i = 1 lifts by shifts alone.
+    With D = 2^E D_odd, and s <= E since level i adds at most t_i deg_i,
+    the value is v / (2^(E - s) D_odd), reduced by shifting
+    2^min(v_2(v), E - s) out of v and dividing v and D_odd by their gcd,
+    skipped when D_odd = 1; see :func:`_coprime_fraction` for why no
+    further gcd is needed.
     """
     coeffs, degs, levels = plan
     nums = [v.numerator for v in values]
     twos = [(v.denominator & -v.denominator).bit_length() - 1 for v in values]
     odds = [v.denominator >> t for v, t in zip(values, twos)]
     level = [(c, 0) for c in coeffs]
-    for i, groups, n_exps, o_exps in levels:
+    for i, groups, n_plan, o_plan in levels:
         n, o, two = nums[i], odds[i], twos[i]
-        n_powers = {e: pow(n, e) for e in n_exps}
-        o_powers = {e: pow(o, e) for e in o_exps}
+        n_powers, o_powers = {}, {}
+        for e, half in n_plan:
+            n_powers[e] = n_powers[half] ** 2 if half else pow(n, e)
+        for e, half in o_plan if o > 1 else ():
+            o_powers[e] = o_powers[half] ** 2 if half else pow(o, e)
         entries = iter(level)
         level = []
-        for steps, low in groups:
-            v = s = 0  # v = 0 until the first term
-            # steps first: zip stops at the group's end without taking an entry
-            for (down, lift), (c, t) in zip(steps, entries):
-                if v and down:
-                    v *= n_powers[down]
-                if lift:
-                    if c:
-                        c *= o_powers[lift]
-                    t += two * lift
-                if not v:
-                    v, s = c, t
-                elif s <= t:
-                    v += c << t - s
-                else:
-                    v, s = (v << s - t) + c, t
+        for ops, low in groups:
+            # (v, s) is the top of the stack and ``below`` the rest
+            below, v, s = [], 0, 0
+            for op in ops:
+                if op >= 0:
+                    below.append((v, s))
+                    v, s = next(entries)
+                    if o_powers and op:
+                        v *= o_powers[op]
+                    s += two * op
+                    continue
+                a, r = below.pop()
+                if a:
+                    a *= n_powers[-op]
+                    if not v:
+                        v, s = a, r
+                    elif r <= s:
+                        v, s = (v << s - r) + a, r
+                    else:
+                        v += a << r - s
             if v and low:
                 v *= n_powers[low]
             level.append((v, s))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -309,3 +310,87 @@ def test_orbit_points_fill_degree_two_space():
     report = density_check(points, 2)
     assert report.point_count == 8
     assert report.dense
+
+
+def echelon_mod_p(rows, n_cols):
+    """(kept, kernel) of the rows by plain elimination modulo MODULUS, with
+    no kernel phase: the rows independent of those before them, stopping at
+    n_cols, and for each free column f of the reduced echelon form the
+    kernel vector that is 1 at f and 0 at the other free columns, cut after
+    f (None at full rank)."""
+    p = density.MODULUS
+    leads, kept = {}, []
+    for i, row in enumerate(rows):
+        r = [a % p for a in row]
+        for c in sorted(leads):
+            if r[c]:
+                r = [(a - r[c] * b) % p for a, b in zip(r, leads[c])]
+        lead = next((c for c, a in enumerate(r) if a), None)
+        if lead is not None:
+            inverse = pow(r[lead], -1, p)
+            leads[lead] = [a * inverse % p for a in r]
+            kept.append(i)
+            if len(kept) == n_cols:
+                return kept, None
+    for c in sorted(leads, reverse=True):
+        for d in leads:
+            if d < c and leads[d][c]:
+                leads[d] = [(a - leads[d][c] * b) % p for a, b in zip(leads[d], leads[c])]
+    kernel = []
+    for f in (f for f in range(n_cols) if f not in leads):
+        kernel.append([-leads[c][f] % p if c in leads else int(c == f) for c in range(f + 1)])
+    return kept, kernel
+
+
+def alternating_points(deficient: bool) -> list:
+    """Points in 3 variables alternating between the line (t, 0, 0) and
+    random points, which lie on x3 = x1 x2 when ``deficient``: from the
+    sixth line point on, every other row is dependent at degree 4, while
+    the rank is still far below the 35 monomials."""
+    rng = random.Random(37)
+    points = []
+    for t in range(1, 41):
+        a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(2))
+        c = a * b if deficient else Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        points += [(Fraction(t), Fraction(0), Fraction(0)), (a, b, c)]
+    return list(dict.fromkeys(points))
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+def test_rank_mod_p_builds_the_kernel_only_once_it_is_no_larger_than_the_basis(
+    monkeypatch, deficient
+):
+    # a dependent row that arrives while m - r > r is skipped, not a switch
+    # to the kernel phase; kept rows and kernel are those of elimination
+    # alone and of rational_rref over Q
+    degree, m = 4, 35
+    points = alternating_points(deficient)
+    all_rows = list(density._monomial_rows(points, monomials_up_to_degree(3, degree), degree))
+    built, read = [], []
+    kernel_of = density._kernel_mod_p
+
+    def counting(basis):
+        r = sum(lead is not None for lead in basis)
+        built.append((len(basis) - r, r, len(read) == len(all_rows)))
+        return kernel_of(basis)
+
+    def reading():
+        for row in all_rows:
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(density, "_kernel_mod_p", counting)
+    kept, rows, kernel = density._rank_mod_p(reading(), m)
+    assert (kept, kernel) == echelon_mod_p(all_rows, m)
+    assert built and all(free <= r or at_end for free, r, at_end in built)
+    rank, rref, pivots = rational_rref(rows)
+    assert rank == len(kept) == (25 if deficient else 35)
+    p = density.MODULUS
+    free = [f for f in range(m) if f not in pivots]
+    over_q = [[Fraction(int(c == f)) for c in range(f + 1)] for f in free]
+    for vec, f in zip(over_q, free):
+        for row, c in zip(rref, pivots):
+            if c < f:
+                vec[c] = Fraction(-row[f], row[c])
+    mod_p = [[q.numerator * pow(q.denominator, -1, p) % p for q in v] for v in over_q]
+    assert (kernel or []) == mod_p

@@ -11,8 +11,10 @@ and check that a cap past the prefix refuses the same step as the exact
 walk, and which prime a product factor's orbit is carried at.  The
 shortcuts of one enclosure step are checked against the products they
 replace: ``_pow`` from x against square-and-multiply from (1, 1, 0), and
-the p = 2 scale shift against the product with the exact 2^m, while a
-p = 3 tail still multiplies by its enclosed prime power.
+the p = 2 scale shift against the product with the exact 2^m, ``_mul``
+against the four-product formula over every sign case, while a p = 3 tail
+still multiplies by its enclosed prime power and builds each p^m once per
+step.
 ``test_sector_tail.py`` does the same for the sector orbits of
 ``first_case``.
 """
@@ -269,7 +271,7 @@ def test_pow_from_x_is_the_square_and_multiply_from_one(x, e):
 @settings(max_examples=150, deadline=None)
 @given(x=CUT_ENCLOSURES, m=st.integers(0, 3000))
 def test_the_p2_scale_shift_is_the_product_with_the_exact_power(x, m):
-    assert tail._times_prime_power(x, 2, m) == tail._mul(x, tail._prime_power(2, m))
+    assert tail._times_prime_power(x, 2, m, {}) == tail._mul(x, tail._prime_power(2, m))
 
 
 @pytest.mark.parametrize(
@@ -294,3 +296,49 @@ def test_only_a_p3_tail_multiplies_by_an_enclosed_prime_power(monkeypatch, p, st
         assert enclosed.intersection(operands)
     else:
         assert not [y for y in operands if y[:2] == (1, 1) and y[2] > 0]
+
+
+SIGNED_ENDS = st.one_of(
+    st.sampled_from([0, 1, -1, 2**192 - 1, 2**192, -(2**192), 2**193 + 1]),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.tuples(SIGNED_ENDS, SIGNED_ENDS, st.integers(0, 300)),
+    y=st.tuples(SIGNED_ENDS, SIGNED_ENDS, st.integers(0, 300)),
+)
+def test_mul_is_the_four_product_formula(x, y):
+    # every sign case, zero ends and ends on either side of a cut: the
+    # shortcut for two lower ends >= 0 gives the same enclosure
+    (a, b, s), (c, d, t) = (sorted(x[:2]) + [x[2]]), (sorted(y[:2]) + [y[2]])
+    ends = (a * c, a * d, b * c, b * d)
+    lo, hi = min(ends), max(ends)
+    shift = max(abs(lo), abs(hi)).bit_length() - tail.ENCLOSURE_BITS
+    want = (lo, hi, s + t) if shift <= 0 else (lo >> shift, -(-hi >> shift), s + t + shift)
+    assert tail._mul((a, b, s), (c, d, t)) == want
+
+
+def test_a_p3_tail_builds_each_prime_power_once_per_step(monkeypatch):
+    # p^m is shared by the sizes, the components and the height row of a
+    # step: one _prime_power call per distinct m, and the rows stay exact
+    calls = []
+    prime_power, height = tail._prime_power, tail._height
+
+    def counting(p, m):
+        calls[-1].append(m)
+        return prime_power(p, m)
+
+    def closing(*args):
+        out = height(*args)
+        calls.append([])
+        return out
+
+    calls.append([])
+    monkeypatch.setattr(tail, "_prime_power", counting)
+    monkeypatch.setattr(tail, "_height", closing)
+    _assert_tail_is_exact(monkeypatch, E1, 3, (Fraction(1, 27), Fraction(1, 3)), 9, 3)
+    steps = [ms for ms in calls if ms]
+    assert len(steps) >= 3
+    assert all(len(ms) == len(set(ms)) for ms in steps)

@@ -23,11 +23,20 @@ At large points, whose numerators and denominators run to 70,000 bits (odd
 ones too, so the gcd reduction runs), and in 1200 variables, ``evaluate`` is
 checked against a sum of ``evaluate_monomial`` terms (``tests/oracle.py``).
 Its powers are recorded through the module-level name ``pow``: along four
-power-of-two orbits no base or result of a power is a power of two, and each
-power is built once.  A power of two multiplied with ``*`` would escape that
-record, so the source of the integer kernel is also read: it writes no
-power of two as a value (``2 ** e``, ``1 << e``, ``pow(2, e)``), and aligns
-pairs by shifting a value instead.
+power-of-two orbits no base or result of a power is a power of two, every
+base is a coordinate's numerator (an odd denominator part of 1 builds no
+power), and each power is built once.  A power of two multiplied with ``*``
+would escape that record, so the source of the integer kernel, and of every
+helper of the module it calls, is also read: it writes no power of two as a
+value (``2 ** e``, ``1 << e``, ``pow(2, e)``), and aligns pairs by shifting
+a value instead.
+
+Each group of terms folds as a balanced tree.  Its shape is pinned without
+a clock (one or two entries are one Horner step; the ten entries of the x1
+level of E1^3 fold at depth 4, with one ``pow`` and two squares), and
+groups of 3 to 40 entries at irregular exponent gaps, of odd, even and
+2^j +- 1 sizes, are checked against the monomial sum and sympy at points
+with zero, negative and odd, power-of-two or mixed denominators.
 
 A polynomial builds its evaluation plan once and keeps it: one polynomial
 evaluated at many points, so that its plan is reused, is checked against
@@ -47,7 +56,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithdyn import qpoly
-from arithdyn.maps import TriangularMap, orbit, triangular_map
+from arithdyn.maps import TriangularMap, iterate_symbolic, orbit, triangular_map
 from arithdyn.qpoly import Polynomial, parse_polynomial
 from oracle import evaluate_monomial
 
@@ -497,7 +506,8 @@ def test_evaluate_builds_each_power_once(recorded_powers):
 )
 def test_evaluate_never_multiplies_by_a_power_of_two(components, start, steps, recorded_powers):
     # every denominator on these orbits is a power of two: it may only move
-    # the pairs' exponents, never enter a power or a product
+    # the pairs' exponents, never enter a power or a product; its odd part
+    # is 1, so every power is of a numerator and none of 1 lifts a term
     f = triangular_map(components)
     point = tuple(Fraction(c) for c in start)
     for _ in range(steps):
@@ -505,6 +515,7 @@ def test_evaluate_never_multiplies_by_a_power_of_two(components, start, steps, r
         image = f.apply(point)
         assert recorded_powers
         assert not [x for call in recorded_powers for x in (call[0], call[2]) if is_power_of_two(abs(x))]
+        assert {base for base, _, _ in recorded_powers} <= {c.numerator for c in point}
         assert image == tuple(monomial_sum(p, point) for p in f.components)
         point = image
     assert max(c.denominator.bit_length() for c in point) > 500
@@ -538,13 +549,45 @@ def powers_of_two_written(tree) -> list:
     return found
 
 
+def kernel_functions(module, entry: str) -> list:
+    """The definitions in ``module`` (an ast.Module) of ``entry`` and of
+    every module-level function it calls, directly or through another."""
+    defs = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = [], [entry]
+    while todo:
+        name = todo.pop()
+        if name in defs and defs[name] not in seen:
+            seen.append(defs[name])
+            calls = [n for n in ast.walk(defs[name]) if isinstance(n, ast.Call)]
+            todo += [c.func.id for c in calls if isinstance(c.func, ast.Name)]
+    return seen
+
+
 def test_evaluate_kernel_writes_no_power_of_two():
     # a product with 2^(t - s) is a multiply by a power of two that the pow
-    # record above cannot see: the kernel must shift its values instead
-    tree = ast.parse(inspect.getsource(qpoly._horner_integer))
-    shifts = [node for node in ast.walk(tree) if isinstance(node, ast.LShift)]
+    # record above cannot see: the kernel, and every helper of the module
+    # it calls, must shift its values instead
+    functions = kernel_functions(ast.parse(inspect.getsource(qpoly)), "_horner_integer")
+    assert functions[0].name == "_horner_integer"
+    shifts = [node for f in functions for node in ast.walk(f) if isinstance(node, ast.LShift)]
     assert shifts
-    assert powers_of_two_written(tree) == []
+    assert [line for f in functions for line in powers_of_two_written(f)] == []
+
+
+def test_power_of_two_guard_reads_the_helpers_the_kernel_calls():
+    planted = ast.parse(
+        "def _horner_integer(v, t):\n"
+        "    return _join(v, t) << 1\n"
+        "def _join(v, t):\n"
+        "    return _align(v, t)\n"
+        "def _align(v, t):\n"
+        "    return v * 2 ** t\n"
+        "def _unused(v, t):\n"
+        "    return v * 1 << t\n"
+    )
+    functions = kernel_functions(planted, "_horner_integer")
+    assert [f.name for f in functions] == ["_horner_integer", "_join", "_align"]
+    assert [line for f in functions for line in powers_of_two_written(f)] == [6]
 
 
 def test_power_of_two_guard_flags_the_rewrites_of_a_shift():
@@ -572,6 +615,78 @@ def test_evaluate_in_1200_variables_matches_monomial_sum():
     poly = Polynomial(n, terms)
     point = [Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 4, 5])) for _ in range(n)]
     assert_reduced_value(poly.evaluate(point), monomial_sum(poly, point))
+
+
+# -- the balanced fold of a group ---------------------------------------------
+
+
+def join_depth(ops) -> int:
+    """The depth of the tree a post-order fold program builds."""
+    stack = []
+    for op in ops:
+        stack.append(0 if op >= 0 else 1 + max(stack.pop(), stack.pop()))
+    (depth,) = stack
+    return depth
+
+
+def test_fold_program_shapes():
+    # clock-free: a group of one or two entries is one Horner step, and the
+    # ten entries of E1^3's x1 level fold at depth 4, not the chain's 9
+    assert qpoly._horner_plan(P("x1^3 + x2", 2).terms)[2] == [
+        (1, [([1], 0), ([0], 1)], [(1, 0)], [(1, 0)]),
+        (0, [([0, 3, -3], 0)], [(3, 0)], [(3, 0)]),
+    ]
+    f3 = iterate_symbolic(triangular_map(["x1^3+x2", "x2^2+1"]), 3)
+    _, degs, levels = qpoly._horner_plan(f3.components[0].terms)
+    i, groups, n_plan, _ = levels[-1]
+    assert (i, degs[0], len(groups)) == (0, 27, 1)
+    ((ops, low),) = groups
+    assert [op for op in ops if op >= 0] == list(range(0, 28, 3))
+    assert (join_depth(ops), low) == (4, 0)
+    # gaps 3, 6, 12: one pow, then squares
+    assert n_plan == [(3, 0), (6, 3), (12, 6)]
+
+
+FOLD_COORDS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(-3, 2), Fraction(5, 2**30)]),
+    st.builds(
+        Fraction,
+        st.integers(-(2**24), 2**24),
+        # odd, power-of-two and mixed denominators
+        st.sampled_from([1, 3, 9, 2**61 - 1, 2, 16, 2**20, 6, 40, 3 * 2**9, 7 * 5**2]),
+    ),
+)
+# odd, even and 2^j +- 1 entries, and any count in between
+GROUP_SIZES = st.sampled_from([3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40]) | st.integers(3, 40)
+
+
+@st.composite
+def long_groups(draw):
+    """A polynomial in x1, x2 whose x1 level is one group of k entries at
+    irregular exponent gaps, each x1^e carrying one to three x2 exponents."""
+    k = draw(GROUP_SIZES)
+    gaps = draw(st.lists(st.integers(1, 9), min_size=k - 1, max_size=k - 1))
+    exps = [draw(st.integers(0, 3))]
+    for gap in gaps:
+        exps.append(exps[-1] + gap)
+    terms = {}
+    for e in exps:
+        for f in draw(st.sets(st.integers(0, 6), min_size=1, max_size=3)):
+            terms[e, f] = draw(COEFFS)
+    return k, Polynomial(2, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=long_groups(), point=st.tuples(FOLD_COORDS, FOLD_COORDS))
+def test_balanced_fold_of_long_groups_matches_monomial_sum_and_sympy(case, point):
+    k, poly = case
+    got = poly.evaluate(point)
+    _, _, levels = poly._plan
+    ((ops, _),) = levels[-1][1]
+    assert sum(op >= 0 for op in ops) == k
+    assert join_depth(ops) == (k - 1).bit_length()
+    assert_reduced_value(got, monomial_sum(poly, point))
+    assert got == sympy_evaluate(poly, point)
 
 
 # -- the evaluation plan, built once and reused ------------------------------

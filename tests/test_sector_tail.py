@@ -162,7 +162,7 @@ TOP = 1 << 60  # doubles are 256 apart just above it
     ids=["certified", "rounding", "bit-length", "overlap", "negative", "zero"],
 )
 def test_an_open_height_decision_is_not_certified(x1, x2, certified):
-    height = tail._height([1, 1], [x1, x2], 2)
+    height = tail._height([1, 1], [x1, x2], 2, {})
     if certified:
         assert (height.bits, height.log) == (61, math.log(TOP))
     else:
