@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .density import density_check, density_report_csv
-from .degrees import dynamical_degree_exact, dynamical_degree_sequence
+from .degrees import degrees_csv, dynamical_degree_exact, dynamical_degree_sequence
 from .experiments import (
     EXIT_ASSERTION_FAILED,
     EXIT_CONFIG,
@@ -95,10 +95,10 @@ def _cmd_density(args) -> int:
 
 def _cmd_degrees(args) -> int:
     f = map_from_json_dict(read_json(args.map))
-    est = dynamical_degree_sequence(f, n_max=args.nmax)
-    write_reports(args.out_dir or DEFAULT_OUT_DIR, {"degrees.csv": est.to_csv()})
+    rows = dynamical_degree_sequence(f, n_max=args.nmax)
+    write_reports(args.out_dir or DEFAULT_OUT_DIR, {"degrees.csv": degrees_csv(rows)})
     print(f"exact dynamical degree: {dynamical_degree_exact(f)}")
-    for n, d, r in est.values:
+    for n, d, r in rows:
         print(f"n={n}: deg={d} root={r:.6f}")
     return EXIT_OK
 

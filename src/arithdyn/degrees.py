@@ -41,7 +41,8 @@ from __future__ import annotations
 import math
 
 from .density import MODULUS
-from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, diagonal_degrees, iterates
+from .maps import DEFAULT_CAPS, ResourceCaps, TriangularMap, csv_text, diagonal_degrees
+from .maps import iterates, leading_residue
 from .padic import next_prime
 from .qpoly import Polynomial
 
@@ -56,20 +57,10 @@ def map_degree(f: TriangularMap) -> int:
     return max(c.total_degree() for c in f.components)
 
 
-class DegreeSequenceEstimate:
-    """Rows (n, deg(f^n), deg(f^n)^(1/n)) for n = 1..n_max."""
-
-    def __init__(self, values: list):  # list[tuple[int, int, float]]
-        self.values = values
-
-    def to_csv(self) -> str:
-        return csv_text(["n", "deg_fn", "root"], self.values)
-
-
 def dynamical_degree_sequence(
     f: TriangularMap, n_max: int = 6, caps: ResourceCaps = DEFAULT_CAPS
-) -> DegreeSequenceEstimate:
-    """deg(f^n) for n = 1..n_max, with n-th roots.
+) -> list[tuple[int, int, float]]:
+    """The rows (n, deg(f^n), deg(f^n)^(1/n)) for n = 1..n_max.
 
     Each degree is exact: it comes from the certificate mod q in the module
     docstring, which builds no iterate, or, when in both fixed directions
@@ -87,9 +78,12 @@ def dynamical_degree_sequence(
     degrees = _certified_degrees(f, n_max, caps)
     if degrees is None:
         degrees = [map_degree(current) for current in iterates(f, n_max, caps)]
-    return DegreeSequenceEstimate(
-        values=[(n, d, nth_root(d, n)) for n, d in enumerate(degrees, start=1)]
-    )
+    return [(n, d, nth_root(d, n)) for n, d in enumerate(degrees, start=1)]
+
+
+def degrees_csv(rows: list[tuple[int, int, float]]) -> str:
+    """The CSV of :func:`dynamical_degree_sequence`'s rows."""
+    return csv_text(["n", "deg_fn", "root"], rows)
 
 
 # The fixed directions b = (g, g^2, ..., g^N) mod q; large g keeps small
@@ -104,7 +98,8 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
     while any(c.den % q == 0 for c in f.components):
         q = next_prime(q + 1)
     components = [
-        [(mono, num * pow(c.den, -1, q) % q) for mono, num in c.terms.items()]
+        [(num * pow(c.den, -1, q) % q, [(j, e) for j, e in enumerate(mono) if e])
+         for mono, num in c.terms.items()]
         for c in f.components
     ]
     for g in _DIRECTION_BASES:
@@ -112,18 +107,7 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
         lc = [pow(g, j, q) for j in range(1, f.dimension + 1)]
         degrees, bits = [], 0
         for n in range(n_max):
-            tops, lcs = [], []
-            for terms in components:
-                weights = [sum(e * d for e, d in zip(mono, D)) for mono, _ in terms]
-                top = max(weights)
-                lead = sum(
-                    c * math.prod(pow(l, e, q) for l, e in zip(lc, mono))
-                    for (mono, c), w in zip(terms, weights)
-                    if w == top
-                )
-                tops.append(top)
-                lcs.append(lead % q)
-            D, lc = tops, lcs
+            _, D, lc = zip(*[leading_residue(terms, D, lc, q) for terms in components])
             degree = max(D)
             if not any(l and d == degree for l, d in zip(lc, D)):
                 break

@@ -199,14 +199,14 @@ def run_experiment(
 def _degree_stage(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     """(delta, checks, reports) of the degree stage that opens both sector modes."""
     delta = deg.dynamical_degree_exact(f)
-    seq = deg.dynamical_degree_sequence(f, n_max=cfg.degree_sequence_depth, caps=caps)
+    rows = deg.dynamical_degree_sequence(f, n_max=cfg.degree_sequence_depth, caps=caps)
     check = Check(
             name="degree_roots_above_exact",
             statement="deg(f^n)^(1/n) >= max diagonal degree for every computed n",
-            passed=all(d >= delta**n for n, d, _ in seq.values),
-        details={"delta_exact": delta, "rows": [[n, d, r] for n, d, r in seq.values]},
+            passed=all(d >= delta**n for n, d, _ in rows),
+        details={"delta_exact": delta, "rows": [list(row) for row in rows]},
     )
-    return delta, [check], {"degrees.csv": seq.to_csv()}
+    return delta, [check], {"degrees.csv": deg.degrees_csv(rows)}
 
 
 def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
@@ -220,13 +220,13 @@ def _height_checks(seqs: list, delta: int, floors: list | None = None) -> list:
                 statement="delta^(-n) * h+(f^n P) >= (-v_p x_1) * log p for all computed n",
                 passed=all(
                     row.khat >= floor - KHAT_FLOAT_MARGIN
-                    for seq, floor in zip(seqs, floors)
-                    for row in seq.rows
+                    for rows, floor in zip(seqs, floors)
+                    for row in rows
                 ),
                 details={"margin": KHAT_FLOAT_MARGIN},
             )
         )
-    worst = max((root for seq in seqs for root in seq.roots(ALPHA_MIN_N)), default=None)
+    worst = max((row.root for rows in seqs for row in rows if row.n >= ALPHA_MIN_N), default=None)
     checks.append(
         Check(
             name="alpha_upper_proxy",
@@ -269,7 +269,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         points, sigs, rows = orbit_tail(
             f, sector.prime, point, max(cfg.n_max, PREFIX), delta, caps
         )
-        seqs.append(hts.HeightSequence(rows=rows[: cfg.n_max + 1]))
+        seqs.append(rows[: cfg.n_max + 1])
         tables.append(sigs[: cfg.n_max + 1])
         prefixes.append(points)
     d11 = diag[0]
@@ -305,7 +305,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     reports["sector.csv"] = padic.sector_report_csv(
         sector, tables, stability, dominant, min(cfg.n_max, 4)
     )
-    reports["heights_sample0.csv"] = seqs[0].to_csv()
+    reports["heights_sample0.csv"] = hts.heights_csv(seqs[0])
     checks.append(
         Check(
             name="height_growth_floor",
@@ -406,9 +406,8 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         )
     )
 
-    seq = hts.HeightSequence(rows=height_rows)
-    reports["heights.csv"] = seq.to_csv()
-    checks.extend(_height_checks([seq], delta))
+    reports["heights.csv"] = hts.heights_csv(height_rows)
+    checks.extend(_height_checks([height_rows], delta))
 
     extra = {"delta_exact": delta, "prime": sector.prime, "point": [str(c) for c in point]}
     return checks, reports, extra
@@ -436,16 +435,13 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         point = as_point(cfg.point)
         if len(point) != f.dimension + g.dimension:
             raise ConfigError("product point must have N_f + N_g coordinates")
-        seqs = []
-        for h, start, delta_h in (
-            (f, point[: f.dimension], delta_f),
-            (g, point[f.dimension :], delta_g),
-        ):
-            rows = orbit_tail(h, start_prime(h, start), start, cfg.n_max, delta_h, caps)[2]
-            seqs.append(hts.HeightSequence(rows=rows))
-        additivity = hts.product_height_additivity(f, seqs[0], g, seqs[1], fg=fg)
-        alpha_a = additivity.seq_a.rows[-1].root
-        alpha_b = additivity.seq_b.rows[-1].root
+        halves = ((f, point[: f.dimension], delta_f), (g, point[f.dimension :], delta_g))
+        rows_a, rows_b = (
+            orbit_tail(h, start_prime(h, start), start, cfg.n_max, delta_h, caps)[2]
+            for h, start, delta_h in halves
+        )
+        projections_match, sums = hts.product_height_additivity(f, rows_a, g, rows_b, fg=fg)
+        alpha_a, alpha_b = rows_a[-1].root, rows_b[-1].root
         checks.append(
             Check(
                 name="product_height_additivity",
@@ -453,16 +449,16 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
                     "the product orbit projects exactly onto the factor orbits; the "
                     "summed height's exact argument is the product of the factors'"
                 ),
-                passed=additivity.projections_match,
+                passed=projections_match,
                 details={
                     "alpha_a": alpha_a,
                     "alpha_b": alpha_b,
                     "expected_limit": max(alpha_a, alpha_b),
-                    "last_root": additivity.sums[-1][1],
+                    "last_root": sums[-1][1],
                 },
             )
         )
-        reports["product_heights.csv"] = additivity.to_csv()
+        reports["product_heights.csv"] = hts.product_heights_csv(rows_a, rows_b, sums)
 
     return checks, reports, {"map_b": map_to_json_dict(g), "delta_exact": max(delta_f, delta_g)}
 

@@ -19,7 +19,7 @@ Heights are reported as 64-bit floats of logs of exact integers; every
 equality assertion is made on the exact integer arguments, floats are
 presentation only.
 
-The height sequence of an orbit carries, per row,
+The height sequence of an orbit is a list of ``HeightRow``, row n carrying
 
     h_n    = height of f^n(P),
     h+_n   = max(h_n, 1),
@@ -36,8 +36,8 @@ an exact orbit (``height_sequence_of_orbit``) carry the exact argument.  Past
 the printed prefix of an orbit, ``orbit_tail`` certifies only the argument's
 bit length and ``math.log`` without forming it, so those rows carry no
 argument.  A product X x Y has no rows or orbit of its own: its row n is
-read from the two factors' height sequences as h_a + h_b, whose exact
-argument arg_a * arg_b is never formed.
+read from the two factors' height rows as h_a + h_b, whose exact argument
+arg_a * arg_b is never formed.
 """
 
 from __future__ import annotations
@@ -92,18 +92,12 @@ class HeightRow(Record):
         return tuple.__new__(cls, (n, height_arg, arg_bits, h, h_plus, root, khat))
 
 
-class HeightSequence:
-    def __init__(self, rows: list):
-        self.rows = rows
-
-    def roots(self, min_n: int = 1) -> list:
-        return [row.root for row in self.rows if row.n >= min_n and row.root is not None]
-
-    def to_csv(self) -> str:
-        return csv_text(
-            ["n", "h_exact_numerator_bits", "h_float", "h_plus_float", "a_n", "khat_n"],
-            ((r.n, r.arg_bits, r.h, r.h_plus, r.root, r.khat) for r in self.rows),
-        )
+def heights_csv(rows: Sequence[HeightRow]) -> str:
+    """The CSV of height rows, one line per row."""
+    return csv_text(
+        ["n", "h_exact_numerator_bits", "h_float", "h_plus_float", "a_n", "khat_n"],
+        ((r.n, r.arg_bits, r.h, r.h_plus, r.root, r.khat) for r in rows),
+    )
 
 
 def _root(h: float, n: int) -> float | None:
@@ -134,8 +128,8 @@ def height_sequence(
     start: Sequence[Fraction],
     n_max: int,
     caps: ResourceCaps = DEFAULT_CAPS,
-) -> HeightSequence:
-    """Height rows along the exact orbit of ``start`` for n = 0..n_max, with
+) -> list[HeightRow]:
+    """The height rows along the exact orbit of ``start`` for n = 0..n_max, with
     khat scaled by the exact dynamical degree of f.
 
     An orbit resource overrun raises ResourceLimitError carrying the last
@@ -147,41 +141,23 @@ def height_sequence(
     return height_sequence_of_orbit(orbit(f, start, n_max, caps), delta)
 
 
-def height_sequence_of_orbit(points: Sequence, delta: int) -> HeightSequence:
-    """Height rows of the orbit ``points``, where points[n] = f^n(points[0])."""
-    rows = [height_row(n, affine_height(p), delta) for n, p in enumerate(points)]
-    return HeightSequence(rows=rows)
-
-
-class ProductHeightReport:
-    """The factors' height sequences along the projections of the product orbit."""
-
-    def __init__(self, seq_a, seq_b, projections_match: bool, sums: list):
-        self.seq_a, self.seq_b = seq_a, seq_b
-        self.projections_match = projections_match  # product orbit projects onto factor orbits
-        self.sums = sums  # (h_sum, root) per row n: h_sum = h_a + h_b, root = max(h_sum, 1)^(1/n)
-
-    def to_csv(self) -> str:
-        return csv_text(
-            ["n", "arg_a_bits", "arg_b_bits", "h_sum", "root"],
-            (
-                (ra.n, ra.arg_bits, rb.arg_bits, *sums)
-                for ra, rb, sums in zip(self.seq_a.rows, self.seq_b.rows, self.sums)
-            ),
-        )
+def height_sequence_of_orbit(points: Sequence, delta: int) -> list[HeightRow]:
+    """The height rows of the orbit ``points``, where points[n] = f^n(points[0])."""
+    return [height_row(n, affine_height(p), delta) for n, p in enumerate(points)]
 
 
 def product_height_additivity(
     f_a: TriangularMap,
-    seq_a: HeightSequence,
+    rows_a: Sequence[HeightRow],
     f_b: TriangularMap,
-    seq_b: HeightSequence,
+    rows_b: Sequence[HeightRow],
     *,
     fg: TriangularMap,
-) -> ProductHeightReport:
-    """Row-wise additivity of factor heights along the product orbit, from
-    the height sequences of the factor orbits of f_a and f_b, each scaled
-    by its own dynamical degree.
+) -> tuple[bool, list]:
+    """(projections_match, sums): row-wise additivity of factor heights along
+    the product orbit, from the height rows of the factor orbits of f_a and
+    f_b, each scaled by its own dynamical degree; sums[n] is (h_sum, root),
+    h_sum = h_a + h_b and root = max(h_sum, 1)^(1/n).
 
     The product height (sum of the factors' coordinate heights) has exact
     integer argument arg_a * arg_b; its n-th roots tend to the max of the
@@ -200,14 +176,19 @@ def product_height_additivity(
     blocks = [(comp, slice(na), slice(na, None)) for comp in f_a.components]
     blocks += [(comp, slice(na, None), slice(na)) for comp in f_b.components]
     lifted = fg.components
-    return ProductHeightReport(
-        seq_a=seq_a,
-        seq_b=seq_b,
-        sums=[(ra.h + rb.h, _root(ra.h + rb.h, ra.n)) for ra, rb in zip(seq_a.rows, seq_b.rows)],
-        projections_match=len(lifted) == len(blocks) and all(
-            not any(any(mono[other]) for mono in poly.terms)
-            and poly.den == comp.den
-            and {mono[own]: c for mono, c in poly.terms.items()} == comp.terms
-            for poly, (comp, own, other) in zip(lifted, blocks)
-        ),
+    projections_match = len(lifted) == len(blocks) and all(
+        not any(any(mono[other]) for mono in poly.terms)
+        and poly.den == comp.den
+        and {mono[own]: c for mono, c in poly.terms.items()} == comp.terms
+        for poly, (comp, own, other) in zip(lifted, blocks)
+    )
+    sums = [(ra.h + rb.h, _root(ra.h + rb.h, ra.n)) for ra, rb in zip(rows_a, rows_b)]
+    return projections_match, sums
+
+
+def product_heights_csv(rows_a: Sequence[HeightRow], rows_b: Sequence[HeightRow], sums) -> str:
+    """The CSV of the product rows: each factor's argument bits, then h_sum and root."""
+    return csv_text(
+        ["n", "arg_a_bits", "arg_b_bits", "h_sum", "root"],
+        ((ra.n, ra.arg_bits, rb.arg_bits, *row) for ra, rb, row in zip(rows_a, rows_b, sums)),
     )

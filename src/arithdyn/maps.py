@@ -18,6 +18,7 @@ starting points may be processed in parallel with no coordination.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -224,6 +225,22 @@ def step_bits_bound(f: TriangularMap) -> Callable[[Sequence[tuple[int, int]]], i
         return max(w + sum(d * z for d, z in zip(degs, widths)) for w, degs in terms)
 
     return bound
+
+
+def leading_residue(terms: Sequence, weights: Sequence[int], residues: Sequence[int], q: int):
+    """(w, W, r) of sum_a c_a x^a, each of ``terms`` starting (c_a, the (j, a_j)
+    with a_j > 0): w lists the weights sum_j a_j weights[j] of the terms, W is
+    the top one, and r = sum of c_a prod_j residues[j]^a_j mod q over the
+    terms of weight W (the degree certificate's weights are D_j, a tail's k_j).
+    """
+    ws = [sum(e * weights[j] for j, e in term[1]) for term in terms]
+    top = max(ws)
+    lead = sum(
+        term[0] * math.prod(pow(residues[j], e, q) for j, e in term[1])
+        for term, w in zip(terms, ws)
+        if w == top
+    )
+    return ws, top, lead % q
 
 
 def orbits_disjoint_prefix(*orbits: Sequence[AffinePoint]) -> bool:

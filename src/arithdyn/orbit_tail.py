@@ -24,9 +24,9 @@ residues.  When that is nonzero, N' is a p-unit and N' / p^W is reduced:
 k' = W exactly (W >= k_i > 0, as f_i has a term in x_i).  The enclosure of
 N' is the same sum over interval products and sums, each rounded outward,
 so it contains N'.  Each term's coefficient enclosure and variables are
-read once per tail, each power N_j^e and p^m once per step for every
-component, and for p = 2 the exact p^(W - w(a)) only moves the scale of an
-enclosure.
+read once per tail, each power N_j^e once per step for every component,
+each p^m once per tail, and for p = 2 the exact p^(W - w(a)) only moves
+the scale of an enclosure.
 
 The height row.  The height argument of (N_i / p^k_i)_i is the largest of
 the candidates p^K and |N_i| p^(K - k_i), K = max k_i: the L and
@@ -58,6 +58,7 @@ from .maps import (
     TriangularMap,
     coordinate_bits,
     exact_steps,
+    leading_residue,
     orbit,
     step_bits_bound,
 )
@@ -85,7 +86,7 @@ def orbit_tail(
     return (
         points,
         sigs + tail_sigs,
-        heights.height_sequence_of_orbit(points, delta).rows + rows,
+        heights.height_sequence_of_orbit(points, delta) + rows,
     )
 
 
@@ -140,9 +141,10 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
     residues = [x.numerator % p for x in point]
     nums = [_exact(x.numerator) for x in point]
     bound = step_bits_bound(f)
+    powers = {}  # p^m by m, shared by the whole tail
     sigs, rows = [], []
     for n in range(n0, n_max):
-        powers = {}  # N_j^e by (j, e) and p^m by m, shared by the whole step
+        num_powers = {}  # N_j^e by (j, e), shared by the components of one step
         if n == n0:
             sizes = coordinate_bits(point)
         else:
@@ -151,7 +153,7 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
             if None in (bit for size in sizes for bit in size):
                 return None
         caps.check(f"orbit step {n + 1}", bits=bound(sizes), last_safe_n=n)
-        images = [_component_step(t, ks, residues, nums, p, powers) for t in terms]
+        images = [_component_step(t, ks, residues, nums, num_powers, p, powers) for t in terms]
         if None in images:
             return None
         ks, residues, nums = (list(part) for part in zip(*images))
@@ -164,38 +166,33 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
 
 
 def _step_terms(component) -> list:
-    """(c, enclosure of c, the (j, e) with e > 0) of each term c x^a of an
-    integer-coefficient component, as :func:`_component_step` reads them."""
+    """(c, the (j, e) with e > 0, enclosure of c) of each term c x^a of an
+    integer-coefficient component, as ``maps.leading_residue`` and
+    :func:`_component_step` read them."""
     return [
-        (c, _exact(c), [(j, e) for j, e in enumerate(mono) if e])
+        (c, [(j, e) for j, e in enumerate(mono) if e], _exact(c))
         for mono, c in component.terms.items()
     ]
 
 
-def _component_step(terms, ks, residues, nums, p, powers) -> tuple | None:
+def _component_step(terms, ks, residues, nums, num_powers, p, powers) -> tuple | None:
     """(k', N' mod p, enclosure of N') of one component at the carried
     point, or None when N' mod p is 0.
 
-    ``terms`` are the component's :func:`_step_terms`; ``powers`` keeps each
-    ``_pow(nums[j], e)`` by (j, e) and each p^m by m, shared by every
-    component of one step.
+    ``terms`` are the component's :func:`_step_terms`; ``num_powers`` keeps
+    each ``_pow(nums[j], e)`` by (j, e), shared by every component of one
+    step, and ``powers`` each p^m by m, shared by the whole tail.
     """
-    weights = [sum(e * ks[j] for j, e in pairs) for _, _, pairs in terms]
-    top = max(weights)
-    residue = sum(
-        c * math.prod(pow(residues[j], e, p) for j, e in pairs)
-        for (c, _, pairs), w in zip(terms, weights)
-        if w == top
-    ) % p
+    weights, top, residue = leading_residue(terms, ks, residues, p)
     if not residue:
         return None
     total = None
-    for (_, coeff, pairs), w in zip(terms, weights):
+    for (_, pairs, coeff), w in zip(terms, weights):
         term = _times_prime_power(coeff, p, top - w, powers)
         for j, e in pairs:
-            power = powers.get((j, e))
+            power = num_powers.get((j, e))
             if power is None:
-                power = powers[j, e] = _pow(nums[j], e)
+                power = num_powers[j, e] = _pow(nums[j], e)
             term = _mul(term, power)
         total = term if total is None else _add(total, term)
     return top, residue, total
@@ -203,7 +200,7 @@ def _component_step(terms, ks, residues, nums, p, powers) -> tuple | None:
 
 def _height(ks, nums, p, powers) -> heights.Height | None:
     """The certified height of (N_i / p^k_i)_i, or None when it is open;
-    ``powers`` is the step's dict of p^m."""
+    ``powers`` is the tail's dict of p^m."""
     top = max(ks)
     candidates = [_shared_prime_power(p, top, powers)]
     for num, k in zip(nums, ks):
@@ -296,7 +293,7 @@ def _times_prime_power(x: Enclosure, p: int, m: int, powers: dict) -> Enclosure:
 
 
 def _shared_prime_power(p: int, m: int, powers: dict) -> Enclosure:
-    """``_prime_power(p, m)``, built once into the step's ``powers``."""
+    """``_prime_power(p, m)``, built once into the tail's ``powers``."""
     power = powers.get(m)
     if power is None:
         power = powers[m] = _prime_power(p, m)

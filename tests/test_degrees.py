@@ -61,13 +61,13 @@ def test_dynamical_degree_exact_examples():
 
 def test_degree_sequence_e1():
     seq = dynamical_degree_sequence(E1, 3)
-    assert [(n, d) for n, d, _ in seq.values] == [(1, 3), (2, 9), (3, 27)]
-    assert all(abs(r - 3.0) < 1e-9 for _, _, r in seq.values)
+    assert [(n, d) for n, d, _ in seq] == [(1, 3), (2, 9), (3, 27)]
+    assert all(abs(r - 3.0) < 1e-9 for _, _, r in seq)
 
 
 def test_degree_sequence_identity():
     seq = dynamical_degree_sequence(IDENTITY2, 4)
-    assert all(d == 1 and r == 1.0 for _, d, r in seq.values)
+    assert all(d == 1 and r == 1.0 for _, d, r in seq)
 
 
 def test_degree_sequence_convergence_from_above():
@@ -77,8 +77,8 @@ def test_degree_sequence_convergence_from_above():
     expected = []
     for n in range(1, 5):
         expected.append(map_degree(iterate_symbolic(f, n)))
-    assert [d for _, d, _ in seq.values] == expected
-    assert abs(seq.values[-1][2] - 2.0) <= 0.35
+    assert [d for _, d, _ in seq] == expected
+    assert abs(seq[-1][2] - 2.0) <= 0.35
 
 
 def test_degree_sequence_cap_raises():
@@ -124,7 +124,7 @@ def test_certified_degrees_match_symbolic_iterates(f, n_max):
     certified = _certified_degrees(f, n_max, DEFAULT_CAPS)
     symbolic = _symbolic_degrees(f, n_max)
     assert certified is None or certified == symbolic
-    assert [d for _, d, _ in dynamical_degree_sequence(f, n_max).values] == symbolic
+    assert [d for _, d, _ in dynamical_degree_sequence(f, n_max)] == symbolic
 
 
 def test_degree_drop_takes_the_symbolic_fallback():
@@ -132,7 +132,7 @@ def test_degree_drop_takes_the_symbolic_fallback():
     # every direction, so the certificate refuses and the iterates are built
     f = triangular_map(["x1+x2^3", "-x2"])
     assert _certified_degrees(f, 5, DEFAULT_CAPS) is None
-    assert [d for _, d, _ in dynamical_degree_sequence(f, 5).values] == [3, 1, 3, 1, 3]
+    assert [d for _, d, _ in dynamical_degree_sequence(f, 5)] == [3, 1, 3, 1, 3]
 
 
 def test_a_dropping_component_below_the_maximum_keeps_the_certificate():
@@ -219,7 +219,7 @@ def test_iterate_degree_power_law(f):
 def test_degree_roots_dominate_exact_value(f):
     delta = dynamical_degree_exact(f)
     seq = dynamical_degree_sequence(f, 4)
-    for n, d, _ in seq.values:
+    for n, d, _ in seq:
         assert d >= delta**n  # exact integer comparison
 
 

@@ -17,7 +17,7 @@ from arithdyn.experiments import (
     _height_checks,
     run_experiment,
 )
-from arithdyn.heights import HeightRow, HeightSequence
+from arithdyn.heights import HeightRow
 from arithdyn.maps import ResourceCaps, TriangularMap, map_to_json_dict, triangular_map
 from arithdyn.qpoly import ResourceLimitError
 
@@ -113,15 +113,13 @@ def test_second_case_pipeline(tmp_path):
 
 def _seq(*khats):
     # rows with h+ = 3^n * khat, so a_n = (3^n * khat)^(1/n)
-    return HeightSequence(
-        rows=[
-            HeightRow(
-                n=n, height_arg=1, arg_bits=1, h=3**n * k, h_plus=3**n * k,
-                root=(3**n * k) ** (1 / n) if n else None, khat=k,
-            )
-            for n, k in enumerate(khats)
-        ]
-    )
+    return [
+        HeightRow(
+            n=n, height_arg=1, arg_bits=1, h=3**n * k, h_plus=3**n * k,
+            root=(3**n * k) ** (1 / n) if n else None, khat=k,
+        )
+        for n, k in enumerate(khats)
+    ]
 
 
 def test_height_checks_floor_above_one_row_fails():
@@ -139,7 +137,7 @@ def test_height_checks_without_floors_is_the_root_proxy_alone():
     seq = _seq(1.0, 1.0, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     (check,) = _height_checks([seq], 3)
     assert check.name == "alpha_upper_proxy" and check.passed
-    assert check.details == {"max_root": max(row.root for row in seq.rows[5:]), "delta_exact": 3}
+    assert check.details == {"max_root": max(row.root for row in seq[5:]), "delta_exact": 3}
     # a sequence that never reaches n = 5 has no root to bound and fails
     (short,) = _height_checks([_seq(1.0, 1.0, 1.0, 1.0, 1.0)], 3)
     assert short.details["max_root"] is None and not short.passed

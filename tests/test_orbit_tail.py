@@ -14,7 +14,7 @@ replace: ``_pow`` from x against square-and-multiply from (1, 1, 0), and
 the p = 2 scale shift against the product with the exact 2^m, ``_mul``
 against the four-product formula over every sign case, while a p = 3 tail
 still multiplies by its enclosed prime power and builds each p^m once per
-step.
+tail.
 ``test_sector_tail.py`` does the same for the sector orbits of
 ``first_case``.
 """
@@ -320,25 +320,18 @@ def test_mul_is_the_four_product_formula(x, y):
     assert tail._mul((a, b, s), (c, d, t)) == want
 
 
-def test_a_p3_tail_builds_each_prime_power_once_per_step(monkeypatch):
-    # p^m is shared by the sizes, the components and the height row of a
-    # step: one _prime_power call per distinct m, and the rows stay exact
-    calls = []
-    prime_power, height = tail._prime_power, tail._height
+def test_a_p3_tail_builds_each_prime_power_once_per_tail(monkeypatch):
+    # p^(max k) built for one step's height row is the next step's sizes
+    # entry: one _prime_power call per distinct m over the whole tail, and
+    # the rows stay exact
+    ms = []
+    prime_power = tail._prime_power
 
     def counting(p, m):
-        calls[-1].append(m)
+        ms.append(m)
         return prime_power(p, m)
 
-    def closing(*args):
-        out = height(*args)
-        calls.append([])
-        return out
-
-    calls.append([])
     monkeypatch.setattr(tail, "_prime_power", counting)
-    monkeypatch.setattr(tail, "_height", closing)
     _assert_tail_is_exact(monkeypatch, E1, 3, (Fraction(1, 27), Fraction(1, 3)), 9, 3)
-    steps = [ms for ms in calls if ms]
-    assert len(steps) >= 3
-    assert all(len(ms) == len(set(ms)) for ms in steps)
+    assert len(ms) > tail.PREFIX
+    assert len(ms) == len(set(ms))

@@ -87,6 +87,7 @@ def test_enclosures_contain_the_exact_numerators():
         f = triangular_map(components)
         sector = sector_config(f, prime=prime)
         terms = [tail._step_terms(c) for c in f.components]
+        prime_powers = {}
         for point in sample_U(sector, 3, 1):
             points = orbit(f, point, 8)
             start = points[PREFIX]
@@ -96,7 +97,8 @@ def test_enclosures_contain_the_exact_numerators():
             for exact in points[PREFIX + 1 :]:
                 powers = {}
                 images = [
-                    tail._component_step(t, ks, residues, nums, prime, powers) for t in terms
+                    tail._component_step(t, ks, residues, nums, powers, prime, prime_powers)
+                    for t in terms
                 ]
                 ks, residues, nums = (list(part) for part in zip(*images))
                 for x, k, r, (lo, hi, s) in zip(exact, ks, residues, nums):
@@ -138,7 +140,7 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value():
     sector = sector_config(f, prime=2)
     point = (Fraction(1, 2), Fraction(1, 2))
     terms = tail._step_terms(f.components[0])
-    assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, 2, {}) is None
+    assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, {}, 2, {}) is None
     sig = valuation_signature(point, sector.prime)
     sigs, rows = tail._tail_from(f, sector.prime, point, sig, 0, 3, 2, ResourceCaps())
     assert sigs == [(1, 1)] * 3
