@@ -119,11 +119,9 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
     return None
 
 
-def nth_root(value: int, n: int) -> float:
-    """Correctly usable float n-th root of a positive big integer."""
-    if value <= 0:
-        raise ValueError("value must be positive")
-    return math.exp(math.log(value) / n)
+def nth_root(x, n: int) -> float | None:
+    """max(x, 1)^(1/n) as a float, for an int or float x; None at n = 0."""
+    return math.exp(math.log(max(x, 1.0)) / n) if n >= 1 else None
 
 
 def product_map(f: TriangularMap, g: TriangularMap) -> TriangularMap:

@@ -99,6 +99,7 @@ class ExperimentConfig:
     NULLABLE_INTS = ("prime", "c_constant")
     INT_FIELDS = (*NULLABLE_INTS, "n_max", "samples", "seed", "density_degree",
                   "degree_sequence_depth", "iterate_power")
+    POSITIVE_INTS = ("n_max", "samples", "density_degree", "degree_sequence_depth", "iterate_power")
 
     def __init__(self, /, map: dict, **fields):
         unknown = fields.keys() - self.DEFAULTS.keys()
@@ -115,16 +116,9 @@ class ExperimentConfig:
             raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if self.density_degree < 1:
-            raise ConfigError("density_degree must be >= 1")
-        if self.degree_sequence_depth < 1:
-            raise ConfigError("degree_sequence_depth must be >= 1")
-        if self.iterate_power < 1:
-            raise ConfigError("iterate_power must be >= 1")
+        for name in self.POSITIVE_INTS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -266,9 +260,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     tables = []
     prefixes = []
     for point in samples:
-        points, sigs, rows = orbit_tail(
-            f, sector.prime, point, max(cfg.n_max, PREFIX), delta, caps
-        )
+        points, sigs, rows = orbit_tail(f, sector.prime, point, max(cfg.n_max, PREFIX), caps)
         seqs.append(rows[: cfg.n_max + 1])
         tables.append(sigs[: cfg.n_max + 1])
         prefixes.append(points)
@@ -393,7 +385,7 @@ def _run_second_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         raise ConfigError("second_case_n2 needs a start (x1, x2) with |x_2|_p > 1")
     delta, checks, reports = _degree_stage(cfg, f, caps)
 
-    _, sigs, height_rows = orbit_tail(f, sector.prime, point, cfg.n_max, delta, caps)
+    _, sigs, height_rows = orbit_tail(f, sector.prime, point, cfg.n_max, caps)
     growth = padic.case_n2_growth(f, sigs)
     rows = ((n, v, expected, v == expected) for n, v, expected in growth)
     reports["growth.csv"] = csv_text(["n", "v_x2", "expected", "equal"], rows)
@@ -435,10 +427,9 @@ def _run_product(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
         point = as_point(cfg.point)
         if len(point) != f.dimension + g.dimension:
             raise ConfigError("product point must have N_f + N_g coordinates")
-        halves = ((f, point[: f.dimension], delta_f), (g, point[f.dimension :], delta_g))
+        halves = ((f, point[: f.dimension]), (g, point[f.dimension :]))
         rows_a, rows_b = (
-            orbit_tail(h, start_prime(h, start), start, cfg.n_max, delta_h, caps)[2]
-            for h, start, delta_h in halves
+            orbit_tail(h, start_prime(h, start), start, cfg.n_max, caps)[2] for h, start in halves
         )
         projections_match, sums = hts.product_height_additivity(f, rows_a, g, rows_b, fg=fg)
         alpha_a, alpha_b = rows_a[-1].root, rows_b[-1].root

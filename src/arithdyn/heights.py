@@ -100,15 +100,10 @@ def heights_csv(rows: Sequence[HeightRow]) -> str:
     )
 
 
-def _root(h: float, n: int) -> float | None:
-    """max(h, 1)^(1/n), None at n = 0."""
-    return math.exp(math.log(max(h, 1.0)) / n) if n >= 1 else None
-
-
 def height_row(n: int, height: Height, delta: int) -> HeightRow:
     """Row n of a height sequence scaled by delta, for f^n(P) of height ``height``."""
     h_plus = max(height.log, 1.0)
-    root = _root(h_plus, n)
+    root = degrees.nth_root(h_plus, n)
     if n * (delta.bit_length() - 1) >= 1075 + math.frexp(h_plus)[1]:
         # with e = frexp(h+)[1], h+ < 2^e and delta^n >= 2^(1075 + e): the quotient
         # is below 2^-1075, half the least subnormal, so it rounds to 0.0 unbuilt
@@ -182,7 +177,7 @@ def product_height_additivity(
         and {mono[own]: c for mono, c in poly.terms.items()} == comp.terms
         for poly, (comp, own, other) in zip(lifted, blocks)
     )
-    sums = [(ra.h + rb.h, _root(ra.h + rb.h, ra.n)) for ra, rb in zip(rows_a, rows_b)]
+    sums = [(ra.h + rb.h, degrees.nth_root(ra.h + rb.h, ra.n)) for ra, rb in zip(rows_a, rows_b)]
     return projections_match, sums
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 
 from . import heights, padic
+from .degrees import dynamical_degree_exact
 from .maps import (
     ResourceCaps,
     TriangularMap,
@@ -71,23 +72,34 @@ Enclosure = tuple
 
 
 def orbit_tail(
-    f: TriangularMap, p: int, start, n_max: int, delta: int, caps: ResourceCaps
+    f: TriangularMap, p: int, start, n_max: int, caps: ResourceCaps
 ) -> tuple[list, list, list]:
     """(points, valuation signatures, height rows) of the orbit of ``start``.
 
-    ``points`` are the exact f^n(P) for n = 0..min(PREFIX, n_max), walked by
-    ``maps.orbit``; the signatures (-v_p(x_i))_i and the height rows,
-    scaled by ``delta``, cover n = 0..n_max, past the prefix as
-    :func:`_tail_from` certifies them.  ``p`` must be proved prime.
+    ``points`` are the exact f^n(P) for n = 0..n0 = min(PREFIX, n_max),
+    walked by ``maps.orbit``; the signatures (-v_p(x_i))_i and the height
+    rows, scaled by f's dynamical degree, cover n = 0..n_max.  ``p`` must be
+    proved prime.  Past n0 the enclosure walk of the module docstring runs
+    when every component of f has integer coefficients and every coordinate
+    of f^n0(P) is N / p^k with k > 0; otherwise, or when it leaves a
+    decision open, the orbit is walked exactly from f^n0(P) and read as the
+    prefix is.  Either way the result is the one the exact orbit gives.
     """
-    points = orbit(f, start, min(PREFIX, n_max), caps)
-    sigs = [padic.valuation_signature(q, p) for q in points]
-    tail_sigs, rows = _tail_from(f, p, points[-1], sigs[-1], len(points) - 1, n_max, delta, caps)
-    return (
-        points,
-        sigs + tail_sigs,
-        heights.height_sequence_of_orbit(points, delta) + rows,
-    )
+    delta = dynamical_degree_exact(f)
+    exact = orbit(f, start, min(PREFIX, n_max), caps)
+    point, n0 = exact[-1], len(exact) - 1
+    sigs = [padic.valuation_signature(q, p) for q in exact]
+    tail = None
+    if all(c.den == 1 for c in f.components) and all(
+        k > 0 and x.denominator == p**k for x, k in zip(point, sigs[-1])
+    ):
+        tail = _enclosed_tail(f, p, point, sigs[-1], n0, n_max, delta, caps)
+    if tail is None:
+        exact += exact_steps(f, point, n0, n_max, caps)
+        sigs += [padic.valuation_signature(q, p) for q in exact[n0 + 1 :]]
+        tail = [], []
+    rows = heights.height_sequence_of_orbit(exact, delta)
+    return exact[: n0 + 1], sigs + tail[0], rows + tail[1]
 
 
 def start_prime(f: TriangularMap, start) -> int:
@@ -109,34 +121,9 @@ def start_prime(f: TriangularMap, start) -> int:
     return padic.find_unit_prime(f)
 
 
-def _tail_from(f, p, point, sig, n0, n_max, delta, caps) -> tuple[list, list]:
-    """(valuation signatures, height rows) of f^n(P) for n = n0+1..n_max,
-    from ``point`` = f^n0(P) and its valuation signature ``sig``, the rows
-    scaled by ``delta``.
-
-    The enclosure walk of the module docstring runs when every component
-    of f has integer coefficients and every coordinate of ``point`` is
-    N / p^k with k > 0; otherwise, or when it leaves a decision open, the
-    orbit is walked exactly from ``point``.  Either way the result is the
-    one the exact orbit gives.
-    """
-    tail = None
-    if all(c.den == 1 for c in f.components) and all(
-        k > 0 and x.denominator == p**k for x, k in zip(point, sig)
-    ):
-        tail = _enclosed_tail(f, p, point, sig, n0, n_max, delta, caps)
-    if tail is None:
-        points = list(exact_steps(f, point, n0, n_max, caps))
-        tail = (
-            [padic.valuation_signature(q, p) for q in points],
-            [heights.height_row(n, heights.affine_height(q), delta)
-             for n, q in enumerate(points, start=n0 + 1)],
-        )
-    return tail
-
-
 def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list] | None:
-    """:func:`_tail_from` on enclosures, or None when a decision is open."""
+    """:func:`orbit_tail`'s rows past ``point`` = f^n0(P), whose valuation
+    signature is ``ks``, on enclosures, or None when a decision is open."""
     terms = [_step_terms(c) for c in f.components]
     residues = [x.numerator % p for x in point]
     nums = [_exact(x.numerator) for x in point]
@@ -148,7 +135,7 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
         if n == n0:
             sizes = coordinate_bits(point)
         else:
-            sizes = [(_bits(_abs(num)), _bits(_shared_prime_power(p, k, powers)))
+            sizes = [(_bits(_abs(num)), _bits(_prime_power(p, k, powers)))
                      for num, k in zip(nums, ks)]
             if None in (bit for size in sizes for bit in size):
                 return None
@@ -202,7 +189,7 @@ def _height(ks, nums, p, powers) -> heights.Height | None:
     """The certified height of (N_i / p^k_i)_i, or None when it is open;
     ``powers`` is the tail's dict of p^m."""
     top = max(ks)
-    candidates = [_shared_prime_power(p, top, powers)]
+    candidates = [_prime_power(p, top, powers)]
     for num, k in zip(nums, ks):
         size = _abs(num)
         if size is None:
@@ -277,9 +264,12 @@ def _pow(x: Enclosure, e: int) -> Enclosure:
     return out
 
 
-def _prime_power(p: int, m: int) -> Enclosure:
-    """An enclosure of p^m; exact for p = 2."""
-    return (1, 1, m) if p == 2 else _pow((p, p, 0), m)
+def _prime_power(p: int, m: int, powers: dict) -> Enclosure:
+    """An enclosure of p^m, exact for p = 2, built once into the tail's ``powers``."""
+    power = powers.get(m)
+    if power is None:
+        power = powers[m] = (1, 1, m) if p == 2 else _pow((p, p, 0), m)
+    return power
 
 
 def _times_prime_power(x: Enclosure, p: int, m: int, powers: dict) -> Enclosure:
@@ -289,15 +279,7 @@ def _times_prime_power(x: Enclosure, p: int, m: int, powers: dict) -> Enclosure:
     if p == 2:
         lo, hi, s = x
         return _cut(lo, hi, s + m)
-    return _mul(x, _shared_prime_power(p, m, powers))
-
-
-def _shared_prime_power(p: int, m: int, powers: dict) -> Enclosure:
-    """``_prime_power(p, m)``, built once into the tail's ``powers``."""
-    power = powers.get(m)
-    if power is None:
-        power = powers[m] = _prime_power(p, m)
-    return power
+    return _mul(x, _prime_power(p, m, powers))
 
 
 def _abs(x: Enclosure) -> Enclosure | None:

@@ -7,23 +7,13 @@ reads ``bench/tracing.py``.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
-
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-def _load_targets():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+from corpus import trace_targets
 
 
 @pytest.mark.parametrize(
-    "module_name, attribute", [(m, a) for _, m, a in _load_targets()], ids=lambda v: v
+    "module_name, attribute", [(m, a) for _, m, a in trace_targets()], ids=lambda v: v
 )
 def test_trace_target_resolves(module_name, attribute):
     owner = importlib.import_module(f"arithdyn.{module_name}")

@@ -20,7 +20,7 @@ from arithdyn.density import density_check
 from arithdyn.experiments import run_experiment
 from arithdyn.maps import ResourceCaps, iterate_symbolic, orbit, triangular_map
 from arithdyn.qpoly import ResourceLimitError
-from test_experiments import first_case_cfg
+from corpus import first_case_cfg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arithdyn"
 CATCHES_CAP = {"ResourceLimitError", "RuntimeError", "Exception", "BaseException"}

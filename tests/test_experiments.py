@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from corpus import E1_DOC, SECOND_DOC, first_case_cfg
 
 from arithdyn import padic
 from arithdyn.cli import main
@@ -20,15 +21,6 @@ from arithdyn.experiments import (
 from arithdyn.heights import HeightRow
 from arithdyn.maps import ResourceCaps, TriangularMap, map_to_json_dict, triangular_map
 from arithdyn.qpoly import ResourceLimitError
-
-E1_DOC = {"dimension": 2, "components": ["x1^3+x2", "x2^2+1"]}
-SECOND_DOC = {"dimension": 2, "components": ["x1*x2+1", "x2^2"]}
-
-
-def first_case_cfg(**overrides):
-    base = dict(map=E1_DOC, mode="first_case", n_max=6, samples=12, seed=0)
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 # -- config validation -------------------------------------------------------
@@ -872,7 +864,9 @@ def test_cli_degrees_huge_nmax_exits_resource_at_the_certificate(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field_name", ["degree_sequence_depth", "iterate_power", "density_degree"])
+@pytest.mark.parametrize(
+    "field_name", ["n_max", "samples", "degree_sequence_depth", "iterate_power", "density_degree"]
+)
 def test_config_error_names_the_bad_field(tmp_path, capsys, field_name):
     with pytest.raises(ConfigError, match=field_name):
         ExperimentConfig(map=E1_DOC, **{field_name: 0})

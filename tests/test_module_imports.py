@@ -5,6 +5,10 @@ and usually works round an import cycle (two modules that import each
 other, one of them late).  This guard fails on any ``import`` or ``from ...
 import`` statement nested in a function or method under ``src/arithdyn``,
 so a cycle has to be broken by moving code, not by deferring the import.
+
+No test suite imports another (a ``test_*`` module): a collection error in
+one would then drop the other as well.  What suites share lives in modules
+that pytest does not collect, such as ``corpus.py`` and ``oracle.py``.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "arithdyn"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "arithdyn"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -55,3 +60,17 @@ def test_guard_flags_a_planted_import():
     )
     assert _imports_in_functions(planted) == [3, 7]
     assert _imports_in_functions(clean) == []
+
+
+def test_no_suite_imports_another_suite():
+    imported = {}
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module]
+        suites = sorted(name for name in names if name.startswith("test_"))
+        if suites:
+            imported[path.name] = suites
+    assert imported == {}, "move what the suites share into a module pytest does not collect"

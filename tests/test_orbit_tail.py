@@ -25,7 +25,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_output_digests import CASES
+from corpus import CASES
 
 import arithdyn.experiments as experiments
 import arithdyn.orbit_tail as tail
@@ -79,7 +79,7 @@ def _assert_tail_is_exact(monkeypatch, components, p, start, n_max, delta):
     f = triangular_map(components)
     points, sigs, rows = _exact(f, p, start, n_max, delta)
     calls = _counting_apply(monkeypatch)
-    got_points, got_sigs, got_rows = tail.orbit_tail(f, p, start, n_max, delta, ResourceCaps())
+    got_points, got_sigs, got_rows = tail.orbit_tail(f, p, start, n_max, ResourceCaps())
     assert len(calls) == tail.PREFIX  # the enclosure walk decided every row past it
     assert got_points == points[: tail.PREFIX + 1]
     assert got_sigs == sigs
@@ -121,7 +121,7 @@ def test_a_factor_point_outside_the_case_split_walks_exactly(monkeypatch):
     f = triangular_map(["x1^2"])
     points, sigs, rows = _exact(f, 2, (Fraction(2),), 8, 2)
     calls = _counting_apply(monkeypatch)
-    got = tail.orbit_tail(f, 2, (Fraction(2),), 8, 2, ResourceCaps())
+    got = tail.orbit_tail(f, 2, (Fraction(2),), 8, ResourceCaps())
     assert len(calls) == 8
     assert got == (points[: tail.PREFIX + 1], sigs, rows)
 
@@ -271,7 +271,7 @@ def test_pow_from_x_is_the_square_and_multiply_from_one(x, e):
 @settings(max_examples=150, deadline=None)
 @given(x=CUT_ENCLOSURES, m=st.integers(0, 3000))
 def test_the_p2_scale_shift_is_the_product_with_the_exact_power(x, m):
-    assert tail._times_prime_power(x, 2, m, {}) == tail._mul(x, tail._prime_power(2, m))
+    assert tail._times_prime_power(x, 2, m, {}) == tail._mul(x, tail._prime_power(2, m, {}))
 
 
 @pytest.mark.parametrize(
@@ -292,7 +292,7 @@ def test_only_a_p3_tail_multiplies_by_an_enclosed_prime_power(monkeypatch, p, st
     monkeypatch.setattr(tail, "_mul", recording)
     _assert_tail_is_exact(monkeypatch, E1, p, start, 9, 3)
     if p == 3:
-        enclosed = {tail._prime_power(3, m) for m in range(1, 200)}
+        enclosed = {tail._prime_power(3, m, {}) for m in range(1, 200)}
         assert enclosed.intersection(operands)
     else:
         assert not [y for y in operands if y[:2] == (1, 1) and y[2] > 0]
@@ -322,16 +322,17 @@ def test_mul_is_the_four_product_formula(x, y):
 
 def test_a_p3_tail_builds_each_prime_power_once_per_tail(monkeypatch):
     # p^(max k) built for one step's height row is the next step's sizes
-    # entry: one _prime_power call per distinct m over the whole tail, and
-    # the rows stay exact
+    # entry: one build of p^m, a _pow of (3, 3, 0), per distinct m over the
+    # whole tail, and the rows stay exact
     ms = []
-    prime_power = tail._prime_power
+    pow_ = tail._pow
 
-    def counting(p, m):
-        ms.append(m)
-        return prime_power(p, m)
+    def counting(x, e):
+        if x == (3, 3, 0):
+            ms.append(e)
+        return pow_(x, e)
 
-    monkeypatch.setattr(tail, "_prime_power", counting)
+    monkeypatch.setattr(tail, "_pow", counting)
     _assert_tail_is_exact(monkeypatch, E1, 3, (Fraction(1, 27), Fraction(1, 3)), 9, 3)
     assert len(ms) > tail.PREFIX
     assert len(ms) == len(set(ms))

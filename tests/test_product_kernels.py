@@ -25,7 +25,7 @@ import pytest
 from corpus import CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_qpoly_oracle import COEFFS, from_sympy, to_sympy
+from sympy_oracle import COEFFS, from_sympy, to_sympy
 
 from arithdyn import qpoly
 from arithdyn.degrees import dynamical_degree_sequence

@@ -17,7 +17,7 @@ import inspect
 from pathlib import Path
 
 import arithdyn
-from test_bench_targets import _load_targets
+from corpus import trace_targets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "arithdyn"
@@ -81,7 +81,7 @@ def test_every_public_name_is_reached():
     }
     bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").glob("*.py"))]
     # a traced method, and the class that owns it
-    traced = {name for _, _, attribute in _load_targets() for name in (attribute, attribute.split(".")[0])}
+    traced = {name for _, _, attribute in trace_targets() for name in (attribute, attribute.split(".")[0])}
     orphans = [name.split(".", 1)[1] for name in _unreached(modules, bench, traced)]
     assert orphans == [], (
         f"{orphans} are reached by no pipeline, CLI command or benchmark; delete them"

@@ -59,14 +59,7 @@ from arithdyn import qpoly
 from arithdyn.maps import TriangularMap, iterate_symbolic, orbit, triangular_map
 from arithdyn.qpoly import Polynomial, parse_polynomial
 from oracle import evaluate_monomial
-
-sympy = pytest.importorskip("sympy")
-
-GENS = sympy.symbols("x1:5")
-
-COEFFS = st.builds(
-    Fraction, st.integers(-40, 40).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 9])
-)
+from sympy_oracle import COEFFS, GENS, from_sympy, sympy, to_sympy
 
 
 def P(text, dim=None):
@@ -76,19 +69,6 @@ def P(text, dim=None):
 def polynomials(dim, max_exp, max_size):
     mono = st.tuples(*[st.integers(0, max_exp)] * dim)
     return st.dictionaries(mono, COEFFS, max_size=max_size).map(lambda t: Polynomial(dim, t))
-
-
-def to_sympy(p: Polynomial):
-    gens = GENS[: p.dimension]
-    terms = {m: sympy.Rational(c, p.den) for m, c in p.terms.items()}
-    if not terms:
-        return sympy.Poly(0, *gens, domain="QQ")
-    return sympy.Poly.from_dict(terms, *gens, domain="QQ")
-
-
-def from_sympy(poly, dim: int) -> Polynomial:
-    terms = {m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items()}
-    return Polynomial(dim, terms)
 
 
 def sympy_power_sum(p: Polynomial, subs) -> Polynomial:

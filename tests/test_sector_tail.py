@@ -124,7 +124,7 @@ def test_interval_operations_contain_the_exact_result(x, y, e, bits):
             (tail._add(ex, ey), x + y),
             (tail._add(tail._mul(ex, ex), ey), x * x + y),
             (tail._pow(ex, e), x**e),
-            (tail._prime_power(3, abs(y) % 500), 3 ** (abs(y) % 500)),
+            (tail._prime_power(3, abs(y) % 500, {}), 3 ** (abs(y) % 500)),
         ]:
             assert lo << s <= value <= hi << s
             # cut to `bits` bits, and a bound rounded up may reach 2^bits
@@ -133,19 +133,21 @@ def test_interval_operations_contain_the_exact_result(x, y, e, bits):
         tail.ENCLOSURE_BITS = saved
 
 
-def test_a_residue_that_cancels_falls_back_to_the_exact_value():
+def test_a_residue_that_cancels_falls_back_to_the_exact_value(monkeypatch):
     # f_1(1/2, 1/2) = 1/4 + 1/4 = 1/2: both monomials have the top weight 2
     # and their residues cancel mod 2, so k = 1, not the top weight 2
     f = triangular_map(["x1^2 + x2^2", "x2"])
-    sector = sector_config(f, prime=2)
     point = (Fraction(1, 2), Fraction(1, 2))
     terms = tail._step_terms(f.components[0])
     assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, {}, 2, {}) is None
-    sig = valuation_signature(point, sector.prime)
-    sigs, rows = tail._tail_from(f, sector.prime, point, sig, 0, 3, 2, ResourceCaps())
-    assert sigs == [(1, 1)] * 3
+    sig = valuation_signature(point, 2)
+    assert tail._enclosed_tail(f, 2, point, sig, PREFIX, PREFIX + 3, 2, ResourceCaps()) is None
+    calls = _counting_apply(monkeypatch)
+    _, sigs, rows = tail.orbit_tail(f, 2, point, PREFIX + 3, ResourceCaps())
+    assert len(calls) == PREFIX + 3  # the tail past the prefix was walked exactly
+    assert sigs == [(1, 1)] * (PREFIX + 4)
     assert f.apply(point) == point
-    assert [r.arg_bits for r in rows] == [affine_height(point).max_abs.bit_length()] * 3
+    assert [r.arg_bits for r in rows] == [affine_height(point).max_abs.bit_length()] * (PREFIX + 4)
 
 
 TOP = 1 << 60  # doubles are 256 apart just above it
@@ -185,11 +187,8 @@ def test_points_outside_the_case_split_walk_exactly(components, point):
     sector = sector_config(f, prime=2)  # 1/3 is a 2-adic unit
     points = orbit(f, point, PREFIX + 2)
     want = _exact_tail(f, sector, points, 3)
-    sig = valuation_signature(points[PREFIX], sector.prime)
-    got = tail._tail_from(
-        f, sector.prime, points[PREFIX], sig, PREFIX, PREFIX + 2, 3, ResourceCaps()
-    )
-    assert got[0] == want[0] and got[1] == want[1]
+    _, sigs, rows = tail.orbit_tail(f, sector.prime, point, PREFIX + 2, ResourceCaps())
+    assert sigs[PREFIX + 1 :] == want[0] and rows[PREFIX + 1 :] == want[1]
 
 
 def _digests(out_dir):
