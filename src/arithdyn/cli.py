@@ -11,10 +11,11 @@ was hit, 4 the configuration, an input file or the command line is invalid
 (a usage error from argparse exits 4, not argparse's 2; --help exits 0).
 A cap hit anywhere is raised as ResourceLimitError by ResourceCaps.check
 alone, and main() alone turns it into exit 3; no command reports a partial
-result.  Python's own limit on the digits of an int <-> str conversion is a
-resource cap too, and exits 3.  Every command builds all of its report texts
-before experiments.write_reports writes them, so a run that exits 3 or 4
-writes nothing: no file and no output directory.
+result.  Python's own limits are resource caps too, and exit 3: the digits
+of an int <-> str conversion, the range of a float read-out (an exact degree
+whose n-th root is no float) and the recursion depth.  Every command builds
+all of its report texts before experiments.write_reports writes them, so a
+run that exits 3 or 4 writes nothing: no file and no output directory.
 """
 
 from __future__ import annotations
@@ -121,6 +122,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ResourceLimitError as err:
         print(f"resource cap exceeded: {err} {err.metadata}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (OverflowError, RecursionError) as err:
+        # a float out of range or a recursion past Python's limit: the value
+        # is valid but too large
+        print(f"resource cap exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, KeyError, OSError) as err:
         if isinstance(err, ValueError) and "integer string conversion" in str(err):

@@ -57,7 +57,6 @@ from .degrees import dynamical_degree_exact
 from .maps import (
     ResourceCaps,
     TriangularMap,
-    coordinate_bits,
     exact_steps,
     leading_residue,
     orbit,
@@ -126,19 +125,15 @@ def _enclosed_tail(f, p, point, ks, n0, n_max, delta, caps) -> tuple[list, list]
     signature is ``ks``, on enclosures, or None when a decision is open."""
     terms = [_step_terms(c) for c in f.components]
     residues = [x.numerator % p for x in point]
-    nums = [_exact(x.numerator) for x in point]
+    nums = [_cut(x.numerator, x.numerator, 0) for x in point]
     bound = step_bits_bound(f)
     powers = {}  # p^m by m, shared by the whole tail
     sigs, rows = [], []
     for n in range(n0, n_max):
         num_powers = {}  # N_j^e by (j, e), shared by the components of one step
-        if n == n0:
-            sizes = coordinate_bits(point)
-        else:
-            sizes = [(_bits(_abs(num)), _bits(_prime_power(p, k, powers)))
-                     for num, k in zip(nums, ks)]
-            if None in (bit for size in sizes for bit in size):
-                return None
+        sizes = [(_bits(_abs(num)), _bits(_prime_power(p, k, powers))) for num, k in zip(nums, ks)]
+        if None in (bit for size in sizes for bit in size):
+            return None
         caps.check(f"orbit step {n + 1}", bits=bound(sizes), last_safe_n=n)
         images = [_component_step(t, ks, residues, nums, num_powers, p, powers) for t in terms]
         if None in images:
@@ -157,7 +152,7 @@ def _step_terms(component) -> list:
     integer-coefficient component, as ``maps.leading_residue`` and
     :func:`_component_step` read them."""
     return [
-        (c, [(j, e) for j, e in enumerate(mono) if e], _exact(c))
+        (c, [(j, e) for j, e in enumerate(mono) if e], _cut(c, c, 0))
         for mono, c in component.terms.items()
     ]
 
@@ -214,10 +209,6 @@ def _cut(lo: int, hi: int, s: int) -> Enclosure:
     if t <= 0:
         return lo, hi, s
     return lo >> t, -(-hi >> t), s + t
-
-
-def _exact(x: int) -> Enclosure:
-    return _cut(x, x, 0)
 
 
 def _mul(x: Enclosure, y: Enclosure) -> Enclosure:

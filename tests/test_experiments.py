@@ -821,6 +821,39 @@ def test_cli_degrees_int_digit_limit_exits_resource(tmp_path, capsys):
     assert not (tmp_path / "out" / "degrees.csv").exists()
 
 
+# a 311-digit exponent, under the int -> str digit limit
+HUGE = 10**310
+
+
+def test_cli_degrees_float_range_exits_resource(tmp_path, capsys):
+    # deg f = 10^310 is exact, but its float root is above the largest double
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"dimension": 1, "components": [f"x1^{HUGE}"]}))
+    code = main(["--out-dir", str(tmp_path / "out"), "degrees", "--map", str(map_path), "--nmax", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert "resource cap exceeded: math range error" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_iterate_check_recursion_limit_exits_resource(tmp_path, capsys):
+    # substituting into x1^HUGE climbs a power ladder about 2 log2(HUGE) calls deep
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "map": {"dimension": 1, "components": [f"x1^{HUGE}+x1"]},
+            "mode": "iterate_check",
+            "point": ["1/2"],
+            "iterate_power": 2,
+        },
+    )
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_RESOURCE
+    assert "resource cap exceeded: maximum recursion depth exceeded" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "components, nmax, last",
     [

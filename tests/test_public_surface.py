@@ -10,10 +10,17 @@ of its class counts.  A method is reached only through an attribute
 another module, does not reach it.  Re-exports in ``__init__.py`` do not
 count, and neither do tests: a name that only its unit tests call is surface
 no pipeline, CLI command or benchmark uses.
+
+The package itself exports only what a caller imports from it: each name in
+``arithdyn.__all__`` is imported from ``arithdyn`` (``from arithdyn import
+name`` or ``arithdyn.name``) by a ``python`` block of ``README.md``, by
+``bench/*.py`` or by another ``tests/*.py``, each read with ``ast``.  Every
+other name has one import path, its module.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import arithdyn
@@ -96,6 +103,34 @@ def test_all_names_exactly_the_public_exports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(arithdyn.__all__) == sorted(public)
+
+
+def _package_imports(tree) -> set:
+    """The names ``tree`` imports from the package: ``from arithdyn import
+    name``, or ``arithdyn.name`` on a name bound to the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "arithdyn" and not node.level:
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "arithdyn":
+            found.add(node.attr)
+    return found
+
+
+def test_every_package_export_is_imported_from_the_package():
+    sources = [
+        path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+        if path.resolve() != Path(__file__).resolve()
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    used = set().union(*(_package_imports(ast.parse(source)) for source in sources))
+    unused = sorted(set(arithdyn.__all__) - used)
+    assert unused == [], (
+        f"{unused} are exported by arithdyn but imported from their modules only; "
+        "drop them from __init__.py"
+    )
 
 
 def test_guard_flags_a_planted_orphan():

@@ -93,7 +93,7 @@ def test_enclosures_contain_the_exact_numerators():
             start = points[PREFIX]
             ks = list(valuation_signature(start, sector.prime))
             residues = [x.numerator % prime for x in start]
-            nums = [tail._exact(x.numerator) for x in start]
+            nums = [tail._cut(x.numerator, x.numerator, 0) for x in start]
             for exact in points[PREFIX + 1 :]:
                 powers = {}
                 images = [
@@ -117,7 +117,7 @@ def test_interval_operations_contain_the_exact_result(x, y, e, bits):
     saved = tail.ENCLOSURE_BITS
     tail.ENCLOSURE_BITS = bits
     try:
-        ex, ey = tail._exact(x), tail._exact(y)
+        ex, ey = tail._cut(x, x, 0), tail._cut(y, y, 0)
         for (lo, hi, s), value in [
             (ex, x),
             (tail._mul(ex, ey), x * y),
@@ -139,7 +139,7 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value(monkeypatch):
     f = triangular_map(["x1^2 + x2^2", "x2"])
     point = (Fraction(1, 2), Fraction(1, 2))
     terms = tail._step_terms(f.components[0])
-    assert tail._component_step(terms, [1, 1], [1, 1], [tail._exact(1)] * 2, {}, 2, {}) is None
+    assert tail._component_step(terms, [1, 1], [1, 1], [tail._cut(1, 1, 0)] * 2, {}, 2, {}) is None
     sig = valuation_signature(point, 2)
     assert tail._enclosed_tail(f, 2, point, sig, PREFIX, PREFIX + 3, 2, ResourceCaps()) is None
     calls = _counting_apply(monkeypatch)
