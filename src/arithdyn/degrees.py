@@ -32,8 +32,9 @@ component whose lc_i is 0 keeps D_i as an upper bound only.  The point a
 of a line a + t*b would not change the leading coefficients, so none is
 taken.  When no component with a nonzero lc_i attains the maximum, which
 may be a real drop (x1 + x2^3, -x2 has f^2 = identity), the direction
-certifies nothing; a second fixed direction is tried, then the iterates are
-built symbolically.
+certifies nothing and the iterates are built symbolically.  One fixed
+direction suffices: a real drop defeats every direction, and an accidental
+zero of the top form at b mod q has probability about deg/q per step.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def dynamical_degree_sequence(
     """The rows (n, deg(f^n), deg(f^n)^(1/n)) for n = 1..n_max.
 
     Each degree is exact: it comes from the certificate mod q in the module
-    docstring, which builds no iterate, or, when in both fixed directions
+    docstring, which builds no iterate, or, when along the fixed direction
     only components with a leading coefficient of 0 mod q attain the
     maximum, from the symbolic iterates.  A resource overrun raises
     ResourceLimitError whose ``last_safe_n`` is the last n whose degree was
@@ -86,14 +87,14 @@ def degrees_csv(rows: list[tuple[int, int, float]]) -> str:
     return csv_text(["n", "deg_fn", "root"], rows)
 
 
-# The fixed directions b = (g, g^2, ..., g^N) mod q; large g keeps small
+# The fixed direction b = (g, g^2, ..., g^N) mod q; a large g keeps small
 # integer coefficients from cancelling by accident.
-_DIRECTION_BASES = (0x2545F4914F6CDD1D, 0x9E3779B97F4A7C15)
+_DIRECTION_BASE = 0x2545F4914F6CDD1D
 
 
 def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list | None:
-    """[deg(f^1), ..., deg(f^n_max)] from the certificate mod q, or None when
-    neither fixed direction certifies every step."""
+    """[deg(f^1), ..., deg(f^n_max)] from the certificate mod q, or None at
+    the first step the fixed direction does not certify."""
     q = MODULUS
     while any(c.den % q == 0 for c in f.components):
         q = next_prime(q + 1)
@@ -102,21 +103,18 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
          for mono, num in c.terms.items()]
         for c in f.components
     ]
-    for g in _DIRECTION_BASES:
-        D = [1] * f.dimension
-        lc = [pow(g, j, q) for j in range(1, f.dimension + 1)]
-        degrees, bits = [], 0
-        for n in range(n_max):
-            _, D, lc = zip(*[leading_residue(terms, D, lc, q) for terms in components])
-            degree = max(D)
-            if not any(l and d == degree for l, d in zip(lc, D)):
-                break
-            degrees.append(degree)
-            bits += degree.bit_length()
-            caps.check("degrees:certificate", bits=bits, last_safe_n=n)
-        else:
-            return degrees
-    return None
+    D = [1] * f.dimension
+    lc = [pow(_DIRECTION_BASE, j, q) for j in range(1, f.dimension + 1)]
+    degrees, bits = [], 0
+    for n in range(n_max):
+        _, D, lc = zip(*[leading_residue(terms, D, lc, q) for terms in components])
+        degree = max(D)
+        if not any(l and d == degree for l, d in zip(lc, D)):
+            return None
+        degrees.append(degree)
+        bits += degree.bit_length()
+        caps.check("degrees:certificate", bits=bits, last_safe_n=n)
+    return degrees
 
 
 def nth_root(x, n: int) -> float | None:

@@ -98,11 +98,6 @@ class TriangularMap:
 
     def apply(self, point: Sequence[Fraction]) -> AffinePoint:
         """One exact step: (f_1(P), ..., f_N(P))."""
-        point = as_point(point)
-        if len(point) != self.dimension:
-            raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, expected {self.dimension}"
-            )
         return tuple(f.evaluate(point) for f in self.components)
 
     def compose(self, inner: "TriangularMap", caps: ResourceCaps = DEFAULT_CAPS) -> "TriangularMap":

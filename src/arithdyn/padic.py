@@ -28,7 +28,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import itemgetter
 
-from .maps import AffinePoint, TriangularMap, as_point, csv_text, diagonal_degrees
+from .maps import TriangularMap, as_point, csv_text, diagonal_degrees
 from .qpoly import Monomial, Record
 
 INFINITY = math.inf
@@ -303,34 +303,6 @@ def verify_dominant_value(f: TriangularMap, sigs: Sequence[tuple]) -> bool:
     point P, with at least two entries: P = f^0(P) and f(P).
     """
     return image_signature(f, sigs[0]) == tuple(sigs[1])
-
-
-def image_first_exponent_floor(f: TriangularMap, cfg: SectorConfig) -> int:
-    """Minimum of -v(x_1 of f(Q)) over all sector points Q: by the
-    dominant-monomial identity it is reached at the minimal signature."""
-    return image_signature(f, minimal_signature(cfg))[0]
-
-
-def u_minus_fu_witness(f: TriangularMap, cfg: SectorConfig) -> AffinePoint:
-    """A sector point that cannot be the image of a sector point.
-
-    Only applies to maps with strictly decreasing diagonal degrees.  The
-    witness has the minimal valuation signature; its first exponent lies
-    strictly below the floor achievable by one application of f.
-    """
-    diag = diagonal_degrees(f)
-    if any(diag[i] <= diag[i + 1] for i in range(len(diag) - 1)):
-        raise ValueError("witness construction needs strictly decreasing diagonal degrees")
-    base = minimal_signature(cfg)
-    floor = image_first_exponent_floor(f, cfg)
-    if base[0] >= floor:
-        raise ValueError(
-            f"no certified witness: minimal sector exponent {base[0]} is not "
-            f"below the image floor {floor}"
-        )
-    point = tuple(Fraction(1, cfg.prime**e) for e in base)
-    assert in_U(point, cfg)
-    return point
 
 
 def case_n2_growth(f: TriangularMap, sigs: Sequence[tuple]) -> list:

@@ -76,6 +76,11 @@ def test_first_case_pipeline(tmp_path):
         "density_proxy",
     ):
         assert checks[name]["passed"], name
+    # the minimal-signature point (8, 1) lies below the image floor 3*8
+    assert checks["sector_not_surjective_witness"]["details"] == {
+        "witness": ["1/256", "1/2"],
+        "image_floor": 24,
+    }
     # every sector sample carries h+(P) well above 1, so the root proxy sits
     # above delta for any feasible window: an honest failure, reported as such
     assert not checks["alpha_upper_proxy"]["passed"]
@@ -89,6 +94,29 @@ def test_first_case_pipeline(tmp_path):
         "orbit_sample0.csv",
         "summary.json",
     ]
+
+
+def test_first_case_witness_in_dimension_one(tmp_path):
+    cfg = ExperimentConfig(map={"dimension": 1, "components": ["x1^2"]}, samples=2, n_max=4)
+    check = checks_by_name(run_experiment(cfg, tmp_path))["sector_not_surjective_witness"]
+    assert check["passed"]
+    assert check["details"] == {"witness": ["1/2"], "image_floor": 2}
+
+
+def test_first_case_witness_fails_when_the_image_floor_does_not_exceed_it(
+    tmp_path, capsys, monkeypatch
+):
+    # with an image floor equal to the witness exponent the statement is
+    # false: the check reports it and the run ends with exit 2
+    monkeypatch.setattr(padic, "image_signature", lambda f, sig: tuple(sig))
+    cfg = write_cfg(tmp_path, {"map": E1_DOC, "mode": "first_case", "samples": 3, "n_max": 4})
+    code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)])
+    assert code == EXIT_ASSERTION_FAILED
+    assert "[FAIL] sector_not_surjective_witness" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    (check,) = [c for c in summary["checks"] if c["name"] == "sector_not_surjective_witness"]
+    assert not check["passed"]
+    assert check["details"]["image_floor"] == 8
 
 
 def test_second_case_pipeline(tmp_path):
@@ -422,10 +450,22 @@ def test_second_case_default_start_builds_no_first_coordinate(tmp_path):
         ({"map": {"dimension": 2, "components": ["x1 x2", "x2^2"]}}, "bad factor 'x1 x2'"),
         ({"map": {"dimension": 1, "components": ["3 4"]}}, "bad factor '3 4'"),
         ({"map": {"dimension": 1, "components": ["٣*x1"]}}, "bad factor '٣'"),
+        (
+            {
+                "map": {"dimension": 3, "components": ["x1^2+x3", "x2^2+x3", "x3^2"]},
+                "mode": "second_case_n2",
+            },
+            "requires a two-variable map",
+        ),
+        (
+            {"map": E1_DOC, "mode": "iterate_check", "point": ["1/2"]},
+            "point has 1 coordinates, expected 2",
+        ),
     ],
     ids=[
         "iterate_power_4", "product_point_length", "x0", "x1^", "x1^x1", "x1 +",
-        "2x1", "x1 x2", "3 4", "arabic_indic_3*x1",
+        "2x1", "x1 x2", "3 4", "arabic_indic_3*x1", "second_case_three_variables",
+        "iterate_point_length",
     ],
 )
 def test_cli_run_rejected_config_exits_config(tmp_path, capsys, doc, message):
@@ -500,8 +540,13 @@ def test_cli_density_zero_denominator_exits_config(tmp_path, capsys):
         "x1_num,x1_den,x2_num\n1,1,2\n",
         "n,x2_num,x2_den\n0,1,1\n",
         "x1_num,x1_den\n1,1,2,1\n3,1,4,1\n",
+        "",
+        "x1_num,x1_den\n",
     ],
-    ids=["headerless", "bare_names", "odd_header", "wrong_index", "extra_cells"],
+    ids=[
+        "headerless", "bare_names", "odd_header", "wrong_index", "extra_cells", "empty",
+        "header_only",
+    ],
 )
 def test_cli_density_without_the_orbit_csv_layout_exits_config(tmp_path, capsys, text):
     # the first line used to be skipped unread, so a headerless file lost a

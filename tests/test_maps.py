@@ -47,6 +47,8 @@ def test_validate_not_triangular():
 def test_apply_simple():
     f = triangular_map(["x1^3+x2", "x2^2+1"])
     assert f.apply(as_point([0, 0])) == (Fraction(0), Fraction(1))
+    with pytest.raises(DimensionMismatchError, match="point has 1 coordinates, expected 2"):
+        f.apply([1])
 
 
 def test_apply_identity_map():

@@ -18,10 +18,8 @@ from arithdyn.padic import (
     image_signature,
     in_U,
     is_prime,
-    minimal_signature,
     sample_U,
     sector_config,
-    u_minus_fu_witness,
     valuation_signature,
     verify_dominant_value,
     verify_stability,
@@ -289,39 +287,6 @@ def test_growth_floor_feeds_height_bound():
         for n in range(1, 7):
             current = E1.apply(current)
             assert -vp(current[0], cfg.prime) >= 3**n * e1
-
-
-# -- the complement witness -----------------------------------------------------
-
-
-def test_witness_for_e1():
-    cfg = sector_config(E1)
-    witness = u_minus_fu_witness(E1, cfg)
-    assert witness == (Fraction(1, 256), Fraction(1, 2))
-    assert in_U(witness, cfg)
-    # any image of a sector point has first exponent at least d11 * 8 = 24 > 8
-    e1 = -vp(witness[0], cfg.prime)
-    floor = 3 * minimal_signature(cfg)[0]
-    assert e1 < floor
-
-
-def test_witness_not_an_achievable_image_signature():
-    cfg = sector_config(E1)
-    witness = u_minus_fu_witness(E1, cfg)
-    # exhaustively: a point with signature (24, 2) is achievable as an image,
-    # so the witness must not carry that signature
-    assert valuation_signature(witness, cfg.prime) != (24, 2)
-
-
-def test_witness_dimension_one_squaring():
-    f = triangular_map(["x1^2"])
-    cfg = sector_config(f, prime=2)
-    assert u_minus_fu_witness(f, cfg) == (Fraction(1, 2),)
-
-
-def test_witness_requires_decreasing_diagonal():
-    with pytest.raises(ValueError):
-        u_minus_fu_witness(triangular_map(["x1*x2+1", "x2^2"]), SectorConfig(2, 5, 2))
 
 
 # -- the N=2 second case ----------------------------------------------------------
