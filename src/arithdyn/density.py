@@ -36,6 +36,16 @@ its reduced row echelon form gives the rank and the kernel witness.
 Pivots are chosen to limit bit-length growth (smallest nonzero magnitude,
 lowest row index on ties), so every run is deterministic; the reduced row
 echelon form, and hence the witness, does not depend on that choice.
+
+Both the reduction modulo p and the exact check run on packed lanes: one
+integer holds one value per field of W bits, so a row costs a few big-int
+operations, not one interpreted operation per entry (simultaneous modular
+reduction, Dumas-Fousse-Salvy, J. Symb. Comput. 46 (2011)).  Modulo p, W =
+2 bits(p) + bits(M) + 1, and no lane carries: a reduced lane stays below
+p + M p^2 and a dot product with the packed kernel below M p^2, both under
+2^W.  In the exact check, W = bits(max |row entry|) + bits(max |vector
+entry|) + bits(M) + 1, every dot product is below 2^(W - 1) in size, so
+their packed sum is 0 exactly when each is.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat, zip_longest
 
 from .maps import DEFAULT_CAPS, ResourceCaps, as_point, csv_text
 from .qpoly import DimensionMismatchError, Monomial
@@ -107,15 +117,27 @@ def _monomial_rows(points: Iterable, monomials: Sequence[Monomial], degree: int)
     multiples of the same rational row, with a positive entry for the
     monomial 1, are equal.
 
-    Each point's powers of a_1..a_N and L are tabled once, and an entry is
-    the product of one table entry per exponent of (m_1..m_N, degree - |m|).
+    Each point's powers of a_1..a_N and L are tabled once.  One itemgetter
+    per base gathers that base's table at every monomial's exponent, and the
+    row is the product of the gathered columns, entry by entry.
     """
     exponents = [(*mono, degree - sum(mono)) for mono in monomials]
+    gathers = [operator.itemgetter(*column) for column in zip(*exponents)]
     for point in points:
         lcm = math.lcm(*(x.denominator for x in point))
         bases = [x.numerator * (lcm // x.denominator) for x in point] + [lcm]
-        tables = [[a**k for k in range(degree + 1)] for a in bases]
-        yield [math.prod(map(operator.getitem, tables, e)) for e in exponents]
+        row, *columns = (g([a**k for k in range(degree + 1)]) for g, a in zip(gathers, bases))
+        for column in columns:
+            row = list(map(operator.mul, row, column))
+        yield row
+
+
+def _packed_columns(vectors: list, width: int) -> list:
+    """``vectors`` packed by column into lanes of ``width`` bits: column j is
+    the sum of vectors[f][j] * 2^(width f), with 0 past a vector's end."""
+    shifts = range(0, len(vectors) * width, width)
+    columns = zip_longest(*vectors, fillvalue=0)
+    return [sum(map(operator.lshift, column, shifts)) for column in columns]
 
 
 def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
@@ -127,26 +149,44 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
 
     Rows are reduced into an echelon basis, and one that reduces to zero is
     skipped, until such a row arrives while the kernel is no larger than
-    the basis: m - r <= r, for r rows kept of m = n_cols.  A basis row is
-    stored after its leading 1; a row being reduced is taken mod p once,
-    then only where read as a factor.  From then on the basis is replaced
-    by its kernel, and a row is tested by its dot products d_f with the
-    kernel vectors k_f: it is in the span modulo p exactly when all are 0.
-    Otherwise the first free column c with d_c != 0 is the leading column
-    the echelon reduction would give it, and the kernel of the grown span is
-    k_f - (d_f / d_c) k_c for the other f, still 1 at f and 0 at the other
-    free columns and past f, so each row costs one dot product and at most
-    one update per kernel vector.  Either phase keeps the same rows and ends
-    with the same kernel, whenever the switch comes: the vector that is 1 at
-    a free column f and 0 at the other free columns and past f is unique.
+    the basis: m - r <= r, for r rows kept of m = n_cols.  A row's residues
+    are packed into one integer, entry j in the lane of W = 2 bits(p) +
+    bits(n_cols) + 1 bits at bit W j.  A basis row led by 1 at column c is
+    stored negated mod p (p - 1 at its lead, p - b_j after it) and packed
+    from lane 0 at c, so reducing by it is ``packed += x * basis[c]``, with x
+    the residue of the row's lowest lane, which is then shifted out.  No
+    lane carries: it starts below p and gains less than p^2 per pivot, so it
+    stays below p + n_cols p^2 < 2^W.  A new pivot's tail is read out once,
+    scaled by the inverse of its lead, for ``_kernel_mod_p``.
+
+    From then on the basis is replaced by its kernel, and a row is tested by
+    its dot products d_f with the kernel vectors k_f: it is in the span
+    modulo p exactly when all are 0.  The kernel is packed by column, lane f
+    of column j holding k_f[j], so the d_f are the lanes of one sum of the
+    row's residues times the columns; each lane is below n_cols p^2 < 2^W,
+    so none carries.  Otherwise the first free column c with d_c != 0 is
+    the leading column the echelon reduction would give it, and the kernel
+    of the grown span is k_f - (d_f / d_c) k_c for the other f, still 1 at f
+    and 0 at the other free columns and past f, so each row costs one dot
+    product and at most one update per kernel vector, and the columns are
+    packed again only after an update.  Either phase keeps the same rows
+    and ends with the same kernel, whenever the switch comes: the vector
+    that is 1 at a free column f and 0 at the other free columns and past f
+    is unique.
     """
     p = MODULUS
-    basis = [None] * n_cols  # basis[c]: the tail after column c of a row led by 1 at c
+    width = 2 * p.bit_length() + n_cols.bit_length() + 1
+    lane = (1 << width) - 1
+    shifts = range(0, n_cols * width, width)
+    tails = [None] * n_cols  # tails[c]: the tail after column c of a row led by 1 at c
+    basis = [None] * n_cols  # basis[c]: that row negated mod p and packed from lane 0 at c
     kept, read, kernel = [], [], None
     for row in rows:
         read.append(row)
+        residues = map(operator.mod, row, repeat(p))
         if kernel is not None:
-            dots = [sum(map(operator.mul, row, k)) % p for k in kernel]
+            packed = sum(map(operator.mul, residues, columns))
+            dots = [(packed >> s & lane) % p for s in shifts[: len(kernel)]]
             lead = next((j for j, d in enumerate(dots) if d), None)
             if lead is None:
                 continue  # in the span of the kept rows modulo p
@@ -156,25 +196,30 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
                 if d:
                     s = d * inverse % p
                     k[: len(k_lead)] = [(a - s * b) % p for a, b in zip(k, k_lead)]
+            columns = _packed_columns(kernel, width)
         else:
-            r = [a % p for a in row]
+            packed = sum(map(operator.lshift, residues, shifts))
             for c in range(n_cols):
-                x = r[c] % p
+                x = (packed & lane) % p
                 if x:
                     if basis[c] is None:
                         break
-                    r[c + 1 :] = [a - x * b for a, b in zip(r[c + 1 :], basis[c])]
+                    packed += x * basis[c]
+                packed >>= width
             else:  # zero modulo p: in the span of the kept rows
                 if n_cols - len(kept) <= len(kept):
-                    kernel = _kernel_mod_p(basis)
+                    kernel = _kernel_mod_p(tails)
+                    columns = _packed_columns(kernel, width)
                 continue
             inverse = pow(x, -1, p)
-            basis[c] = [a * inverse % p for a in r[c + 1 :]]
+            tails[c] = tail = [(packed >> s & lane) * inverse % p for s in shifts[1 : n_cols - c]]
+            negated = map(operator.sub, repeat(p), tail)
+            basis[c] = p - 1 + sum(map(operator.lshift, negated, shifts[1:]))
         kept.append(len(read) - 1)
         if len(kept) == n_cols:
             return kept, read, None
     if kernel is None and len(kept) < n_cols:
-        kernel = _kernel_mod_p(basis)
+        kernel = _kernel_mod_p(tails)
     return kept, read, kernel
 
 
@@ -218,18 +263,29 @@ def _lift_kernel(kernel: list, rows: list, n_cols: int) -> list | None:
     of denominators, and must have integer dot product 0 with every row.
     If all do, the first one, padded with zeros to ``n_cols`` entries, is
     returned as Fractions; if an entry does not lift or a dot product is
-    not 0, None."""
-    witness = None
+    not 0, None.
+
+    The cleared vectors are packed by column, lane f of column j holding
+    v_f[j] in W' = bits(max |row entry|) + bits(max |v entry|) +
+    bits(n_cols) + 1 bits, so a row's dot products d_f are the lanes of one
+    sum, the row times the columns.  Each |d_f| < 2^(W' - 1), so the sum of
+    d_f 2^(W' f) is 0 exactly when every d_f is: the highest nonzero lane
+    outweighs all the lanes below it.
+    """
+    vectors, witness = [], None
     for k in kernel:
         lifted = [_reconstruct(x) for x in k]
         if any(q is None for q in lifted):  # `None in` would call Fraction.__eq__ per entry
             return None
         lcm = math.lcm(*(q.denominator for q in lifted))
-        v = [q.numerator * (lcm // q.denominator) for q in lifted]
-        if any(sum(map(operator.mul, row, v)) for row in rows):
-            return None
+        vectors.append([q.numerator * (lcm // q.denominator) for q in lifted])
         if witness is None:
             witness = lifted + [Fraction(0)] * (n_cols - len(lifted))
+    row_bits = max(max(max(row), -min(row)) for row in rows).bit_length()
+    vector_bits = max(max(max(v), -min(v)) for v in vectors).bit_length()
+    columns = _packed_columns(vectors, row_bits + vector_bits + n_cols.bit_length() + 1)
+    if any(sum(map(operator.mul, row, columns)) for row in rows):
+        return None
     return witness
 
 
@@ -334,7 +390,8 @@ def density_check(
     pts = [as_point(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
-    if len(set(pts)) != len(pts):
+    # Fractions are reduced, so equal points have equal (numerator, denominator) pairs
+    if len({tuple(map(Fraction.as_integer_ratio, p)) for p in pts}) != len(pts):
         raise DuplicatePointsError("input points must be distinct")
     dimension = len(pts[0])
     if any(len(p) != dimension for p in pts):

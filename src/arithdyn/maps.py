@@ -30,6 +30,7 @@ from .qpoly import (
     ResourceLimitError,
     parse_polynomial,
     rational,
+    rational_pair,
 )
 
 AffinePoint = tuple  # tuple[Fraction, ...]
@@ -303,8 +304,9 @@ def points_from_csv(text: str) -> list[AffinePoint]:
 
     The first line must be the header :func:`orbit_to_csv` writes: an
     optional ``n`` column, then ``x{i}_num,x{i}_den`` for i = 1..N.  Every
-    row has the header's cell count, and each num/den pair reads as one
-    :func:`rational`; the ``n`` cells are not read.
+    row has the header's cell count, and each num/den pair reads as the
+    :func:`rational` of ``num/den`` would (:func:`rational_pair`); the ``n``
+    cells are not read.
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -323,5 +325,5 @@ def points_from_csv(text: str) -> list[AffinePoint]:
                 "wrong number of coordinates"
             )
         cells = cells[skip:]
-        points.append(tuple(rational(f"{num}/{den}") for num, den in zip(cells[::2], cells[1::2])))
+        points.append(tuple(map(rational_pair, cells[::2], cells[1::2])))
     return points

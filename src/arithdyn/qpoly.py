@@ -127,13 +127,16 @@ _FACTOR = re.compile(
 )
 
 
-def _number(num: str, den: str | None) -> Fraction:
-    """The rational num or num/den of two digit strings; a zero den raises ValueError."""
+def _number(num: str, den: str | None, negative: bool = False) -> Fraction:
+    """The rational num or num/den of two digit strings, negated if
+    ``negative``; a zero den raises ValueError."""
+    n = -int(num) if negative else int(num)
     if den is None:
-        return Fraction(int(num))
-    if int(den) == 0:
+        return Fraction(n)
+    d = int(den)
+    if d == 0:
         raise ValueError(f"zero denominator in {num}/{den}")
-    return Fraction(int(num), int(den))
+    return Fraction(n, d)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -151,9 +154,22 @@ def rational(value: int | str | Fraction) -> Fraction:
         body = value.strip()
         m = _FACTOR.fullmatch(body[1:] if body[:1] in ("+", "-") else body)
         if m and m["num"]:
-            x = _number(m["num"], m["den"])
-            return -x if body[:1] == "-" else x
+            return _number(m["num"], m["den"], body[:1] == "-")
     raise ValueError(f"not an int, Fraction or rational string: {value!r}")
+
+
+# A stripped numerator cell: an optional sign, whitespace, then ASCII digits.
+_SIGNED_DIGITS = re.compile(r"([+-]?)\s*([0-9]+)")
+
+
+def rational_pair(num: str, den: str) -> Fraction:
+    """``rational(f"{num}/{den}")`` for two stripped cells, read without
+    joining them: num is an optional sign, optional whitespace and ASCII
+    digits, and den is ASCII digits."""
+    m = _SIGNED_DIGITS.fullmatch(num)
+    if m is None or not (den.isascii() and den.isdigit()):
+        raise ValueError(f"not an int, Fraction or rational string: {num + '/' + den!r}")
+    return _number(m[2], den, m[1] == "-")
 
 
 class Polynomial:

@@ -203,6 +203,34 @@ def test_reconstruct_refuses_a_residue_past_the_bound():
     assert density._reconstruct(density.MODULUS - bound) == -bound
 
 
+def residues(*vector) -> list:
+    """The residues modulo MODULUS of a vector of Fractions."""
+    p = density.MODULUS
+    return [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in vector]
+
+
+def test_lift_kernel_refuses_opposite_dot_products_on_one_row():
+    # the kernel of (2, 1, 0) with free columns 1 and 2 lifts to (-1/2, 1)
+    # and (0, 0, 1); the row (0, 1, -2) has dot products +2 and -2 with the
+    # cleared vectors (-1, 2) and (0, 0, 1), which would cancel in a sum of
+    # lanes that are not shifted apart
+    kernel = [residues(Fraction(-1, 2), 1), residues(0, 0, 1)]
+    want = [Fraction(-1, 2), Fraction(1), Fraction(0)]
+    assert density._lift_kernel(kernel, [[2, 1, 0]], 3) == want
+    assert density._lift_kernel(kernel, [[2, 1, 0], [0, 1, -2]], 3) is None
+
+
+def test_lift_kernel_refuses_a_failure_in_the_last_lane_only():
+    # free columns 1, 2 and 3 over the pivot row (1, -3/4, 0, 5); the row
+    # (0, 0, 0, 7) fails only against the last vector, (-5, 0, 0, 1)
+    kernel = [residues(Fraction(3, 4), 1), residues(0, 0, 1), residues(-5, 0, 0, 1)]
+    rows = [[4, -3, 0, 20], [8, -6, 0, 40]]
+    want = [Fraction(3, 4), Fraction(1), Fraction(0), Fraction(0)]
+    assert density._lift_kernel(kernel, rows, 4) == want
+    assert density._lift_kernel(kernel, rows + [[0, 0, 0, 7]], 4) is None
+    assert density._lift_kernel(kernel, rows + [[0, 0, 0, -7]], 4) is None
+
+
 def count_built_rows(monkeypatch) -> list:
     """Record every row density._monomial_rows yields; the list fills as
     density_check reads them."""
@@ -287,8 +315,10 @@ def test_kernel_that_does_not_lift_runs_exact_elimination_once(monkeypatch):
             3,
         ),
         ([(Fraction(3, 4), Fraction(-5, 6), Fraction(7))], 1),
+        # two bases, x1 and L: the first gathered column is a tuple
+        ([(Fraction(3, 4),), (Fraction(-5, 6),), (Fraction(7),)], 3),
     ],
-    ids=["sample_U", "curve", "cancelling", "three_variables_degree_3", "degree_1"],
+    ids=["sample_U", "curve", "cancelling", "three_variables_degree_3", "degree_1", "dimension_1"],
 )
 def test_integer_rows_match_fraction_construction(points, degree):
     # the integer row build equals the Fraction evaluation matrix cleared of

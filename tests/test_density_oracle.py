@@ -15,8 +15,11 @@ prime, ``_rank_mod_p``, is compared on random integer matrices with entries
 and row offsets that are multiples of the prime: it keeps exactly the rows
 that raise the rank over GF(p) of the rows before them, its rank is at most
 the rank over Q, its kept rows have rank over Q equal to their count, and
-its kernel vectors are orthogonal to every row modulo the prime.  ``vp`` is compared with ``sympy.multiplicity``
-on numerators and denominators.
+its kernel vectors are orthogonal to every row modulo the prime.  The same
+checks over GF(p) run on wide matrices, up to 40 columns of entries up to
+2^256 in size, whose rows switch ``_rank_mod_p`` to its kernel phase and
+then update the kernel.  ``vp`` is compared with ``sympy.multiplicity`` on
+numerators and denominators.
 """
 
 import itertools
@@ -195,16 +198,35 @@ def integer_matrices(draw):
     return rows
 
 
-def rank_mod_p(rows, n_cols):
-    if not rows:
-        return 0
-    return (
-        sympy.polys.matrices.DomainMatrix(
-            [[sympy.ZZ(x) for x in row] for row in rows], (len(rows), n_cols), sympy.ZZ
-        )
-        .convert_to(sympy.GF(MODULUS))
-        .rank()
-    )
+@st.composite
+def wide_integer_matrices(draw):
+    """Up to 40 columns of entries up to about 2^256 in size: random rows
+    that span at least half the columns, then rows in their span, then
+    random rows.  A row in the span arrives once the kernel is no larger
+    than the basis, so the rank switches to its kernel phase, and each
+    random row after it updates the kernel and packs its columns again."""
+    n_cols = draw(st.integers(2, 40))
+    bound = draw(st.sampled_from([9, MODULUS, 2**256]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def vector():
+        return [rng.randint(-bound, bound) for _ in range(n_cols)]
+
+    basis = [vector() for _ in range(draw(st.integers((n_cols + 1) // 2, n_cols - 1)))]
+    spanned = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        spanned.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n_cols)])
+    fresh = [vector() for _ in range(draw(st.integers(1, n_cols - len(basis) + 1)))]
+    return basis + spanned + fresh
+
+
+def greedy_mod_p(rows, n_cols):
+    """The indices of the rows that raise the rank over GF(p) of the rows
+    before them: the pivot columns of the transposed matrix over GF(p)."""
+    columns = [[sympy.ZZ(x) for x in column] for column in zip(*rows)]
+    matrix = sympy.polys.matrices.DomainMatrix(columns, (n_cols, len(rows)), sympy.ZZ)
+    return list(matrix.convert_to(sympy.GF(MODULUS)).rref()[1])
 
 
 # The 3x3 grid's rows at degree 2: the sixth point lies on the conic
@@ -215,6 +237,28 @@ GRID_ROWS = [
 ]
 
 
+def check_rank_mod_p(matrix) -> tuple:
+    """``_rank_mod_p`` of ``matrix`` against GF(p) elimination: the rows it
+    reads, keeps and the kernel it gives; returns (kept, read)."""
+    n_cols = len(matrix[0])
+    kept, read, kernel = _rank_mod_p(iter(matrix), n_cols)
+    # reading stops only at n_cols independent rows
+    assert read == matrix[: len(read)]
+    assert len(read) == len(matrix) or len(kept) == n_cols
+    # the greedy set: row i is kept iff it raises the rank over GF(p)
+    assert kept == greedy_mod_p(read, n_cols)
+    # one kernel vector per free column, orthogonal to every row mod p
+    if len(kept) == n_cols:
+        assert kernel is None
+        return kept, read
+    assert len(kernel) == n_cols - len(kept)
+    free = [len(k) - 1 for k in kernel]
+    assert free == sorted(set(free)) and all(k[-1] == 1 for k in kernel)
+    assert all(k[g] == 0 for k in kernel for g in free if g < len(k) - 1)
+    assert all(sum(a * b for a, b in zip(row, k)) % MODULUS == 0 for row in read for k in kernel)
+    return kept, read
+
+
 @settings(max_examples=150, deadline=None)
 @given(integer_matrices())
 @example([[1, 0, 0], [1, MODULUS, MODULUS**2]])
@@ -222,25 +266,18 @@ GRID_ROWS = [
 @example([[1, 0], [2, 0], [0, 1]])
 @example(GRID_ROWS)
 def test_rank_mod_p_matches_sympy(matrix):
-    n_cols = len(matrix[0])
-    kept, read, kernel = _rank_mod_p(iter(matrix), n_cols)
-    # reading stops only at n_cols independent rows
-    assert read == matrix[: len(read)]
-    assert len(read) == len(matrix) or len(kept) == n_cols
-    # the greedy set: row i is kept iff it raises the rank over GF(p)
-    ranks = [rank_mod_p(read[:i], n_cols) for i in range(len(read) + 1)]
-    assert kept == [i for i in range(len(read)) if ranks[i + 1] > ranks[i]]
+    kept, read = check_rank_mod_p(matrix)
     assert sympy.Matrix([read[i] for i in kept]).rank() == len(kept)
     assert len(kept) <= sympy.Matrix(matrix).rank()
-    # one kernel vector per free column, orthogonal to every row mod p
-    if len(kept) == n_cols:
-        assert kernel is None
-        return
-    assert len(kernel) == n_cols - len(kept)
-    free = [len(k) - 1 for k in kernel]
-    assert free == sorted(set(free)) and all(k[-1] == 1 for k in kernel)
-    assert all(k[g] == 0 for k in kernel for g in free if g < len(k) - 1)
-    assert all(sum(a * b for a, b in zip(row, k)) % MODULUS == 0 for row in read for k in kernel)
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_integer_matrices())
+def test_rank_mod_p_matches_sympy_on_wide_rows(matrix):
+    # the ranks over Q are left out: at 40 columns of 256-bit entries sympy
+    # takes seconds for each; kept rows independent modulo p are
+    # independent over Q
+    check_rank_mod_p(matrix)
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 97])

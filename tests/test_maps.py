@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithdyn.maps import (
@@ -24,7 +24,13 @@ from arithdyn.maps import (
     step_bits_bound,
     triangular_map,
 )
-from arithdyn.qpoly import DimensionMismatchError, ResourceLimitError, parse_polynomial
+from arithdyn.qpoly import (
+    DimensionMismatchError,
+    ResourceLimitError,
+    parse_polynomial,
+    rational,
+    rational_pair,
+)
 
 
 def test_validate_accepts_triangular_dominant():
@@ -271,3 +277,31 @@ def test_orbit_csv_round_trip():
     text = orbit_to_csv(o)
     assert text.splitlines()[0] == "n,x1_num,x1_den,x2_num,x2_den"
     assert points_from_csv(text) == o
+
+
+# Cells of digits, signs, slashes, underscores, letters, a non-ASCII digit
+# and spaces, so that most pairs break the grammar in some place.
+CELLS = st.one_of(st.just(""), st.text(alphabet="0123456789+-/_x\u0663 ", max_size=6))
+
+
+def _read(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CELLS, CELLS)
+@example("1", "0")
+@example("1_0", "1")
+@example("+ 1", "2")
+@example("1", "-2")
+def test_points_csv_reads_a_pair_as_rational_reads_num_slash_den(num, den):
+    # the reader splits a row into stripped cells and reads each num/den
+    # pair without joining them; value or error text is that of rational
+    num, den = num.strip(), den.strip()
+    want = _read(rational, f"{num}/{den}")
+    assert _read(rational_pair, num, den) == want
+    got = _read(points_from_csv, f"x1_num,x1_den\n{num},{den}\n")
+    assert got == (want if isinstance(want, tuple) else [(want,)])
