@@ -1,7 +1,8 @@
 """Dynamical-degree computation.
 
 The degree matrix of a triangular map has (i,j) entry deg_{x_i} f_j; it is
-lower triangular with positive diagonal.  The dynamical degree of a
+lower triangular with positive diagonal, and ``TriangularMap.degree_rows``
+is its transpose, one row per component.  The dynamical degree of a
 triangular map is exactly its maximum diagonal entry, so only the diagonal
 degrees deg_{x_i} f_i (``maps.diagonal_degrees``) are needed; the degree
 sequence deg(f^n)^{1/n} is computed as an independent route to the same

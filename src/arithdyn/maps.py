@@ -57,27 +57,35 @@ class NotDominantError(ValueError):
 
 
 class TriangularMap:
-    """A validated triangular self-map of affine N-space."""
+    """A validated triangular self-map of affine N-space.
 
-    __slots__ = ("dimension", "components")
+    ``degree_rows[i][j]`` is deg_{x_(j+1)} f_(i+1), one row per component,
+    read from its terms once here; the checks and every degree reader use it.
+    """
+
+    __slots__ = ("dimension", "components", "degree_rows")
 
     def __init__(self, components: Sequence[Polynomial]):
         components = tuple(components)
         if not components:
             raise ValueError("a map needs at least one component")
         n = len(components)
+        rows = []
         for i, f in enumerate(components, start=1):
             if f.dimension != n:
                 raise DimensionMismatchError(
                     f"component {i} has dimension {f.dimension}, expected {n}"
                 )
-            for j in range(1, i):
-                if f.degree_in_var(j) != 0:
+            row = tuple(map(max, zip(*f.terms))) or (0,) * n
+            for j, d in enumerate(row[: i - 1], start=1):
+                if d:
                     raise NotTriangularError(i, j)
-            if f.degree_in_var(i) == 0:
+            if not row[i - 1]:
                 raise NotDominantError(i)
+            rows.append(row)
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "degree_rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularMap is immutable")
@@ -112,7 +120,7 @@ class TriangularMap:
 
 def diagonal_degrees(f: TriangularMap) -> tuple:
     """The diagonal degrees (deg_{x_i} f_i)_i, each at least 1."""
-    return tuple(c.degree_in_var(i) for i, c in enumerate(f.components, start=1))
+    return tuple(row[i] for i, row in enumerate(f.degree_rows))
 
 
 def triangular_map(texts: Sequence[str]) -> TriangularMap:
@@ -202,7 +210,7 @@ def step_bits_bound(f: TriangularMap) -> Callable[[Sequence[tuple[int, int]]], i
     Proof, from the homogenisation of ``qpoly._horner_integer``.  For a
     component f_i let M be its denominator ``den``, the lcm of its
     coefficient denominators, C_a = M c_a its numerators and deg_j its degree
-    in x_j.  Then f_i(Q) = N / D with
+    in x_j (``f.degree_rows[i - 1][j - 1]``).  Then f_i(Q) = N / D with
     D = M prod_j d_j^deg_j and N = sum_a C_a prod_j n_j^a_j d_j^(deg_j - a_j),
     so |N| <= sum_a |C_a| prod_j max(|n_j|, d_j)^deg_j.  The reduced
     numerator and denominator divide N and D (a zero value is 0/1), and
@@ -211,10 +219,10 @@ def step_bits_bound(f: TriangularMap) -> Callable[[Sequence[tuple[int, int]]], i
         bits(num) + bits(den) <= bits(sum_a |C_a|) + bits(M)
                                  + sum_j deg_j (bits(max(|n_j|, d_j)) + bits(d_j)).
     """
-    terms = []
-    for p in f.components:
-        weight = sum(map(abs, p.terms.values()))
-        terms.append((weight.bit_length() + p.den.bit_length(), [max(e) for e in zip(*p.terms)]))
+    terms = [
+        (sum(map(abs, p.terms.values())).bit_length() + p.den.bit_length(), degs)
+        for p, degs in zip(f.components, f.degree_rows)
+    ]
 
     def bound(sizes: Sequence[tuple[int, int]]) -> int:
         widths = [max(num, den) + den for num, den in sizes]

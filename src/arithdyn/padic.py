@@ -142,8 +142,8 @@ def find_unit_prime(f: TriangularMap, start: int = 2) -> int:
 
 def choose_C(f: TriangularMap) -> int:
     """Minimal integer strictly above N * max_{i,j} deg_{x_i} f_j, the
-    largest exponent in any term of any component."""
-    return f.dimension * max(max(mono) for c in f.components for mono in c.terms) + 1
+    largest entry of f's degree rows."""
+    return f.dimension * max(map(max, f.degree_rows)) + 1
 
 
 class SectorConfig(Record):

@@ -158,18 +158,14 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise ValueError(f"not an int, Fraction or rational string: {value!r}")
 
 
-# A stripped numerator cell: an optional sign, whitespace, then ASCII digits.
-_SIGNED_DIGITS = re.compile(r"([+-]?)\s*([0-9]+)")
-
-
 def rational_pair(num: str, den: str) -> Fraction:
     """``rational(f"{num}/{den}")`` for two stripped cells, read without
-    joining them: num is an optional sign, optional whitespace and ASCII
-    digits, and den is ASCII digits."""
-    m = _SIGNED_DIGITS.fullmatch(num)
-    if m is None or not (den.isascii() and den.isdigit()):
+    joining them: num is an optional sign and an integer (:data:`_FACTOR`),
+    and den is ASCII digits."""
+    m = _FACTOR.fullmatch(num[1:] if num[:1] in ("+", "-") else num)
+    if not (m and m["num"]) or m["den"] or not (den.isascii() and den.isdigit()):
         raise ValueError(f"not an int, Fraction or rational string: {num + '/' + den!r}")
-    return _number(m[2], den, m[1] == "-")
+    return _number(m["num"], den, num[:1] == "-")
 
 
 class Polynomial:
@@ -190,9 +186,9 @@ class Polynomial:
     are equal.
     """
 
-    __slots__ = ("dimension", "terms", "den", "_hash", "_plan")
+    __slots__ = ("dimension", "terms", "den", "_plan")
 
-    def __init__(self, dimension: int, terms: Mapping[Monomial, Fraction] | Iterable = ()):
+    def __new__(cls, dimension: int, terms: Mapping[Monomial, Fraction] | Iterable = ()):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -212,25 +208,22 @@ class Polynomial:
         # reduced denominator, and that numerator is scaled by a unit mod p
         den = math.lcm(*(c.denominator for c in clean.values()))
         numerators = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", numerators)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_plan", None)
+        return cls._trusted(dimension, numerators, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
         # copies and pickles rebuild from the canonical data alone: the
-        # cached hash and evaluation plan are never carried along
+        # evaluation plan is never carried along
         return Polynomial._trusted, (self.dimension, dict(self.terms), self.den)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def _trusted(cls, dimension: int, terms: dict[Monomial, int], den: int) -> "Polynomial":
-        """``terms`` over ``den``, without validation; for ring-operation results only.
+        """``terms`` over ``den``, without validation; for the public
+        constructor's checked terms and ring-operation results only.
 
         ``terms`` must have tuple keys of length ``dimension`` with
         nonnegative entries and nonzero int values, and ``den`` must be
@@ -246,7 +239,6 @@ class Polynomial:
         object.__setattr__(poly, "dimension", dimension)
         object.__setattr__(poly, "terms", terms)
         object.__setattr__(poly, "den", den)
-        object.__setattr__(poly, "_hash", None)
         object.__setattr__(poly, "_plan", None)
         return poly
 
@@ -392,13 +384,6 @@ class Polynomial:
 
     # -- degrees -------------------------------------------------------
 
-    def degree_in_var(self, index: int) -> int:
-        """Max exponent of x_index (1-based); 0 for the zero polynomial."""
-        if not 1 <= index <= self.dimension:
-            raise IndexError(f"variable index {index} out of range 1..{self.dimension}")
-        i = index - 1
-        return max((mono[i] for mono in self.terms), default=0)
-
     def total_degree(self) -> int:
         """Max over terms of the exponent sum; 0 for constants and zero."""
         return max((sum(mono) for mono in self.terms), default=0)
@@ -411,11 +396,7 @@ class Polynomial:
         return (self.dimension, self.den, self.terms) == (other.dimension, other.den, other.terms)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.dimension, self.den, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.dimension, self.den, frozenset(self.terms.items())))
 
     def to_text(self) -> str:
         """Canonical text form: terms in descending lexicographic order."""
@@ -485,13 +466,12 @@ def _horner_plan(terms: Mapping[Monomial, int]) -> tuple:
 
     The fold order is descending lexicographic, so the terms sharing their
     exponents of x_1..x_i are adjacent and, among them, the exponents of
-    x_(i+1) descend.  ``levels`` lists (i, groups, n_plan, o_plan) for
+    x_(i+1) descend.  ``levels`` lists (i, groups, n_exps, o_exps) for
     i = N-1 down to 0.  A group is one run of entries that share their
     exponents of x_1..x_i, given as (program, e_last): the
     :func:`_fold_program` of its exponents of x_(i+1), and the last
-    exponent, by which the group is closed.  ``n_plan`` and ``o_plan`` are
-    the :func:`_power_plan` of the nonzero exponents of n_(i+1) and o_(i+1)
-    that the programs use.
+    exponent, by which the group is closed.  ``n_exps`` and ``o_exps`` are
+    the nonzero exponents of n_(i+1) and o_(i+1) that the programs use.
     """
     order = sorted(terms, reverse=True)
     degs = [max(e) for e in zip(*terms)]
@@ -507,7 +487,7 @@ def _horner_plan(terms: Mapping[Monomial, int]) -> tuple:
         programs = [(_fold_program(exps, degs[i]), exps[-1]) for exps in groups]
         n_exps = {-op for ops, low in programs for op in [*ops, -low] if op < 0}
         o_exps = {op for ops, _ in programs for op in ops if op > 0}
-        levels.append((i, programs, _power_plan(n_exps), _power_plan(o_exps)))
+        levels.append((i, programs, n_exps, o_exps))
         prefixes = folded
     return [terms[a] for a in order], degs, levels
 
@@ -524,12 +504,6 @@ def _fold_program(exps: list, deg: int) -> list:
     high = 1 << (len(exps) - 1).bit_length() - 1
     return [*_fold_program(exps[:high], deg), *_fold_program(exps[high:], deg),
             exps[-1] - exps[high - 1]]
-
-
-def _power_plan(exps: set) -> list:
-    """(e, half) for each e of ``exps``, ascending: b^e is (b^half)^2 when
-    half = e / 2 is in ``exps``, else ``pow(b, e)`` and half = 0."""
-    return [(e, e // 2 if e % 2 == 0 and e // 2 in exps else 0) for e in sorted(exps)]
 
 
 def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction:
@@ -557,8 +531,8 @@ def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction
     does not grow with N.
 
     No power of two is multiplied: ``*`` and ``pow`` see only values, n_i
-    and o_i, and each power is built once per level (:func:`_power_plan`),
-    in one dict for n_i and one for o_i; o_i = 1 lifts by shifts alone.
+    and o_i, and each power is built once per level by ``pow``, in one dict
+    for n_i and one for o_i; o_i = 1 lifts by shifts alone.
     With D = 2^E D_odd, and s <= E since level i adds at most t_i deg_i,
     the value is v / (2^(E - s) D_odd), reduced by shifting
     2^min(v_2(v), E - s) out of v and dividing v and D_odd by their gcd,
@@ -570,13 +544,10 @@ def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction
     twos = [(v.denominator & -v.denominator).bit_length() - 1 for v in values]
     odds = [v.denominator >> t for v, t in zip(values, twos)]
     level = [(c, 0) for c in coeffs]
-    for i, groups, n_plan, o_plan in levels:
+    for i, groups, n_exps, o_exps in levels:
         n, o, two = nums[i], odds[i], twos[i]
-        n_powers, o_powers = {}, {}
-        for e, half in n_plan:
-            n_powers[e] = n_powers[half] ** 2 if half else pow(n, e)
-        for e, half in o_plan if o > 1 else ():
-            o_powers[e] = o_powers[half] ** 2 if half else pow(o, e)
+        n_powers = {e: pow(n, e) for e in n_exps}
+        o_powers = {e: pow(o, e) for e in o_exps} if o > 1 else {}
         entries = iter(level)
         level = []
         for ops, low in groups:
@@ -593,9 +564,7 @@ def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction
                 a, r = below.pop()
                 if a:
                     a *= n_powers[-op]
-                    if not v:
-                        v, s = a, r
-                    elif r <= s:
+                    if r <= s:
                         v, s = (v << s - r) + a, r
                     else:
                         v += a << r - s

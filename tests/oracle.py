@@ -101,7 +101,10 @@ def degree_matrix(f) -> DegreeMatrix:
     """The exact degree matrix of f: entry (i,j) = deg_{x_i} f_j."""
     n = f.dimension
     return DegreeMatrix(
-        tuple(tuple(f.components[j].degree_in_var(i + 1) for j in range(n)) for i in range(n))
+        tuple(
+            tuple(max((mono[i] for mono in f.components[j].terms), default=0) for j in range(n))
+            for i in range(n)
+        )
     )
 
 

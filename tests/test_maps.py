@@ -7,12 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus import BASE_POINTS, CORPUS
+from oracle import degree_matrix
+
 from arithdyn.maps import (
     NotDominantError,
     NotTriangularError,
     ResourceCaps,
     TriangularMap,
     as_point,
+    diagonal_degrees,
     iterate_symbolic,
     map_from_json_dict,
     map_to_json_dict,
@@ -24,8 +28,10 @@ from arithdyn.maps import (
     step_bits_bound,
     triangular_map,
 )
+from arithdyn.padic import choose_C
 from arithdyn.qpoly import (
     DimensionMismatchError,
+    Polynomial,
     ResourceLimitError,
     parse_polynomial,
     rational,
@@ -48,6 +54,86 @@ def test_validate_not_triangular():
     with pytest.raises(NotTriangularError) as err:
         triangular_map(["x1+x2", "x1^2"])
     assert (err.value.component, err.value.variable) == (2, 1)
+
+
+@st.composite
+def component_lists(draw, triangular):
+    """Components of a map of dimension 1..3, each up to four terms with
+    exponents <= 3 and coefficients in {-2, -1/3, 1, 5}.  If ``triangular``,
+    component i has no x_j with j < i and a term in x_i, so the list is a
+    valid TriangularMap; otherwise any variable may occur, and a component
+    may be zero."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.sampled_from([Fraction(-2), Fraction(-1, 3), Fraction(1), Fraction(5)])
+    components = []
+    for i in range(n):
+        low = i if triangular else 0
+        monos = st.tuples(*[st.just(0)] * low, *[st.integers(0, 3)] * (n - low))
+        terms = dict(draw(st.lists(st.tuples(monos, coeffs), max_size=4)))
+        if triangular:
+            lead = draw(st.tuples(st.integers(1, 3), *[st.integers(0, 3)] * (n - i - 1)))
+            terms[(0,) * i + lead] = draw(coeffs)
+        components.append(Polynomial(n, terms))
+    return components
+
+
+def check_degree_readers(f, sizes):
+    """degree_rows against the oracle's matrix, and each reader of it against
+    a reference read from the terms."""
+    assert f.degree_rows == tuple(zip(*degree_matrix(f).entries))
+    assert diagonal_degrees(f) == tuple(
+        max(m[i] for m in c.terms) for i, c in enumerate(f.components)
+    )
+    assert choose_C(f) == f.dimension * max(e for c in f.components for m in c.terms for e in m) + 1
+    widths = [max(num, den) + den for num, den in sizes]
+    assert step_bits_bound(f)(sizes) == max(
+        sum(map(abs, c.terms.values())).bit_length()
+        + c.den.bit_length()
+        + sum(max(m[j] for m in c.terms) * w for j, w in enumerate(widths))
+        for c in f.components
+    )
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_degree_rows_and_their_readers_on_the_corpus(index):
+    check_degree_readers(CORPUS[index], coordinate_bits(BASE_POINTS[index]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_lists(triangular=True), st.data())
+def test_degree_rows_and_their_readers_on_random_maps(components, data):
+    n = len(components)
+    size = st.tuples(st.integers(0, 99), st.integers(1, 99))
+    sizes = data.draw(st.lists(size, min_size=n, max_size=n))
+    check_degree_readers(TriangularMap(components), sizes)
+
+
+def _first_fault(components):
+    """The error TriangularMap must raise, read from the terms: the first
+    component i using some x_j, j < i (the smallest such j), or lacking x_i."""
+    for i, c in enumerate(components, start=1):
+        for j in range(1, i):
+            if any(m[j - 1] for m in c.terms):
+                return NotTriangularError(i, j)
+        if not any(m[i - 1] for m in c.terms):
+            return NotDominantError(i)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_lists(triangular=False))
+@example([parse_polynomial("x2", 2), parse_polynomial("x1*x2", 2)])
+@example([parse_polynomial("x1", 2), parse_polynomial("x1*x2+x2", 2)])
+@example([parse_polynomial(t, 3) for t in ("x1", "x2", "x2*x3+x1")])
+@example([parse_polynomial("x1", 2), parse_polynomial("0", 2)])
+def test_validation_names_the_first_fault(components):
+    want = _first_fault(components)
+    if want is None:
+        assert TriangularMap(components).components == tuple(components)
+        return
+    with pytest.raises(type(want)) as err:
+        TriangularMap(components)
+    assert (str(err.value), vars(err.value)) == (str(want), vars(want))
 
 
 def test_apply_simple():
@@ -85,7 +171,8 @@ def test_iterate_symbolic_matches_substitution_oracle():
 def test_iterate_symbolic_diagonal_degrees_multiply():
     f = triangular_map(["x1^3+x2", "x2^2+1"])
     f2 = iterate_symbolic(f, 2)
-    assert (f2.components[0].degree_in_var(1), f2.components[1].degree_in_var(2)) == (9, 4)
+    a, b = f2.components
+    assert (max(m[0] for m in a.terms), max(m[1] for m in b.terms)) == (9, 4)
 
 
 def test_iterate_resource_cap():
@@ -226,9 +313,8 @@ def test_triangularity_preserved_by_iteration(texts, t):
     f = triangular_map(texts)
     ft = iterate_symbolic(f, t)
     for i, comp in enumerate(ft.components, start=1):
-        for j in range(1, i):
-            assert comp.degree_in_var(j) == 0
-        assert comp.degree_in_var(i) >= 1
+        assert all(not any(m[: i - 1]) for m in comp.terms)
+        assert max(m[i - 1] for m in comp.terms) >= 1
 
 
 # -- wire formats ----------------------------------------------------------

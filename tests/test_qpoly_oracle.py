@@ -613,18 +613,18 @@ def test_fold_program_shapes():
     # clock-free: a group of one or two entries is one Horner step, and the
     # ten entries of E1^3's x1 level fold at depth 4, not the chain's 9
     assert qpoly._horner_plan(P("x1^3 + x2", 2).terms)[2] == [
-        (1, [([1], 0), ([0], 1)], [(1, 0)], [(1, 0)]),
-        (0, [([0, 3, -3], 0)], [(3, 0)], [(3, 0)]),
+        (1, [([1], 0), ([0], 1)], {1}, {1}),
+        (0, [([0, 3, -3], 0)], {3}, {3}),
     ]
     f3 = iterate_symbolic(triangular_map(["x1^3+x2", "x2^2+1"]), 3)
     _, degs, levels = qpoly._horner_plan(f3.components[0].terms)
-    i, groups, n_plan, _ = levels[-1]
+    i, groups, n_exps, _ = levels[-1]
     assert (i, degs[0], len(groups)) == (0, 27, 1)
     ((ops, low),) = groups
     assert [op for op in ops if op >= 0] == list(range(0, 28, 3))
     assert (join_depth(ops), low) == (4, 0)
-    # gaps 3, 6, 12: one pow, then squares
-    assert n_plan == [(3, 0), (6, 3), (12, 6)]
+    # gaps 3, 6, 12: one pow each
+    assert n_exps == {3, 6, 12}
 
 
 FOLD_COORDS = st.one_of(

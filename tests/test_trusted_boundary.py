@@ -1,8 +1,8 @@
 """Validate only at the API boundary: the unchecked constructors stay inside qpoly.
 
 ``Polynomial._trusted`` wraps a term map without checking it, so it is only
-for results of ring operations whose inputs ``Polynomial.__init__`` has
-already validated.  ``qpoly._coprime_fraction`` fills a Fraction's slots
+for the terms the public constructor ``Polynomial(...)`` has just validated
+and for results of ring operations on such polynomials.  ``qpoly._coprime_fraction`` fills a Fraction's slots
 without the gcd that reduces it, so it is only for the evaluation kernel,
 whose reduction proves its operands coprime.  Any reference to either from
 another module of the package would let unchecked values through; this
