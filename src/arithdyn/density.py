@@ -37,13 +37,35 @@ Pivots are chosen to limit bit-length growth (smallest nonzero magnitude,
 lowest row index on ties), so every run is deterministic; the reduced row
 echelon form, and hence the witness, does not depend on that choice.
 
+The kernel is built and lifted at the switch: the first row that is zero
+modulo p while M - r <= r.  While that lift stands, each later row is
+tested exactly against the lifted vectors, and not modulo p.  An exact
+pass implies membership of the span modulo p: a lifted entry a/b has
+0 < b < p and a = b k mod p, so a cleared vector v_f is l_f k_f mod p with
+l_f, the lcm of its denominators, a unit mod p; a row x with x . v_f = 0
+for every f thus has x . k_f = 0 mod p for every f, which is the modulo-p
+test that skips it.  So the kept rows and the kernel are those of the
+modulo-p test alone.  A row that fails the exact test drops the lift and
+takes the modulo-p test.  If it changes the kernel, the final kernel is
+lifted and checked against every row at the end, as above; if not, a lift
+of the final kernel gives the same vectors, which fail on that row, and so
+does the certificate.  A kernel that does not lift at the switch does not
+lift at the end either, unless a later row changes it.  If the lift stands
+to the end, it is the lift of the final kernel and every row after the
+switch has passed; the deferred check of the rows read up to the switch
+tests each of those once.  So every row is checked, once, against the
+vectors a lift at the end would give: the certificate is complete, and its
+verdict and fallback are those of a lift at the end.
+
 Both the reduction modulo p and the exact check run on packed lanes: one
 integer holds one value per field of W bits, so a row costs a few big-int
 operations, not one interpreted operation per entry (simultaneous modular
 reduction, Dumas-Fousse-Salvy, J. Symb. Comput. 46 (2011)).  Modulo p, W =
 2 bits(p) + bits(M) + 1, and no lane carries: a reduced lane stays below
-p + M p^2 and a dot product with the packed kernel below M p^2, both under
-2^W.  In the exact check, W = bits(max |row entry|) + bits(max |vector
+p + M p^2.  The kernel's lanes are kept below 2^62 by folding with 2^61 = 1
+mod p, so a dot product with the packed kernel and a back-substitution step
+stay below M p 2^62 < 2^W, and a kernel update below (p + 1) 2^62 = 2^123
+< 2^W.  In the exact check, W = bits(max |row entry|) + bits(max |vector
 entry|) + bits(M) + 1, every dot product is below 2^(W - 1) in size, so
 their packed sum is 0 exactly when each is.
 """
@@ -61,9 +83,10 @@ from .qpoly import DimensionMismatchError, Monomial
 
 
 # The rank certificate's prime, the Mersenne prime 2^61 - 1: residues fit in
-# 61 bits, and a prime this large rarely divides a minor of the rows, which
-# is when the rank modulo p falls short of the rank over Q and the exact
-# elimination runs on all rows.
+# 61 bits, a lane reduces modulo it by a shift and a mask (_fold), and a
+# prime this large rarely divides a minor of the rows, which is when the
+# rank modulo p falls short of the rank over Q and the exact elimination
+# runs on all rows.
 MODULUS = 2**61 - 1
 
 
@@ -140,63 +163,107 @@ def _packed_columns(vectors: list, width: int) -> list:
     return [sum(map(operator.lshift, column, shifts)) for column in columns]
 
 
+def _fold_masks(width: int, count: int) -> tuple:
+    """The masks of ``_fold`` for ``count`` lanes of ``width`` bits: the low
+    61 bits of every lane, and the width - 61 bits above them."""
+    ones = ((1 << width * count) - 1) // ((1 << width) - 1)
+    return MODULUS * ones, ((1 << width - 61) - 1) * ones
+
+
+def _fold(packed: int, low: int, high: int) -> int:
+    """``packed`` with each lane x, below 2^W for the width W = 2 bits(p) +
+    bits(n_cols) + 1 of ``_rank_mod_p``, replaced by a value congruent to it
+    modulo MODULUS = 2^61 - 1 and below 2^62.  As 2^61 = 1 mod p, x = (x mod
+    2^61) + (x >> 61) mod p: one fold leaves a lane below 2^61 + 2^(W - 61),
+    the second at most 2^61 + 2^(W - 122) < 2^62 (for n_cols < 2^59)."""
+    packed = (packed & low) + (packed >> 61 & high)
+    return (packed & low) + (packed >> 61 & high)
+
+
+def _unpacked(columns: list, free: list, width: int) -> list:
+    """The kernel vectors packed in ``columns`` as ``_kernel_mod_p`` packs
+    them, lane i reduced modulo MODULUS and cut after its free column free[i]."""
+    lane = (1 << width) - 1
+    return [
+        [(c >> width * i & lane) % MODULUS for c in columns[: f + 1]] for i, f in enumerate(free)
+    ]
+
+
 def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
-    """(kept, read, kernel): the integer rows read one at a time until
-    ``n_cols`` are independent modulo MODULUS, the indices of those
+    """(kept, read, kernel, witness): the integer rows read one at a time
+    until ``n_cols`` are independent modulo MODULUS, the indices of those
     independent of the rows before them (len(kept) is the rank of ``read``
     modulo p), and, below n_cols, the kernel modulo p of the kept rows as
-    ``_kernel_mod_p`` gives it (None at full rank).
+    ``_kernel_mod_p`` gives it, unpacked to one list per free column f cut
+    after f, and the witness over Q: the first lifted kernel vector
+    (``_lift``) as Fractions, padded with zeros, if every lifted vector has
+    integer dot product 0 with every row read, else None (both None at full
+    rank).
 
     Rows are reduced into an echelon basis, and one that reduces to zero is
     skipped, until such a row arrives while the kernel is no larger than
     the basis: m - r <= r, for r rows kept of m = n_cols.  A row's residues
     are packed into one integer, entry j in the lane of W = 2 bits(p) +
     bits(n_cols) + 1 bits at bit W j.  A basis row led by 1 at column c is
-    stored negated mod p (p - 1 at its lead, p - b_j after it) and packed
+    stored negated mod p (p - 1 at its lead, -b_j mod p after it) and packed
     from lane 0 at c, so reducing by it is ``packed += x * basis[c]``, with x
     the residue of the row's lowest lane, which is then shifted out.  No
     lane carries: it starts below p and gains less than p^2 per pivot, so it
-    stays below p + n_cols p^2 < 2^W.  A new pivot's tail is read out once,
-    scaled by the inverse of its lead, for ``_kernel_mod_p``.
+    stays below p + n_cols p^2 < 2^W.  A new pivot's negated tail is read
+    out once for ``_kernel_mod_p``.
 
-    From then on the basis is replaced by its kernel, and a row is tested by
-    its dot products d_f with the kernel vectors k_f: it is in the span
-    modulo p exactly when all are 0.  The kernel is packed by column, lane f
-    of column j holding k_f[j], so the d_f are the lanes of one sum of the
-    row's residues times the columns; each lane is below n_cols p^2 < 2^W,
-    so none carries.  Otherwise the first free column c with d_c != 0 is
-    the leading column the echelon reduction would give it, and the kernel
-    of the grown span is k_f - (d_f / d_c) k_c for the other f, still 1 at f
-    and 0 at the other free columns and past f, so each row costs one dot
-    product and at most one update per kernel vector, and the columns are
-    packed again only after an update.  Either phase keeps the same rows
-    and ends with the same kernel, whenever the switch comes: the vector
-    that is 1 at a free column f and 0 at the other free columns and past f
-    is unique.
+    From then on the basis is replaced by its kernel, packed by column with
+    lane f of column j holding k_f[j] (below 2^62, see ``_fold``), and a row
+    is tested by its dot products d_f with the kernel vectors: it is in the
+    span modulo p exactly when all are 0.  The d_f are the lanes of one sum
+    of the row's residues times the columns, each below n_cols p 2^62 <=
+    2^W.  Otherwise the first free column c with d_c != 0 is the leading
+    column the echelon reduction would give it, and the kernel of the grown
+    span is k_f - (d_f / d_c) k_c for the other f, still 1 at f and 0 at the
+    other free columns and past f: each column gains its lane c times one
+    packed multiplier (lanes stay below (p + 1) 2^62 < 2^W), is folded, and
+    loses lane c.  Either phase keeps the same rows and ends with the same
+    kernel, whenever the switch comes: the vector that is 1 at a free
+    column f and 0 at the other free columns and past f is unique.
+
+    At the switch the kernel is also lifted to Q.  While that lift stands,
+    a row is first tested exactly; one with every dot product 0 is in the
+    span modulo p (see the module docstring) and is skipped with no residue
+    taken.  The first row that fails the exact test drops the lift and goes
+    on as above.  If the lift stands to the end, the rows read up to the
+    switch are tested once, and they decide the witness.  If the kernel
+    changed after the switch, or there was none, the final kernel is lifted
+    and tested against every row read.  Otherwise the witness is None: the
+    kernel did not lift, or a row failed against its lift.
     """
     p = MODULUS
     width = 2 * p.bit_length() + n_cols.bit_length() + 1
     lane = (1 << width) - 1
     shifts = range(0, n_cols * width, width)
-    tails = [None] * n_cols  # tails[c]: the tail after column c of a row led by 1 at c
-    basis = [None] * n_cols  # basis[c]: that row negated mod p and packed from lane 0 at c
-    kept, read, kernel = [], [], None
+    tails = [None] * n_cols  # tails[c]: the negated tail after column c of a row led by 1 at c
+    basis = [None] * n_cols  # basis[c]: that row packed from lane 0 at c, p - 1 at its lead
+    kept, read, columns, kernel, lifted = [], [], None, None, None
     for row in rows:
         read.append(row)
+        if lifted is not None:
+            if lifted.annihilates(row):
+                continue  # in the span of the kept rows modulo p
+            lifted = None
         residues = map(operator.mod, row, repeat(p))
-        if kernel is not None:
+        if columns is not None:
             packed = sum(map(operator.mul, residues, columns))
-            dots = [(packed >> s & lane) % p for s in shifts[: len(kernel)]]
+            dots = [(packed >> s & lane) % p for s in shifts[: len(free)]]
             lead = next((j for j, d in enumerate(dots) if d), None)
             if lead is None:
                 continue  # in the span of the kept rows modulo p
-            k_lead = kernel.pop(lead)
-            inverse = pow(dots.pop(lead), -1, p)
-            for k, d in zip(kernel[lead:], dots[lead:]):
-                if d:
-                    s = d * inverse % p
-                    k[: len(k_lead)] = [(a - s * b) % p for a, b in zip(k, k_lead)]
-            columns = _packed_columns(kernel, width)
+            scale = p - pow(dots[lead], -1, p)
+            multiplier = sum(d * scale % p << s for d, s in zip(dots, shifts))
+            at = width * lead
+            below = (1 << at) - 1
+            folded = (_fold(c + (c >> at & lane) * multiplier, *masks) for c in columns)
+            columns = [c & below | c >> at + width << at for c in folded]
+            del free[lead]
+            kernel = None
         else:
             packed = sum(map(operator.lshift, residues, shifts))
             for c in range(n_cols):
@@ -208,37 +275,49 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
                 packed >>= width
             else:  # zero modulo p: in the span of the kept rows
                 if n_cols - len(kept) <= len(kept):
-                    kernel = _kernel_mod_p(tails)
-                    columns = _packed_columns(kernel, width)
+                    columns, free = _kernel_mod_p(tails)
+                    masks = _fold_masks(width, len(free))
+                    kernel = _unpacked(columns, free, width)
+                    lifted, switch = _lift(kernel, read, n_cols), len(read)
                 continue
-            inverse = pow(x, -1, p)
-            tails[c] = tail = [(packed >> s & lane) * inverse % p for s in shifts[1 : n_cols - c]]
-            negated = map(operator.sub, repeat(p), tail)
-            basis[c] = p - 1 + sum(map(operator.lshift, negated, shifts[1:]))
+            scale = p - pow(x, -1, p)
+            tails[c] = tail = [(packed >> s & lane) * scale % p for s in shifts[1 : n_cols - c]]
+            basis[c] = p - 1 + sum(map(operator.lshift, tail, shifts[1:]))
         kept.append(len(read) - 1)
         if len(kept) == n_cols:
-            return kept, read, None
-    if kernel is None and len(kept) < n_cols:
-        kernel = _kernel_mod_p(tails)
-    return kept, read, kernel
+            return kept, read, None, None
+    if kernel is None:  # no switch, or the kernel changed after it: lift the final one
+        if columns is None:
+            columns, free = _kernel_mod_p(tails)
+        kernel = _unpacked(columns, free, width)
+        lifted, switch = _lift(kernel, read, n_cols), len(read)
+    certified = lifted is not None and all(map(lifted.annihilates, read[:switch]))
+    return kept, read, kernel, lifted.witness() if certified else None
 
 
-def _kernel_mod_p(basis: list) -> list:
-    """The kernel modulo MODULUS of an echelon basis (``basis[c]`` the tail
-    after column c of a row led by 1 at c, None at a free column), one
-    vector per free column f, by back-substitution: 1 at f, 0 at the other
-    free columns and past f, so it is stored as its first f + 1 entries."""
-    p = MODULUS
-    kernel = []
-    for f, lead in enumerate(basis):
-        if lead is not None:
-            continue
-        k = [0] * f + [1]
-        for c in range(f - 1, -1, -1):
-            if basis[c] is not None:
-                k[c] = -sum(map(operator.mul, basis[c], k[c + 1 :])) % p
-        kernel.append(k)
-    return kernel
+def _kernel_mod_p(tails: list) -> tuple:
+    """(columns, free): the kernel modulo MODULUS of an echelon basis
+    (``tails[c]`` the negated tail after column c of a row led by 1 at c,
+    None at a free column), one vector k_i per free column free[i], 1 there,
+    0 at the other free columns and past it, packed by column as
+    ``_rank_mod_p`` keeps it, lane i of column j holding k_i[j] below 2^62.
+
+    Back-substitution runs over all lanes at once: column free[i] is 2^(W i),
+    and a pivot column c is the sum of its negated tail times the columns
+    after it, folded (``_fold``); each lane of the sum is below n_cols p
+    2^62 <= 2^W, and is 0 for a vector whose free column is below c.
+    """
+    n_cols = len(tails)
+    width = 2 * MODULUS.bit_length() + n_cols.bit_length() + 1
+    free = [f for f, tail in enumerate(tails) if tail is None]
+    masks = _fold_masks(width, len(free))
+    columns = [0] * n_cols
+    for i, f in enumerate(free):
+        columns[f] = 1 << width * i
+    for c in range(n_cols - 1, -1, -1):
+        if tails[c] is not None:
+            columns[c] = _fold(sum(map(operator.mul, tails[c], columns[c + 1 :])), *masks)
+    return columns, free
 
 
 # Rational reconstruction bound: numerators and denominators up to B with
@@ -246,47 +325,75 @@ def _kernel_mod_p(basis: list) -> list:
 LIFT_BOUND = math.isqrt((MODULUS - 1) // 2)
 
 
-def _reconstruct(x: int) -> Fraction | None:
-    """The fraction a/b with |a|, b <= LIFT_BOUND and a = b x modulo
-    MODULUS, by the half extended Euclidean algorithm (Wang, SYMSAC 1981),
-    or None if there is none."""
+def _reconstruct(x: int) -> tuple | None:
+    """(a, b): the fraction a/b with |a|, b <= LIFT_BOUND, b > 0 and a = b x
+    modulo MODULUS, by the half extended Euclidean algorithm (Wang, SYMSAC
+    1981), or None if there is none.  It is in lowest terms: r = s p + t x
+    at every step with gcd(s, t) = 1, so gcd(r, t) divides p, and 0 < |t| <
+    p."""
     r0, r1, t0, t1 = MODULUS, x, 0, 1
     while r1 > LIFT_BOUND:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    return Fraction(r1, t1) if abs(t1) <= LIFT_BOUND else None
-
-
-def _lift_kernel(kernel: list, rows: list, n_cols: int) -> list | None:
-    """The kernel witness of ``rows`` over Q from their ``_kernel_mod_p``:
-    each vector is lifted entry by entry with ``_reconstruct`` and cleared
-    of denominators, and must have integer dot product 0 with every row.
-    If all do, the first one, padded with zeros to ``n_cols`` entries, is
-    returned as Fractions; if an entry does not lift or a dot product is
-    not 0, None.
-
-    The cleared vectors are packed by column, lane f of column j holding
-    v_f[j] in W' = bits(max |row entry|) + bits(max |v entry|) +
-    bits(n_cols) + 1 bits, so a row's dot products d_f are the lanes of one
-    sum, the row times the columns.  Each |d_f| < 2^(W' - 1), so the sum of
-    d_f 2^(W' f) is 0 exactly when every d_f is: the highest nonzero lane
-    outweighs all the lanes below it.
-    """
-    vectors, witness = [], None
-    for k in kernel:
-        lifted = [_reconstruct(x) for x in k]
-        if any(q is None for q in lifted):  # `None in` would call Fraction.__eq__ per entry
-            return None
-        lcm = math.lcm(*(q.denominator for q in lifted))
-        vectors.append([q.numerator * (lcm // q.denominator) for q in lifted])
-        if witness is None:
-            witness = lifted + [Fraction(0)] * (n_cols - len(lifted))
-    row_bits = max(max(max(row), -min(row)) for row in rows).bit_length()
-    vector_bits = max(max(max(v), -min(v)) for v in vectors).bit_length()
-    columns = _packed_columns(vectors, row_bits + vector_bits + n_cols.bit_length() + 1)
-    if any(sum(map(operator.mul, row, columns)) for row in rows):
+    if abs(t1) > LIFT_BOUND:
         return None
-    return witness
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+class _LiftedKernel:
+    """Kernel vectors lifted to Q and cleared of denominators, packed by
+    column for exact dot products with integer rows; ``first`` holds the
+    (a, b) pairs of the first vector's entries, from which the witness is
+    built.
+
+    Lane f of column j holds v_f[j] in W' = bits(max |row entry|) +
+    bits(max |v entry|) + bits(n_cols) + 1 bits, so a row's dot products
+    d_f are the lanes of one sum, the row times the columns.  Each |d_f| <
+    2^(W' - 1), so the sum of d_f 2^(W' f) is 0 exactly when every d_f is:
+    the highest nonzero lane outweighs all the lanes below it.  The row
+    bits start at the largest of ``rows``; a wider row packs the columns
+    again.
+    """
+
+    def __init__(self, vectors: list, first: list, rows: list, n_cols: int):
+        self.vectors, self.first, self.n_cols = vectors, first, n_cols
+        self.vector_bits = max(max(max(v), -min(v)) for v in vectors).bit_length()
+        self._pack(max(max(max(row), -min(row)) for row in rows).bit_length())
+
+    def _pack(self, row_bits: int) -> None:
+        self.row_bits = row_bits
+        width = row_bits + self.vector_bits + self.n_cols.bit_length() + 1
+        self.columns = _packed_columns(self.vectors, width)
+
+    def annihilates(self, row: list) -> bool:
+        """Whether every lifted vector has integer dot product 0 with ``row``."""
+        bits = max(max(row), -min(row)).bit_length()
+        if bits > self.row_bits:
+            self._pack(bits)
+        return not sum(map(operator.mul, row, self.columns))
+
+    def witness(self) -> list:
+        """The first vector as Fractions, padded with zeros to n_cols entries."""
+        padding = [Fraction(0)] * (self.n_cols - len(self.first))
+        return [Fraction(a, b) for a, b in self.first] + padding
+
+
+def _lift(kernel: list, rows: list, n_cols: int) -> _LiftedKernel | None:
+    """``kernel`` lifted entry by entry with ``_reconstruct``, each vector
+    cleared of denominators by the lcm of its entries' denominators, or None
+    if an entry does not lift.  The entries stay (a, b) pairs; only the
+    witness is built of Fractions."""
+    vectors, first = [], None
+    for k in kernel:
+        pairs = []
+        for pair in map(_reconstruct, k):
+            if pair is None:
+                return None
+            pairs.append(pair)
+        lcm = math.lcm(*(b for _, b in pairs))
+        vectors.append([a * (lcm // b) for a, b in pairs])
+        first = first or pairs
+    return _LiftedKernel(vectors, first, rows, n_cols)
 
 
 def rational_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple:
@@ -378,12 +485,14 @@ def density_check(
     independent modulo ``MODULUS``.  Below m, with r rows kept, the m - r
     kernel vectors modulo p are lifted to Q by rational reconstruction
     (numerators and denominators up to isqrt((p - 1)/2)) and checked
-    against every row exactly.  If all pass, (1) the kept rows' minor that
-    is nonzero mod p gives rank >= r, (2) the m - r independent lifted
-    vectors give rank <= r, and (3) being 1 at their free column and 0 past
-    it, they fix the free columns over Q, so the first is the reduced row
-    echelon form's witness.  Otherwise ``rational_rref`` runs once on every
-    row read.  The module docstring has the proofs.
+    against every row exactly; a row read after the kernel is built is
+    tested exactly first, and modulo p only if that test fails.  If all
+    pass, (1) the kept rows' minor that is nonzero mod p gives rank >= r,
+    (2) the m - r independent lifted vectors give rank <= r, and (3) being
+    1 at their free column and 0 past it, they fix the free columns over Q,
+    so the first is the reduced row echelon form's witness.  Otherwise
+    ``rational_rref`` runs once on every row read.  The module docstring
+    has the proofs.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -400,10 +509,8 @@ def density_check(
     caps.check("density:monomials", terms=m)  # a vanishing polynomial has m coefficients
     monos = monomials_up_to_degree(dimension, degree_bound)
 
-    kept, rows, kernel = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)
+    kept, rows, _, kernel = _rank_mod_p(_monomial_rows(pts, monos, degree_bound), m)
     rank = len(kept)
-    if kernel is not None:
-        kernel = _lift_kernel(kernel, rows, m)
     if rank < m and kernel is None:
         rank, rref, pivots = rational_rref(rows)
         kernel = _kernel_from_rref(m, rref, pivots) if rank < m else None

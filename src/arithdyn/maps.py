@@ -30,7 +30,7 @@ from .qpoly import (
     ResourceLimitError,
     parse_polynomial,
     rational,
-    rational_pair,
+    rational_pairs,
 )
 
 AffinePoint = tuple  # tuple[Fraction, ...]
@@ -313,7 +313,7 @@ def points_from_csv(text: str) -> list[AffinePoint]:
     The first line must be the header :func:`orbit_to_csv` writes: an
     optional ``n`` column, then ``x{i}_num,x{i}_den`` for i = 1..N.  Every
     row has the header's cell count, and each num/den pair reads as the
-    :func:`rational` of ``num/den`` would (:func:`rational_pair`); the ``n``
+    :func:`rational` of ``num/den`` would (:func:`rational_pairs`); the ``n``
     cells are not read.
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
@@ -333,5 +333,5 @@ def points_from_csv(text: str) -> list[AffinePoint]:
                 "wrong number of coordinates"
             )
         cells = cells[skip:]
-        points.append(tuple(map(rational_pair, cells[::2], cells[1::2])))
+        points.append(rational_pairs(cells[::2], cells[1::2]))
     return points

@@ -168,6 +168,33 @@ def rational_pair(num: str, den: str) -> Fraction:
     return _number(m["num"], den, num[:1] == "-")
 
 
+def rational_pairs(nums: Sequence[str], dens: Sequence[str]) -> tuple:
+    """``tuple(map(rational_pair, nums, dens))``, with one gcd per pair.
+
+    On a row that is ASCII, has no ``_`` and whose dens are digits, ``int``
+    reads a stripped num exactly when it is an optional sign and digits,
+    which :func:`rational_pair` reads to the same value.  Such a row is read
+    with ``int``, each pair reduced by its gcd and built with
+    :func:`_coprime_fraction` (its den is positive).  Any other row, such as
+    one with a space after a sign or a zero den, is read by
+    :func:`rational_pair`, which gives its values or its first error.
+    """
+    row = "".join(nums) + "".join(dens)
+    if row.isascii() and "_" not in row and all(map(str.isdigit, dens)):
+        out = []
+        try:
+            for n, d in zip(map(int, nums), map(int, dens)):
+                if not d:
+                    break
+                g = math.gcd(n, d)
+                out.append(_coprime_fraction(n // g, d // g))
+            else:
+                return tuple(out)
+        except ValueError:  # not a signed integer, or past int's digit limit
+            pass
+    return tuple(map(rational_pair, nums, dens))
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -595,8 +622,9 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     constructor would run a gcd of a huge numerator against the denominator
     only to find 1.
 
-    Its one caller, :func:`_horner_integer`, meets that contract.  Proof:
-    the value is N / (2^E * D_odd) with D_odd odd and positive.  Shifting
+    Its callers meet that contract: :func:`rational_pairs` divides each pair
+    by its gcd, and for :func:`_horner_integer` the proof is this.  The
+    value is N / (2^E * D_odd) with D_odd odd and positive.  Shifting
     2^k out of N for k = min(v_2(N), E) leaves N odd whenever E - k > 0.
     Dividing N and D_odd by g = gcd(N, D_odd) leaves them coprime, and g is
     odd, so N / g is still odd when E - k > 0.  Hence N / g is coprime to

@@ -7,13 +7,16 @@
   writes.  Refactors must leave every byte of every report unchanged; a
   change that alters an output on purpose must re-record the affected
   digests here and say why;
-- ``trace_targets``: the functions ``bench/tracing.py`` wraps.
+- ``trace_targets``: the functions ``bench/tracing.py`` wraps;
+- ``bench_workloads``: ``bench/workloads.py``, which writes the benchmark's
+  inputs.
 
 No suite imports another suite: what two of them share lives here, in
 ``oracle.py`` or in ``sympy_oracle.py``.
 """
 
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,3 +186,16 @@ def trace_targets():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.TARGETS
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded once from its file without importing ``bench``."""
+    if "bench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]

@@ -9,27 +9,13 @@ each config's point strings, which ``validate`` leaves to the run.  Nothing
 under ``bench/`` is changed.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from arithdyn.experiments import ExperimentConfig
 from arithdyn.maps import as_point
+from corpus import bench_workloads
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = bench_workloads()
 
 
 @pytest.mark.parametrize("seed", [0, 31])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithdyn import density
@@ -16,6 +16,7 @@ from arithdyn.density import (
 )
 from arithdyn.maps import orbit, triangular_map
 from arithdyn.padic import sample_U, sector_config
+from corpus import bench_workloads
 from oracle import evaluate_monomial
 
 
@@ -174,8 +175,8 @@ def test_row_off_the_span_by_a_multiple_of_the_modulus_reaches_full_elimination(
     # mod p, so one row is kept, but the second lies off its span over Q by
     # a multiple of p; the exact rank is 2 and the witness is x1^2 - p*x1
     p = density.MODULUS
-    kept, rows, _ = density._rank_mod_p(iter([[1, 0, 0], [1, p, p * p]]), 3)
-    assert (kept, rows) == ([0], [[1, 0, 0], [1, p, p * p]])
+    kept, rows, _, witness = density._rank_mod_p(iter([[1, 0, 0], [1, p, p * p]]), 3)
+    assert (kept, rows, witness) == ([0], [[1, 0, 0], [1, p, p * p]], None)
     rref_calls = count_rref_calls(monkeypatch)
     report = density_check([[0], [p]], 2)
     assert [len(matrix) for matrix in rref_calls] == [2]
@@ -191,7 +192,7 @@ def test_reconstruct_round_trips_within_the_bound(a, b):
     # a fraction with |a|, b <= LIFT_BOUND is the only one of that size
     # with its residue, and it is the one found
     p = density.MODULUS
-    assert density._reconstruct(a * pow(b, -1, p) % p) == Fraction(a, b)
+    assert density._reconstruct(a * pow(b, -1, p) % p) == Fraction(a, b).as_integer_ratio()
 
 
 def test_reconstruct_refuses_a_residue_past_the_bound():
@@ -199,14 +200,24 @@ def test_reconstruct_refuses_a_residue_past_the_bound():
     bound = density.LIFT_BOUND
     assert 2 * bound**2 < density.MODULUS < 2 * (bound + 1) ** 2
     assert density._reconstruct(bound + 1) is None
-    assert density._reconstruct(bound) == bound
-    assert density._reconstruct(density.MODULUS - bound) == -bound
+    assert density._reconstruct(bound) == (bound, 1)
+    assert density._reconstruct(density.MODULUS - bound) == (-bound, 1)
 
 
 def residues(*vector) -> list:
     """The residues modulo MODULUS of a vector of Fractions."""
     p = density.MODULUS
     return [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in vector]
+
+
+def lift_at_the_end(kernel, rows, n_cols):
+    """The witness of ``kernel`` lifted with density._lift and tested
+    against every row, or None: the certificate of a kernel lifted once all
+    rows are read."""
+    lifted = density._lift(kernel, rows, n_cols)
+    if lifted is None or not all(map(lifted.annihilates, rows)):
+        return None
+    return lifted.witness()
 
 
 def test_lift_kernel_refuses_opposite_dot_products_on_one_row():
@@ -216,8 +227,8 @@ def test_lift_kernel_refuses_opposite_dot_products_on_one_row():
     # lanes that are not shifted apart
     kernel = [residues(Fraction(-1, 2), 1), residues(0, 0, 1)]
     want = [Fraction(-1, 2), Fraction(1), Fraction(0)]
-    assert density._lift_kernel(kernel, [[2, 1, 0]], 3) == want
-    assert density._lift_kernel(kernel, [[2, 1, 0], [0, 1, -2]], 3) is None
+    assert lift_at_the_end(kernel, [[2, 1, 0]], 3) == want
+    assert lift_at_the_end(kernel, [[2, 1, 0], [0, 1, -2]], 3) is None
 
 
 def test_lift_kernel_refuses_a_failure_in_the_last_lane_only():
@@ -226,9 +237,9 @@ def test_lift_kernel_refuses_a_failure_in_the_last_lane_only():
     kernel = [residues(Fraction(3, 4), 1), residues(0, 0, 1), residues(-5, 0, 0, 1)]
     rows = [[4, -3, 0, 20], [8, -6, 0, 40]]
     want = [Fraction(3, 4), Fraction(1), Fraction(0), Fraction(0)]
-    assert density._lift_kernel(kernel, rows, 4) == want
-    assert density._lift_kernel(kernel, rows + [[0, 0, 0, 7]], 4) is None
-    assert density._lift_kernel(kernel, rows + [[0, 0, 0, -7]], 4) is None
+    assert lift_at_the_end(kernel, rows, 4) == want
+    assert lift_at_the_end(kernel, rows + [[0, 0, 0, 7]], 4) is None
+    assert lift_at_the_end(kernel, rows + [[0, 0, 0, -7]], 4) is None
 
 
 def count_built_rows(monkeypatch) -> list:
@@ -410,7 +421,7 @@ def test_rank_mod_p_builds_the_kernel_only_once_it_is_no_larger_than_the_basis(
             yield row
 
     monkeypatch.setattr(density, "_kernel_mod_p", counting)
-    kept, rows, kernel = density._rank_mod_p(reading(), m)
+    kept, rows, kernel, _ = density._rank_mod_p(reading(), m)
     assert (kept, kernel) == echelon_mod_p(all_rows, m)
     assert built and all(free <= r or at_end for free, r, at_end in built)
     rank, rref, pivots = rational_rref(rows)
@@ -424,3 +435,141 @@ def test_rank_mod_p_builds_the_kernel_only_once_it_is_no_larger_than_the_basis(
                 vec[c] = Fraction(-row[f], row[c])
     mod_p = [[q.numerator * pow(q.denominator, -1, p) % p for q in v] for v in over_q]
     assert (kernel or []) == mod_p
+
+
+def switch_row(rows, n_cols) -> int | None:
+    """The index of the first row that is dependent modulo p on the rows
+    before it while n_cols - r <= r for their rank r, from ``echelon_mod_p``
+    alone; None if there is none."""
+    kept = set(echelon_mod_p(rows, n_cols)[0])
+    rank = 0
+    for i in range(len(rows)):
+        if i in kept:
+            rank += 1
+        elif n_cols - rank <= rank:
+            return i
+    return None
+
+
+class LoggedEntry(int):
+    """A row entry that adds its row's index to ``log`` whenever it is taken
+    modulo an integer, which every reduction and test modulo p starts with."""
+
+    def __mod__(self, modulus):
+        self.log.add(self.row)
+        return int(self) % modulus
+
+
+def logged_rows(rows, log) -> list:
+    """``rows`` with every entry a LoggedEntry that records into ``log``."""
+    out = []
+    for i, row in enumerate(rows):
+        out.append([LoggedEntry(a) for a in row])
+        for entry in out[-1]:
+            entry.row, entry.log = i, log
+    return out
+
+
+@pytest.mark.parametrize("variant", range(32))
+def test_benchmark_curve_rows_after_the_switch_are_tested_only_exactly(variant):
+    # 80 points on x2 = x1^3 + x1 + 1 at degree 6: rows 0-17 are kept, row
+    # 18 is the first dependent one and builds and lifts the kernel, and
+    # each later row passes the exact test, so none of rows 19-79 is
+    # reduced modulo p; kept rows, kernel and witness are those of
+    # elimination modulo p and a lift of its kernel checked at the end
+    points = bench_workloads()._curve_points(variant, 80)
+    rows = list(density._monomial_rows(points, monomials_up_to_degree(2, 6), 6))
+    reduced = set()
+    kept, read, kernel, witness = density._rank_mod_p(iter(logged_rows(rows, reduced)), 28)
+    assert (len(read), len(kept), switch_row(rows, 28)) == (80, 18, 18)
+    assert reduced == set(range(19))
+    assert (kept, kernel) == echelon_mod_p(rows, 28)
+    assert witness is not None and witness == lift_at_the_end(kernel, rows, 28)
+
+
+def reference_report(points, degree) -> tuple:
+    """(rank, verdict, kernel) of ``points`` by rational_rref on every row
+    of the Fraction evaluation matrix."""
+    monos = monomials_up_to_degree(len(points[0]), degree)
+    rank, rref, pivots = rational_rref([[evaluate_monomial(m, p) for m in monos] for p in points])
+    kernel = density._kernel_from_rref(len(monos), rref, pivots) if rank < len(monos) else None
+    if rank == len(monos):
+        return rank, "no_common_hypersurface", kernel
+    return rank, "inconclusive" if len(points) < len(monos) else "vanishing_polynomial", kernel
+
+
+RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+STEEP = Fraction(2**40 + 1, 3)  # past LIFT_BOUND: a kernel through it does not lift
+
+
+@st.composite
+def switching_sets(draw):
+    """Points in the plane at degree 2 or 3: some on a line or a conic
+    through rationals (the line's slope may be (2^40 + 1)/3, whose kernel
+    does not lift), so that a row that is zero modulo p arrives while the
+    kernel is no larger than the basis, then points off it, a point whose
+    coordinate is a multiple of p (its row is in the span modulo p of the
+    rows before it but may be off it over Q), or more points on it; one
+    such point may also come first, before the switch."""
+    degree = draw(st.sampled_from([2, 3]))
+    a = draw(st.one_of(RATIONALS, st.just(STEEP)))
+    b = draw(RATIONALS)
+    conic = draw(st.booleans())
+    xs = draw(st.lists(RATIONALS, min_size=2 * degree + 1, max_size=2 * degree + 6, unique=True))
+    points = [(x, a * x**2 + b if conic else a * x + b) for x in xs]
+    p = density.MODULUS
+    tail = st.one_of(
+        st.tuples(RATIONALS, RATIONALS),
+        st.builds(lambda k, y: (Fraction(k * p), y), st.integers(-2, 2), RATIONALS),
+    )
+    points = draw(st.lists(tail, max_size=1)) + points + draw(st.lists(tail, max_size=4))
+    return list(dict.fromkeys(points)), degree
+
+
+E1_SECTOR = sector_config(triangular_map(["x1^3+x2", "x2^2+1"]))
+P = Fraction(density.MODULUS)
+# at degree 1, the row of (p, 0) is in the span of the row of (0, 0) modulo
+# p but not over Q, and (0, 2) is the switch: the deferred check fails
+OFF_THE_SPAN_BEFORE_THE_SWITCH = [(Fraction(0), Fraction(0)), (P, Fraction(0))] + [
+    (Fraction(0), Fraction(y)) for y in (1, 2)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(switching_sets())
+@example((sample_U(E1_SECTOR, 120, 7), 6))
+@example((sample_U(E1_SECTOR, 120, 11), 6))
+@example((sample_U(E1_SECTOR, 120, 31), 6))
+@example(([(Fraction(x), STEEP * x + 5) for x in range(4)], 1))
+@example(([(Fraction(x), STEEP * x + 5) for x in range(9)] + [(Fraction(1, 2), Fraction(3))], 2))
+@example(([(Fraction(0),), (P,)], 2))
+@example(([(Fraction(x), Fraction(x)) for x in range(4)] + [(Fraction(0), P)], 1))
+@example(([(Fraction(0), Fraction(y)) for y in (0, 1, 2)] + [(P, Fraction(0))], 1))
+@example((OFF_THE_SPAN_BEFORE_THE_SWITCH, 1))
+def test_exact_tests_after_the_switch_match_elimination_and_rational_rref(case):
+    # kept rows and kernel are those of elimination modulo p alone, the
+    # witness that of a lift of its kernel checked against every row at the
+    # end, and the report that of rational_rref on every row
+    points, degree = case
+    monos = monomials_up_to_degree(len(points[0]), degree)
+    m = len(monos)
+    rows = list(density._monomial_rows(points, monos, degree))
+    kept, read, kernel, witness = density._rank_mod_p(iter(rows), m)
+    assert (kept, kernel) == echelon_mod_p(read, m)
+    assert read == rows[: len(read)]
+    if kernel is not None:
+        assert witness == lift_at_the_end(kernel, read, m)
+    report = density_check(points, degree)
+    assert (report.rank, report.verdict, report.kernel) == reference_report(points, degree)
+
+
+def test_exact_test_widens_its_lanes_for_a_wider_row():
+    # the switch comes at (1, 1, 0, 0), and the lifted kernel (0, 0, 1),
+    # (0, 0, 0, 1) is packed in 6-bit lanes for the rows read so far; the
+    # row (0, 0, 64, -1) has dot products 64 and -1, which cancel to 0 in
+    # those lanes, so it is tested in wider ones, fails, and is kept
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 64, -1]]
+    kept, read, kernel, witness = density._rank_mod_p(iter(rows), 4)
+    assert (kept, kernel) == echelon_mod_p(rows, 4)
+    assert kept == [0, 1, 3]
+    assert witness == [0, 0, Fraction(1, 64), 1]

@@ -241,7 +241,7 @@ def check_rank_mod_p(matrix) -> tuple:
     """``_rank_mod_p`` of ``matrix`` against GF(p) elimination: the rows it
     reads, keeps and the kernel it gives; returns (kept, read)."""
     n_cols = len(matrix[0])
-    kept, read, kernel = _rank_mod_p(iter(matrix), n_cols)
+    kept, read, kernel, _ = _rank_mod_p(iter(matrix), n_cols)
     # reading stops only at n_cols independent rows
     assert read == matrix[: len(read)]
     assert len(read) == len(matrix) or len(kept) == n_cols

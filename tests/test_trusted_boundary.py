@@ -4,7 +4,8 @@
 for the terms the public constructor ``Polynomial(...)`` has just validated
 and for results of ring operations on such polynomials.  ``qpoly._coprime_fraction`` fills a Fraction's slots
 without the gcd that reduces it, so it is only for the evaluation kernel,
-whose reduction proves its operands coprime.  Any reference to either from
+whose reduction proves its operands coprime, and for the CSV pair reader,
+which divides each pair by its gcd.  Any reference to either from
 another module of the package would let unchecked values through; this
 guard fails on one.
 """
