@@ -8,12 +8,15 @@ zero diagonal degree leaves f_i, ..., f_N as N-i+1 polynomials in N-i
 variables, hence algebraically dependent.
 
 Everything here is pure and exact: an orbit is a list of exact rational
-points.  The run modes walk their orbits this way only up to the prefix
-they print; past it, ``orbit_tail`` carries each coordinate as its exact
-p-adic valuation, its numerator mod p and a rounded enclosure of the
-numerator, which certify exact valuations and height read-outs without
-forming the rationals.  Orbit computation is sequential in n; distinct
-starting points may be processed in parallel with no coordination.
+points.  The run modes walk an orbit this way only where ``orbit_tail``
+cannot carry it: for a map with integer coefficients and a start whose
+denominators are powers of one prime p, ``orbit_tail`` walks the prefix
+they print on exact integer pairs (k, N), x = N / p^k, and past it carries
+each coordinate as its exact p-adic valuation, its numerator mod p and a
+rounded enclosure of the numerator, which certify exact valuations and
+height read-outs without forming the rationals.  Orbit computation is
+sequential in n; distinct starting points may be processed in parallel
+with no coordination.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from operator import methodcaller, mul
 
 from .qpoly import (
     DEFAULT_CAPS,
@@ -226,7 +230,7 @@ def step_bits_bound(f: TriangularMap) -> Callable[[Sequence[tuple[int, int]]], i
 
     def bound(sizes: Sequence[tuple[int, int]]) -> int:
         widths = [max(num, den) + den for num, den in sizes]
-        return max(w + sum(d * z for d, z in zip(degs, widths)) for w, degs in terms)
+        return max(w + sum(map(mul, degs, widths)) for w, degs in terms)
 
     return bound
 
@@ -249,11 +253,17 @@ def leading_residue(terms: Sequence, weights: Sequence[int], residues: Sequence[
 
 def orbits_disjoint_prefix(*orbits: Sequence[AffinePoint]) -> bool:
     """True iff no point lies in two of the orbits, each a list of points
-    (exact comparison); a point may repeat inside one orbit.  Each point is
-    hashed once: the union reuses the hashes its sets store."""
+    (exact comparison); a point may repeat inside one orbit.
+
+    A point is keyed by its coordinates' (numerator, denominator) pairs: a
+    Fraction is kept reduced with a positive denominator, so two points are
+    equal exactly when their keys are, and a pair of ints hashes without
+    the modular inverse that a Fraction's hash takes.  Each key is hashed
+    once: the union reuses the hashes its sets store."""
     if len({len(points[0]) for points in orbits if points}) > 1:
         raise DimensionMismatchError("orbits live in different dimensions")
-    sets = [set(points) for points in orbits]
+    ratios = methodcaller("as_integer_ratio")
+    sets = [{tuple(map(ratios, q)) for q in points} for points in orbits]
     return len(set().union(*sets)) == sum(map(len, sets))
 
 

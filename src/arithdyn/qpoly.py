@@ -613,6 +613,18 @@ def _horner_integer(plan: tuple, m: int, values: Sequence[Fraction]) -> Fraction
     return _coprime_fraction(v, odd << (twos_exponent - k))
 
 
+def power_fraction(numerator: int, p: int, k: int) -> Fraction:
+    """The reduced Fraction numerator / p^k for an int numerator, p >= 2 and
+    k >= 0, made without a gcd against p^k.
+
+    The pair is checked reduced: k == 0, or gcd(numerator, p) == 1, so that
+    numerator is prime to p^k.  A pair that is not reduced raises ValueError.
+    """
+    if type(numerator) is not int or p < 2 or k < 0 or (k and math.gcd(numerator, p) != 1):
+        raise ValueError(f"{numerator!r} / {p}^{k} is not a reduced fraction")
+    return _coprime_fraction(numerator, 1 << k if p == 2 else p**k)
+
+
 def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     """The Fraction numerator/denominator, made without a gcd.
 
@@ -623,12 +635,14 @@ def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     only to find 1.
 
     Its callers meet that contract: :func:`rational_pairs` divides each pair
-    by its gcd, and for :func:`_horner_integer` the proof is this.  The
-    value is N / (2^E * D_odd) with D_odd odd and positive.  Shifting
-    2^k out of N for k = min(v_2(N), E) leaves N odd whenever E - k > 0.
-    Dividing N and D_odd by g = gcd(N, D_odd) leaves them coprime, and g is
-    odd, so N / g is still odd when E - k > 0.  Hence N / g is coprime to
-    both 2^(E - k) and D_odd / g, so to their product, which is positive.
+    by its gcd, :func:`power_fraction` checks that k == 0 or that its
+    numerator is prime to p, and for :func:`_horner_integer` the proof is
+    this.  The value is N / (2^E * D_odd) with D_odd odd and positive.
+    Shifting 2^k out of N for k = min(v_2(N), E) leaves N odd whenever
+    E - k > 0.  Dividing N and D_odd by g = gcd(N, D_odd) leaves them
+    coprime, and g is odd, so N / g is still odd when E - k > 0.  Hence
+    N / g is coprime to both 2^(E - k) and D_odd / g, so to their product,
+    which is positive.
     """
     out = object.__new__(Fraction)
     out._numerator = numerator

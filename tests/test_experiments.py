@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from corpus import E1_DOC, SECOND_DOC, first_case_cfg
 
-from arithdyn import padic
+from arithdyn import orbit_tail, padic
 from arithdyn.cli import main
 from arithdyn.experiments import (
     EXIT_ASSERTION_FAILED,
@@ -166,9 +166,10 @@ def test_height_checks_without_floors_is_the_root_proxy_alone():
 @pytest.mark.parametrize(
     "doc,steps",
     [
-        # one exact orbit of 5 steps per sample, the printed prefix; the
-        # stability and dominant-value checks read f(P) from it, and the
-        # steps past it are certified without f.apply (orbit_tail)
+        # one exact orbit of 5 steps per sample, the printed prefix, walked
+        # on (k, N) pairs; the stability and dominant-value checks read f(P)
+        # from it, and the steps past it are certified without an exact
+        # step (orbit_tail)
         pytest.param(dict(mode="first_case", n_max=6, samples=12, seed=0), 12 * 5, id="first_case-6-12-0"),
         pytest.param(dict(mode="first_case", n_max=4, samples=3, seed=5), 3 * 5, id="first_case-4-3-5"),
         # the same prefix for the second-case orbit and each product factor
@@ -190,14 +191,20 @@ def test_height_checks_without_floors_is_the_root_proxy_alone():
     ],
 )
 def test_each_mode_walks_each_orbit_once(tmp_path, monkeypatch, doc, steps):
+    # an exact step is an f.apply or a step of the prefix on (k, N) pairs
     calls = []
-    apply = TriangularMap.apply
+    apply, pair_step = TriangularMap.apply, orbit_tail._pair_step
 
     def counting_apply(self, point):
         calls.append(point)
         return apply(self, point)
 
+    def counting_pair_step(table, p, ks, nums):
+        calls.append(nums)
+        return pair_step(table, p, ks, nums)
+
     monkeypatch.setattr(TriangularMap, "apply", counting_apply)
+    monkeypatch.setattr(orbit_tail, "_pair_step", counting_pair_step)
     run_experiment(ExperimentConfig(**{"map": E1_DOC, **doc}), tmp_path)
     assert len(calls) == steps
 
@@ -636,15 +643,21 @@ def test_cli_second_case_start_outside_the_half_plane_exits_before_its_orbit(
 
 def test_cli_product_cap_on_the_second_factor_exits_resource(tmp_path, capsys, monkeypatch):
     # f_a = x1^2 is walked in full first; f_b's first step, 3^(10^8), is
-    # refused from its bound, so f_b's orbit is never stepped
+    # refused from its bound, so f_b's orbit is never stepped.  Each exact
+    # step, an f.apply or a step on (k, N) pairs, records f's term table
     calls = []
-    apply = TriangularMap.apply
+    apply, pair_step = TriangularMap.apply, orbit_tail._pair_step
 
     def counting_apply(self, point):
-        calls.append(self)
+        calls.append(orbit_tail._term_table(self))
         return apply(self, point)
 
+    def counting_pair_step(table, p, ks, nums):
+        calls.append(table)
+        return pair_step(table, p, ks, nums)
+
     monkeypatch.setattr(TriangularMap, "apply", counting_apply)
+    monkeypatch.setattr(orbit_tail, "_pair_step", counting_pair_step)
     doc = {
         "map": {"dimension": 1, "components": ["x1^2"]},
         "map_b": {"dimension": 1, "components": ["x1^100000000"]},
@@ -655,7 +668,7 @@ def test_cli_product_cap_on_the_second_factor_exits_resource(tmp_path, capsys, m
     with pytest.raises(ResourceLimitError) as err:
         run_experiment(ExperimentConfig(**doc), tmp_path / "direct")
     assert err.value.metadata["last_safe_n"] == 0
-    assert len(calls) == 3 and {f.components[0].to_text() for f in calls} == {"x1^2"}
+    assert calls == [orbit_tail._term_table(triangular_map(["x1^2"]))] * 3
     code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(write_cfg(tmp_path, doc))])
     assert code == EXIT_RESOURCE
     assert "'last_safe_n': 0" in capsys.readouterr().err

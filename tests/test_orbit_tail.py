@@ -9,8 +9,9 @@ that the enclosure walk (not its fallback) decided those rows, check that a
 point outside the case split and a forced fallback give the exact result,
 and check that a cap past the prefix refuses the same step as the exact
 walk, and which prime a product factor's orbit is carried at.  The
-shortcuts of one enclosure step are checked against the products they
-replace: ``_pow`` from x against square-and-multiply from (1, 1, 0), and
+prefix on (k, N) pairs is checked against the Fraction walk on random
+integer-coefficient maps, caps included.  The shortcuts of one enclosure
+step are checked against the products they replace: ``_pow`` from x against square-and-multiply from (1, 1, 0), and
 the p = 2 scale shift against the product with the exact 2^m, ``_mul``
 against the four-product formula over every sign case, while a p = 3 tail
 still multiplies by its enclosed prime power and builds each p^m once per
@@ -23,14 +24,15 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from corpus import CASES
 
 import arithdyn.experiments as experiments
 import arithdyn.orbit_tail as tail
 from arithdyn.experiments import ExperimentConfig, run_experiment
-from arithdyn.heights import affine_height, height_row
+from arithdyn.degrees import dynamical_degree_exact
+from arithdyn.heights import affine_height, height_row, height_sequence_of_orbit
 from arithdyn.maps import (
     ResourceCaps,
     TriangularMap,
@@ -39,7 +41,7 @@ from arithdyn.maps import (
     step_bits_bound,
     triangular_map,
 )
-from arithdyn.padic import vp
+from arithdyn.padic import valuation_signature, vp
 from arithdyn.qpoly import ResourceLimitError
 
 E1 = ["x1^3+x2", "x2^2+1"]
@@ -50,15 +52,22 @@ BENCH_FACTORS = [
 ]
 
 
-def _counting_apply(monkeypatch):
+def _counting_steps(monkeypatch):
+    """Record every orbit step: each ``TriangularMap.apply`` and each exact
+    step on (k, N) pairs of the prefix."""
     calls = []
-    apply = TriangularMap.apply
+    apply, pair_step = TriangularMap.apply, tail._pair_step
 
     def counting(self, point):
         calls.append(point)
         return apply(self, point)
 
+    def counting_pairs(table, p, ks, nums):
+        calls.append(nums)
+        return pair_step(table, p, ks, nums)
+
     monkeypatch.setattr(TriangularMap, "apply", counting)
+    monkeypatch.setattr(tail, "_pair_step", counting_pairs)
     return calls
 
 
@@ -75,10 +84,10 @@ def _readout(rows):
 
 
 def _assert_tail_is_exact(monkeypatch, components, p, start, n_max, delta):
-    """orbit_tail equals the exact walk, and only the prefix applied f."""
+    """orbit_tail equals the exact walk, and only the prefix stepped f."""
     f = triangular_map(components)
     points, sigs, rows = _exact(f, p, start, n_max, delta)
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     got_points, got_sigs, got_rows = tail.orbit_tail(f, p, start, n_max, ResourceCaps())
     assert len(calls) == tail.PREFIX  # the enclosure walk decided every row past it
     assert got_points == points[: tail.PREFIX + 1]
@@ -120,7 +129,7 @@ def test_a_factor_point_outside_the_case_split_walks_exactly(monkeypatch):
     # x = 2 is no N / 2^k with k > 0, and neither is any point of its orbit
     f = triangular_map(["x1^2"])
     points, sigs, rows = _exact(f, 2, (Fraction(2),), 8, 2)
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     got = tail.orbit_tail(f, 2, (Fraction(2),), 8, ResourceCaps())
     assert len(calls) == 8
     assert got == (points[: tail.PREFIX + 1], sigs, rows)
@@ -151,7 +160,7 @@ def test_a_3_adic_product_is_enclosed_and_its_bytes_are_the_exact_walks(tmp_path
         point=["1/27", "1/3", "1", "1/3"],
         n_max=9,
     )
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     enclosed = run_experiment(ExperimentConfig(**doc), tmp_path / "enclosed")
     assert len(calls) == 2 * tail.PREFIX
     # at p = 2 neither 3-adic factor fits the case split
@@ -186,7 +195,7 @@ def _digests(out_dir):
 def test_a_forced_fallback_gives_the_recorded_bytes(tmp_path, monkeypatch, name):
     config, expected = CASES[name]
     want = run_experiment(ExperimentConfig(**config), tmp_path / "enclosed")
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     monkeypatch.setattr(tail, "ENCLOSURE_BITS", 6)
     got = run_experiment(ExperimentConfig(**config), tmp_path / "fallback")
     walks = 2 if name.startswith("product") else 1
@@ -241,12 +250,13 @@ def test_a_cap_past_the_prefix_has_the_exact_walks_metadata(tmp_path, monkeypatc
 
 
 def _square_and_multiply_from_one(x, e):
-    """x^e by left-to-right square-and-multiply from (1, 1, 0)."""
+    """x^e by left-to-right square-and-multiply from (1, 1, 0), cut after
+    each product."""
     out = (1, 1, 0)
     for bit in bin(e)[2:]:
-        out = tail._mul(out, out)
+        out = tail._cut(*tail._mul(out, out))
         if bit == "1":
-            out = tail._mul(out, x)
+            out = tail._cut(*tail._mul(out, x))
     return out
 
 
@@ -317,7 +327,7 @@ def test_mul_is_the_four_product_formula(x, y):
     lo, hi = min(ends), max(ends)
     shift = max(abs(lo), abs(hi)).bit_length() - tail.ENCLOSURE_BITS
     want = (lo, hi, s + t) if shift <= 0 else (lo >> shift, -(-hi >> shift), s + t + shift)
-    assert tail._mul((a, b, s), (c, d, t)) == want
+    assert tail._cut(*tail._mul((a, b, s), (c, d, t))) == want
 
 
 def test_a_p3_tail_builds_each_prime_power_once_per_tail(monkeypatch):
@@ -336,3 +346,64 @@ def test_a_p3_tail_builds_each_prime_power_once_per_tail(monkeypatch):
     _assert_tail_is_exact(monkeypatch, E1, 3, (Fraction(1, 27), Fraction(1, 3)), 9, 3)
     assert len(ms) > tail.PREFIX
     assert len(ms) == len(set(ms))
+
+
+# -- the exact prefix on (k, N) pairs ------------------------------------------
+
+
+@st.composite
+def _integer_orbits(draw):
+    """(components, p, start, n_max): a triangular map with integer
+    coefficients, each component a term c x_i^d (times x_j, j > i, or not)
+    plus terms of lower degree in x_i, and a start whose coordinates are
+    N / p^k with k >= 0.  Numerators may be 0, negative, or divisible by p
+    where k = 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dim = draw(st.integers(1, 3))
+    coeffs = st.integers(-3, 3).filter(bool)
+    components = []
+    for i in range(1, dim + 1):
+        later = range(i + 1, dim + 1)
+        terms = []
+        degree = draw(st.integers(1, 3))
+        for low in [degree] + draw(st.lists(st.integers(0, degree - 1), max_size=2)):
+            factors = [f"x{i}^{low}"] + [f"x{j}" for j in later if draw(st.booleans())]
+            terms.append("*".join([str(draw(coeffs))] + factors))
+        components.append("+".join(terms))
+    start = []
+    for _ in range(dim):
+        k = draw(st.integers(0, 3))
+        num = draw(st.integers(-20, 20).filter(lambda n: k == 0 or n % p))
+        start.append(f"{num}/{p**k}")
+    return components, p, tuple(start), draw(st.integers(0, tail.PREFIX))
+
+
+def _refuse(self, point):
+    raise AssertionError("the prefix applied f")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_integer_orbits(), cut=st.integers(0, tail.PREFIX - 1))
+@example(case=(["x1^2-x1"], 2, ("1",), 5), cut=2)  # 1 -> 0 -> 0
+@example(case=(["x1*x2-x2", "x2^2"], 3, ("1/9", "-3"), 5), cut=0)  # x1 reaches 0
+@example(case=(["x1^3+x2", "x2^2+1"], 5, ("7/125", "10"), 5), cut=4)
+def test_the_pair_prefix_is_the_fraction_walk(case, cut):
+    components, p, start, n_max = case
+    f = triangular_map(components)
+    start = tuple(Fraction(x) for x in start)
+    points = orbit(f, start, n_max)
+    sigs = [valuation_signature(q, p) for q in points]
+    rows = height_sequence_of_orbit(points, dynamical_degree_exact(f))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TriangularMap, "apply", _refuse)
+        assert tail.orbit_tail(f, p, start, n_max, ResourceCaps()) == (points, sigs, rows)
+        if not n_max:
+            return
+        # a cap one bit below the bound of a step refuses that step on either walk
+        bound = step_bits_bound(f)(coordinate_bits(points[min(cut, n_max - 1)]))
+        caps = ResourceCaps(max_coeff_bits=bound - 1)
+        with pytest.raises(ResourceLimitError) as got:
+            tail.orbit_tail(f, p, start, n_max, caps)
+    with pytest.raises(ResourceLimitError) as want:
+        orbit(f, start, n_max, caps)
+    assert got.value.metadata == want.value.metadata

@@ -373,3 +373,18 @@ def test_serialize_parse_round_trip(p, gap):
     assert parse_polynomial(text, p.dimension) == p
     spaced = re.sub(r"x\d+|\d+|\S", lambda m: gap + m.group() + gap, text)
     assert parse_polynomial(spaced, p.dimension) == p
+
+
+@pytest.mark.parametrize(
+    "num, p, k, value",
+    [(5, 2, 3, Fraction(5, 8)), (-7, 3, 2, Fraction(-7, 9)), (0, 5, 0, Fraction(0)), (10, 5, 0, Fraction(10))],
+)
+def test_power_fraction_builds_the_reduced_fraction(num, p, k, value):
+    # Fraction equality compares the numerator and denominator slots
+    assert qpoly.power_fraction(num, p, k) == value
+
+
+@pytest.mark.parametrize("num, p, k", [(6, 2, 1), (0, 3, 2), (9, 3, 1), (1, 1, 2), (1, 2, -1), (True, 2, 0)])
+def test_power_fraction_refuses_a_pair_that_is_not_reduced(num, p, k):
+    with pytest.raises(ValueError):
+        qpoly.power_fraction(num, p, k)

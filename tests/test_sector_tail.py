@@ -54,8 +54,12 @@ def _exact_tail(f, sector, points, delta):
 
 def _enclosed(f, sector, point, n_max, delta):
     """The enclosure walk alone, never its exact fallback."""
-    sig = valuation_signature(point, sector.prime)
-    return tail._enclosed_tail(f, sector.prime, point, sig, PREFIX, n_max, delta, ResourceCaps())
+    ks = list(valuation_signature(point, sector.prime))
+    nums = [x.numerator for x in point]
+    return tail._enclosed_tail(
+        tail._term_table(f), step_bits_bound(f), sector.prime, ks, nums, PREFIX, n_max, delta,
+        ResourceCaps(),
+    )
 
 
 @pytest.mark.parametrize(
@@ -86,7 +90,7 @@ def test_enclosures_contain_the_exact_numerators():
     for components, prime in [(E1, 2), (E1, 3), (M2, 2)]:
         f = triangular_map(components)
         sector = sector_config(f, prime=prime)
-        terms = [tail._step_terms(c) for c in f.components]
+        terms, pairs = tail._term_table(f)
         prime_powers = {}
         for point in sample_U(sector, 3, 1):
             points = orbit(f, point, 8)
@@ -95,9 +99,9 @@ def test_enclosures_contain_the_exact_numerators():
             residues = [x.numerator % prime for x in start]
             nums = [tail._cut(x.numerator, x.numerator, 0) for x in start]
             for exact in points[PREFIX + 1 :]:
-                powers = {}
+                powers = {(j, e): tail._power(nums[j], e) for j, e in pairs}
                 images = [
-                    tail._component_step(t, ks, residues, nums, powers, prime, prime_powers)
+                    tail._component_step(t, ks, residues, powers, prime, prime_powers)
                     for t in terms
                 ]
                 ks, residues, nums = (list(part) for part in zip(*images))
@@ -113,20 +117,27 @@ INTS = st.integers(-(2**300), 2**300)
 @settings(max_examples=200, deadline=None)
 @given(x=INTS, y=INTS, e=st.integers(0, 5), bits=st.sampled_from([3, 8, 192]))
 def test_interval_operations_contain_the_exact_result(x, y, e, bits):
-    # every bound is rounded outward, at any precision
+    # every bound is rounded outward, at any precision; _mul and _power are
+    # exact on the ends, and a sum is cut once
     saved = tail.ENCLOSURE_BITS
     tail.ENCLOSURE_BITS = bits
     try:
         ex, ey = tail._cut(x, x, 0), tail._cut(y, y, 0)
-        for (lo, hi, s), value in [
+        uncut = [(tail._mul(ex, ey), x * y)]
+        if x and e:  # _power reads an enclosure that holds no 0
+            uncut.append((tail._power(ex, e), x**e))
+        cut = [
             (ex, x),
-            (tail._mul(ex, ey), x * y),
-            (tail._add(ex, ey), x + y),
-            (tail._add(tail._mul(ex, ex), ey), x * x + y),
+            (tail._cut(*tail._mul(ex, ey)), x * y),
+            (tail._sum([ex, ey]), x + y),
+            (tail._sum([tail._mul(ex, ex), ey]), x * x + y),
+            (tail._sum([tail._mul(ex, ey), ex, ey]), x * y + x + y),
             (tail._pow(ex, e), x**e),
             (tail._prime_power(3, abs(y) % 500, {}), 3 ** (abs(y) % 500)),
-        ]:
+        ]
+        for (lo, hi, s), value in uncut + cut:
             assert lo << s <= value <= hi << s
+        for (lo, hi, s), _ in cut:
             # cut to `bits` bits, and a bound rounded up may reach 2^bits
             assert max(abs(lo), abs(hi)).bit_length() <= bits + 1
     finally:
@@ -138,11 +149,11 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value(monkeypatch):
     # and their residues cancel mod 2, so k = 1, not the top weight 2
     f = triangular_map(["x1^2 + x2^2", "x2"])
     point = (Fraction(1, 2), Fraction(1, 2))
-    terms = tail._step_terms(f.components[0])
-    assert tail._component_step(terms, [1, 1], [1, 1], [tail._cut(1, 1, 0)] * 2, {}, 2, {}) is None
-    sig = valuation_signature(point, 2)
-    assert tail._enclosed_tail(f, 2, point, sig, PREFIX, PREFIX + 3, 2, ResourceCaps()) is None
-    calls = _counting_apply(monkeypatch)
+    (terms, _), pairs = tail._term_table(f)
+    powers = {(j, e): tail._power((1, 1, 0), e) for j, e in pairs}
+    assert tail._component_step(terms, [1, 1], [1, 1], powers, 2, {}) is None
+    assert _enclosed(f, sector_config(f, prime=2), point, PREFIX + 3, 2) is None
+    calls = _counting_steps(monkeypatch)
     _, sigs, rows = tail.orbit_tail(f, 2, point, PREFIX + 3, ResourceCaps())
     assert len(calls) == PREFIX + 3  # the tail past the prefix was walked exactly
     assert sigs == [(1, 1)] * (PREFIX + 4)
@@ -195,21 +206,28 @@ def _digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
 
 
-def _counting_apply(monkeypatch):
+def _counting_steps(monkeypatch):
+    """Record every orbit step: each ``TriangularMap.apply`` and each exact
+    step on (k, N) pairs of the prefix."""
     calls = []
-    apply = TriangularMap.apply
+    apply, pair_step = TriangularMap.apply, tail._pair_step
 
     def counting(self, point):
         calls.append(point)
         return apply(self, point)
 
+    def counting_pairs(table, p, ks, nums):
+        calls.append(nums)
+        return pair_step(table, p, ks, nums)
+
     monkeypatch.setattr(TriangularMap, "apply", counting)
+    monkeypatch.setattr(tail, "_pair_step", counting_pairs)
     return calls
 
 
 def test_open_decisions_fall_back_to_byte_identical_outputs(tmp_path, monkeypatch):
     want = run_experiment(ExperimentConfig(**BENCH_CFG), tmp_path / "enclosed")
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     monkeypatch.setattr(tail, "ENCLOSURE_BITS", 6)
     got = run_experiment(ExperimentConfig(**BENCH_CFG), tmp_path / "fallback")
     assert len(calls) > 12 * PREFIX  # some orbits were recomputed exactly
@@ -239,7 +257,7 @@ def test_a_cap_in_the_tail_exits_3_with_the_exact_metadata(
     tmp_path, capsys, monkeypatch, bits, cap, metadata
 ):
     monkeypatch.setattr(tail, "ENCLOSURE_BITS", bits)
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     with pytest.raises(ResourceLimitError) as err:
         run_experiment(
             ExperimentConfig(**BENCH_CFG), tmp_path / "direct", ResourceCaps(max_coeff_bits=cap)
@@ -263,6 +281,6 @@ def test_a_cap_in_the_tail_exits_3_with_the_exact_metadata(
 
 
 def test_the_bench_config_applies_f_only_on_the_printed_prefix(tmp_path, monkeypatch):
-    calls = _counting_apply(monkeypatch)
+    calls = _counting_steps(monkeypatch)
     run_experiment(ExperimentConfig(**BENCH_CFG), tmp_path)
     assert len(calls) <= 12 * PREFIX
