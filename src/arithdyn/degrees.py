@@ -99,16 +99,15 @@ def _certified_degrees(f: TriangularMap, n_max: int, caps: ResourceCaps) -> list
     q = MODULUS
     while any(c.den % q == 0 for c in f.components):
         q = next_prime(q + 1)
-    components = [
-        [(num * pow(c.den, -1, q) % q, [(j, e) for j, e in enumerate(mono) if e])
-         for mono, num in c.terms.items()]
-        for c in f.components
-    ]
+    components = []
+    for c, terms in zip(f.components, f.step_plan().terms):
+        inverse = pow(c.den, -1, q)
+        components.append([(num * inverse % q, mono, pairs) for num, mono, pairs in terms])
     D = [1] * f.dimension
     lc = [pow(_DIRECTION_BASE, j, q) for j in range(1, f.dimension + 1)]
     degrees, bits = [], 0
     for n in range(n_max):
-        _, D, lc = zip(*[leading_residue(terms, D, lc, q) for terms in components])
+        D, lc = zip(*[leading_residue(terms, D, lc, q) for terms in components])
         degree = max(D)
         if not any(l and d == degree for l, d in zip(lc, D)):
             return None

@@ -257,12 +257,16 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
     # One capped orbit per sample feeds every check and report below.  The
     # disjointness check and orbit_sample0.csv read the exact points up to
     # n = PREFIX even when n_max is smaller; the rest read its valuation
-    # signatures and height rows for n = 0..n_max.
+    # signatures and height rows for n = 0..n_max.  orbit_sample0.csv's text
+    # is built right after sample 0's walk, so a prefix past Python's
+    # int-to-str digit limit fails before the other samples walk.
     seqs = []
     tables = []
     prefixes = []
     for point in samples:
         points, sigs, rows = orbit_tail(f, sector.prime, point, max(cfg.n_max, PREFIX), caps)
+        if not prefixes:
+            orbit_csv = orbit_to_csv(points)
         seqs.append(rows[: cfg.n_max + 1])
         tables.append(sigs[: cfg.n_max + 1])
         prefixes.append(points)
@@ -365,7 +369,7 @@ def _run_first_case(cfg: ExperimentConfig, f: TriangularMap, caps) -> tuple:
             },
         )
     )
-    reports["orbit_sample0.csv"] = orbit_to_csv(prefixes[0])
+    reports["orbit_sample0.csv"] = orbit_csv
     return checks, reports, {"delta_exact": delta, "prime": sector.prime, "C": sector.C}
 
 

@@ -21,16 +21,16 @@ with no coordination.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import methodcaller, mul
+from operator import itemgetter, methodcaller, mul
 
 from .qpoly import (
     DEFAULT_CAPS,
     DimensionMismatchError,
     Polynomial,
     ResourceCaps,
+    Record,
     ResourceLimitError,
     parse_polynomial,
     rational,
@@ -67,7 +67,7 @@ class TriangularMap:
     read from its terms once here; the checks and every degree reader use it.
     """
 
-    __slots__ = ("dimension", "components", "degree_rows")
+    __slots__ = ("dimension", "components", "degree_rows", "_plan")
 
     def __init__(self, components: Sequence[Polynomial]):
         components = tuple(components)
@@ -90,6 +90,7 @@ class TriangularMap:
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "degree_rows", tuple(rows))
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangularMap is immutable")
@@ -120,6 +121,43 @@ class TriangularMap:
                 f"dimension mismatch: {self.dimension} vs {inner.dimension}"
             )
         return TriangularMap([f.substitute(inner.components, caps) for f in self.components])
+
+    def step_plan(self) -> "StepPlan":
+        """The map's :class:`StepPlan`, built on the first call and kept in a
+        private slot for the map's lifetime; the slot takes no part in
+        equality, hashing, text or copies."""
+        plan = self._plan
+        if plan is None:
+            plan = _step_plan(self)
+            object.__setattr__(self, "_plan", plan)
+        return plan
+
+
+class StepPlan(Record):
+    """What an orbit step and the degree certificate read of a map.
+
+    ``terms[i]`` lists, for each term c x^a of component i + 1, its integer
+    numerator c (over the component's ``den``), its exponent tuple a and
+    the (j, a_j) with a_j > 0; ``bound`` is the map's
+    :func:`step_bits_bound`, ``delta`` its dynamical degree, the largest
+    diagonal degree, and ``integral`` whether every den is 1.
+    """
+
+    __slots__ = ()
+    terms = property(itemgetter(0))
+    bound = property(itemgetter(1))
+    delta = property(itemgetter(2))
+    integral = property(itemgetter(3))
+
+
+def _step_plan(f: TriangularMap) -> StepPlan:
+    terms = tuple(
+        tuple((c, mono, tuple((j, e) for j, e in enumerate(mono) if e))
+              for mono, c in component.terms.items())
+        for component in f.components
+    )
+    integral = all(c.den == 1 for c in f.components)
+    return StepPlan((terms, step_bits_bound(f), max(diagonal_degrees(f)), integral))
 
 
 def diagonal_degrees(f: TriangularMap) -> tuple:
@@ -236,19 +274,20 @@ def step_bits_bound(f: TriangularMap) -> Callable[[Sequence[tuple[int, int]]], i
 
 
 def leading_residue(terms: Sequence, weights: Sequence[int], residues: Sequence[int], q: int):
-    """(w, W, r) of sum_a c_a x^a, each of ``terms`` starting (c_a, the (j, a_j)
-    with a_j > 0): w lists the weights sum_j a_j weights[j] of the terms, W is
-    the top one, and r = sum of c_a prod_j residues[j]^a_j mod q over the
-    terms of weight W (the degree certificate's weights are D_j, a tail's k_j).
-    """
-    ws = [sum(e * weights[j] for j, e in term[1]) for term in terms]
+    """(W, r) of sum_a c_a x^a, ``terms`` a component's entry of
+    :attr:`StepPlan.terms` with each c_a read mod q: W is the top weight
+    sum_j a_j weights[j] of its terms, and r = sum of c_a prod_j
+    residues[j]^a_j mod q over the terms of weight W (the degree
+    certificate's weights are the degrees D_j)."""
+    ws = [sum(map(mul, mono, weights)) for _, mono, _ in terms]
     top = max(ws)
-    lead = sum(
-        term[0] * math.prod(pow(residues[j], e, q) for j, e in term[1])
-        for term, w in zip(terms, ws)
-        if w == top
-    )
-    return ws, top, lead % q
+    lead = 0
+    for (c, _, pairs), w in zip(terms, ws):
+        if w == top:
+            for j, e in pairs:
+                c *= pow(residues[j], e, q)
+            lead += c
+    return top, lead % q
 
 
 def orbits_disjoint_prefix(*orbits: Sequence[AffinePoint]) -> bool:

@@ -22,10 +22,13 @@ benchmark's second-case orbit; the three parts stay a few hundred bits.
 Any proved prime p will do: a p the orbit does not fit only takes the
 exact path.
 
-One step.  Both walks read one term table of f: each term's integer
-coefficient c_a and the (j, a_j) with a_j > 0.  With w(a) = sum_j a_j k_j,
-the p-weight of the monomial a, and W the top weight, every k_j >= 0 gives
+One step.  Both walks read f's step plan (``TriangularMap.step_plan``),
+built on the map's first walk and kept with it: each term's integer
+coefficient c_a, its exponent tuple a and the (j, a_j) with a_j > 0, and
+f's step bound and dynamical degree.  With w(a) = sum_j a_j k_j, the
+p-weight of the monomial a, and W the top weight, every k_j >= 0 gives
 f_i(x) = N' / p^W for the integer N' = sum_a c_a prod_j N_j^a_j p^(W - w(a)).
+Each power N_j^e, or its enclosure, is built once per step, on first use.
 
 The prefix forms N' exactly.  N' = 0 is the coordinate 0 / p^0.  Otherwise
 let v = v_p(N'): for v < W, N' / p^v is an integer prime to p, so
@@ -38,20 +41,24 @@ K = max k_i: the L and |num_i| L / den_i of ``heights.affine_height``.
 Past the prefix, modulo p only the monomials of weight W survive, so N' mod
 p is the sum of their residues.  When that is nonzero, N' is a p-unit and
 N' / p^W is reduced: k' = W exactly (W >= k_i > 0, as f_i has a term in
-x_i).  Each power N_j^e is enclosed once per step, its ends the powers of
-the ends of N_j's enclosure, which holds no 0.  Each term's enclosure is
-the exact product of c_a and those ends, times an enclosure of p^(W - w(a))
-built once per tail (for p = 2 that power only moves the scale), and the
-sum of the terms is rounded outward and cut once, so it contains N'.
+x_i).  One pass over a component's terms forms the residue and each
+term's enclosure.  N_j's enclosure holds no 0, so N_j^e is enclosed by the
+powers of the ends of |N_j|'s enclosure under the sign of N_j^e.  A term's
+enclosure is the exact product of |c_a| and those ends under one sign,
+times an enclosure of p^(W - w(a)) built once per tail (for p = 2 that
+power only moves the scale), and the sum of the terms is rounded outward
+and cut once, so it contains N'.
 
 The height row.  The height argument lies between the largest lower end and
 the largest upper end of the candidates' enclosures, also where two
-candidates agree to more bits than an enclosure carries.  When both ends
-have one bit length, that is the argument's.  When both round to the same
-double, so does every integer between them, and ``math.log`` of an int
-reads only its correctly rounded double and exponent (CPython's
-``loghelper`` and ``_PyLong_Frexp``): so ``math.log`` of the lower end is
-the argument's.
+candidates agree to more bits than an enclosure carries.  A candidate
+whose upper end has a lower bit position than the largest lower end holds
+neither of the two, so only the others are aligned, and the shifts stay
+within about ``ENCLOSURE_BITS``.  When both ends have one bit length, that
+is the argument's.  When both round to the same double, so does every
+integer between them, and ``math.log`` of an int reads only its correctly
+rounded double and exponent (CPython's ``loghelper`` and
+``_PyLong_Frexp``): so ``math.log`` of the lower end is the argument's.
 
 Every decision is exact.  A zero residue, an enclosure that contains 0, or
 ends that straddle a bit length or a rounding boundary leave a decision
@@ -65,18 +72,10 @@ the same metadata.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from . import heights, padic
-from .degrees import dynamical_degree_exact
-from .maps import (
-    ResourceCaps,
-    TriangularMap,
-    coordinate_bits,
-    exact_steps,
-    leading_residue,
-    orbit,
-    step_bits_bound,
-)
+from .maps import ResourceCaps, TriangularMap, coordinate_bits, exact_steps, orbit
 from .qpoly import power_fraction
 
 ENCLOSURE_BITS = 192
@@ -101,30 +100,29 @@ def orbit_tail(
     open, is walked by ``maps.exact_steps`` from its last exact point.
     Either way the result is the one the exact orbit gives.
     """
-    delta = dynamical_degree_exact(f)
+    plan = f.step_plan()
     n0 = min(PREFIX, n_max)
     points = orbit(f, start, 0, caps)  # P, its dimension checked
-    pair = _pair_start(f, p, points[0])
+    pair = _pair_start(p, points[0]) if plan.integral else None
     sigs, rows, tail = [], [], None
     if pair is not None:
-        table, bound = _term_table(f), step_bits_bound(f)
         ks, nums = pair
         for n in range(n0 + 1):
             if n:
-                bits = bound(coordinate_bits(points[-1]))
+                bits = plan.bound(coordinate_bits(points[-1]))
                 caps.check(f"orbit step {n}", bits=bits, last_safe_n=n - 1)
-                ks, nums = _pair_step(table, p, ks, nums)
+                ks, nums = _pair_step(plan.terms, p, ks, nums)
                 points.append(tuple(power_fraction(num, p, k) for k, num in zip(ks, nums)))
             sigs.append(tuple(k or -padic._valuation(num, p) for k, num in zip(ks, nums)))
-            rows.append(heights.height_row(n, _pair_height(p, ks, nums), delta))
+            rows.append(heights.height_row(n, _pair_height(p, ks, nums), plan.delta))
         if all(ks):
-            tail = _enclosed_tail(table, bound, p, ks, nums, n0, n_max, delta, caps)
+            tail = _enclosed_tail(plan, p, ks, nums, n0, n_max, caps)
     if tail is None:
         points += exact_steps(f, points[-1], len(points) - 1, n_max, caps)
         exact = list(enumerate(points))[len(rows) :]
         tail = (
             [padic.valuation_signature(q, p) for _, q in exact],
-            [heights.height_row(n, heights.affine_height(q), delta) for n, q in exact],
+            [heights.height_row(n, heights.affine_height(q), plan.delta) for n, q in exact],
         )
     return points[: n0 + 1], sigs + tail[0], rows + tail[1]
 
@@ -151,43 +149,31 @@ def start_prime(f: TriangularMap, start) -> int:
 # -- the exact walk on pairs (k, N) ------------------------------------------
 
 
-def _term_table(f: TriangularMap) -> tuple[list, list]:
-    """(terms, pairs) of an integer-coefficient f: ``terms`` lists, for each
-    component, the (c, the (j, e) with e > 0) of its terms c x^a, as
-    ``maps.leading_residue`` reads them, and ``pairs`` every such (j, e)
-    once, the power table of one step."""
-    terms = [
-        [(c, [(j, e) for j, e in enumerate(mono) if e]) for mono, c in component.terms.items()]
-        for component in f.components
-    ]
-    return terms, sorted({pair for component in terms for _, pairs in component for pair in pairs})
-
-
-def _pair_start(f: TriangularMap, p: int, start) -> tuple[list, list] | None:
-    """The pairs (k, N) of ``start`` when f has integer coefficients and each
-    coordinate is N / p^k, else None."""
-    if any(c.den != 1 for c in f.components):
-        return None
+def _pair_start(p: int, start) -> tuple[list, list] | None:
+    """The pairs (k, N) of ``start`` when each coordinate is N / p^k, else None."""
     ks = [padic._prime_power_valuation(x.denominator, p) for x in start]
     if any(x.denominator != p**k for x, k in zip(start, ks)):
         return None
     return ks, [x.numerator for x in start]
 
 
-def _pair_step(table, p: int, ks: list, nums: list) -> tuple[list, list]:
+def _pair_step(terms, p: int, ks: list, nums: list) -> tuple[list, list]:
     """The reduced pairs of f(x) at the reduced x_j = nums[j] / p^ks[j]:
     N' formed exactly and p divided out of it, as the module docstring
-    proves.  ``table`` is f's :func:`_term_table`."""
-    terms, pairs = table
-    powers = {(j, e): nums[j] ** e for j, e in pairs}
+    proves.  ``terms`` are f's :attr:`maps.StepPlan.terms`; each N_j^e is
+    built once, on first use."""
+    powers = {}
     out_ks, out_nums = [], []
     for component in terms:
-        weights = [sum([e * ks[j] for j, e in mono]) for _, mono in component]
+        weights = [sum(map(mul, mono, ks)) for _, mono, _ in component]
         top = max(weights)
         total = 0
-        for (c, mono), w in zip(component, weights):
-            for pair in mono:
-                c *= powers[pair]
+        for (c, _, pairs), w in zip(component, weights):
+            for pair in pairs:
+                power = powers.get(pair)
+                if power is None:
+                    power = powers[pair] = nums[pair[0]] ** pair[1]
+                c *= power
             total += _scale(c, p, top - w)
         # N' = 0 divides out as v = W, to the pair (0, 0)
         v = min(padic._prime_power_valuation(abs(total), p), top) if total else top
@@ -211,66 +197,131 @@ def _pair_height(p: int, ks: list, nums: list) -> heights.Height:
 # -- the enclosure walk past the prefix ---------------------------------------
 
 
-def _enclosed_tail(table, bound, p, ks, nums, n0, n_max, delta, caps) -> tuple[list, list] | None:
+def _enclosed_tail(plan, p, ks, nums, n0, n_max, caps) -> tuple[list, list] | None:
     """:func:`orbit_tail`'s rows past f^n0(P) = (nums[i] / p^ks[i])_i, every
-    ks[i] > 0, on enclosures, or None when a decision is open; ``table`` is
-    f's :func:`_term_table` and ``bound`` its ``maps.step_bits_bound``."""
-    terms, pairs = table
+    ks[i] > 0, on enclosures, or None when a decision is open; ``plan`` is
+    f's ``maps.StepPlan``."""
     residues = [num % p for num in nums]
     nums = [_cut(num, num, 0) for num in nums]
     powers = {}  # p^m by m, shared by the whole tail
     sigs, rows = [], []
     for n in range(n0, n_max):
-        sizes = [(_bits(_abs(num)), _bits(_prime_power(p, k, powers))) for num, k in zip(nums, ks)]
-        if None in (bit for size in sizes for bit in size):
-            return None
-        caps.check(f"orbit step {n + 1}", bits=bound(sizes), last_safe_n=n)
-        num_powers = {(j, e): _power(nums[j], e) for j, e in pairs}
-        images = [_component_step(t, ks, residues, num_powers, p, powers) for t in terms]
-        if None in images:
-            return None
+        sizes = []
+        for num, k in zip(nums, ks):
+            size = _bits(_abs(num)), _bits(_prime_power(p, k, powers))
+            if None in size:
+                return None
+            sizes.append(size)
+        caps.check(f"orbit step {n + 1}", bits=plan.bound(sizes), last_safe_n=n)
+        factors = {}  # the step's N_j^e, built on first use
+        images = []
+        for terms in plan.terms:
+            image = _component_step(terms, ks, residues, nums, factors, p, powers)
+            if image is None:
+                return None
+            images.append(image)
         ks, residues, nums = zip(*images)
         height = _height(ks, nums, p, powers)
         if height is None:
             return None
         sigs.append(ks)
-        rows.append(heights.height_row(n + 1, height, delta))
+        rows.append(heights.height_row(n + 1, height, plan.delta))
     return sigs, rows
 
 
-def _component_step(terms, ks, residues, num_powers, p, powers) -> tuple | None:
+def _component_step(terms, ks, residues, nums, factors, p, powers) -> tuple | None:
     """(k', N' mod p, enclosure of N') of one component at the carried
-    point, or None when N' mod p is 0.
+    point, or None when N' mod p is 0; ``terms`` are the component's entry
+    of ``maps.StepPlan.terms``, ``factors`` the step's :func:`_factor` by
+    (j, e) and ``powers`` the tail's p^m by m.
 
-    ``terms`` are the component's entry of :func:`_term_table`;
-    ``num_powers`` holds the step's :func:`_power` of each (j, e), and
-    ``powers`` each p^m by m, shared by the whole tail.
+    The sum brings every term, exact and uncut, to the scale 2^u of the
+    finest, unless that would give the largest more than ENCLOSURE_BITS
+    bits: then u keeps it at ENCLOSURE_BITS.  A term on a scale at or above
+    u is shifted up exactly, one below it is rounded outward, and the sum
+    is cut once.
     """
-    weights, top, residue = leading_residue(terms, ks, residues, p)
+    weights = [sum(map(mul, mono, ks)) for _, mono, _ in terms]
+    top = max(weights)
+    residue, width, finest, parts = 0, 0, math.inf, []
+    for (c, _, pairs), w in zip(terms, weights):
+        negative, lo, s, r = c < 0, abs(c), 0, c
+        hi = lo
+        for pair in pairs:
+            factor = factors.get(pair)
+            if factor is None:
+                factor = factors[pair] = _factor(nums, residues, pair, p)
+            sign, a, b, t, rj = factor
+            negative ^= sign
+            lo, hi, s, r = lo * a, hi * b, s + t, r * rj
+        if w == top:
+            residue += r
+        elif p == 2:  # the exact 2^(W - w) only moves the scale
+            s += top - w
+        else:
+            a, b, t = _prime_power(p, top - w, powers)
+            lo, hi, s = lo * a, hi * b, s + t
+        parts.append((negative, lo, hi, s))
+        if hi.bit_length() + s > width:
+            width = hi.bit_length() + s
+        if s < finest:
+            finest = s
+    residue %= p
     if not residue:
         return None
-    parts = []
-    for (c, mono), w in zip(terms, weights):
-        term = c, c, 0
-        for pair in mono:
-            term = _mul(term, num_powers[pair])
-        parts.append(_times_prime_power(term, p, top - w, powers))
-    return top, residue, _sum(parts)
+    u = max(finest, width - ENCLOSURE_BITS)
+    total_lo = total_hi = 0
+    for negative, lo, hi, s in parts:
+        if s >= u:
+            lo, hi = lo << s - u, hi << s - u
+        else:
+            lo, hi = lo >> u - s, -(-hi >> u - s)
+        if negative:
+            total_lo, total_hi = total_lo - hi, total_hi - lo
+        else:
+            total_lo, total_hi = total_lo + lo, total_hi + hi
+    return top, residue, _cut(total_lo, total_hi, u)
+
+
+def _factor(nums, residues, pair, p) -> tuple:
+    """(sign, lo, hi, s, r) of N_j^e for (j, e) = ``pair``: the powers
+    [lo 2^s, hi 2^s] of the ends of |N_j|'s enclosure, which holds no 0,
+    uncut, the sign of N_j^e, and N_j^e mod p."""
+    (j, e), (lo, hi, s) = pair, nums[pair[0]]
+    if hi < 0:
+        return e % 2 == 1, (-hi) ** e, (-lo) ** e, s * e, pow(residues[j], e, p)
+    return False, lo**e, hi**e, s * e, pow(residues[j], e, p)
 
 
 def _height(ks, nums, p, powers) -> heights.Height | None:
     """The certified height of (N_i / p^k_i)_i, or None when it is open;
-    ``powers`` is the tail's dict of p^m."""
+    ``powers`` is the tail's dict of p^m.
+
+    A candidate whose upper end has a lower bit position than the largest
+    lower end holds neither largest end, so only the others are brought to
+    the finest scale among them, each exactly.
+    """
     top = max(ks)
     candidates = [_prime_power(p, top, powers)]
     for num, k in zip(nums, ks):
         size = _abs(num)
         if size is None:
             return None
-        candidates.append(_times_prime_power(size, p, top - k, powers))
-    u = min(s for _, _, s in candidates)
-    ends = [_at(c, u) for c in candidates]
-    lo, hi, s = _cut(max(lo for lo, _ in ends), max(hi for _, hi in ends), u)
+        if k == top:
+            candidates.append(size)
+        elif p == 2:
+            candidates.append((size[0], size[1], size[2] + top - k))
+        else:
+            a, b, t = _prime_power(p, top - k, powers)
+            candidates.append((size[0] * a, size[1] * b, size[2] + t))
+    floor = max([lo.bit_length() + s for lo, _, s in candidates])
+    candidates = [c for c in candidates if c[1].bit_length() + c[2] >= floor]
+    u = min([s for _, _, s in candidates])
+    lo, hi, s = _cut(
+        max([lo << s - u for lo, _, s in candidates]),
+        max([hi << s - u for _, hi, s in candidates]),
+        u,
+    )
     # float() of an int is its correctly rounded double: an exact test
     if lo.bit_length() != hi.bit_length() or float(lo) != float(hi):
         return None
@@ -299,38 +350,6 @@ def _mul(x: Enclosure, y: Enclosure) -> Enclosure:
     return min(ends), max(ends), s + t
 
 
-def _power(x: Enclosure, e: int) -> Enclosure:
-    """x^e for e >= 1 and an x that holds no 0, uncut: its ends are the
-    powers of x's ends, swapped for an even e when x is negative."""
-    lo, hi, s = x
-    if hi < 0 and not e % 2:
-        lo, hi = hi, lo
-    return lo**e, hi**e, s * e
-
-
-def _sum(parts: list) -> Enclosure:
-    """The sum of ``parts``, cut once.  Every part is brought to the scale
-    2^u of the finest, unless that would give the largest more than
-    ENCLOSURE_BITS bits: then u keeps it at ENCLOSURE_BITS.  A part on a
-    scale at or above u is shifted up exactly, one below it is rounded
-    outward."""
-    top = max(max(abs(lo), abs(hi)).bit_length() + s for lo, hi, s in parts)
-    u = max(min(s for _, _, s in parts), top - ENCLOSURE_BITS)
-    lo = hi = 0
-    for part in parts:
-        a, b = _at(part, u)
-        lo, hi = lo + a, hi + b
-    return _cut(lo, hi, u)
-
-
-def _at(x: Enclosure, u: int) -> tuple[int, int]:
-    """The ends of x on the scale 2^u, rounded outward."""
-    lo, hi, s = x
-    if s >= u:
-        return lo << s - u, hi << s - u
-    return lo >> u - s, -(-hi >> u - s)
-
-
 def _pow(x: Enclosure, e: int) -> Enclosure:
     """x^e for e >= 0, by left-to-right square-and-multiply, cut after each
     product.
@@ -354,16 +373,6 @@ def _prime_power(p: int, m: int, powers: dict) -> Enclosure:
     if power is None:
         power = powers[m] = (1, 1, m) if p == 2 else _pow((p, p, 0), m)
     return power
-
-
-def _times_prime_power(x: Enclosure, p: int, m: int, powers: dict) -> Enclosure:
-    """``_mul(x, p^m)``, p^m shared through ``powers``; for p = 2 the exact
-    p^m = (1, 1, m) multiplies no ends, so its product is x on the scale
-    2^(s + m)."""
-    if p == 2:
-        lo, hi, s = x
-        return lo, hi, s + m
-    return _mul(x, _prime_power(p, m, powers))
 
 
 def _abs(x: Enclosure) -> Enclosure | None:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from corpus import E1_DOC, SECOND_DOC, first_case_cfg
 
+import arithdyn.experiments as experiments
 from arithdyn import orbit_tail, padic
 from arithdyn.cli import main
 from arithdyn.experiments import (
@@ -531,6 +532,25 @@ def test_cli_run_with_a_61_bit_prime_ends(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_61_bit_prime_fails_after_the_first_samples_walk(tmp_path, monkeypatch):
+    # orbit_sample0.csv's text is built right after sample 0's walk, so a
+    # prefix past the int-to-str digit limit stops the run before the other
+    # eleven samples walk
+    calls = []
+    walk = experiments.orbit_tail
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(experiments, "orbit_tail", counting)
+    cfg = ExperimentConfig(map=E1_DOC, mode="first_case", prime=2**61 - 1, samples=12, n_max=3)
+    with pytest.raises(ValueError, match="integer string conversion"):
+        run_experiment(cfg, tmp_path / "out")
+    assert len(calls) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_density_zero_denominator_exits_config(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("n,x1_num,x1_den,x2_num,x2_den\n0,1,1,2,1\n1,3,0,1,1\n")
@@ -644,17 +664,17 @@ def test_cli_second_case_start_outside_the_half_plane_exits_before_its_orbit(
 def test_cli_product_cap_on_the_second_factor_exits_resource(tmp_path, capsys, monkeypatch):
     # f_a = x1^2 is walked in full first; f_b's first step, 3^(10^8), is
     # refused from its bound, so f_b's orbit is never stepped.  Each exact
-    # step, an f.apply or a step on (k, N) pairs, records f's term table
+    # step, an f.apply or a step on (k, N) pairs, records f's planned terms
     calls = []
     apply, pair_step = TriangularMap.apply, orbit_tail._pair_step
 
     def counting_apply(self, point):
-        calls.append(orbit_tail._term_table(self))
+        calls.append(self.step_plan().terms)
         return apply(self, point)
 
-    def counting_pair_step(table, p, ks, nums):
-        calls.append(table)
-        return pair_step(table, p, ks, nums)
+    def counting_pair_step(terms, p, ks, nums):
+        calls.append(terms)
+        return pair_step(terms, p, ks, nums)
 
     monkeypatch.setattr(TriangularMap, "apply", counting_apply)
     monkeypatch.setattr(orbit_tail, "_pair_step", counting_pair_step)
@@ -668,7 +688,7 @@ def test_cli_product_cap_on_the_second_factor_exits_resource(tmp_path, capsys, m
     with pytest.raises(ResourceLimitError) as err:
         run_experiment(ExperimentConfig(**doc), tmp_path / "direct")
     assert err.value.metadata["last_safe_n"] == 0
-    assert calls == [orbit_tail._term_table(triangular_map(["x1^2"]))] * 3
+    assert calls == [triangular_map(["x1^2"]).step_plan().terms] * 3
     code = main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(write_cfg(tmp_path, doc))])
     assert code == EXIT_RESOURCE
     assert "'last_safe_n': 0" in capsys.readouterr().err

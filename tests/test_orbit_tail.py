@@ -10,17 +10,23 @@ point outside the case split and a forced fallback give the exact result,
 and check that a cap past the prefix refuses the same step as the exact
 walk, and which prime a product factor's orbit is carried at.  The
 prefix on (k, N) pairs is checked against the Fraction walk on random
-integer-coefficient maps, caps included.  The shortcuts of one enclosure
-step are checked against the products they replace: ``_pow`` from x against square-and-multiply from (1, 1, 0), and
-the p = 2 scale shift against the product with the exact 2^m, ``_mul``
-against the four-product formula over every sign case, while a p = 3 tail
-still multiplies by its enclosed prime power and builds each p^m once per
-tail.
+integer-coefficient maps, caps included, and the whole walk, enclosed and
+forced to fall back, against the exact orbit.  The shortcuts of one
+enclosure step are checked against the products they replace: ``_pow``
+from x against square-and-multiply from (1, 1, 0), a component step, whose
+p = 2 scale shift and sign-and-magnitude products stand for products with
+the exact 2^m and signed enclosures, against the term-by-term step on
+``_mul``, ``_mul`` against the four-product formula over every sign case,
+and the height read-out that aligns only the candidates that can be the
+largest against the one that aligns them all; a p = 3 step still
+multiplies by its enclosed prime power, and a p = 3 tail builds each p^m
+once.  Each map's step plan is built once per run and map.
 ``test_sector_tail.py`` does the same for the sector orbits of
 ``first_case``.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +35,7 @@ from hypothesis import strategies as st
 from corpus import CASES
 
 import arithdyn.experiments as experiments
+import arithdyn.maps as maps
 import arithdyn.orbit_tail as tail
 from arithdyn.experiments import ExperimentConfig, run_experiment
 from arithdyn.degrees import dynamical_degree_exact
@@ -278,34 +285,121 @@ def test_pow_from_x_is_the_square_and_multiply_from_one(x, e):
     assert tail._pow(x, e) == _square_and_multiply_from_one(x, e)
 
 
-@settings(max_examples=150, deadline=None)
-@given(x=CUT_ENCLOSURES, m=st.integers(0, 3000))
-def test_the_p2_scale_shift_is_the_product_with_the_exact_power(x, m):
-    assert tail._times_prime_power(x, 2, m, {}) == tail._mul(x, tail._prime_power(2, m, {}))
+def _reference_step(terms, ks, residues, nums, p):
+    """One component step term by term on signed enclosures: each power's
+    ends are the powers of x's ends (swapped for an even e when x < 0),
+    each product a ``_mul``, each p^(W - w) the product with
+    ``_prime_power``, and the sum brought to one scale and cut once."""
+    weights = [sum(e * k for e, k in zip(mono, ks)) for _, mono, _ in terms]
+    top = max(weights)
+    residue = sum(
+        c * math.prod(pow(residues[j], e, p) for j, e in pairs)
+        for (c, _, pairs), w in zip(terms, weights)
+        if w == top
+    ) % p
+    if not residue:
+        return None
+    parts = []
+    for (c, _, pairs), w in zip(terms, weights):
+        term = c, c, 0
+        for j, e in pairs:
+            lo, hi, s = nums[j]
+            if hi < 0 and not e % 2:
+                lo, hi = hi, lo
+            term = tail._mul(term, (lo**e, hi**e, s * e))
+        parts.append(tail._mul(term, tail._prime_power(p, top - w, {})))
+    width = max(max(abs(lo), abs(hi)).bit_length() + s for lo, hi, s in parts)
+    u = max(min(s for _, _, s in parts), width - tail.ENCLOSURE_BITS)
+    lo_sum = hi_sum = 0
+    for lo, hi, s in parts:
+        if s >= u:
+            lo, hi = lo << s - u, hi << s - u
+        else:
+            lo, hi = lo >> u - s, -(-hi >> u - s)
+        lo_sum, hi_sum = lo_sum + lo, hi_sum + hi
+    return top, residue, tail._cut(lo_sum, hi_sum, u)
+
+
+@st.composite
+def _component_steps(draw):
+    """(terms, ks, exact numerators, p, bits): one component of at most
+    four terms c x^a over up to three variables, each exponent at most 3,
+    at a point whose numerators are nonzero and prime to p."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        mono = tuple(draw(st.integers(0, 3)) for _ in range(dim))
+        c = draw(st.integers(-9, 9).filter(bool))
+        terms.append((c, mono, tuple((j, e) for j, e in enumerate(mono) if e)))
+    ks = [draw(st.integers(1, 40)) for _ in range(dim)]
+    xs = [draw(st.integers(-(2**400), 2**400).filter(lambda x: x % p)) for _ in range(dim)]
+    return terms, ks, xs, p, draw(st.sampled_from([4, 16, 192]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_component_steps())
+def test_the_p2_scale_shift_is_the_product_with_the_exact_power(case):
+    # a component step scales a term by 2^m by moving its scale and
+    # multiplies magnitudes under one sign; at any precision it gives the
+    # enclosure of the term-by-term step on signed enclosures, which holds
+    # the exact N' = sum_a c_a prod_j x_j^a_j p^(W - w(a)); p = 3 checks the
+    # step's products with an enclosed 3^m the same way
+    terms, ks, xs, p, bits = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tail, "ENCLOSURE_BITS", bits)
+        nums = [tail._cut(x, x, 0) for x in xs]
+        residues = [x % p for x in xs]
+        got = tail._component_step(terms, ks, residues, nums, {}, p, {})
+        assert got == _reference_step(terms, ks, residues, nums, p)
+    weights = [sum(e * k for e, k in zip(mono, ks)) for _, mono, _ in terms]
+    exact = sum(
+        c * math.prod(xs[j] ** e for j, e in pairs) * p ** (max(weights) - w)
+        for (c, _, pairs), w in zip(terms, weights)
+    )
+    if got is None:
+        assert exact % p == 0
+    else:
+        top, residue, (lo, hi, s) = got
+        assert top == max(weights) and residue == exact % p
+        assert lo << s <= exact <= hi << s
+        # cut once to `bits` bits; a bound rounded up may reach 2^bits
+        assert max(abs(lo), abs(hi)).bit_length() <= bits + 1
 
 
 @pytest.mark.parametrize(
     "p, start", [(3, ("1/27", "1/3")), (2, ("1/256", "1/2"))], ids=["p3", "p2"]
 )
 def test_only_a_p3_tail_multiplies_by_an_enclosed_prime_power(monkeypatch, p, start):
-    # for p = 3 each factor p^(W - w(a)) is an enclosure multiplied by _mul;
-    # for p = 2 it only moves the scale, so no _mul sees (1, 1, m), m > 0,
-    # which no power of an odd numerator is
+    # for p = 3 a component step multiplies each term of weight w below the
+    # top W by the enclosure p^(W - w); for p = 2 it only moves the scale,
+    # so no component step asks for a power of p
     start = tuple(Fraction(x) for x in start)
-    operands = []
-    mul = tail._mul
+    requested, stepping = [], []
+    step, prime_power = tail._component_step, tail._prime_power
 
-    def recording(x, y):
-        operands.append(y)
-        return mul(x, y)
+    def recording_step(*args):
+        stepping.append(True)
+        try:
+            return step(*args)
+        finally:
+            stepping.pop()
 
-    monkeypatch.setattr(tail, "_mul", recording)
+    def recording_power(p, m, powers):
+        power = prime_power(p, m, powers)
+        if stepping:
+            requested.append((m, power))
+        return power
+
+    monkeypatch.setattr(tail, "_component_step", recording_step)
+    monkeypatch.setattr(tail, "_prime_power", recording_power)
     _assert_tail_is_exact(monkeypatch, E1, p, start, 9, 3)
     if p == 3:
-        enclosed = {tail._prime_power(3, m, {}) for m in range(1, 200)}
-        assert enclosed.intersection(operands)
+        assert requested
+        assert all(m > 0 and power == prime_power(3, m, {}) for m, power in requested)
+        assert any(lo < hi for _, (lo, hi, _) in requested)  # a rounded enclosure
     else:
-        assert not [y for y in operands if y[:2] == (1, 1) and y[2] > 0]
+        assert not requested
 
 
 SIGNED_ENDS = st.one_of(
@@ -352,12 +446,12 @@ def test_a_p3_tail_builds_each_prime_power_once_per_tail(monkeypatch):
 
 
 @st.composite
-def _integer_orbits(draw):
+def _integer_orbits(draw, shortest=0, longest=tail.PREFIX):
     """(components, p, start, n_max): a triangular map with integer
     coefficients, each component a term c x_i^d (times x_j, j > i, or not)
-    plus terms of lower degree in x_i, and a start whose coordinates are
-    N / p^k with k >= 0.  Numerators may be 0, negative, or divisible by p
-    where k = 0."""
+    plus terms of lower degree in x_i, a start whose coordinates are
+    N / p^k with k >= 0, and ``shortest`` <= n_max <= ``longest``.  Numerators may be 0,
+    negative, or divisible by p where k = 0."""
     p = draw(st.sampled_from([2, 3, 5]))
     dim = draw(st.integers(1, 3))
     coeffs = st.integers(-3, 3).filter(bool)
@@ -375,7 +469,7 @@ def _integer_orbits(draw):
         k = draw(st.integers(0, 3))
         num = draw(st.integers(-20, 20).filter(lambda n: k == 0 or n % p))
         start.append(f"{num}/{p**k}")
-    return components, p, tuple(start), draw(st.integers(0, tail.PREFIX))
+    return components, p, tuple(start), draw(st.integers(shortest, longest))
 
 
 def _refuse(self, point):
@@ -407,3 +501,115 @@ def test_the_pair_prefix_is_the_fraction_walk(case, cut):
     with pytest.raises(ResourceLimitError) as want:
         orbit(f, start, n_max, caps)
     assert got.value.metadata == want.value.metadata
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_integer_orbits(shortest=tail.PREFIX + 1, longest=tail.PREFIX + 3))
+@example(case=(["x1^3+x2", "x2^2+1"], 2, ("1/256", "1/2"), 8))
+@example(case=(["x1*x2+1", "x2^2"], 3, ("-5", "2/9"), 8))
+def test_the_walk_is_the_exact_walk_enclosed_or_fallen_back(case):
+    # past the prefix too: the enclosure walk at 192 bits, and at 6 bits,
+    # where every tail falls back to the exact walk, give the exact orbit's
+    # prefix points, signatures and height rows
+    components, p, start, n_max = case
+    f = triangular_map(components)
+    start = tuple(Fraction(x) for x in start)
+    points = orbit(f, start, n_max)
+    sigs = [valuation_signature(q, p) for q in points]
+    rows = height_sequence_of_orbit(points, dynamical_degree_exact(f))
+    for bits in (192, 6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tail, "ENCLOSURE_BITS", bits)
+            got_points, got_sigs, got_rows = tail.orbit_tail(f, p, start, n_max, ResourceCaps())
+        assert got_points == points[: tail.PREFIX + 1]
+        assert got_sigs == sigs
+        assert _readout(got_rows) == _readout(rows)
+        assert all(g.height_arg in (None, r.height_arg) for g, r in zip(got_rows, rows))
+
+
+# -- the height read-out past the prefix --------------------------------------
+
+
+def _height_aligning_all(ks, nums, p):
+    """(bits, log) of the height read-out with every candidate brought to
+    the finest scale, or None when it is open."""
+    top = max(ks)
+    candidates = [tail._prime_power(p, top, {})]
+    for num, k in zip(nums, ks):
+        size = tail._abs(num)
+        if size is None:
+            return None
+        candidates.append(tail._mul(size, tail._prime_power(p, top - k, {})))
+    u = min(s for _, _, s in candidates)
+    lo, hi, s = tail._cut(
+        max(lo << s - u for lo, _, s in candidates), max(hi << s - u for _, hi, s in candidates), u
+    )
+    if lo.bit_length() != hi.bit_length() or float(lo) != float(hi):
+        return None
+    return lo.bit_length() + s, math.log(lo << s)
+
+
+# near 2^60, 2^192 and 2^193 ends straddle a bit length or a double
+NEAR_ENDS = st.one_of(
+    st.integers(1, 2**200),
+    st.sampled_from([2**60, 2**192, 2**193]).flatmap(lambda t: st.integers(t - 300, t + 300)),
+)
+
+
+@st.composite
+def _height_inputs(draw):
+    """(ks, nums, p): signed enclosures holding 0 or not, some candidates
+    tied with others or with p^max(k), some ends straddling a bit length."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(1, 3))
+    ks = [draw(st.integers(1, 8)) for _ in range(dim)]
+    nums = []
+    for i in range(dim):
+        if i and draw(st.booleans()):  # a tie with an earlier candidate
+            lo, hi, s = nums[draw(st.integers(0, i - 1))]
+            nums.append((lo, hi, s) if draw(st.booleans()) else (-hi, -lo, s))
+            ks[i] = ks[i - 1] if draw(st.booleans()) else ks[i]
+            continue
+        lo = draw(NEAR_ENDS)
+        hi = lo + draw(st.sampled_from([0, 1, 2]) | st.integers(0, 2**70))
+        s = draw(st.sampled_from([0, 1]) | st.integers(0, 400))
+        if draw(st.booleans()):
+            lo, hi = -hi, -lo
+        if draw(st.integers(0, 9)) == 0:
+            lo = -lo  # an enclosure that holds 0
+        nums.append((min(lo, hi), max(lo, hi), s))
+    return ks, nums, p
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_height_inputs())
+@example(case=([1, 1], [(2**60, 2**60 + 1, 0), (1, 1, 0)], 2))
+@example(case=([1, 1], [(2**60, 2**60 + 5, 0), (2**60 + 3, 2**60 + 3, 0)], 2))
+@example(case=([2, 1], [(-(2**60) - 1, -(2**60), 3), (2**60 - 1, 2**60, 4)], 2))
+@example(case=([1, 1], [(1, 1, 0), (1, 1, 0)], 3))
+def test_the_height_aligns_only_the_candidates_that_can_be_largest(case):
+    ks, nums, p = case
+    got = tail._height(ks, nums, p, {})
+    assert (None if got is None else (got.bits, got.log)) == _height_aligning_all(ks, nums, p)
+
+
+# -- one step plan per map ------------------------------------------------------
+
+
+def test_each_map_builds_its_step_plan_once_per_run(tmp_path, monkeypatch):
+    # first_case reads E1's plan for its degree certificate and its 12
+    # orbits; product reads one plan per factor
+    built = []
+    step_plan = maps._step_plan
+
+    def counting(f):
+        built.append(f)
+        return step_plan(f)
+
+    monkeypatch.setattr(maps, "_step_plan", counting)
+    doc = dict(map=E1_DOC, mode="first_case", n_max=9, samples=12, seed=0)
+    run_experiment(ExperimentConfig(**doc), tmp_path / "first_case")
+    assert built == [triangular_map(E1)]
+    del built[:]
+    run_experiment(ExperimentConfig(**CAP_CASES["product-first-factor"][0]), tmp_path / "product")
+    assert built == [triangular_map(E1), triangular_map(SECOND)]

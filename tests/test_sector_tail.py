@@ -52,14 +52,11 @@ def _exact_tail(f, sector, points, delta):
     )
 
 
-def _enclosed(f, sector, point, n_max, delta):
+def _enclosed(f, sector, point, n_max):
     """The enclosure walk alone, never its exact fallback."""
     ks = list(valuation_signature(point, sector.prime))
     nums = [x.numerator for x in point]
-    return tail._enclosed_tail(
-        tail._term_table(f), step_bits_bound(f), sector.prime, ks, nums, PREFIX, n_max, delta,
-        ResourceCaps(),
-    )
+    return tail._enclosed_tail(f.step_plan(), sector.prime, ks, nums, PREFIX, n_max, ResourceCaps())
 
 
 @pytest.mark.parametrize(
@@ -74,7 +71,7 @@ def test_tail_rows_equal_the_exact_rows(components, prime, n_max):
         for point in sample_U(sector, 4, seed):
             points = orbit(f, point, n_max)
             want_sigs, want_rows = _exact_tail(f, sector, points, 3)
-            got = _enclosed(f, sector, points[PREFIX], n_max, 3)
+            got = _enclosed(f, sector, points[PREFIX], n_max)
             assert got is not None, "the enclosure walk left a decision open"
             sigs, rows = got
             assert sigs == want_sigs
@@ -90,7 +87,7 @@ def test_enclosures_contain_the_exact_numerators():
     for components, prime in [(E1, 2), (E1, 3), (M2, 2)]:
         f = triangular_map(components)
         sector = sector_config(f, prime=prime)
-        terms, pairs = tail._term_table(f)
+        terms = f.step_plan().terms
         prime_powers = {}
         for point in sample_U(sector, 3, 1):
             points = orbit(f, point, 8)
@@ -99,9 +96,9 @@ def test_enclosures_contain_the_exact_numerators():
             residues = [x.numerator % prime for x in start]
             nums = [tail._cut(x.numerator, x.numerator, 0) for x in start]
             for exact in points[PREFIX + 1 :]:
-                powers = {(j, e): tail._power(nums[j], e) for j, e in pairs}
+                factors = {}
                 images = [
-                    tail._component_step(t, ks, residues, powers, prime, prime_powers)
+                    tail._component_step(t, ks, residues, nums, factors, prime, prime_powers)
                     for t in terms
                 ]
                 ks, residues, nums = (list(part) for part in zip(*images))
@@ -117,21 +114,20 @@ INTS = st.integers(-(2**300), 2**300)
 @settings(max_examples=200, deadline=None)
 @given(x=INTS, y=INTS, e=st.integers(0, 5), bits=st.sampled_from([3, 8, 192]))
 def test_interval_operations_contain_the_exact_result(x, y, e, bits):
-    # every bound is rounded outward, at any precision; _mul and _power are
-    # exact on the ends, and a sum is cut once
+    # every bound is rounded outward, at any precision; _mul and _factor
+    # are exact on the ends (a step's sum is checked in test_orbit_tail.py)
     saved = tail.ENCLOSURE_BITS
     tail.ENCLOSURE_BITS = bits
     try:
         ex, ey = tail._cut(x, x, 0), tail._cut(y, y, 0)
         uncut = [(tail._mul(ex, ey), x * y)]
-        if x and e:  # _power reads an enclosure that holds no 0
-            uncut.append((tail._power(ex, e), x**e))
+        if x and e:  # _factor reads an enclosure that holds no 0
+            sign, lo, hi, s, r = tail._factor([ex], [x % 3], (0, e), 3)
+            uncut.append((((-hi, -lo, s) if sign else (lo, hi, s)), x**e))
+            assert r == x**e % 3
         cut = [
             (ex, x),
             (tail._cut(*tail._mul(ex, ey)), x * y),
-            (tail._sum([ex, ey]), x + y),
-            (tail._sum([tail._mul(ex, ex), ey]), x * x + y),
-            (tail._sum([tail._mul(ex, ey), ex, ey]), x * y + x + y),
             (tail._pow(ex, e), x**e),
             (tail._prime_power(3, abs(y) % 500, {}), 3 ** (abs(y) % 500)),
         ]
@@ -149,10 +145,9 @@ def test_a_residue_that_cancels_falls_back_to_the_exact_value(monkeypatch):
     # and their residues cancel mod 2, so k = 1, not the top weight 2
     f = triangular_map(["x1^2 + x2^2", "x2"])
     point = (Fraction(1, 2), Fraction(1, 2))
-    (terms, _), pairs = tail._term_table(f)
-    powers = {(j, e): tail._power((1, 1, 0), e) for j, e in pairs}
-    assert tail._component_step(terms, [1, 1], [1, 1], powers, 2, {}) is None
-    assert _enclosed(f, sector_config(f, prime=2), point, PREFIX + 3, 2) is None
+    terms = f.step_plan().terms[0]
+    assert tail._component_step(terms, [1, 1], [1, 1], [(1, 1, 0)] * 2, {}, 2, {}) is None
+    assert _enclosed(f, sector_config(f, prime=2), point, PREFIX + 3) is None
     calls = _counting_steps(monkeypatch)
     _, sigs, rows = tail.orbit_tail(f, 2, point, PREFIX + 3, ResourceCaps())
     assert len(calls) == PREFIX + 3  # the tail past the prefix was walked exactly
