@@ -43,31 +43,28 @@ tested exactly against the lifted vectors, and not modulo p.  An exact
 pass implies membership of the span modulo p: a lifted entry a/b has
 0 < b < p and a = b k mod p, so a cleared vector v_f is l_f k_f mod p with
 l_f, the lcm of its denominators, a unit mod p; a row x with x . v_f = 0
-for every f thus has x . k_f = 0 mod p for every f, which is the modulo-p
-test that skips it.  So the kept rows and the kernel are those of the
-modulo-p test alone.  A row that fails the exact test drops the lift and
-takes the modulo-p test.  If it changes the kernel, the final kernel is
-lifted and checked against every row at the end, as above; if not, a lift
-of the final kernel gives the same vectors, which fail on that row, and so
-does the certificate.  A kernel that does not lift at the switch does not
-lift at the end either, unless a later row changes it.  If the lift stands
-to the end, it is the lift of the final kernel and every row after the
-switch has passed; the deferred check of the rows read up to the switch
-tests each of those once.  So every row is checked, once, against the
-vectors a lift at the end would give: the certificate is complete, and its
-verdict and fallback are those of a lift at the end.
+for every f thus has x . k_f = 0 mod p for every f, and would reduce to
+zero.  So the kept rows and the kernel are those of the reduction modulo p
+alone.  A row that fails the exact test drops the lift and is reduced.  If
+it is kept, the final kernel is lifted and checked against every row at
+the end, as above; if not, a lift of the final kernel gives the same
+vectors, which fail on that row, and so does the certificate.  A kernel
+that does not lift at the switch does not lift at the end either, unless a
+later row is kept.  If the lift stands to the end, it is the lift of the
+final kernel and every row after the switch has passed; the deferred check
+of the rows read up to the switch tests each of those once.  So every row
+is checked, once, against the vectors a lift at the end would give: the
+certificate is complete, and its verdict and fallback are those of a lift
+at the end.
 
 Both the reduction modulo p and the exact check run on packed lanes: one
 integer holds one value per field of W bits, so a row costs a few big-int
 operations, not one interpreted operation per entry (simultaneous modular
 reduction, Dumas-Fousse-Salvy, J. Symb. Comput. 46 (2011)).  Modulo p, W =
 2 bits(p) + bits(M) + 1, and no lane carries: a reduced lane stays below
-p + M p^2.  The kernel's lanes are kept below 2^62 by folding with 2^61 = 1
-mod p, so a dot product with the packed kernel and a back-substitution step
-stay below M p 2^62 < 2^W, and a kernel update below (p + 1) 2^62 = 2^123
-< 2^W.  In the exact check, W = bits(max |row entry|) + bits(max |vector
-entry|) + bits(M) + 1, every dot product is below 2^(W - 1) in size, so
-their packed sum is 0 exactly when each is.
+p + M p^2.  In the exact check, W = bits(max |row entry|) + bits(max
+|vector entry|) + bits(M) + 1, every dot product is below 2^(W - 1) in
+size, so their packed sum is 0 exactly when each is.
 """
 
 from __future__ import annotations
@@ -172,21 +169,12 @@ def _fold_masks(width: int, count: int) -> tuple:
 
 def _fold(packed: int, low: int, high: int) -> int:
     """``packed`` with each lane x, below 2^W for the width W = 2 bits(p) +
-    bits(n_cols) + 1 of ``_rank_mod_p``, replaced by a value congruent to it
-    modulo MODULUS = 2^61 - 1 and below 2^62.  As 2^61 = 1 mod p, x = (x mod
-    2^61) + (x >> 61) mod p: one fold leaves a lane below 2^61 + 2^(W - 61),
-    the second at most 2^61 + 2^(W - 122) < 2^62 (for n_cols < 2^59)."""
+    bits(n_cols) + 1 of ``_kernel_mod_p``, replaced by a value congruent to
+    it modulo MODULUS = 2^61 - 1 and below 2^62.  As 2^61 = 1 mod p, x = (x
+    mod 2^61) + (x >> 61) mod p: one fold leaves a lane below 2^61 + 2^(W -
+    61), the second at most 2^61 + 2^(W - 122) < 2^62 (for n_cols < 2^59)."""
     packed = (packed & low) + (packed >> 61 & high)
     return (packed & low) + (packed >> 61 & high)
-
-
-def _unpacked(columns: list, free: list, width: int) -> list:
-    """The kernel vectors packed in ``columns`` as ``_kernel_mod_p`` packs
-    them, lane i reduced modulo MODULUS and cut after its free column free[i]."""
-    lane = (1 << width) - 1
-    return [
-        [(c >> width * i & lane) % MODULUS for c in columns[: f + 1]] for i, f in enumerate(free)
-    ]
 
 
 def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
@@ -194,47 +182,32 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
     until ``n_cols`` are independent modulo MODULUS, the indices of those
     independent of the rows before them (len(kept) is the rank of ``read``
     modulo p), and, below n_cols, the kernel modulo p of the kept rows as
-    ``_kernel_mod_p`` gives it, unpacked to one list per free column f cut
-    after f, and the witness over Q: the first lifted kernel vector
-    (``_lift``) as Fractions, padded with zeros, if every lifted vector has
-    integer dot product 0 with every row read, else None (both None at full
-    rank).
+    ``_kernel_mod_p`` gives it, and the witness over Q: the first lifted
+    kernel vector (``_lift``) as Fractions, padded with zeros, if every
+    lifted vector has integer dot product 0 with every row read, else None
+    (both None at full rank).
 
-    Rows are reduced into an echelon basis, and one that reduces to zero is
-    skipped, until such a row arrives while the kernel is no larger than
-    the basis: m - r <= r, for r rows kept of m = n_cols.  A row's residues
-    are packed into one integer, entry j in the lane of W = 2 bits(p) +
-    bits(n_cols) + 1 bits at bit W j.  A basis row led by 1 at column c is
-    stored negated mod p (p - 1 at its lead, -b_j mod p after it) and packed
-    from lane 0 at c, so reducing by it is ``packed += x * basis[c]``, with x
-    the residue of the row's lowest lane, which is then shifted out.  No
-    lane carries: it starts below p and gains less than p^2 per pivot, so it
-    stays below p + n_cols p^2 < 2^W.  A new pivot's negated tail is read
-    out once for ``_kernel_mod_p``.
+    Each row is reduced into an echelon basis, and one that reduces to zero
+    is skipped.  A row's residues are packed into one integer, entry j in
+    the lane of W = 2 bits(p) + bits(n_cols) + 1 bits at bit W j.  A basis
+    row led by 1 at column c is stored negated mod p (p - 1 at its lead,
+    -b_j mod p after it) and packed from lane 0 at c, so reducing by it is
+    ``packed += x * basis[c]``, with x the residue of the row's lowest lane,
+    which is then shifted out.  No lane carries: it starts below p and gains
+    less than p^2 per pivot, so it stays below p + n_cols p^2 < 2^W.  A new
+    pivot's negated tail is read out once for ``_kernel_mod_p``.
 
-    From then on the basis is replaced by its kernel, packed by column with
-    lane f of column j holding k_f[j] (below 2^62, see ``_fold``), and a row
-    is tested by its dot products d_f with the kernel vectors: it is in the
-    span modulo p exactly when all are 0.  The d_f are the lanes of one sum
-    of the row's residues times the columns, each below n_cols p 2^62 <=
-    2^W.  Otherwise the first free column c with d_c != 0 is the leading
-    column the echelon reduction would give it, and the kernel of the grown
-    span is k_f - (d_f / d_c) k_c for the other f, still 1 at f and 0 at the
-    other free columns and past f: each column gains its lane c times one
-    packed multiplier (lanes stay below (p + 1) 2^62 < 2^W), is folded, and
-    loses lane c.  Either phase keeps the same rows and ends with the same
-    kernel, whenever the switch comes: the vector that is 1 at a free
-    column f and 0 at the other free columns and past f is unique.
-
-    At the switch the kernel is also lifted to Q.  While that lift stands,
-    a row is first tested exactly; one with every dot product 0 is in the
-    span modulo p (see the module docstring) and is skipped with no residue
-    taken.  The first row that fails the exact test drops the lift and goes
-    on as above.  If the lift stands to the end, the rows read up to the
-    switch are tested once, and they decide the witness.  If the kernel
-    changed after the switch, or there was none, the final kernel is lifted
-    and tested against every row read.  Otherwise the witness is None: the
-    kernel did not lift, or a row failed against its lift.
+    At the switch, the first row that reduces to zero while the kernel is no
+    larger than the basis (m - r <= r, for r rows kept of m = n_cols), the
+    kernel is built and lifted to Q.  While that lift stands, a row is first
+    tested exactly; one with every dot product 0 is in the span modulo p
+    (see the module docstring) and is skipped with no residue taken.  The
+    first row that fails the exact test drops the lift and is reduced.  If
+    the lift stands to the end, the rows read up to the switch are tested
+    once, and they decide the witness.  If a row was kept after the switch,
+    or there was none, the final kernel is lifted and tested against every
+    row read.  Otherwise the witness is None: the kernel did not lift, or a
+    row failed against its lift.
     """
     p = MODULUS
     width = 2 * p.bit_length() + n_cols.bit_length() + 1
@@ -242,70 +215,51 @@ def _rank_mod_p(rows: Iterable, n_cols: int) -> tuple:
     shifts = range(0, n_cols * width, width)
     tails = [None] * n_cols  # tails[c]: the negated tail after column c of a row led by 1 at c
     basis = [None] * n_cols  # basis[c]: that row packed from lane 0 at c, p - 1 at its lead
-    kept, read, columns, kernel, lifted = [], [], None, None, None
+    kept, read, kernel, lifted, switch = [], [], None, None, None
     for row in rows:
         read.append(row)
         if lifted is not None:
             if lifted.annihilates(row):
                 continue  # in the span of the kept rows modulo p
             lifted = None
-        residues = map(operator.mod, row, repeat(p))
-        if columns is not None:
-            packed = sum(map(operator.mul, residues, columns))
-            dots = [(packed >> s & lane) % p for s in shifts[: len(free)]]
-            lead = next((j for j, d in enumerate(dots) if d), None)
-            if lead is None:
-                continue  # in the span of the kept rows modulo p
-            scale = p - pow(dots[lead], -1, p)
-            multiplier = sum(d * scale % p << s for d, s in zip(dots, shifts))
-            at = width * lead
-            below = (1 << at) - 1
-            folded = (_fold(c + (c >> at & lane) * multiplier, *masks) for c in columns)
-            columns = [c & below | c >> at + width << at for c in folded]
-            del free[lead]
-            kernel = None
-        else:
-            packed = sum(map(operator.lshift, residues, shifts))
-            for c in range(n_cols):
-                x = (packed & lane) % p
-                if x:
-                    if basis[c] is None:
-                        break
-                    packed += x * basis[c]
-                packed >>= width
-            else:  # zero modulo p: in the span of the kept rows
-                if n_cols - len(kept) <= len(kept):
-                    columns, free = _kernel_mod_p(tails)
-                    masks = _fold_masks(width, len(free))
-                    kernel = _unpacked(columns, free, width)
-                    lifted, switch = _lift(kernel, read, n_cols), len(read)
-                continue
-            scale = p - pow(x, -1, p)
-            tails[c] = tail = [(packed >> s & lane) * scale % p for s in shifts[1 : n_cols - c]]
-            basis[c] = p - 1 + sum(map(operator.lshift, tail, shifts[1:]))
+        packed = sum(map(operator.lshift, map(operator.mod, row, repeat(p)), shifts))
+        for c in range(n_cols):
+            x = (packed & lane) % p
+            if x:
+                if basis[c] is None:
+                    break
+                packed += x * basis[c]
+            packed >>= width
+        else:  # zero modulo p: in the span of the kept rows
+            if switch is None and n_cols - len(kept) <= len(kept):
+                kernel = _kernel_mod_p(tails)
+                lifted, switch = _lift(kernel, read, n_cols), len(read)
+            continue
+        scale = p - pow(x, -1, p)
+        tails[c] = tail = [(packed >> s & lane) * scale % p for s in shifts[1 : n_cols - c]]
+        basis[c] = p - 1 + sum(map(operator.lshift, tail, shifts[1:]))
         kept.append(len(read) - 1)
+        kernel = None
         if len(kept) == n_cols:
             return kept, read, None, None
-    if kernel is None:  # no switch, or the kernel changed after it: lift the final one
-        if columns is None:
-            columns, free = _kernel_mod_p(tails)
-        kernel = _unpacked(columns, free, width)
+    if kernel is None:  # no switch, or a row kept after it: lift the final kernel
+        kernel = _kernel_mod_p(tails)
         lifted, switch = _lift(kernel, read, n_cols), len(read)
     certified = lifted is not None and all(map(lifted.annihilates, read[:switch]))
     return kept, read, kernel, lifted.witness() if certified else None
 
 
-def _kernel_mod_p(tails: list) -> tuple:
-    """(columns, free): the kernel modulo MODULUS of an echelon basis
-    (``tails[c]`` the negated tail after column c of a row led by 1 at c,
-    None at a free column), one vector k_i per free column free[i], 1 there,
-    0 at the other free columns and past it, packed by column as
-    ``_rank_mod_p`` keeps it, lane i of column j holding k_i[j] below 2^62.
+def _kernel_mod_p(tails: list) -> list:
+    """The kernel modulo MODULUS of an echelon basis (``tails[c]`` the
+    negated tail after column c of a row led by 1 at c, None at a free
+    column): one vector k_i per free column f_i, 1 there, 0 at the other
+    free columns, and cut after f_i.
 
-    Back-substitution runs over all lanes at once: column free[i] is 2^(W i),
-    and a pivot column c is the sum of its negated tail times the columns
-    after it, folded (``_fold``); each lane of the sum is below n_cols p
-    2^62 <= 2^W, and is 0 for a vector whose free column is below c.
+    Back-substitution runs over all vectors at once, packed by column with
+    lane i of column j holding k_i[j] below 2^62: column f_i is 2^(W i), and
+    a pivot column c is the sum of its negated tail times the columns after
+    it, folded (``_fold``); each lane of the sum is below n_cols p 2^62 <=
+    2^W, and is 0 for a vector whose free column is below c.
     """
     n_cols = len(tails)
     width = 2 * MODULUS.bit_length() + n_cols.bit_length() + 1
@@ -317,7 +271,10 @@ def _kernel_mod_p(tails: list) -> tuple:
     for c in range(n_cols - 1, -1, -1):
         if tails[c] is not None:
             columns[c] = _fold(sum(map(operator.mul, tails[c], columns[c + 1 :])), *masks)
-    return columns, free
+    lane = (1 << width) - 1
+    return [
+        [(c >> width * i & lane) % MODULUS for c in columns[: f + 1]] for i, f in enumerate(free)
+    ]
 
 
 # Rational reconstruction bound: numerators and denominators up to B with

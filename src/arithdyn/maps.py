@@ -225,13 +225,13 @@ def exact_steps(
 ) -> Iterator[AffinePoint]:
     """Yield f^(n+1)(P), ..., f^(n_max)(P) from ``point`` = f^n(P).
 
-    Before each step, :func:`step_bits_bound` bounds the bit size of the
-    coordinates it would make, from f's terms summed once per call, and
-    ``caps.check("orbit step m", ...)`` refuses a step m whose bound exceeds
-    caps.max_coeff_bits before it is computed; the ResourceLimitError
-    carries the last safe n, m - 1.
+    Before each step, the bound of f's step plan (:func:`step_bits_bound`,
+    built once per map) bounds the bit size of the coordinates it would
+    make, and ``caps.check("orbit step m", ...)`` refuses a step m whose
+    bound exceeds caps.max_coeff_bits before it is computed; the
+    ResourceLimitError carries the last safe n, m - 1.
     """
-    bound = step_bits_bound(f)
+    bound = f.step_plan().bound
     for n in range(n, n_max):
         caps.check(f"orbit step {n + 1}", bits=bound(coordinate_bits(point)), last_safe_n=n)
         point = f.apply(point)

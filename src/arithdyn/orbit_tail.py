@@ -341,18 +341,15 @@ def _cut(lo: int, hi: int, s: int) -> Enclosure:
 
 
 def _mul(x: Enclosure, y: Enclosure) -> Enclosure:
-    """The exact product, uncut; with both lower ends >= 0 its ends are a c
-    and b d."""
+    """The exact product of two enclosures with lower ends >= 0, uncut: its
+    ends are a c and b d."""
     (a, b, s), (c, d, t) = x, y
-    if a >= 0 and c >= 0:
-        return a * c, b * d, s + t
-    ends = (a * c, a * d, b * c, b * d)
-    return min(ends), max(ends), s + t
+    return a * c, b * d, s + t
 
 
 def _pow(x: Enclosure, e: int) -> Enclosure:
-    """x^e for e >= 0, by left-to-right square-and-multiply, cut after each
-    product.
+    """x^e for x with lower end >= 0 and e >= 0, by left-to-right
+    square-and-multiply, cut after each product.
 
     The leading bit of e gives x cut, which is (1, 1, 0) squared and then
     times x, so the remaining bits start from there.

@@ -355,10 +355,10 @@ def test_orbit_points_fill_degree_two_space():
 
 def echelon_mod_p(rows, n_cols):
     """(kept, kernel) of the rows by plain elimination modulo MODULUS, with
-    no kernel phase: the rows independent of those before them, stopping at
-    n_cols, and for each free column f of the reduced echelon form the
-    kernel vector that is 1 at f and 0 at the other free columns, cut after
-    f (None at full rank)."""
+    no packed lanes and no lift: the rows independent of those before them,
+    stopping at n_cols, and for each free column f of the reduced echelon
+    form the kernel vector that is 1 at f and 0 at the other free columns,
+    cut after f (None at full rank)."""
     p = density.MODULUS
     leads, kept = {}, []
     for i, row in enumerate(rows):
@@ -401,9 +401,9 @@ def alternating_points(deficient: bool) -> list:
 def test_rank_mod_p_builds_the_kernel_only_once_it_is_no_larger_than_the_basis(
     monkeypatch, deficient
 ):
-    # a dependent row that arrives while m - r > r is skipped, not a switch
-    # to the kernel phase; kept rows and kernel are those of elimination
-    # alone and of rational_rref over Q
+    # a dependent row that arrives while m - r > r is skipped, and builds
+    # no kernel; kept rows and kernel are those of elimination alone and of
+    # rational_rref over Q
     degree, m = 4, 35
     points = alternating_points(deficient)
     all_rows = list(density._monomial_rows(points, monomials_up_to_degree(3, degree), degree))

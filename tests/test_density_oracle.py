@@ -17,8 +17,8 @@ that raise the rank over GF(p) of the rows before them, its rank is at most
 the rank over Q, its kept rows have rank over Q equal to their count, and
 its kernel vectors are orthogonal to every row modulo the prime.  The same
 checks over GF(p) run on wide matrices, up to 40 columns of entries up to
-2^256 in size, whose rows switch ``_rank_mod_p`` to its kernel phase and
-then update the kernel.  ``vp`` is compared with ``sympy.multiplicity`` on
+2^256 in size, whose rows make ``_rank_mod_p`` build and lift its kernel
+and then keep more rows.  ``vp`` is compared with ``sympy.multiplicity`` on
 numerators and denominators.
 """
 
@@ -203,8 +203,8 @@ def wide_integer_matrices(draw):
     """Up to 40 columns of entries up to about 2^256 in size: random rows
     that span at least half the columns, then rows in their span, then
     random rows.  A row in the span arrives once the kernel is no larger
-    than the basis, so the rank switches to its kernel phase, and each
-    random row after it updates the kernel and packs its columns again."""
+    than the basis, so the rank builds and lifts its kernel there, and the
+    random rows after it are kept."""
     n_cols = draw(st.integers(2, 40))
     bound = draw(st.sampled_from([9, MODULUS, 2**256]))
     rng = draw(st.randoms(use_true_random=False))

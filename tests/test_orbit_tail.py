@@ -16,11 +16,12 @@ enclosure step are checked against the products they replace: ``_pow``
 from x against square-and-multiply from (1, 1, 0), a component step, whose
 p = 2 scale shift and sign-and-magnitude products stand for products with
 the exact 2^m and signed enclosures, against the term-by-term step on
-``_mul``, ``_mul`` against the four-product formula over every sign case,
-and the height read-out that aligns only the candidates that can be the
-largest against the one that aligns them all; a p = 3 step still
-multiplies by its enclosed prime power, and a p = 3 tail builds each p^m
-once.  Each map's step plan is built once per run and map.
+the four-product formula, ``_mul`` against that formula on nonnegative
+enclosures, and the height read-out that aligns only the candidates that
+can be the largest against the one that aligns them all; a p = 3 step
+still multiplies by its enclosed prime power, and a p = 3 tail builds each
+p^m once.  Each map's step plan is built once per run and map, and no
+orbit walk builds a step bound of its own.
 ``test_sector_tail.py`` does the same for the sector orbits of
 ``first_case``.
 """
@@ -285,10 +286,18 @@ def test_pow_from_x_is_the_square_and_multiply_from_one(x, e):
     assert tail._pow(x, e) == _square_and_multiply_from_one(x, e)
 
 
+def _four_product(x, y):
+    """The exact product of two signed enclosures: the least and the
+    largest of the four products of their ends."""
+    (a, b, s), (c, d, t) = x, y
+    ends = (a * c, a * d, b * c, b * d)
+    return min(ends), max(ends), s + t
+
+
 def _reference_step(terms, ks, residues, nums, p):
     """One component step term by term on signed enclosures: each power's
     ends are the powers of x's ends (swapped for an even e when x < 0),
-    each product a ``_mul``, each p^(W - w) the product with
+    each product a ``_four_product``, each p^(W - w) the product with
     ``_prime_power``, and the sum brought to one scale and cut once."""
     weights = [sum(e * k for e, k in zip(mono, ks)) for _, mono, _ in terms]
     top = max(weights)
@@ -306,8 +315,8 @@ def _reference_step(terms, ks, residues, nums, p):
             lo, hi, s = nums[j]
             if hi < 0 and not e % 2:
                 lo, hi = hi, lo
-            term = tail._mul(term, (lo**e, hi**e, s * e))
-        parts.append(tail._mul(term, tail._prime_power(p, top - w, {})))
+            term = _four_product(term, (lo**e, hi**e, s * e))
+        parts.append(_four_product(term, tail._prime_power(p, top - w, {})))
     width = max(max(abs(lo), abs(hi)).bit_length() + s for lo, hi, s in parts)
     u = max(min(s for _, _, s in parts), width - tail.ENCLOSURE_BITS)
     lo_sum = hi_sum = 0
@@ -402,23 +411,22 @@ def test_only_a_p3_tail_multiplies_by_an_enclosed_prime_power(monkeypatch, p, st
         assert not requested
 
 
-SIGNED_ENDS = st.one_of(
-    st.sampled_from([0, 1, -1, 2**192 - 1, 2**192, -(2**192), 2**193 + 1]),
-    st.integers(-(2**200), 2**200),
+NONNEGATIVE_ENDS = st.one_of(
+    st.sampled_from([0, 1, 2**192 - 1, 2**192, 2**193 + 1]),
+    st.integers(0, 2**200),
 )
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    x=st.tuples(SIGNED_ENDS, SIGNED_ENDS, st.integers(0, 300)),
-    y=st.tuples(SIGNED_ENDS, SIGNED_ENDS, st.integers(0, 300)),
+    x=st.tuples(NONNEGATIVE_ENDS, NONNEGATIVE_ENDS, st.integers(0, 300)),
+    y=st.tuples(NONNEGATIVE_ENDS, NONNEGATIVE_ENDS, st.integers(0, 300)),
 )
 def test_mul_is_the_four_product_formula(x, y):
-    # every sign case, zero ends and ends on either side of a cut: the
-    # shortcut for two lower ends >= 0 gives the same enclosure
+    # zero ends and ends on either side of a cut: on the nonnegative
+    # enclosures _mul reads, its (a c, b d) is the four-product enclosure
     (a, b, s), (c, d, t) = (sorted(x[:2]) + [x[2]]), (sorted(y[:2]) + [y[2]])
-    ends = (a * c, a * d, b * c, b * d)
-    lo, hi = min(ends), max(ends)
+    lo, hi, _ = _four_product((a, b, s), (c, d, t))
     shift = max(abs(lo), abs(hi)).bit_length() - tail.ENCLOSURE_BITS
     want = (lo, hi, s + t) if shift <= 0 else (lo >> shift, -(-hi >> shift), s + t + shift)
     assert tail._cut(*tail._mul((a, b, s), (c, d, t))) == want
@@ -598,18 +606,25 @@ def test_the_height_aligns_only_the_candidates_that_can_be_largest(case):
 
 def test_each_map_builds_its_step_plan_once_per_run(tmp_path, monkeypatch):
     # first_case reads E1's plan for its degree certificate and its 12
-    # orbits; product reads one plan per factor
-    built = []
-    step_plan = maps._step_plan
+    # orbits; product reads one plan per factor; every orbit walk, the exact
+    # steps and the zero-step check of a start included, reads its step
+    # bound from that plan and builds none of its own
+    built, bounds = [], []
+    step_plan, bits_bound = maps._step_plan, maps.step_bits_bound
 
     def counting(f):
         built.append(f)
         return step_plan(f)
 
+    def counting_bound(f):
+        bounds.append(f)
+        return bits_bound(f)
+
     monkeypatch.setattr(maps, "_step_plan", counting)
+    monkeypatch.setattr(maps, "step_bits_bound", counting_bound)
     doc = dict(map=E1_DOC, mode="first_case", n_max=9, samples=12, seed=0)
     run_experiment(ExperimentConfig(**doc), tmp_path / "first_case")
-    assert built == [triangular_map(E1)]
-    del built[:]
+    assert built == bounds == [triangular_map(E1)]
+    del built[:], bounds[:]
     run_experiment(ExperimentConfig(**CAP_CASES["product-first-factor"][0]), tmp_path / "product")
-    assert built == [triangular_map(E1), triangular_map(SECOND)]
+    assert built == bounds == [triangular_map(E1), triangular_map(SECOND)]

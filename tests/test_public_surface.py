@@ -9,7 +9,10 @@ of its class counts.  A method is reached only through an attribute
 (``x.name``): a bare name, such as a local function of the same name in
 another module, does not reach it.  Re-exports in ``__init__.py`` do not
 count, and neither do tests: a name that only its unit tests call is surface
-no pipeline, CLI command or benchmark uses.
+no pipeline, CLI command or benchmark uses.  A private top-level ``def`` or
+``class`` (``_name``, not a dunder) must be referenced by another top-level
+statement of ``src/arithdyn``: a helper that its last caller dropped is dead
+code, whatever a test or a benchmark still calls.
 
 The package itself exports only what a caller imports from it: each name in
 ``arithdyn.__all__`` is imported from ``arithdyn`` (``from arithdyn import
@@ -80,12 +83,32 @@ def _unreached(modules: dict, bench: list, traced: set) -> list:
     return unreached
 
 
-def test_every_public_name_is_reached():
-    modules = {
+def _orphaned_helpers(modules: dict) -> list:
+    """``module.name`` for each private top-level def or class of
+    ``modules``, dunders left out, that no other top-level statement of
+    ``modules`` refers to."""
+    top = [node for tree in modules.values() for node in tree.body]
+    return [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (*FUNCS, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and not any(node.name in _names(s) for s in top if s is not node)
+    ]
+
+
+def _src_modules() -> dict:
+    return {
         p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
         for p in sorted(SRC.glob("*.py"))
         if p.name != "__init__.py"
     }
+
+
+def test_every_public_name_is_reached():
+    modules = _src_modules()
     bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "bench").glob("*.py"))]
     # a traced method, and the class that owns it
     traced = {name for _, _, attribute in trace_targets() for name in (attribute, attribute.split(".")[0])}
@@ -93,6 +116,11 @@ def test_every_public_name_is_reached():
     assert orphans == [], (
         f"{orphans} are reached by no pipeline, CLI command or benchmark; delete them"
     )
+
+
+def test_every_private_helper_is_reached():
+    orphans = _orphaned_helpers(_src_modules())
+    assert orphans == [], f"{orphans} are called by nothing in src/arithdyn; delete them"
 
 
 def test_all_names_exactly_the_public_exports():
@@ -151,6 +179,25 @@ def test_guard_flags_a_planted_orphan():
     }
     bench = [ast.parse("import arithdyn.b\narithdyn.b.main()\n")]
     assert _unreached(modules, bench, {"traced"}) == ["a.orphan"]
+
+
+def test_guard_flags_a_planted_orphan_helper():
+    modules = {
+        "a": ast.parse(
+            "def _used(x):\n"
+            "    return x\n"
+            "def _orphan(x):\n"
+            "    return _orphan(x - 1)\n"
+            "class _Kept:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+            "def main():\n"
+            "    return _used(1)\n"
+        ),
+        "b": ast.parse("from .a import _Kept\n"),
+    }
+    assert _orphaned_helpers(modules) == ["a._orphan"]
 
 
 def test_guard_flags_a_planted_orphan_method():

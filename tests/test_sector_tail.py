@@ -115,20 +115,22 @@ INTS = st.integers(-(2**300), 2**300)
 @given(x=INTS, y=INTS, e=st.integers(0, 5), bits=st.sampled_from([3, 8, 192]))
 def test_interval_operations_contain_the_exact_result(x, y, e, bits):
     # every bound is rounded outward, at any precision; _mul and _factor
-    # are exact on the ends (a step's sum is checked in test_orbit_tail.py)
+    # are exact on the ends (a step's sum is checked in test_orbit_tail.py);
+    # _mul and _pow read nonnegative enclosures, so they take |x| and |y|
     saved = tail.ENCLOSURE_BITS
     tail.ENCLOSURE_BITS = bits
     try:
-        ex, ey = tail._cut(x, x, 0), tail._cut(y, y, 0)
-        uncut = [(tail._mul(ex, ey), x * y)]
+        ex = tail._cut(x, x, 0)
+        ax, ay = tail._cut(abs(x), abs(x), 0), tail._cut(abs(y), abs(y), 0)
+        uncut = [(tail._mul(ax, ay), abs(x * y))]
         if x and e:  # _factor reads an enclosure that holds no 0
             sign, lo, hi, s, r = tail._factor([ex], [x % 3], (0, e), 3)
             uncut.append((((-hi, -lo, s) if sign else (lo, hi, s)), x**e))
             assert r == x**e % 3
         cut = [
             (ex, x),
-            (tail._cut(*tail._mul(ex, ey)), x * y),
-            (tail._pow(ex, e), x**e),
+            (tail._cut(*tail._mul(ax, ay)), abs(x * y)),
+            (tail._pow(ax, e), abs(x) ** e),
             (tail._prime_power(3, abs(y) % 500, {}), 3 ** (abs(y) % 500)),
         ]
         for (lo, hi, s), value in uncut + cut:
